@@ -1,6 +1,8 @@
 # CLI smoke test: run `zolcsim sweep` on one kernel and validate the CSV
 # schema against the checked-in golden header, then run one checked-in
-# scenario suite through `sweep --from-file`. Invoked by CTest as
+# scenario suite through `sweep --from-file`, exercise `run --mode`, and
+# pin the exit codes of rejected flags and of `bench --compare`. Invoked by
+# CTest as
 #   cmake -DCLI=<zolcsim> -DGOLDEN=<sweep_header.csv> -DOUT=<scratch.csv>
 #        -DSUITE=<scenarios/fig2_cycles.json> -P cli_smoke.cmake
 # Guards the CLI wiring end-to-end (arg parsing -> sweep engine -> CSV
@@ -51,3 +53,42 @@ if(NOT suite_header STREQUAL expected)
       "suite CSV header drifted from the golden schema\n"
       "  produced: ${suite_header}\n  expected: ${expected}")
 endif()
+
+# Runs the CLI with the remaining arguments and fails unless it exits with
+# `expected_rc`.
+function(expect_exit expected_rc)
+  execute_process(COMMAND ${CLI} ${ARGN}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE stderr_text)
+  if(NOT rc EQUAL expected_rc)
+    message(FATAL_ERROR
+        "zolcsim ${ARGN}: exit ${rc}, expected ${expected_rc}\n${stderr_text}")
+  endif()
+endfunction()
+
+# One spelling of the execution mode; the removed flags are unknown.
+expect_exit(0 run dotprod --machine=ZOLCfull --mode=iss-fast --tenants=2)
+expect_exit(2 run dotprod --engine=iss)
+expect_exit(2 run dotprod --fast-path)
+expect_exit(2 run dotprod --no-predecode)
+
+# A suite file defines the whole grid: every grid flag, switches included,
+# conflicts with it.
+expect_exit(2 sweep --from-file=${SUITE} --preempt-serialize)
+expect_exit(2 sweep --from-file=${SUITE} --preempt-every=97)
+
+# `bench --compare` reads only the current BENCH schema: a self-compare
+# passes, an artifact claiming an older schema is refused.
+set(bench_dir ${OUT}.bench)
+file(REMOVE_RECURSE ${bench_dir})
+file(COPY ${SUITE} DESTINATION ${bench_dir}/suites)
+expect_exit(0 bench --suite-dir=${bench_dir}/suites --out-dir=${bench_dir}/new
+            --threads=1)
+expect_exit(0 bench --compare ${bench_dir}/new ${bench_dir}/new)
+file(GLOB artifacts ${bench_dir}/new/BENCH_*.json)
+foreach(artifact IN LISTS artifacts)
+  get_filename_component(name ${artifact} NAME)
+  file(READ ${artifact} text)
+  string(REPLACE "zolcsim-bench-v4" "zolcsim-bench-v3" text "${text}")
+  file(WRITE ${bench_dir}/old/${name} "${text}")
+endforeach()
+expect_exit(1 bench --compare ${bench_dir}/old ${bench_dir}/new)

@@ -32,18 +32,6 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string_view> split_whitespace(std::string_view s) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_space(s[i])) ++i;
-    const std::size_t start = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) {
@@ -91,8 +79,8 @@ std::optional<std::int64_t> parse_int(std::string_view s) noexcept {
       return std::nullopt;
     }
   }
-  const auto magnitude = static_cast<std::int64_t>(acc);
-  return negative ? -magnitude : magnitude;
+  // Negate in unsigned arithmetic: -INT64_MIN does not fit in int64_t.
+  return static_cast<std::int64_t>(negative ? 0 - acc : acc);
 }
 
 std::string hex32(std::uint32_t value) {

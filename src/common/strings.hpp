@@ -16,10 +16,6 @@ namespace zolcsim {
 /// Splits `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s, char sep);
 
-/// Splits `s` into non-empty whitespace-separated tokens.
-[[nodiscard]] std::vector<std::string_view> split_whitespace(
-    std::string_view s);
-
 /// Lowercases ASCII characters.
 [[nodiscard]] std::string to_lower(std::string_view s);
 

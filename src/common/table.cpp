@@ -21,11 +21,7 @@ void TextTable::set_align(std::size_t column, Align align) {
 
 void TextTable::add_row(std::vector<std::string> cells) {
   ZS_EXPECTS(cells.size() == headers_.size());
-  rows_.push_back(Row{std::move(cells), /*separator=*/false});
-}
-
-void TextTable::add_separator() {
-  rows_.push_back(Row{{}, /*separator=*/true});
+  rows_.push_back(std::move(cells));
 }
 
 std::string TextTable::render() const {
@@ -33,10 +29,9 @@ std::string TextTable::render() const {
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
   }
-  for (const Row& row : rows_) {
-    if (row.separator) continue;
-    for (std::size_t c = 0; c < row.cells.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+  for (const std::vector<std::string>& row : rows_) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      widths[c] = std::max(widths[c], row[c].size());
     }
   }
 
@@ -47,40 +42,25 @@ std::string TextTable::render() const {
     else os << text << std::string(pad, ' ');
   };
 
-  const auto emit_separator = [&](std::ostringstream& os) {
-    for (std::size_t c = 0; c < widths.size(); ++c) {
-      if (c > 0) os << "-+-";
-      os << std::string(widths[c], '-');
-    }
-    os << '\n';
-  };
-
   std::ostringstream os;
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     if (c > 0) os << " | ";
     emit_cell(os, headers_[c], c);
   }
   os << '\n';
-  emit_separator(os);
-  for (const Row& row : rows_) {
-    if (row.separator) {
-      emit_separator(os);
-      continue;
-    }
-    for (std::size_t c = 0; c < row.cells.size(); ++c) {
+  for (std::size_t c = 0; c < widths.size(); ++c) {
+    if (c > 0) os << "-+-";
+    os << std::string(widths[c], '-');
+  }
+  os << '\n';
+  for (const std::vector<std::string>& row : rows_) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
       if (c > 0) os << " | ";
-      emit_cell(os, row.cells[c], c);
+      emit_cell(os, row[c], c);
     }
     os << '\n';
   }
   return os.str();
-}
-
-std::string ascii_bar(double value, double scale, int max_width) {
-  ZS_EXPECTS(scale > 0.0 && max_width > 0);
-  const double clamped = std::clamp(value, 0.0, scale);
-  const int n = static_cast<int>(clamped / scale * max_width + 0.5);
-  return std::string(static_cast<std::size_t>(n), '#');
 }
 
 }  // namespace zolcsim

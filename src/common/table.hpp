@@ -1,5 +1,5 @@
-// ASCII table formatter used by the benchmark harness to print the paper's
-// tables and Figure-2-style series in aligned columns.
+// ASCII table formatter used by the CLI and the standalone bench programs
+// to print aligned columns.
 #ifndef ZOLCSIM_COMMON_TABLE_HPP
 #define ZOLCSIM_COMMON_TABLE_HPP
 
@@ -24,31 +24,14 @@ class TextTable {
   /// Appends a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Appends a horizontal separator row.
-  void add_separator();
-
   /// Renders the table as a multi-line string (trailing newline included).
   [[nodiscard]] std::string render() const;
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t column_count() const noexcept {
-    return headers_.size();
-  }
-
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool separator = false;
-  };
-
   std::vector<std::string> headers_;
   std::vector<Align> aligns_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
-
-/// Renders a horizontal ASCII bar of proportional width: value/scale of
-/// `max_width` characters, using '#' glyphs. Used for Figure-2 style charts.
-[[nodiscard]] std::string ascii_bar(double value, double scale, int max_width);
 
 }  // namespace zolcsim
 

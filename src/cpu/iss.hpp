@@ -30,6 +30,8 @@ struct IssStats {
   std::uint64_t taken_control = 0;
   std::uint64_t zolc_fetch_events = 0;
   std::uint64_t zolc_resolution_events = 0;
+
+  friend bool operator==(const IssStats&, const IssStats&) = default;
 };
 
 class Iss {

@@ -57,6 +57,8 @@ struct PipelineStats {
   std::uint64_t zolc_rollbacks = 0;
   std::uint64_t zolc_resolution_events = 0;
   std::uint64_t zolc_init_instructions = 0;  ///< retired zolw*/zolon/zoloff
+
+  friend bool operator==(const PipelineStats&, const PipelineStats&) = default;
 };
 
 class Pipeline {

@@ -28,7 +28,7 @@ cpu::PipelineStats run_iss(const CompiledUnit& unit, Workload& workload,
                            std::uint64_t& switch_cycles) {
   cpu::Iss iss(workload.memory());
   iss.set_accelerator(controller);
-  if (plan.predecode) iss.set_code_image(unit.image());
+  iss.set_code_image(unit.image());
   iss.set_fast_path(plan.mode.fast_path);
   iss.set_pc(unit.program().base);
   if (plan.preempt_every == 0) {
@@ -125,7 +125,7 @@ Result<harness::ExperimentResult> run(const CompiledUnit& unit,
     } else {
       cpu::Pipeline pipe(workload.memory(), plan.config);
       pipe.set_accelerator(controller.get());
-      if (plan.predecode) pipe.set_code_image(unit.image());
+      pipe.set_code_image(unit.image());
       pipe.set_pc(program.base);
       pipe.run(plan.max_cycles);
       stats = pipe.stats();

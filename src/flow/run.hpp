@@ -19,7 +19,6 @@ namespace zolcsim::flow {
 struct RunPlan {
   cpu::PipelineConfig config;
   std::uint64_t max_cycles = 200'000'000;
-  bool predecode = true;  ///< use the unit's predecoded instruction image
   /// Execution mode: pipeline (default), ISS, or ISS with the loop-summary
   /// fast path. ISS runs ignore `config` and report cycles == instructions
   /// (the functional model is 1-CPI by construction); `max_cycles` bounds
@@ -55,9 +54,10 @@ struct RunPlan {
   unsigned tenants = 1;
 };
 
-/// Runs `unit` on a fresh Workload. Failure modes: kSimulation (trap or
-/// cycle budget) and kVerifyMismatch (outputs differ from the golden
-/// reference; always a bug, never a reportable data point).
+/// Runs `unit` on a fresh Workload; every engine fetches through the unit's
+/// predecoded image(). Failure modes: kSimulation (trap or cycle budget)
+/// and kVerifyMismatch (outputs differ from the golden reference; always a
+/// bug, never a reportable data point).
 [[nodiscard]] Result<harness::ExperimentResult> run(const CompiledUnit& unit,
                                                     const RunPlan& plan = {});
 

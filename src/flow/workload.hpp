@@ -39,11 +39,6 @@ class Workload {
   /// Also clears the memory access statistics.
   void reset();
 
-  /// True when this workload reads through a shared baseline image.
-  [[nodiscard]] bool warm() const noexcept {
-    return memory_.has_baseline();
-  }
-
   /// Golden-reference output check (Kernel::verify). Fails with
   /// ErrorCode::kVerifyMismatch and a "kernel (machine)" context frame.
   [[nodiscard]] Result<void> verify() const;

@@ -1,7 +1,6 @@
-// Experiment runner: lowers a kernel for a machine configuration, runs it
-// on the cycle-accurate pipeline (with the right ZOLC variant attached),
-// verifies outputs against the kernel's golden reference, and returns the
-// cycle statistics the benchmarks report.
+// Experiment vocabulary shared by the runtime stage (flow::run) and the
+// sweep engine: the execution mode of a run, the statistics one verified
+// run reports, and the paper's cycle-reduction metric.
 #ifndef ZOLCSIM_HARNESS_EXPERIMENT_HPP
 #define ZOLCSIM_HARNESS_EXPERIMENT_HPP
 
@@ -69,24 +68,6 @@ struct ExperimentResult {
   std::uint64_t context_switches = 0;
   std::uint64_t context_switch_cycles = 0;
 };
-
-/// Runs one (kernel, machine) experiment. Output verification failures and
-/// lowering errors are returned as Error (a failed verification is a bug,
-/// never a reportable data point). `predecode` selects the predecoded
-/// instruction-image fetch fast path (identical architectural behaviour;
-/// off is kept for throughput comparisons). `geometry` sizes the ZOLC
-/// controller and drives the lowering's capacity decisions (ignored for
-/// non-ZOLC machines; the default is the paper prototype).
-///
-/// Compatibility wrapper: compiles and runs in one shot, discarding the
-/// compile-stage artifact. Callers that run the same compile under several
-/// pipeline configurations should use flow::CompiledUnit + flow::run()
-/// (or the sweep engine, which caches units) to pay the compile once.
-[[nodiscard]] Result<ExperimentResult> run_experiment(
-    const kernels::Kernel& kernel, codegen::MachineKind machine,
-    const kernels::KernelEnv& env = {}, cpu::PipelineConfig config = {},
-    std::uint64_t max_cycles = 200'000'000, bool predecode = true,
-    const zolc::ZolcGeometry& geometry = zolc::ZolcGeometry{});
 
 /// Percentage cycle reduction of `cycles` vs `baseline` (paper's metric).
 [[nodiscard]] double percent_reduction(std::uint64_t baseline,

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <thread>
 
+#include "common/contracts.hpp"
 #include "common/csv.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "flow/cache.hpp"
 #include "flow/run.hpp"
@@ -25,40 +27,48 @@ struct CellOutcome {
   Error error;
 };
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-std::vector<codegen::MachineKind> machines_for_variants(
-    const std::vector<zolc::ZolcVariant>& variants) {
-  std::vector<codegen::MachineKind> machines;
-  for (const zolc::ZolcVariant variant : variants) {
-    switch (variant) {
-      case zolc::ZolcVariant::kMicro:
-        machines.push_back(codegen::MachineKind::kUZolc);
-        break;
-      case zolc::ZolcVariant::kLite:
-        machines.push_back(codegen::MachineKind::kZolcLite);
-        break;
-      case zolc::ZolcVariant::kFull:
-        machines.push_back(codegen::MachineKind::kZolcFull);
-        break;
-    }
-  }
-  return machines;
+const std::array<SweepAxis, kNumAxes>& sweep_axes() {
+  static const std::array<SweepAxis, kNumAxes> axes = {{
+      {Axis::kKernel, "kernels", "kernel", &CellCoord::kernel,
+       [](const SweepReport& r) { return r.kernels.size(); },
+       [](const SweepReport& r, std::size_t i) { return r.kernels[i]; }, "",
+       true, false},
+      {Axis::kMachine, "machines", "machine", &CellCoord::machine,
+       [](const SweepReport& r) { return r.machines.size(); },
+       [](const SweepReport& r, std::size_t i) {
+         return std::string(codegen::machine_name(r.machines[i]));
+       },
+       "", true, false},
+      {Axis::kConfig, "configs", "config", &CellCoord::config,
+       [](const SweepReport& r) { return r.configs.size(); },
+       [](const SweepReport& r, std::size_t i) {
+         return config_name(r.configs[i]);
+       },
+       "", true, false},
+      {Axis::kGeometry, "geometries", "geometry", &CellCoord::geometry,
+       [](const SweepReport& r) { return r.geometries.size(); },
+       [](const SweepReport& r, std::size_t i) {
+         return r.geometries[i].label();
+       },
+       zolc::ZolcGeometry{}.label(), true, false},
+      {Axis::kMode, "modes", "mode", &CellCoord::mode,
+       [](const SweepReport& r) { return r.modes.size(); },
+       [](const SweepReport& r, std::size_t i) {
+         return std::string(mode_name(r.modes[i]));
+       },
+       std::string(mode_name(ExecMode{})), true, false},
+      // Multi-tenant material is BENCH-gated too: single-tenant suites keep
+      // their historical points.
+      {Axis::kTenant, "tenants", "tenants", &CellCoord::tenant,
+       [](const SweepReport& r) { return r.tenants.size(); },
+       [](const SweepReport& r, std::size_t i) {
+         return std::to_string(r.tenants[i]);
+       },
+       "1", false, true},
+  }};
+  return axes;
 }
 
 std::string config_name(const cpu::PipelineConfig& config) {
@@ -73,111 +83,92 @@ std::string config_name(const cpu::PipelineConfig& config) {
   return name;
 }
 
-const ExperimentResult& SweepReport::at(std::size_t kernel,
-                                        std::size_t machine,
-                                        std::size_t config,
-                                        std::size_t geometry,
-                                        std::size_t mode,
-                                        std::size_t tenant) const {
-  ZS_EXPECTS(kernel < kernels.size() && machine < machines.size() &&
-             config < configs.size() && geometry < geometries.size() &&
-             mode < modes.size() && tenant < tenants.size());
-  return cells[((((kernel * machines.size() + machine) * configs.size() +
-                  config) *
-                     geometries.size() +
-                 geometry) *
-                    modes.size() +
-                mode) *
-                   tenants.size() +
-               tenant]
-      .result;
-}
-
-const ExperimentResult* SweepReport::find(std::string_view kernel,
-                                          codegen::MachineKind machine,
-                                          std::size_t config,
-                                          std::size_t geometry,
-                                          std::size_t mode,
-                                          std::size_t tenant) const {
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    if (kernels[k] != kernel) continue;
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      if (machines[m] != machine) continue;
-      if (config >= configs.size() || geometry >= geometries.size() ||
-          mode >= modes.size() || tenant >= tenants.size()) {
-        return nullptr;
-      }
-      return &at(k, m, config, geometry, mode, tenant);
-    }
+std::size_t SweepReport::index_of(const CellCoord& coord) const {
+  std::size_t index = 0;
+  for (const SweepAxis& axis : sweep_axes()) {
+    const std::size_t n = axis.size(*this);
+    ZS_EXPECTS(coord.*axis.coord < n);
+    index = index * n + coord.*axis.coord;
   }
-  return nullptr;
+  return index;
 }
 
-std::uint64_t SweepReport::cycles(std::size_t kernel, std::size_t machine,
-                                  std::size_t config, std::size_t geometry,
-                                  std::size_t mode, std::size_t tenant) const {
-  return at(kernel, machine, config, geometry, mode, tenant).stats.cycles;
+CellCoord SweepReport::coord_of(std::size_t index) const {
+  CellCoord coord;
+  const auto& axes = sweep_axes();
+  for (auto axis = axes.rbegin(); axis != axes.rend(); ++axis) {
+    const std::size_t n = axis->size(*this);
+    coord.*axis->coord = index % n;
+    index /= n;
+  }
+  return coord;
 }
 
-double SweepReport::reduction(std::size_t kernel, std::size_t machine,
-                              std::size_t config, std::size_t geometry,
-                              std::size_t mode, std::size_t tenant) const {
+const ExperimentResult& SweepReport::at(const CellCoord& coord) const {
+  return cells[index_of(coord)].result;
+}
+
+const ExperimentResult* SweepReport::find(const AxisLabels& labels) const {
+  CellCoord coord;
+  for (const SweepAxis& axis : sweep_axes()) {
+    const std::string& want = labels[static_cast<std::size_t>(axis.id)];
+    const std::size_t n = axis.size(*this);
+    if (want.empty()) {
+      if (n == 0) return nullptr;
+      continue;
+    }
+    std::size_t i = 0;
+    while (i < n && axis.label(*this, i) != want) ++i;
+    if (i == n) return nullptr;
+    coord.*axis.coord = i;
+  }
+  return &at(coord);
+}
+
+double SweepReport::reduction(const CellCoord& coord) const {
   for (std::size_t m = 0; m < machines.size(); ++m) {
     if (machines[m] == baseline) {
-      return percent_reduction(
-          cycles(kernel, m, config, geometry, mode, tenant),
-          cycles(kernel, machine, config, geometry, mode, tenant));
+      CellCoord base = coord;
+      base.machine = m;
+      return percent_reduction(at(base).stats.cycles, at(coord).stats.cycles);
     }
   }
   return 0.0;
 }
 
-bool SweepReport::has_geometry_axis() const {
-  return geometries.size() > 1 ||
-         (geometries.size() == 1 && !(geometries[0] == zolc::ZolcGeometry{}));
+bool SweepReport::shown(const SweepAxis& axis) const {
+  return axis.default_label.empty() || axis.size(*this) != 1 ||
+         axis.label(*this, 0) != axis.default_label;
 }
 
-bool SweepReport::has_mode_axis() const {
-  return modes.size() > 1 || (modes.size() == 1 && !(modes[0] == ExecMode{}));
-}
-
-bool SweepReport::has_tenant_axis() const {
-  return tenants.size() > 1 || (tenants.size() == 1 && tenants[0] != 1);
-}
-
-SweepAggregate SweepReport::aggregate(std::size_t machine,
-                                      std::size_t config,
-                                      std::size_t geometry,
-                                      std::size_t mode,
-                                      std::size_t tenant) const {
-  SweepAggregate agg;
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    const ExperimentResult& r = at(k, machine, config, geometry, mode, tenant);
-    const double red = reduction(k, machine, config, geometry, mode, tenant);
-    agg.avg_reduction += red;
-    agg.max_reduction = std::max(agg.max_reduction, red);
-    agg.total_cycles += r.stats.cycles;
-    agg.total_instructions += r.stats.instructions;
-    agg.gate_stalls += r.stats.gate_stalls;
-    agg.zolc_fetch_events += r.stats.zolc_fetch_events;
-    agg.continue_events += r.zolc_stats.continue_events;
-    agg.done_events += r.zolc_stats.done_events;
-    agg.table_writes += r.zolc_stats.table_writes;
+std::vector<const SweepAxis*> SweepReport::columns(bool bench) const {
+  std::vector<const SweepAxis*> out;
+  for (const SweepAxis& axis : sweep_axes()) {
+    if ((bench && axis.bench_always) || shown(axis)) out.push_back(&axis);
   }
-  if (!kernels.empty()) {
-    agg.avg_reduction /= static_cast<double>(kernels.size());
+  return out;
+}
+
+std::string SweepReport::json_axis_members(
+    const std::vector<const SweepAxis*>& columns,
+    const CellCoord& coord) const {
+  std::string out;
+  for (const SweepAxis* axis : columns) {
+    const std::string label = axis->label(*this, coord.*axis->coord);
+    out += '"';
+    out += axis->column;
+    out += "\": ";
+    out += axis->numeric ? label : '"' + json::escape(label) + '"';
+    out += ", ";
   }
-  return agg;
+  return out;
 }
 
 std::string SweepReport::to_csv() const {
-  const bool with_geometry = has_geometry_axis();
-  const bool with_mode = has_mode_axis();
-  const bool with_tenants = has_tenant_axis();
-  std::vector<std::string> header = {"kernel", "machine", "config"};
-  if (with_geometry) header.push_back("geometry");
-  if (with_mode) header.push_back("mode");
-  if (with_tenants) header.push_back("tenants");
+  const std::vector<const SweepAxis*> axes = columns(false);
+  const bool with_tenants = shown(sweep_axis(Axis::kTenant));
+  std::vector<std::string> header;
+  for (const SweepAxis* axis : axes) header.emplace_back(axis->column);
   for (const char* column :
        {"cycles", "instructions", "reduction_pct", "init_instructions",
         "hw_loops", "sw_loops", "code_words", "continue_events",
@@ -190,105 +181,62 @@ std::string SweepReport::to_csv() const {
     header.emplace_back("ctx_switch_cycles");
   }
   CsvWriter csv(header);
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        for (std::size_t g = 0; g < geometries.size(); ++g) {
-        for (std::size_t x = 0; x < modes.size(); ++x) {
-        for (std::size_t t = 0; t < tenants.size(); ++t) {
-          const ExperimentResult& r = at(k, m, c, g, x, t);
-          std::vector<std::string> row = {
-              kernels[k], std::string(codegen::machine_name(machines[m])),
-              config_name(configs[c])};
-          if (with_geometry) row.push_back(geometries[g].label());
-          if (with_mode) row.emplace_back(mode_name(modes[x]));
-          if (with_tenants) row.push_back(std::to_string(tenants[t]));
-          for (const std::string& value :
-               {std::to_string(r.stats.cycles),
-                std::to_string(r.stats.instructions),
-                format_fixed(reduction(k, m, c, g, x, t), 4),
-                std::to_string(r.init_instructions),
-                std::to_string(r.hw_loops), std::to_string(r.sw_loops),
-                std::to_string(r.code_words),
-                std::to_string(r.zolc_stats.continue_events),
-                std::to_string(r.zolc_stats.done_events),
-                std::to_string(r.zolc_stats.table_writes),
-                std::to_string(r.stats.gate_stalls),
-                std::to_string(r.stats.load_use_stalls),
-                std::to_string(r.stats.control_flush_slots)}) {
-            row.push_back(value);
-          }
-          if (with_tenants) {
-            row.push_back(std::to_string(r.context_switches));
-            row.push_back(std::to_string(r.context_switch_cycles));
-          }
-          csv.add_row(std::move(row));
-        }
-        }
-        }
-      }
+  for (const SweepCell& cell : cells) {
+    const ExperimentResult& r = cell.result;
+    std::vector<std::string> row;
+    for (const SweepAxis* axis : axes) {
+      row.push_back(axis->label(*this, cell.coord.*axis->coord));
     }
+    for (const std::string& value :
+         {std::to_string(r.stats.cycles),
+          std::to_string(r.stats.instructions),
+          format_fixed(reduction(cell.coord), 4),
+          std::to_string(r.init_instructions), std::to_string(r.hw_loops),
+          std::to_string(r.sw_loops), std::to_string(r.code_words),
+          std::to_string(r.zolc_stats.continue_events),
+          std::to_string(r.zolc_stats.done_events),
+          std::to_string(r.zolc_stats.table_writes),
+          std::to_string(r.stats.gate_stalls),
+          std::to_string(r.stats.load_use_stalls),
+          std::to_string(r.stats.control_flush_slots)}) {
+      row.push_back(value);
+    }
+    if (with_tenants) {
+      row.push_back(std::to_string(r.context_switches));
+      row.push_back(std::to_string(r.context_switch_cycles));
+    }
+    csv.add_row(std::move(row));
   }
   return csv.render();
 }
 
 std::string SweepReport::to_json() const {
-  const bool with_geometry = has_geometry_axis();
-  const bool with_mode = has_mode_axis();
-  const bool with_tenants = has_tenant_axis();
+  const std::vector<const SweepAxis*> axes = columns(false);
+  const bool with_tenants = shown(sweep_axis(Axis::kTenant));
   std::string out = "{\n  \"baseline\": \"";
   out += codegen::machine_name(baseline);
   out += "\",\n  \"cells\": [\n";
   bool first = true;
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    for (std::size_t m = 0; m < machines.size(); ++m) {
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        for (std::size_t g = 0; g < geometries.size(); ++g) {
-        for (std::size_t x = 0; x < modes.size(); ++x) {
-        for (std::size_t t = 0; t < tenants.size(); ++t) {
-          const ExperimentResult& r = at(k, m, c, g, x, t);
-          if (!first) out += ",\n";
-          first = false;
-          out += "    {\"kernel\": \"" + json_escape(kernels[k]) +
-                 "\", \"machine\": \"" +
-                 std::string(codegen::machine_name(machines[m])) +
-                 "\", \"config\": \"" + json_escape(config_name(configs[c])) +
-                 "\", ";
-          if (with_geometry) {
-            out += "\"geometry\": \"" + geometries[g].label() + "\", ";
-          }
-          if (with_mode) {
-            out += "\"mode\": \"" + std::string(mode_name(modes[x])) +
-                   "\", ";
-          }
-          if (with_tenants) {
-            out += "\"tenants\": " + std::to_string(tenants[t]) + ", ";
-          }
-          out += "\"cycles\": " + std::to_string(r.stats.cycles) +
-                 ", \"instructions\": " +
-                 std::to_string(r.stats.instructions) +
-                 ", \"reduction_pct\": " +
-                 format_fixed(reduction(k, m, c, g, x, t), 4) +
-                 ", \"init_instructions\": " +
-                 std::to_string(r.init_instructions) +
-                 ", \"hw_loops\": " + std::to_string(r.hw_loops) +
-                 ", \"sw_loops\": " + std::to_string(r.sw_loops) +
-                 ", \"continue_events\": " +
-                 std::to_string(r.zolc_stats.continue_events) +
-                 ", \"done_events\": " +
-                 std::to_string(r.zolc_stats.done_events);
-          if (with_tenants) {
-            out += ", \"ctx_switches\": " +
-                   std::to_string(r.context_switches) +
-                   ", \"ctx_switch_cycles\": " +
-                   std::to_string(r.context_switch_cycles);
-          }
-          out += "}";
-        }
-        }
-        }
-      }
+  for (const SweepCell& cell : cells) {
+    const ExperimentResult& r = cell.result;
+    if (!first) out += ",\n";
+    first = false;
+    out += "    {" + json_axis_members(axes, cell.coord);
+    out += "\"cycles\": " + std::to_string(r.stats.cycles) +
+           ", \"instructions\": " + std::to_string(r.stats.instructions) +
+           ", \"reduction_pct\": " + format_fixed(reduction(cell.coord), 4) +
+           ", \"init_instructions\": " + std::to_string(r.init_instructions) +
+           ", \"hw_loops\": " + std::to_string(r.hw_loops) +
+           ", \"sw_loops\": " + std::to_string(r.sw_loops) +
+           ", \"continue_events\": " +
+           std::to_string(r.zolc_stats.continue_events) +
+           ", \"done_events\": " + std::to_string(r.zolc_stats.done_events);
+    if (with_tenants) {
+      out += ", \"ctx_switches\": " + std::to_string(r.context_switches) +
+             ", \"ctx_switch_cycles\": " +
+             std::to_string(r.context_switch_cycles);
     }
+    out += "}";
   }
   out += "\n  ]\n}\n";
   return out;
@@ -363,13 +311,8 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
                  "sweep: preemption requires ISS execution modes"};
   }
 
-  const std::size_t n_machines = report.machines.size();
-  const std::size_t n_configs = report.configs.size();
-  const std::size_t n_geoms = report.geometries.size();
-  const std::size_t n_modes = report.modes.size();
-  const std::size_t n_tenants = report.tenants.size();
-  const std::size_t n_cells = report.kernels.size() * n_machines * n_configs *
-                              n_geoms * n_modes * n_tenants;
+  std::size_t n_cells = 1;
+  for (const SweepAxis& axis : sweep_axes()) n_cells *= axis.size(report);
   std::vector<CellOutcome> outcomes(n_cells);
 
   // Each worker claims cell indices from a shared counter and writes only
@@ -388,42 +331,35 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
     for (std::size_t i = next.fetch_add(1);
          i < n_cells && !failed.load(std::memory_order_relaxed);
          i = next.fetch_add(1)) {
-      const std::size_t k =
-          i / (n_machines * n_configs * n_geoms * n_modes * n_tenants);
-      const std::size_t m =
-          (i / (n_configs * n_geoms * n_modes * n_tenants)) % n_machines;
-      const std::size_t c = (i / (n_geoms * n_modes * n_tenants)) % n_configs;
-      const std::size_t g = (i / (n_modes * n_tenants)) % n_geoms;
-      const std::size_t x = (i / n_tenants) % n_modes;
-      const std::size_t t = i % n_tenants;
+      const CellCoord coord = report.coord_of(i);
+      const codegen::MachineKind machine = report.machines[coord.machine];
       CellOutcome& out = outcomes[i];
       // Machines that ignore the geometry (non-ZOLC, and uZOLC whose single
       // loop is fixed) would repeat the g == 0 simulation exactly at every
       // other geometry point, so fill those cells by copy afterwards.
-      const auto cell_variant =
-          codegen::machine_zolc_variant(report.machines[m]);
-      if (g > 0 && (!cell_variant.has_value() ||
-                    *cell_variant == zolc::ZolcVariant::kMicro)) {
+      const auto cell_variant = codegen::machine_zolc_variant(machine);
+      if (coord.geometry > 0 &&
+          (!cell_variant.has_value() ||
+           *cell_variant == zolc::ZolcVariant::kMicro)) {
         out.state = CellOutcome::State::kCopyGeometryZero;
         continue;
       }
       try {
         flow::CompileSpec unit_spec;
-        unit_spec.kernel = report.kernels[k];
-        unit_spec.machine = report.machines[m];
-        unit_spec.geometry = report.geometries[g];
+        unit_spec.kernel = report.kernels[coord.kernel];
+        unit_spec.machine = machine;
+        unit_spec.geometry = report.geometries[coord.geometry];
         unit_spec.env = spec.env;
         auto unit = cache.get_or_compile(unit_spec);
         flow::RunPlan plan;
-        plan.config = report.configs[c];
+        plan.config = report.configs[coord.config];
         plan.max_cycles = spec.max_cycles;
-        plan.predecode = spec.predecode;
-        plan.mode = report.modes[x];
+        plan.mode = report.modes[coord.mode];
         plan.timing_reps = spec.timing_reps;
         plan.warm_start = spec.warm_start;
         plan.preempt_every = spec.preempt_every;
         plan.preempt_serialize = spec.preempt_serialize;
-        plan.tenants = report.tenants[t];
+        plan.tenants = report.tenants[coord.tenant];
         auto result =
             unit.ok() ? flow::run(*unit.value(), plan)
                       : Result<ExperimentResult>(std::move(unit).error());
@@ -437,11 +373,10 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
         }
       } catch (const std::exception& e) {
         out.state = CellOutcome::State::kError;
-        out.error =
-            Error{ErrorCode::kSimulation,
-                  "sweep cell " + report.kernels[k] + "/" +
-                      std::string(codegen::machine_name(report.machines[m])) +
-                      ": " + e.what()};
+        out.error = Error{ErrorCode::kSimulation,
+                          "sweep cell " + report.kernels[coord.kernel] + "/" +
+                              std::string(codegen::machine_name(machine)) +
+                              ": " + e.what()};
         failed.store(true, std::memory_order_relaxed);
       }
     }
@@ -476,44 +411,23 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
       cache_stats.compiles - stats_before.compiles;
   report.cells.reserve(n_cells);
   for (std::size_t i = 0; i < n_cells; ++i) {
-    if (outcomes[i].state == CellOutcome::State::kCopyGeometryZero) {
-      const std::size_t g = (i / (n_modes * n_tenants)) % n_geoms;
-      outcomes[i].result = outcomes[i - g * (n_modes * n_tenants)].result;
-      outcomes[i].result.geometry = report.geometries[g];
-      outcomes[i].state = CellOutcome::State::kOk;
-    }
-    ZS_ASSERT(outcomes[i].state == CellOutcome::State::kOk);
     SweepCell cell;
-    cell.kernel =
-        i / (n_machines * n_configs * n_geoms * n_modes * n_tenants);
-    cell.machine =
-        (i / (n_configs * n_geoms * n_modes * n_tenants)) % n_machines;
-    cell.config = (i / (n_geoms * n_modes * n_tenants)) % n_configs;
-    cell.geometry = (i / (n_modes * n_tenants)) % n_geoms;
-    cell.mode = (i / n_tenants) % n_modes;
-    cell.tenant = i % n_tenants;
-    cell.result = std::move(outcomes[i].result);
+    cell.coord = report.coord_of(i);
+    if (outcomes[i].state == CellOutcome::State::kCopyGeometryZero) {
+      // The geometry-0 source precedes this cell, so it is already stored.
+      CellCoord source = cell.coord;
+      source.geometry = 0;
+      cell.result = report.cells[report.index_of(source)].result;
+      cell.result.geometry = report.geometries[cell.coord.geometry];
+    } else {
+      ZS_ASSERT(outcomes[i].state == CellOutcome::State::kOk);
+      cell.result = std::move(outcomes[i].result);
+    }
     report.full_prepares += cell.result.full_prepares;
     report.image_resets += cell.result.image_resets;
     report.cells.push_back(std::move(cell));
   }
   return report;
-}
-
-unsigned uint_from_args(int argc, char** argv, std::string_view prefix) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (starts_with(arg, prefix)) {
-      if (const auto n = parse_int(arg.substr(prefix.size())); n && *n > 0) {
-        return static_cast<unsigned>(*n);
-      }
-    }
-  }
-  return 0;
-}
-
-unsigned threads_from_args(int argc, char** argv) {
-  return uint_from_args(argc, argv, "--threads=");
 }
 
 }  // namespace zolcsim::harness

@@ -1,18 +1,16 @@
 // Batched sweep engine: declaratively describes a kernel x machine x
-// pipeline-config x ZOLC-geometry x execution-mode experiment grid and
-// executes it on a worker pool. Every benchmark binary is a thin SweepSpec
-// over this engine instead of a hand-rolled serial loop.
+// pipeline-config x ZOLC-geometry x execution-mode x tenant-count
+// experiment grid and executes it on a worker pool.
 //
-// Determinism: cells are indexed kernel-major (kernel, then machine, then
-// config, then geometry, then mode, then tenant count) and each worker
-// writes only its claimed
-// cell, so the report -- and everything rendered from it -- is
-// byte-identical for any thread count. A sweep that leaves the geometry or
-// mode axis at its default renders exactly as a pre-axis sweep did (no
-// extra CSV column).
+// Determinism: cells are indexed kernel-major (the sweep_axes() order) and
+// each worker writes only its claimed cell, so the report -- and everything
+// rendered from it -- is byte-identical for any thread count. A sweep that
+// leaves a gated axis (geometry, mode, tenants) at its default renders
+// exactly as a pre-axis sweep did (no extra CSV column).
 #ifndef ZOLCSIM_HARNESS_SWEEP_HPP
 #define ZOLCSIM_HARNESS_SWEEP_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -43,8 +41,7 @@ struct SweepSpec {
   kernels::KernelEnv env;
   codegen::MachineKind baseline = codegen::MachineKind::kXrDefault;
   std::uint64_t max_cycles = 200'000'000;
-  unsigned threads = 0;     ///< 0 = hardware concurrency
-  bool predecode = true;    ///< use the predecoded instruction image
+  unsigned threads = 0;  ///< 0 = hardware concurrency
   /// Timing repetitions per cell (RunPlan::timing_reps): wall_ns keeps the
   /// minimum over this many identical runs. Use >1 for suites whose cells
   /// are too short for stable one-shot MIPS.
@@ -64,39 +61,70 @@ struct SweepSpec {
   bool preempt_serialize = false;
 };
 
-/// Machines carrying the given ZOLC variants (the variant axis of a sweep
-/// expressed in MachineKind terms).
-[[nodiscard]] std::vector<codegen::MachineKind> machines_for_variants(
-    const std::vector<zolc::ZolcVariant>& variants);
-
-/// One point of the grid. `kernel/machine/config/geometry/mode` index into
-/// the report's resolved dimension vectors.
-struct SweepCell {
+/// One point of the grid: an index into each of the report's resolved axis
+/// vectors.
+struct CellCoord {
   std::size_t kernel = 0;
   std::size_t machine = 0;
   std::size_t config = 0;
   std::size_t geometry = 0;
   std::size_t mode = 0;
   std::size_t tenant = 0;
+
+  friend bool operator==(const CellCoord&, const CellCoord&) = default;
+};
+
+struct SweepCell {
+  CellCoord coord;
   ExperimentResult result;
 };
 
-/// Suite-level aggregate for one (machine, config) column.
-struct SweepAggregate {
-  double avg_reduction = 0.0;  ///< mean %-reduction vs the baseline machine
-  double max_reduction = 0.0;
-  std::uint64_t total_cycles = 0;
-  std::uint64_t total_instructions = 0;
-  std::uint64_t gate_stalls = 0;
-  std::uint64_t zolc_fetch_events = 0;
-  std::uint64_t continue_events = 0;
-  std::uint64_t done_events = 0;
-  std::uint64_t table_writes = 0;
+struct SweepReport;
+
+/// The axes of the grid, in cell-index order (kernel-major).
+enum class Axis : std::uint8_t {
+  kKernel,
+  kMachine,
+  kConfig,
+  kGeometry,
+  kMode,
+  kTenant
+};
+inline constexpr std::size_t kNumAxes = 6;
+
+/// One axis of the grid, described once for every consumer: the CLI sweep
+/// flags, the scenario-suite parser, the CSV/JSON/BENCH emitters, `bench
+/// --compare` and the threshold lookup.
+struct SweepAxis {
+  Axis id;
+  std::string_view flag;    ///< `zolcsim sweep --<flag>=` and suite member
+  std::string_view column;  ///< CSV/JSON column and BENCH point field
+  std::size_t CellCoord::*coord;  ///< this axis's index in a CellCoord
+  std::size_t (*size)(const SweepReport& report);
+  /// The string form of the report's index-th point on this axis -- the
+  /// form the axis parser accepts, so reports and inputs round-trip.
+  std::string (*label)(const SweepReport& report, std::size_t index);
+  /// Column gate. Empty: the column is always present. Otherwise the label
+  /// of the axis's default point; a report whose only point on the axis is
+  /// the default omits the column from CSV/JSON, and from BENCH points
+  /// unless `bench_always`.
+  std::string default_label;
+  bool bench_always = true;
+  bool numeric = false;  ///< JSON and BENCH render the label unquoted
 };
 
-/// Order-stable sweep output. Cell (k, m, c, g, x, t) lives at index
-/// ((((k * machines.size() + m) * configs.size() + c) * geometries.size() +
-/// g) * modes.size() + x) * tenants.size() + t.
+/// The axes in Axis order.
+[[nodiscard]] const std::array<SweepAxis, kNumAxes>& sweep_axes();
+
+[[nodiscard]] inline const SweepAxis& sweep_axis(Axis id) {
+  return sweep_axes()[static_cast<std::size_t>(id)];
+}
+
+/// Per-axis labels in Axis order; an empty label selects the axis's first
+/// point.
+using AxisLabels = std::array<std::string, kNumAxes>;
+
+/// Order-stable sweep output: cells are stored in index_of() order.
 struct SweepReport {
   std::vector<std::string> kernels;             ///< resolved kernel names
   std::vector<codegen::MachineKind> machines;   ///< resolved machine set
@@ -125,53 +153,35 @@ struct SweepReport {
   std::uint64_t full_prepares = 0;
   std::uint64_t image_resets = 0;
 
-  [[nodiscard]] const ExperimentResult& at(std::size_t kernel,
-                                           std::size_t machine,
-                                           std::size_t config = 0,
-                                           std::size_t geometry = 0,
-                                           std::size_t mode = 0,
-                                           std::size_t tenant = 0) const;
-  /// Lookup by names; nullptr when the cell is not in the grid.
-  [[nodiscard]] const ExperimentResult* find(std::string_view kernel,
-                                             codegen::MachineKind machine,
-                                             std::size_t config = 0,
-                                             std::size_t geometry = 0,
-                                             std::size_t mode = 0,
-                                             std::size_t tenant = 0) const;
+  /// Position of `coord` in `cells` (mixed radix over sweep_axes()), and
+  /// its inverse.
+  [[nodiscard]] std::size_t index_of(const CellCoord& coord) const;
+  [[nodiscard]] CellCoord coord_of(std::size_t index) const;
 
-  [[nodiscard]] std::uint64_t cycles(std::size_t kernel, std::size_t machine,
-                                     std::size_t config = 0,
-                                     std::size_t geometry = 0,
-                                     std::size_t mode = 0,
-                                     std::size_t tenant = 0) const;
-  /// %-reduction of (kernel, machine, config, geometry, mode, tenant) vs
-  /// the baseline machine at the same config, geometry, mode, and tenant
-  /// count. 0 when the baseline machine is not part of the sweep.
-  [[nodiscard]] double reduction(std::size_t kernel, std::size_t machine,
-                                 std::size_t config = 0,
-                                 std::size_t geometry = 0,
-                                 std::size_t mode = 0,
-                                 std::size_t tenant = 0) const;
-  [[nodiscard]] SweepAggregate aggregate(std::size_t machine,
-                                         std::size_t config = 0,
-                                         std::size_t geometry = 0,
-                                         std::size_t mode = 0,
-                                         std::size_t tenant = 0) const;
+  [[nodiscard]] const ExperimentResult& at(const CellCoord& coord) const;
 
-  /// True iff the sweep explored a non-default geometry axis; the CSV/JSON
-  /// emitters add the geometry column only in that case, so paper-default
-  /// sweeps keep their historical schema.
-  [[nodiscard]] bool has_geometry_axis() const;
+  /// Lookup by labels, e.g. find({"fir", "ZOLClite"}); nullptr when the
+  /// cell is not in the grid.
+  [[nodiscard]] const ExperimentResult* find(const AxisLabels& labels) const;
 
-  /// True iff the sweep explored a non-default execution-mode axis; like
-  /// the geometry column, the mode column appears only in that case.
-  [[nodiscard]] bool has_mode_axis() const;
+  /// %-reduction of the cell vs the baseline machine at the same config,
+  /// geometry, mode, and tenant count. 0 when the baseline machine is not
+  /// part of the sweep.
+  [[nodiscard]] double reduction(const CellCoord& coord) const;
 
-  /// True iff the sweep explored a non-default tenant axis; the emitters
-  /// then add the tenants column plus the context-switch cost columns
-  /// (ctx_switches, ctx_switch_cycles), keeping single-tenant sweeps on
-  /// their historical schema.
-  [[nodiscard]] bool has_tenant_axis() const;
+  /// True iff the CSV/JSON emitters carry `axis`'s column: always for
+  /// ungated axes, otherwise only when the axis left its default.
+  [[nodiscard]] bool shown(const SweepAxis& axis) const;
+
+  /// The axes whose columns the emitters carry, in Axis order: the CSV/JSON
+  /// report's, or with `bench` the BENCH points'.
+  [[nodiscard]] std::vector<const SweepAxis*> columns(bool bench) const;
+
+  /// The axis members of a JSON cell object, `"column": label, ` for each
+  /// of `columns` at `coord`.
+  [[nodiscard]] std::string json_axis_members(
+      const std::vector<const SweepAxis*>& columns,
+      const CellCoord& coord) const;
 
   /// Full grid as CSV (one row per cell) / JSON (meta + cell array).
   [[nodiscard]] std::string to_csv() const;
@@ -179,7 +189,7 @@ struct SweepReport {
 };
 
 /// Short human-readable name for a pipeline config, e.g.
-/// "EX-resolve/rollback" (suffixes "/nofwd" and "/nopredecode" as needed).
+/// "EX-resolve/rollback" (suffix "/nofwd" without forwarding).
 [[nodiscard]] std::string config_name(const cpu::PipelineConfig& config);
 
 /// Executes the sweep against a caller-supplied compile cache, so several
@@ -193,14 +203,6 @@ struct SweepReport {
 
 /// Convenience overload for one-shot sweeps: a private cache per call.
 [[nodiscard]] Result<SweepReport> run_sweep(const SweepSpec& spec);
-
-/// Parses a "--name=N" unsigned flag from argv (for the bench binaries);
-/// 0 when absent, malformed, or non-positive.
-[[nodiscard]] unsigned uint_from_args(int argc, char** argv,
-                                      std::string_view prefix);
-
-/// Parses "--threads=N" from argv; 0 when absent.
-[[nodiscard]] unsigned threads_from_args(int argc, char** argv);
 
 }  // namespace zolcsim::harness
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/strings.hpp"
+#include "kernels/kernels.hpp"
 
 namespace zolcsim::scenario {
 
@@ -129,6 +130,47 @@ Result<harness::ExecMode> parse_mode(std::string_view s) {
   if (lower == "iss-fast") return mode;
   return bad_config("unknown execution mode '" + std::string(s) +
                     "' (known: pipeline, iss, iss-fast)");
+}
+
+Result<unsigned> parse_tenants(std::string_view s) {
+  const auto n = parse_int(s);
+  if (!n || *n <= 0 || *n > kMaxTenants) {
+    return bad_config("bad tenant count '" + std::string(s) +
+                      "' (want an integer in [1, " +
+                      std::to_string(kMaxTenants) + "])");
+  }
+  return static_cast<unsigned>(*n);
+}
+
+Result<void> append_axis_value(harness::SweepSpec& spec, harness::Axis axis,
+                               std::string_view s) {
+  // Parses with `parse` and appends the value to `values`.
+  const auto append = [s](auto& values, auto parse) -> Result<void> {
+    auto parsed = parse(s);
+    if (!parsed.ok()) return std::move(parsed).error();
+    values.push_back(std::move(parsed).value());
+    return {};
+  };
+  switch (axis) {
+    case harness::Axis::kKernel:
+      if (kernels::find_kernel(s) == nullptr) {
+        return Error{ErrorCode::kUnknownKernel,
+                     "unknown kernel '" + std::string(s) + "'"};
+      }
+      spec.kernels.emplace_back(s);
+      return {};
+    case harness::Axis::kMachine:
+      return append(spec.machines, parse_machine);
+    case harness::Axis::kConfig:
+      return append(spec.configs, parse_config);
+    case harness::Axis::kGeometry:
+      return append(spec.geometries, parse_geometry);
+    case harness::Axis::kMode:
+      return append(spec.modes, parse_mode);
+    case harness::Axis::kTenant:
+      return append(spec.tenants, parse_tenants);
+  }
+  return bad_config("unknown sweep axis");
 }
 
 }  // namespace zolcsim::scenario

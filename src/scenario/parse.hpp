@@ -1,8 +1,8 @@
 // String forms of the sweep axes (machine / ZOLC geometry / pipeline
-// config), matching the names the sweep emitters print (machine_name,
-// ZolcGeometry::label, config_name) so report output and declarative input
-// round-trip. Shared by the zolcsim CLI flags and the scenario-suite parser;
-// every error is kBadConfig.
+// config / execution mode / tenant count), matching the labels the sweep
+// emitters print (harness::sweep_axes()) so report output and declarative
+// input round-trip. Shared by the zolcsim CLI flags, the scenario-suite
+// parser and the serve protocol; every error is kBadConfig unless noted.
 #ifndef ZOLCSIM_SCENARIO_PARSE_HPP
 #define ZOLCSIM_SCENARIO_PARSE_HPP
 
@@ -12,6 +12,7 @@
 #include "common/result.hpp"
 #include "cpu/pipeline.hpp"
 #include "harness/experiment.hpp"
+#include "harness/sweep.hpp"
 #include "zolc/config.hpp"
 
 namespace zolcsim::scenario {
@@ -30,6 +31,20 @@ namespace zolcsim::scenario {
 
 /// "pipeline" | "iss" | "iss-fast" -- the harness::mode_name() form.
 [[nodiscard]] Result<harness::ExecMode> parse_mode(std::string_view s);
+
+/// Largest tenant count a run or sweep accepts.
+inline constexpr unsigned kMaxTenants = 64;
+
+/// "1" .. "64" -- the number of workloads time-sliced over one controller.
+[[nodiscard]] Result<unsigned> parse_tenants(std::string_view s);
+
+/// Parses one value of `axis` in its label form and appends it to the
+/// matching SweepSpec vector: the one grammar behind `zolcsim sweep
+/// --<flag>=a,b` and a suite's sweep members. An unknown kernel name fails
+/// with kUnknownKernel.
+[[nodiscard]] Result<void> append_axis_value(harness::SweepSpec& spec,
+                                             harness::Axis axis,
+                                             std::string_view s);
 
 }  // namespace zolcsim::scenario
 

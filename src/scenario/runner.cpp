@@ -3,10 +3,8 @@
 #include <chrono>
 #include <optional>
 
-#include "common/contracts.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
-#include "scenario/parse.hpp"
 
 namespace zolcsim::scenario {
 
@@ -17,35 +15,6 @@ double cell_mips(const harness::ExperimentResult& r) {
   if (r.wall_ns == 0) return 0.0;
   return static_cast<double>(r.stats.instructions) /
          (static_cast<double>(r.wall_ns) * 1e-9) / 1e6;
-}
-
-/// Index of the config named `name` (config_name form) in the resolved
-/// axis; empty selects index 0. nullopt when the name is not in the sweep.
-std::optional<std::size_t> config_index(const harness::SweepReport& report,
-                                        const std::string& name) {
-  if (name.empty()) return 0;
-  for (std::size_t c = 0; c < report.configs.size(); ++c) {
-    if (harness::config_name(report.configs[c]) == name) return c;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> geometry_index(const harness::SweepReport& report,
-                                          const std::string& label) {
-  if (label.empty()) return 0;
-  for (std::size_t g = 0; g < report.geometries.size(); ++g) {
-    if (report.geometries[g].label() == label) return g;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> mode_index(const harness::SweepReport& report,
-                                      const std::string& name) {
-  if (name.empty()) return 0;
-  for (std::size_t x = 0; x < report.modes.size(); ++x) {
-    if (harness::mode_name(report.modes[x]) == name) return x;
-  }
-  return std::nullopt;
 }
 
 /// The loop-summary fast path must be architecturally invisible: wherever
@@ -60,33 +29,24 @@ Result<void> check_mode_equivalence(const Suite& suite,
     (report.modes[x].fast_path ? fast : iss) = x;
   }
   if (!iss || !fast) return {};
-  for (std::size_t k = 0; k < report.kernels.size(); ++k) {
-    for (std::size_t m = 0; m < report.machines.size(); ++m) {
-      for (std::size_t c = 0; c < report.configs.size(); ++c) {
-        for (std::size_t g = 0; g < report.geometries.size(); ++g) {
-          for (std::size_t t = 0; t < report.tenants.size(); ++t) {
-            const harness::ExperimentResult& a =
-                report.at(k, m, c, g, *iss, t);
-            const harness::ExperimentResult& b =
-                report.at(k, m, c, g, *fast, t);
-            const bool equal =
-                a.stats.cycles == b.stats.cycles &&
-                a.stats.instructions == b.stats.instructions &&
-                a.stats.taken_control == b.stats.taken_control &&
-                a.stats.zolc_fetch_events == b.stats.zolc_fetch_events &&
-                a.zolc_stats == b.zolc_stats;
-            if (!equal) {
-              return Error{ErrorCode::kVerifyMismatch,
-                           report.kernels[k] + " on " +
-                               std::string(codegen::machine_name(
-                                   report.machines[m])) +
-                               ": iss and iss-fast cells disagree (fast path "
-                               "is not architecturally invisible)"}
-                  .with_context("suite " + suite.name);
-            }
-          }
-        }
-      }
+  for (const harness::SweepCell& cell : report.cells) {
+    if (cell.coord.mode != *iss) continue;
+    harness::CellCoord twin = cell.coord;
+    twin.mode = *fast;
+    const harness::ExperimentResult& a = cell.result;
+    const harness::ExperimentResult& b = report.at(twin);
+    const bool equal = a.stats.cycles == b.stats.cycles &&
+                       a.stats.instructions == b.stats.instructions &&
+                       a.stats.taken_control == b.stats.taken_control &&
+                       a.stats.zolc_fetch_events == b.stats.zolc_fetch_events &&
+                       a.zolc_stats == b.zolc_stats;
+    if (!equal) {
+      return Error{ErrorCode::kVerifyMismatch,
+                   a.kernel + " on " +
+                       std::string(codegen::machine_name(a.machine)) +
+                       ": iss and iss-fast cells disagree (fast path is not "
+                       "architecturally invisible)"}
+          .with_context("suite " + suite.name);
     }
   }
   return {};
@@ -95,14 +55,8 @@ Result<void> check_mode_equivalence(const Suite& suite,
 Result<void> check_thresholds(const Suite& suite,
                               const harness::SweepReport& report) {
   for (const Threshold& t : suite.thresholds) {
-    const auto machine = parse_machine(t.machine);
-    ZS_ASSERT(machine.ok());  // validated by parse_suite
-    const auto c = config_index(report, t.config);
-    const auto g = geometry_index(report, t.geometry);
-    const auto x = mode_index(report, t.mode);
-    const harness::ExperimentResult* cell =
-        c && g && x ? report.find(t.kernel, machine.value(), *c, *g, *x)
-                    : nullptr;
+    const harness::ExperimentResult* cell = report.find(
+        {t.kernel, t.machine, t.config, t.geometry, t.mode, ""});
     if (cell == nullptr) {
       return Error{ErrorCode::kBadConfig,
                    "threshold names a cell outside the grid: " + t.kernel +
@@ -262,38 +216,30 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
   out += std::string("  \"golden\": \"") +
          (outcome.golden_checked ? "match" : "unchecked") + "\",\n";
   out += "  \"points\": [\n";
+  const std::vector<const harness::SweepAxis*> axes = report.columns(true);
+  // Multi-tenant points follow the tenants field (the last axis) with the
+  // modeled context-switch cost (reported alongside, never folded into,
+  // cycles; DESIGN.md section 9).
+  const bool with_tenants =
+      report.shown(harness::sweep_axis(harness::Axis::kTenant));
   bool first = true;
   for (const harness::SweepCell& cell : report.cells) {
     const harness::ExperimentResult& r = cell.result;
     if (!first) out += ",\n";
     first = false;
-    out += "    {\"kernel\": \"" + json::escape(report.kernels[cell.kernel]) +
-           "\", \"machine\": \"";
-    out += codegen::machine_name(report.machines[cell.machine]);
-    out += "\", \"config\": \"" +
-           json::escape(harness::config_name(report.configs[cell.config])) +
-           "\", \"geometry\": \"" +
-           report.geometries[cell.geometry].label() + "\", \"mode\": \"" +
-           std::string(harness::mode_name(report.modes[cell.mode])) + "\", ";
-    if (report.has_tenant_axis()) {
-      // Multi-tenant material: the tenant count plus the modeled
-      // context-switch cost (reported alongside, never folded into,
-      // cycles; DESIGN.md section 9).
-      out += "\"tenants\": " + std::to_string(report.tenants[cell.tenant]) +
-             ", \"ctx_switches\": " + std::to_string(r.context_switches) +
+    out += "    {" + report.json_axis_members(axes, cell.coord);
+    if (with_tenants) {
+      out += "\"ctx_switches\": " + std::to_string(r.context_switches) +
              ", \"ctx_switch_cycles\": " +
              std::to_string(r.context_switch_cycles) + ", ";
     }
     out += "\"cycles\": " + std::to_string(r.stats.cycles) +
            ", \"instructions\": " + std::to_string(r.stats.instructions) +
            ", \"reduction_pct\": " +
-           format_fixed(
-               report.reduction(cell.kernel, cell.machine, cell.config,
-                                cell.geometry, cell.mode, cell.tenant),
-               4) +
+           format_fixed(report.reduction(cell.coord), 4) +
            ", \"wall_ns\": " + std::to_string(r.wall_ns) +
            ", \"mips\": " + format_fixed(cell_mips(r), 2);
-    if (report.modes[cell.mode].fast_path) {
+    if (report.modes[cell.coord.mode].fast_path) {
       // Fast-path effectiveness counters: host-side diagnostics, BENCH-only
       // (never part of the deterministic CSV/JSON sweep reports).
       out += ", \"fastpath\": {\"attempts\": " +

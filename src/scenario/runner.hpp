@@ -2,7 +2,7 @@
 // verifies the suite's expectations (golden CSV digest, per-cell perf
 // thresholds), and renders the versioned BENCH_<suite>.json perf artifact
 // that gives the roadmap's perf trajectory its data points. The runner
-// never owns a CompileCache -- callers (zolcsim, the bench wrappers) pass a
+// never owns a CompileCache -- callers (zolcsim, the serve daemon) pass a
 // process-wide cache so consecutive suites share warm units.
 #ifndef ZOLCSIM_SCENARIO_RUNNER_HPP
 #define ZOLCSIM_SCENARIO_RUNNER_HPP
@@ -16,13 +16,9 @@
 
 namespace zolcsim::scenario {
 
-/// Current BENCH artifact schema ("schema" field). v2 added the per-point
-/// "mode" field and the conditional "fastpath" counter object; v3 added
-/// the suite "warm_start" field, the compile-cache store_hits/compiles
-/// split, and the "prepares" counter object; v4 added the per-point
-/// "tenants" / "ctx_switches" / "ctx_switch_cycles" fields for multi-tenant
-/// suites. `zolcsim bench --compare` still accepts v1/v2/v3 artifacts
-/// (absent fields take their defaults, tenants defaulting to 1).
+/// Current BENCH artifact schema ("schema" field), the only one `zolcsim
+/// bench --compare` reads. v4 added the per-point "tenants" /
+/// "ctx_switches" / "ctx_switch_cycles" fields for multi-tenant suites.
 inline constexpr std::string_view kBenchSchema = "zolcsim-bench-v4";
 
 struct RunOptions {

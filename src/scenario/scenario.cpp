@@ -5,10 +5,10 @@
 #include <fstream>
 #include <sstream>
 #include <system_error>
+#include <utility>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
-#include "kernels/kernels.hpp"
 #include "scenario/parse.hpp"
 
 namespace zolcsim::scenario {
@@ -34,25 +34,6 @@ std::string quoted(std::string_view s) {
   return out;
 }
 
-/// Member as an array of strings; an absent member yields an empty vector.
-Result<std::vector<std::string>> string_list(const json::Value& object,
-                                             std::string_view key,
-                                             std::string_view origin) {
-  std::vector<std::string> out;
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return out;
-  if (!member->is_array()) {
-    return shape_error(origin, quoted(key) + " must be an array");
-  }
-  for (const json::Value& item : member->items()) {
-    if (!item.is_string()) {
-      return shape_error(origin, quoted(key) + " must contain only strings");
-    }
-    out.push_back(item.as_string());
-  }
-  return out;
-}
-
 /// Member as an unsigned integer with a default; rejects non-integers.
 Result<std::uint64_t> uint_member(const json::Value& object,
                                   std::string_view key,
@@ -71,85 +52,40 @@ Result<std::uint64_t> uint_member(const json::Value& object,
 Result<void> parse_sweep(const json::Value& sweep, Suite& suite,
                          std::string_view origin) {
   static constexpr std::string_view kKnown[] = {
-      "kernels",    "machines", "configs",     "geometries", "modes",
-      "tenants",    "baseline", "max_cycles",  "env",        "timing_reps",
-      "warm_start"};
+      "baseline", "max_cycles", "env", "timing_reps", "warm_start"};
   for (const auto& [key, value] : sweep.members()) {
     (void)value;
     bool known = false;
     for (const std::string_view k : kKnown) known |= key == k;
+    for (const harness::SweepAxis& axis : harness::sweep_axes()) {
+      known |= key == axis.flag;
+    }
     if (!known) {
       return shape_error(origin, "unknown sweep member '" + key + "'");
     }
   }
 
-  auto kernels = string_list(sweep, "kernels", origin);
-  if (!kernels.ok()) return std::move(kernels).error();
-  suite.sweep.kernels = std::move(kernels).value();
-  for (const std::string& name : suite.sweep.kernels) {
-    if (kernels::find_kernel(name) == nullptr) {
-      return Error{ErrorCode::kUnknownKernel,
-                   "unknown kernel '" + name + "'"}
-          .with_context("suite " + std::string(origin));
+  // The grid axes: arrays of labels (tenant counts as JSON integers), each
+  // item through the same parser as the CLI's sweep flags.
+  for (const harness::SweepAxis& axis : harness::sweep_axes()) {
+    const json::Value* member = sweep.find(axis.flag);
+    if (member == nullptr) continue;
+    if (!member->is_array()) {
+      return shape_error(origin, quoted(axis.flag) + " must be an array");
     }
-  }
-
-  auto machines = string_list(sweep, "machines", origin);
-  if (!machines.ok()) return std::move(machines).error();
-  for (const std::string& name : machines.value()) {
-    auto machine = parse_machine(name);
-    if (!machine.ok()) {
-      return std::move(machine).error().with_context("suite " +
-                                                     std::string(origin));
-    }
-    suite.sweep.machines.push_back(machine.value());
-  }
-
-  auto configs = string_list(sweep, "configs", origin);
-  if (!configs.ok()) return std::move(configs).error();
-  for (const std::string& name : configs.value()) {
-    auto config = parse_config(name);
-    if (!config.ok()) {
-      return std::move(config).error().with_context("suite " +
-                                                    std::string(origin));
-    }
-    suite.sweep.configs.push_back(config.value());
-  }
-
-  auto geometries = string_list(sweep, "geometries", origin);
-  if (!geometries.ok()) return std::move(geometries).error();
-  for (const std::string& name : geometries.value()) {
-    auto geometry = parse_geometry(name);
-    if (!geometry.ok()) {
-      return std::move(geometry).error().with_context("suite " +
-                                                      std::string(origin));
-    }
-    suite.sweep.geometries.push_back(geometry.value());
-  }
-
-  auto modes = string_list(sweep, "modes", origin);
-  if (!modes.ok()) return std::move(modes).error();
-  for (const std::string& name : modes.value()) {
-    auto mode = parse_mode(name);
-    if (!mode.ok()) {
-      return std::move(mode).error().with_context("suite " +
-                                                  std::string(origin));
-    }
-    suite.sweep.modes.push_back(mode.value());
-  }
-
-  if (const json::Value* tenants = sweep.find("tenants")) {
-    if (!tenants->is_array()) {
-      return shape_error(origin,
-                         "'tenants' must be an array of positive integers");
-    }
-    for (const json::Value& item : tenants->items()) {
-      const auto count = item.as_uint();
-      if (!count || *count == 0 || *count > 64) {
-        return config_error(origin,
-                            "'tenants' entries must be integers in [1, 64]");
+    for (const json::Value& item : member->items()) {
+      if (axis.numeric ? !item.is_number() : !item.is_string()) {
+        return shape_error(origin,
+                           quoted(axis.flag) + " must contain only " +
+                               (axis.numeric ? "integers" : "strings"));
       }
-      suite.sweep.tenants.push_back(static_cast<unsigned>(*count));
+      const std::string text =
+          axis.numeric ? json::serialize(item) : item.as_string();
+      if (auto added = append_axis_value(suite.sweep, axis.id, text);
+          !added.ok()) {
+        return std::move(added).error().with_context("suite " +
+                                                     std::string(origin));
+      }
     }
   }
 
@@ -272,41 +208,42 @@ Result<void> parse_expect(const json::Value& expect, Suite& suite,
         return shape_error(origin, "unknown threshold member '" + key + "'");
       }
     }
+    // The cell's axis labels (empty = the axis's first point). Machine and
+    // mode parse case-insensitively and are kept in label form, the form
+    // the runner matches against the report.
     Threshold t;
-    for (const char* required : {"kernel", "machine"}) {
-      const json::Value* member = entry.find(required);
-      if (member == nullptr || !member->is_string()) {
-        return shape_error(origin, std::string("threshold needs a string '") +
-                                       required + "'");
+    static constexpr std::pair<std::string_view, std::string Threshold::*>
+        kCell[] = {{"kernel", &Threshold::kernel},
+                   {"machine", &Threshold::machine},
+                   {"config", &Threshold::config},
+                   {"geometry", &Threshold::geometry},
+                   {"mode", &Threshold::mode}};
+    for (const auto& [key, field] : kCell) {
+      const json::Value* member = entry.find(key);
+      if (member == nullptr) continue;
+      if (!member->is_string()) {
+        return shape_error(origin,
+                           "threshold " + quoted(key) + " must be a string");
       }
+      t.*field = member->as_string();
     }
-    t.kernel = entry.find("kernel")->as_string();
-    t.machine = entry.find("machine")->as_string();
-    if (auto machine = parse_machine(t.machine); !machine.ok()) {
+    if (t.kernel.empty() || t.machine.empty()) {
+      return shape_error(origin,
+                         "threshold needs a string 'kernel' and 'machine'");
+    }
+    auto machine = parse_machine(t.machine);
+    if (!machine.ok()) {
       return std::move(machine).error().with_context("suite " +
                                                      std::string(origin));
     }
-    if (const json::Value* config = entry.find("config")) {
-      if (!config->is_string()) {
-        return shape_error(origin, "threshold 'config' must be a string");
+    t.machine = codegen::machine_name(machine.value());
+    if (!t.mode.empty()) {
+      auto mode = parse_mode(t.mode);
+      if (!mode.ok()) {
+        return std::move(mode).error().with_context("suite " +
+                                                    std::string(origin));
       }
-      t.config = config->as_string();
-    }
-    if (const json::Value* geometry = entry.find("geometry")) {
-      if (!geometry->is_string()) {
-        return shape_error(origin, "threshold 'geometry' must be a string");
-      }
-      t.geometry = geometry->as_string();
-    }
-    if (const json::Value* mode = entry.find("mode")) {
-      if (!mode->is_string()) {
-        return shape_error(origin, "threshold 'mode' must be a string");
-      }
-      if (auto parsed = parse_mode(mode->as_string()); !parsed.ok()) {
-        return std::move(parsed).error().with_context(
-            "suite " + std::string(origin));
-      }
-      t.mode = mode->as_string();
+      t.mode = harness::mode_name(mode.value());
     }
     auto max_cycles = uint_member(entry, "max_cycles", 0, origin);
     if (!max_cycles.ok()) return std::move(max_cycles).error();

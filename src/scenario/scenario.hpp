@@ -26,15 +26,16 @@ namespace zolcsim::scenario {
 inline constexpr unsigned kSuiteSchemaVersion = 1;
 
 /// One per-cell performance expectation. `kernel` and `machine` name the
-/// cell; `config` / `geometry` select along the remaining axes when the
-/// suite sweeps them (empty = the first/only point). Zero-valued limits are
-/// unchecked.
+/// cell; `config` / `geometry` / `mode` select along the remaining axes when
+/// the suite sweeps them (empty = the first/only point; the tenant axis is
+/// always at its first point). Every field is in its axis label form
+/// (harness::sweep_axes()). Zero-valued limits are unchecked.
 struct Threshold {
   std::string kernel;
   std::string machine;
-  std::string config;            ///< config_name() form; "" = first config
-  std::string geometry;          ///< ZolcGeometry::label(); "" = first point
-  std::string mode;              ///< mode_name() form; "" = first mode
+  std::string config;
+  std::string geometry;
+  std::string mode;
   std::uint64_t max_cycles = 0;  ///< fail when cell cycles exceed this
   double min_mips = 0.0;         ///< fail when simulated MIPS falls below
 };

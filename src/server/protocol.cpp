@@ -80,6 +80,22 @@ Result<void> reject_unknown_members(
   return {};
 }
 
+/// Optional string member through an axis parser (scenario::parse_*),
+/// stored into `out` when present.
+template <typename T, typename Parse>
+Result<void> axis_member(const json::Value& object, std::string_view key,
+                         Parse parse, T& out) {
+  auto text = string_member(object, key);
+  if (!text.ok()) return std::move(text).error();
+  if (!text.value()) return {};
+  auto parsed = parse(*text.value());
+  if (!parsed.ok()) {
+    return std::move(parsed).error().with_context("serve request");
+  }
+  out = std::move(parsed).value();
+  return {};
+}
+
 /// Fills spec.machine / spec.geometry from the optional request members
 /// (defaults: ZOLCfull on the paper geometry, matching the CLI verbs).
 Result<void> parse_unit_members(const json::Value& root,
@@ -91,59 +107,33 @@ Result<void> parse_unit_members(const json::Value& root,
   }
   spec.kernel = *kernel.value();
   spec.machine = codegen::MachineKind::kZolcFull;
-  auto machine = string_member(root, "machine");
-  if (!machine.ok()) return std::move(machine).error();
-  if (machine.value()) {
-    auto parsed = scenario::parse_machine(*machine.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    spec.machine = parsed.value();
-  }
-  auto geometry = string_member(root, "geometry");
-  if (!geometry.ok()) return std::move(geometry).error();
-  if (geometry.value()) {
-    auto parsed = scenario::parse_geometry(*geometry.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    spec.geometry = parsed.value();
-  }
-  return {};
+  auto machine =
+      axis_member(root, "machine", scenario::parse_machine, spec.machine);
+  if (!machine.ok()) return machine;
+  return axis_member(root, "geometry", scenario::parse_geometry,
+                     spec.geometry);
 }
 
 /// The run-plan members of a "run" request (config / mode / budgets /
 /// preemption / tenants), validated with the shared axis parsers.
 Result<void> parse_plan_members(const json::Value& root,
                                 flow::RunPlan& plan) {
-  auto config = string_member(root, "config");
-  if (!config.ok()) return std::move(config).error();
-  if (config.value()) {
-    auto parsed = scenario::parse_config(*config.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    plan.config = parsed.value();
-  }
-  auto mode = string_member(root, "mode");
-  if (!mode.ok()) return std::move(mode).error();
-  if (mode.value()) {
-    auto parsed = scenario::parse_mode(*mode.value());
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
-    }
-    plan.mode = parsed.value();
-  }
+  auto config =
+      axis_member(root, "config", scenario::parse_config, plan.config);
+  if (!config.ok()) return config;
+  auto mode = axis_member(root, "mode", scenario::parse_mode, plan.mode);
+  if (!mode.ok()) return mode;
   auto cycles = positive_member(root, "max_cycles");
   if (!cycles.ok()) return std::move(cycles).error();
   if (cycles.value()) plan.max_cycles = *cycles.value();
   auto tenants = positive_member(root, "tenants");
   if (!tenants.ok()) return std::move(tenants).error();
   if (tenants.value()) {
-    if (*tenants.value() > 64) {
-      return config_error("'tenants' must be in [1, 64]");
+    auto parsed = scenario::parse_tenants(std::to_string(*tenants.value()));
+    if (!parsed.ok()) {
+      return std::move(parsed).error().with_context("serve request");
     }
-    plan.tenants = static_cast<unsigned>(*tenants.value());
+    plan.tenants = parsed.value();
   }
   auto every = positive_member(root, "preempt_every");
   if (!every.ok()) return std::move(every).error();
@@ -151,9 +141,6 @@ Result<void> parse_plan_members(const json::Value& root,
   auto serialize = bool_member(root, "preempt_serialize", false);
   if (!serialize.ok()) return std::move(serialize).error();
   plan.preempt_serialize = serialize.value();
-  auto predecode = bool_member(root, "predecode", true);
-  if (!predecode.ok()) return std::move(predecode).error();
-  plan.predecode = predecode.value();
   return {};
 }
 
@@ -237,7 +224,7 @@ Result<Request> parse_request(std::string_view payload) {
       if (auto strict = reject_unknown_members(
               root, {"schema", "type", "kernel", "machine", "geometry",
                      "config", "mode", "max_cycles", "tenants",
-                     "preempt_every", "preempt_serialize", "predecode"});
+                     "preempt_every", "preempt_serialize"});
           !strict.ok()) {
         return std::move(strict).error();
       }
@@ -369,20 +356,6 @@ Result<std::string> reply_string(const json::Value& reply,
         "serve reply");
   }
   return member->as_string();
-}
-
-Result<std::uint64_t> reply_uint(const json::Value& reply,
-                                 std::string_view key) {
-  const json::Value* member = reply.find(key);
-  const auto n = member ? member->as_uint() : std::nullopt;
-  if (!n) {
-    std::string msg = "reply lacks an integer '";
-    msg += key;
-    msg += "' member";
-    return Error{ErrorCode::kParse, std::move(msg)}.with_context(
-        "serve reply");
-  }
-  return *n;
 }
 
 }  // namespace zolcsim::server

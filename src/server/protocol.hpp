@@ -92,10 +92,8 @@ struct Request {
 /// anything else parses into the returned document. Used by the client.
 [[nodiscard]] Result<json::Value> parse_reply(std::string_view payload);
 
-/// Reply member lookup helpers (shape errors -> kParse).
+/// Reply member lookup (a missing or non-string member -> kParse).
 [[nodiscard]] Result<std::string> reply_string(const json::Value& reply,
-                                               std::string_view key);
-[[nodiscard]] Result<std::uint64_t> reply_uint(const json::Value& reply,
                                                std::string_view key);
 
 }  // namespace zolcsim::server

@@ -1,15 +1,19 @@
-// zolcsim CLI argument parsing: the string forms of the machine / geometry /
-// pipeline-config axes must round-trip with the names the sweep emitters
-// print, and bad input must fail with kBadConfig (never crash).
+// zolcsim CLI argument parsing: the string forms of the sweep axes must
+// round-trip with the labels the sweep emitters print, bad input must fail
+// with kBadConfig (never crash), and argv splits into flags and positionals.
 #include <gtest/gtest.h>
 
 #include "cli.hpp"
 #include "harness/sweep.hpp"
+#include "scenario/parse.hpp"
 
 namespace zolcsim::cli {
 namespace {
 
 using codegen::MachineKind;
+using scenario::parse_config;
+using scenario::parse_geometry;
+using scenario::parse_machine;
 
 TEST(CliParse, MachineNamesRoundTrip) {
   for (const MachineKind machine : codegen::kAllMachines) {
@@ -62,10 +66,58 @@ TEST(CliParse, ConfigNamesRoundTrip) {
   EXPECT_FALSE(parse_config("EX-resolve/rollback/gate").ok());
 }
 
+TEST(CliParse, TenantCountsAreBounded) {
+  EXPECT_EQ(scenario::parse_tenants("1").value(), 1u);
+  EXPECT_EQ(scenario::parse_tenants("64").value(), scenario::kMaxTenants);
+  for (const char* bad : {"0", "65", "-1", "two", ""}) {
+    const auto parsed = scenario::parse_tenants(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kBadConfig);
+  }
+}
+
+TEST(CliParse, EveryAxisLabelParsesBackToItsPoint) {
+  // The report's labels on each axis are exactly what that axis's parser
+  // accepts, so a rendered grid can be fed back as sweep flags.
+  harness::SweepReport report;
+  report.kernels = {"fir", "deepnest10"};
+  report.machines = {MachineKind::kXrDefault, MachineKind::kZolcFull};
+  report.configs = {cpu::PipelineConfig{},
+                    cpu::PipelineConfig{cpu::BranchResolveStage::kDecode,
+                                        cpu::SpeculationPolicy::kGate,
+                                        false}};
+  report.geometries = {zolc::ZolcGeometry{},
+                       zolc::ZolcGeometry{64, 16, 4, 4, 14}};
+  report.modes = {harness::ExecMode{},
+                  harness::ExecMode{harness::SimEngine::kIss, true}};
+  report.tenants = {1, 3};
+  harness::SweepSpec spec;
+  for (const harness::SweepAxis& axis : harness::sweep_axes()) {
+    for (std::size_t i = 0; i < axis.size(report); ++i) {
+      const auto added =
+          scenario::append_axis_value(spec, axis.id, axis.label(report, i));
+      ASSERT_TRUE(added.ok()) << axis.label(report, i);
+    }
+  }
+  EXPECT_EQ(spec.kernels, report.kernels);
+  EXPECT_EQ(spec.machines, report.machines);
+  ASSERT_EQ(spec.configs.size(), 2u);
+  EXPECT_EQ(harness::config_name(spec.configs[1]),
+            harness::config_name(report.configs[1]));
+  EXPECT_EQ(spec.geometries, report.geometries);
+  EXPECT_EQ(spec.modes, report.modes);
+  EXPECT_EQ(spec.tenants, report.tenants);
+
+  const auto unknown = scenario::append_axis_value(
+      spec, harness::Axis::kKernel, "no_such_kernel");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code, ErrorCode::kUnknownKernel);
+}
+
 TEST(CliParse, ArgsSplitFlagsAndPositionals) {
-  const char* argv[] = {"zolcsim", "run",          "fir",
-                        "--machine=ZOLClite",      "--no-predecode",
-                        "--max-cycles=1000",       "--kernels="};
+  const char* argv[] = {"zolcsim", "run", "fir", "--machine=ZOLClite",
+                        "--preempt-serialize", "--max-cycles=1000",
+                        "--kernels="};
   const Args args = Args::parse(7, const_cast<char**>(argv), 2);
   ASSERT_EQ(args.positional.size(), 1u);
   EXPECT_EQ(args.positional.front(), "fir");
@@ -76,13 +128,13 @@ TEST(CliParse, ArgsSplitFlagsAndPositionals) {
   EXPECT_FALSE(args.value_of("absent").has_value());
   ASSERT_TRUE(args.value_of("kernels").has_value());
   EXPECT_TRUE(args.value_of("kernels")->empty());
-  EXPECT_TRUE(args.has("no-predecode"));
+  EXPECT_TRUE(args.has("preempt-serialize"));
   EXPECT_FALSE(args.has("machine"));  // value flag, not a switch
   EXPECT_TRUE(args.unknown({"machine", "max-cycles", "kernels"},
-                           {"no-predecode"})
+                           {"preempt-serialize"})
                   .empty());
-  EXPECT_EQ(args.unknown({"machine", "kernels"}, {"no-predecode"}).size(),
-            1u);
+  EXPECT_EQ(
+      args.unknown({"machine", "kernels"}, {"preempt-serialize"}).size(), 1u);
 }
 
 TEST(CliParse, SplitListAndErrorRendering) {

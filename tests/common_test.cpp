@@ -112,13 +112,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(Strings, SplitWhitespace) {
-  const auto parts = split_whitespace("  fir \t conv2d\nme_fsbm ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "fir");
-  EXPECT_EQ(parts[2], "me_fsbm");
-}
-
 TEST(Strings, ParseIntDecimal) {
   EXPECT_EQ(parse_int("42").value(), 42);
   EXPECT_EQ(parse_int("-17").value(), -17);
@@ -265,23 +258,6 @@ TEST(TextTable, AlignsColumns) {
 TEST(TextTable, RejectsWrongArity) {
   TextTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), ContractViolation);
-}
-
-TEST(TextTable, SeparatorRow) {
-  TextTable t({"a"});
-  t.add_row({"x"});
-  t.add_separator();
-  t.add_row({"y"});
-  const std::string out = t.render();
-  // header separator + explicit separator
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5);
-}
-
-TEST(AsciiBar, ProportionalWidth) {
-  EXPECT_EQ(ascii_bar(1.0, 1.0, 10).size(), 10u);
-  EXPECT_EQ(ascii_bar(0.5, 1.0, 10).size(), 5u);
-  EXPECT_EQ(ascii_bar(0.0, 1.0, 10).size(), 0u);
-  EXPECT_EQ(ascii_bar(2.0, 1.0, 10).size(), 10u);  // clamped
 }
 
 TEST(Csv, QuotesOnlyWhenNeeded) {

@@ -144,9 +144,7 @@ TEST(CompiledUnit, CapacityOverrunWithoutFallbackReportsCode) {
 
 // ---------------- runtime stage ----------------
 
-TEST(FlowRun, OneUnitRunsManyConfigsMatchingTheCompatWrapper) {
-  const kernels::Kernel* kernel = kernels::find_kernel("fir");
-  ASSERT_NE(kernel, nullptr);
+TEST(FlowRun, OneUnitRunsManyConfigsMatchingFreshCompiles) {
   const auto unit =
       CompiledUnit::compile(spec_for("fir", MachineKind::kZolcLite));
   ASSERT_TRUE(unit.ok());
@@ -162,14 +160,16 @@ TEST(FlowRun, OneUnitRunsManyConfigsMatchingTheCompatWrapper) {
     plan.config = config;
     const auto staged = run(unit.value(), plan);
     ASSERT_TRUE(staged.ok()) << staged.error().to_string();
-    const auto compat =
-        harness::run_experiment(*kernel, MachineKind::kZolcLite, {}, config);
-    ASSERT_TRUE(compat.ok());
-    EXPECT_EQ(staged.value().stats.cycles, compat.value().stats.cycles);
+    const auto fresh_unit =
+        CompiledUnit::compile(spec_for("fir", MachineKind::kZolcLite));
+    ASSERT_TRUE(fresh_unit.ok());
+    const auto fresh = run(fresh_unit.value(), plan);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(staged.value().stats.cycles, fresh.value().stats.cycles);
     EXPECT_EQ(staged.value().stats.instructions,
-              compat.value().stats.instructions);
+              fresh.value().stats.instructions);
     EXPECT_EQ(staged.value().zolc_stats.continue_events,
-              compat.value().zolc_stats.continue_events);
+              fresh.value().zolc_stats.continue_events);
   }
 }
 
@@ -317,8 +317,8 @@ TEST(Workload, WarmViewMatchesColdAcrossRegistryKernels) {
   ASSERT_TRUE(unit.ok());
   Workload cold = Workload::prepare(unit.value());
   Workload warm = Workload::prepare_warm(unit.value());
-  EXPECT_FALSE(cold.warm());
-  EXPECT_TRUE(warm.warm());
+  EXPECT_FALSE(cold.memory().has_baseline());
+  EXPECT_TRUE(warm.memory().has_baseline());
   EXPECT_TRUE(cold.memory() == warm.memory());
 
   const auto a = run(unit.value(), cold, {});

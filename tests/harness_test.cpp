@@ -1,13 +1,22 @@
-// Experiment-runner behaviour: determinism, error propagation, config
-// plumbing, and the reduction metric.
+// Experiment behaviour through the staged toolchain: determinism, error
+// propagation, config plumbing, and the reduction metric.
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::harness {
 namespace {
 
 using codegen::MachineKind;
+using test::compile_and_run;
+
+/// A RunPlan that differs from the default only in its pipeline config.
+flow::RunPlan with_config(const cpu::PipelineConfig& config) {
+  flow::RunPlan plan;
+  plan.config = config;
+  return plan;
+}
 
 TEST(Harness, PercentReduction) {
   EXPECT_DOUBLE_EQ(percent_reduction(100, 100), 0.0);
@@ -18,10 +27,8 @@ TEST(Harness, PercentReduction) {
 }
 
 TEST(Harness, RunsAreDeterministic) {
-  const kernels::Kernel* kernel = kernels::find_kernel("fir");
-  ASSERT_NE(kernel, nullptr);
-  const auto a = run_experiment(*kernel, MachineKind::kZolcLite);
-  const auto b = run_experiment(*kernel, MachineKind::kZolcLite);
+  const auto a = compile_and_run("fir", MachineKind::kZolcLite);
+  const auto b = compile_and_run("fir", MachineKind::kZolcLite);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().stats.cycles, b.value().stats.cycles);
   EXPECT_EQ(a.value().stats.instructions, b.value().stats.instructions);
@@ -30,8 +37,7 @@ TEST(Harness, RunsAreDeterministic) {
 }
 
 TEST(Harness, ResultCarriesMachineMetadata) {
-  const kernels::Kernel* kernel = kernels::find_kernel("matmul");
-  const auto result = run_experiment(*kernel, MachineKind::kZolcFull);
+  const auto result = compile_and_run("matmul", MachineKind::kZolcFull);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().kernel, "matmul");
   EXPECT_EQ(result.value().machine, MachineKind::kZolcFull);
@@ -41,8 +47,7 @@ TEST(Harness, ResultCarriesMachineMetadata) {
 }
 
 TEST(Harness, NonZolcMachinesReportNoZolcActivity) {
-  const kernels::Kernel* kernel = kernels::find_kernel("dotprod");
-  const auto result = run_experiment(*kernel, MachineKind::kXrDefault);
+  const auto result = compile_and_run("dotprod", MachineKind::kXrDefault);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().stats.zolc_fetch_events, 0u);
   EXPECT_EQ(result.value().init_instructions, 0u);
@@ -54,17 +59,17 @@ TEST(Harness, PipelineConfigIsHonored) {
   // decode-stage resolution saves a cycle per back-edge with no interlock.
   // (On XRdefault the back-edge depends on the addi directly before it, and
   // the interlock stall cancels the early-resolution gain.)
-  const kernels::Kernel* kernel = kernels::find_kernel("crc32");
   cpu::PipelineConfig early;
   early.branch_resolve = cpu::BranchResolveStage::kDecode;
-  const auto ex = run_experiment(*kernel, MachineKind::kXrHrdwil);
-  const auto id = run_experiment(*kernel, MachineKind::kXrHrdwil, {}, early);
+  const auto ex = compile_and_run("crc32", MachineKind::kXrHrdwil);
+  const auto id =
+      compile_and_run("crc32", MachineKind::kXrHrdwil, with_config(early));
   ASSERT_TRUE(ex.ok() && id.ok());
   EXPECT_LT(id.value().stats.cycles, ex.value().stats.cycles);
 
-  const auto def_ex = run_experiment(*kernel, MachineKind::kXrDefault);
+  const auto def_ex = compile_and_run("crc32", MachineKind::kXrDefault);
   const auto def_id =
-      run_experiment(*kernel, MachineKind::kXrDefault, {}, early);
+      compile_and_run("crc32", MachineKind::kXrDefault, with_config(early));
   ASSERT_TRUE(def_ex.ok() && def_id.ok());
   // On XRdefault the back-edge depends on the addi directly before it, so
   // decode resolution pays an interlock stall every iteration (taken or
@@ -74,9 +79,10 @@ TEST(Harness, PipelineConfigIsHonored) {
 }
 
 TEST(Harness, CycleLimitSurfacesAsError) {
-  const kernels::Kernel* kernel = kernels::find_kernel("me_fsbm");
+  flow::RunPlan plan;
+  plan.max_cycles = 100;
   const auto result =
-      run_experiment(*kernel, MachineKind::kXrDefault, {}, {}, 100);
+      compile_and_run("me_fsbm", MachineKind::kXrDefault, plan);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kSimulation);
   EXPECT_NE(result.error().to_string().find("simulation failed"),

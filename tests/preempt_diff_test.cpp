@@ -336,7 +336,8 @@ TEST(SweepPreempt, PreemptedSweepRendersByteIdenticalArtifacts) {
 
   // Single-tenant sweeps keep the historical schema (no tenant columns),
   // and the preempted grid renders byte-for-byte the same CSV and JSON.
-  EXPECT_FALSE(got.value().has_tenant_axis());
+  EXPECT_FALSE(
+      got.value().shown(harness::sweep_axis(harness::Axis::kTenant)));
   EXPECT_EQ(base.value().to_csv(), got.value().to_csv());
   EXPECT_EQ(base.value().to_json(), got.value().to_json());
 }
@@ -350,9 +351,10 @@ TEST(SweepPreempt, TenantAxisAddsColumnsAndScalesCycles) {
   const auto report = harness::run_sweep(spec);
   ASSERT_TRUE(report.ok()) << report.error().to_string();
 
-  EXPECT_TRUE(report.value().has_tenant_axis());
-  const harness::ExperimentResult& one = report.value().at(0, 0, 0, 0, 0, 0);
-  const harness::ExperimentResult& two = report.value().at(0, 0, 0, 0, 0, 1);
+  EXPECT_TRUE(
+      report.value().shown(harness::sweep_axis(harness::Axis::kTenant)));
+  const harness::ExperimentResult& one = report.value().at({});
+  const harness::ExperimentResult& two = report.value().at({.tenant = 1});
   EXPECT_EQ(two.stats.cycles, 2 * one.stats.cycles);
   EXPECT_EQ(one.context_switch_cycles, 0u);
   EXPECT_GT(two.context_switch_cycles, 0u);

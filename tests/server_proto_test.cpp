@@ -137,6 +137,12 @@ TEST_F(ServerProtoTest, UnknownMembersAreRejected) {
   EXPECT_EQ(reply.error().code, ErrorCode::kParse);
   EXPECT_NE(reply.error().message.find("unknown request member"),
             std::string::npos);
+  // Runs always fetch through the unit's code image: no predecode member.
+  auto run = client.call(
+      R"({"schema": "zolcsim-serve-v1", "type": "run", "kernel": "dotprod",)"
+      R"( "predecode": false})");
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, ErrorCode::kParse);
 }
 
 TEST_F(ServerProtoTest, BadAxisValuesAreBadConfig) {

@@ -227,9 +227,8 @@ TEST_F(ServerTest, StatsEndpointCountsRequestsAndLatency) {
   const json::Value& v = stats.value();
   EXPECT_EQ(nested_uint(v, "by_type", "ping"), 2u);
   EXPECT_EQ(nested_uint(v, "by_type", "sweep"), 1u);
-  auto requests = reply_uint(v, "requests");
-  ASSERT_TRUE(requests.ok());
-  EXPECT_EQ(requests.value(), 3u);  // the stats request itself isn't in yet
+  // The stats request itself isn't counted yet.
+  EXPECT_EQ(v.find("requests")->as_uint(), 3u);
   EXPECT_EQ(nested_uint(v, "wall_ms", "samples"), 3u);
   EXPECT_EQ(nested_uint(v, "mips", "samples"), 1u);
 }

@@ -1,14 +1,19 @@
 // Shared helpers for simulator tests: program loading, 32-bit immediate
-// materialization, and one-call ISS / pipeline runs.
+// materialization, one-call ISS / pipeline runs, and one-call compile +
+// run of a registry kernel through the staged toolchain.
 #ifndef ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 #define ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
+#include "flow/compiled_unit.hpp"
+#include "flow/run.hpp"
 #include "isa/build.hpp"
 #include "isa/encoding.hpp"
 #include "mem/memory.hpp"
@@ -76,6 +81,19 @@ inline IssResult run_iss(std::span<const isa::Instruction> program,
   iss.set_pc(base);
   iss.run(max_steps);
   return IssResult{iss.stats(), iss.regs()};
+}
+
+/// Compiles a registry kernel for `machine` and runs the unit under `plan`
+/// (flow::CompiledUnit::compile + flow::run), surfacing either stage's
+/// error.
+inline Result<harness::ExperimentResult> compile_and_run(
+    std::string_view kernel, codegen::MachineKind machine,
+    const flow::RunPlan& plan = {}, const zolc::ZolcGeometry& geometry = {},
+    const kernels::KernelEnv& env = {}) {
+  auto unit = flow::CompiledUnit::compile(
+      {std::string(kernel), machine, geometry, env});
+  if (!unit.ok()) return std::move(unit).error();
+  return flow::run(unit.value(), plan);
 }
 
 }  // namespace zolcsim::test

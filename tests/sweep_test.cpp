@@ -1,10 +1,11 @@
-// Sweep-engine behaviour: thread-count invariance, parity with the serial
-// experiment runner, dimension resolution, aggregates, emitters, and the
-// predecoded-fetch equivalence the engine's fast path relies on.
+// Sweep-engine behaviour: thread-count invariance, parity with direct
+// staged runs, dimension resolution, cell coordinates, reductions, and
+// emitters.
 #include <gtest/gtest.h>
 
 #include "flow/cache.hpp"
 #include "harness/sweep.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::harness {
 namespace {
@@ -47,29 +48,49 @@ TEST(Sweep, ReportIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Sweep, EngineMatchesSerialRunExperiment) {
-  // The fig2 grid through the engine must reproduce the values the
-  // pre-engine benchmarks computed with direct run_experiment calls.
+TEST(Sweep, EngineMatchesDirectRuns) {
+  // The fig2 grid through the engine must reproduce the values of direct
+  // compile + run calls.
   SweepSpec spec = small_spec();
   spec.threads = 4;
   const auto report = run_sweep(spec);
   ASSERT_TRUE(report.ok()) << report.error().to_string();
 
-  for (std::size_t k = 0; k < report.value().kernels.size(); ++k) {
-    const kernels::Kernel* kernel =
-        kernels::find_kernel(report.value().kernels[k]);
-    ASSERT_NE(kernel, nullptr);
-    for (std::size_t m = 0; m < report.value().machines.size(); ++m) {
-      const auto direct =
-          run_experiment(*kernel, report.value().machines[m]);
-      ASSERT_TRUE(direct.ok()) << direct.error().to_string();
-      const ExperimentResult& cell = report.value().at(k, m);
-      EXPECT_EQ(direct.value().stats.cycles, cell.stats.cycles);
-      EXPECT_EQ(direct.value().stats.instructions, cell.stats.instructions);
-      EXPECT_EQ(direct.value().init_instructions, cell.init_instructions);
-      EXPECT_EQ(direct.value().hw_loops, cell.hw_loops);
-    }
+  for (const SweepCell& cell : report.value().cells) {
+    const auto direct =
+        test::compile_and_run(report.value().kernels[cell.coord.kernel],
+                              report.value().machines[cell.coord.machine]);
+    ASSERT_TRUE(direct.ok()) << direct.error().to_string();
+    EXPECT_EQ(direct.value().stats.cycles, cell.result.stats.cycles);
+    EXPECT_EQ(direct.value().stats.instructions,
+              cell.result.stats.instructions);
+    EXPECT_EQ(direct.value().init_instructions, cell.result.init_instructions);
+    EXPECT_EQ(direct.value().hw_loops, cell.result.hw_loops);
   }
+}
+
+TEST(Sweep, CellsCarryTheirCoordinatesInIndexOrder) {
+  SweepSpec spec = small_spec();
+  spec.modes = {ExecMode{SimEngine::kIss, false},
+                ExecMode{SimEngine::kIss, true}};
+  spec.tenants = {1, 2};
+  const auto report = run_sweep(spec);
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  const SweepReport& r = report.value();
+  ASSERT_EQ(r.cells.size(), 3u * 3u * 2u * 2u);
+  for (std::size_t i = 0; i < r.cells.size(); ++i) {
+    const CellCoord& coord = r.cells[i].coord;
+    EXPECT_EQ(coord, r.coord_of(i));
+    EXPECT_EQ(r.index_of(coord), i);
+    EXPECT_EQ(&r.at(coord), &r.cells[i].result);
+    EXPECT_EQ(r.cells[i].result.kernel, r.kernels[coord.kernel]);
+    EXPECT_EQ(r.cells[i].result.machine, r.machines[coord.machine]);
+    EXPECT_EQ(r.cells[i].result.mode, r.modes[coord.mode]);
+    EXPECT_EQ(r.cells[i].result.tenants, r.tenants[coord.tenant]);
+  }
+  // Kernel-major: the tenant axis varies fastest.
+  EXPECT_EQ(r.cells[1].coord, (CellCoord{.tenant = 1}));
+  EXPECT_EQ(r.cells[2].coord, (CellCoord{.mode = 1}));
 }
 
 TEST(Sweep, EmptyDimensionsResolveToDefaults) {
@@ -139,23 +160,23 @@ TEST(Sweep, CallerSuppliedCacheIsSharedAndCountersAreDeltas) {
   EXPECT_EQ(cache.stats().hits, 4u);
 }
 
-TEST(Sweep, ReductionAndAggregateAreConsistent) {
+TEST(Sweep, ReductionIsRelativeToTheBaselineMachine) {
   SweepSpec spec = small_spec();
   const auto report = run_sweep(spec);
   ASSERT_TRUE(report.ok()) << report.error().to_string();
   const SweepReport& r = report.value();
 
-  // Baseline machine reduces 0% against itself.
+  double lite_sum = 0.0;
   for (std::size_t k = 0; k < r.kernels.size(); ++k) {
-    EXPECT_DOUBLE_EQ(r.reduction(k, 0), 0.0);
+    // Baseline machine reduces 0% against itself.
+    EXPECT_DOUBLE_EQ(r.reduction({.kernel = k}), 0.0);
+    const CellCoord lite{.kernel = k, .machine = 2};
+    EXPECT_DOUBLE_EQ(r.reduction(lite),
+                     percent_reduction(r.at({.kernel = k}).stats.cycles,
+                                       r.at(lite).stats.cycles));
+    lite_sum += r.reduction(lite);
   }
-  // Aggregate average equals the mean of per-kernel reductions.
-  double sum = 0.0;
-  for (std::size_t k = 0; k < r.kernels.size(); ++k) sum += r.reduction(k, 2);
-  const SweepAggregate agg = r.aggregate(2);
-  EXPECT_DOUBLE_EQ(agg.avg_reduction,
-                   sum / static_cast<double>(r.kernels.size()));
-  EXPECT_GT(agg.avg_reduction, 0.0);  // ZOLClite beats the baseline
+  EXPECT_GT(lite_sum, 0.0);  // ZOLClite beats the baseline
 }
 
 TEST(Sweep, ConfigGridIsSwept) {
@@ -172,57 +193,25 @@ TEST(Sweep, ConfigGridIsSwept) {
   EXPECT_EQ(report.value().cells.size(), 4u);
   // Early branch resolution squashes strictly fewer wrong-path slots than
   // EX resolution on the software-loop baseline (1 vs 2 per taken branch).
-  EXPECT_LT(report.value().at(0, 0, 1).stats.control_flush_slots,
-            report.value().at(0, 0, 0).stats.control_flush_slots);
+  EXPECT_LT(report.value().at({.config = 1}).stats.control_flush_slots,
+            report.value().at({}).stats.control_flush_slots);
 }
 
-TEST(Sweep, FindLooksUpByName) {
+TEST(Sweep, FindLooksUpByLabels) {
   const auto report = run_sweep(small_spec());
   ASSERT_TRUE(report.ok());
-  const ExperimentResult* cell =
-      report.value().find("fir", MachineKind::kZolcLite);
+  const ExperimentResult* cell = report.value().find({"fir", "ZOLClite"});
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->kernel, "fir");
-  EXPECT_EQ(report.value().find("fir", MachineKind::kZolcFull), nullptr);
-  EXPECT_EQ(report.value().find("nope", MachineKind::kZolcLite), nullptr);
-}
-
-TEST(Sweep, PredecodeDoesNotChangeArchitecturalResults) {
-  const kernels::Kernel* kernel = kernels::find_kernel("matmul");
-  ASSERT_NE(kernel, nullptr);
-  for (const MachineKind machine :
-       {MachineKind::kXrDefault, MachineKind::kZolcFull}) {
-    const auto fast = run_experiment(*kernel, machine, {}, {}, 200'000'000,
-                                     /*predecode=*/true);
-    const auto slow = run_experiment(*kernel, machine, {}, {}, 200'000'000,
-                                     /*predecode=*/false);
-    ASSERT_TRUE(fast.ok() && slow.ok());
-    EXPECT_EQ(fast.value().stats.cycles, slow.value().stats.cycles);
-    EXPECT_EQ(fast.value().stats.instructions, slow.value().stats.instructions);
-    EXPECT_EQ(fast.value().stats.zolc_fetch_events,
-              slow.value().stats.zolc_fetch_events);
-    EXPECT_EQ(fast.value().zolc_stats.done_events,
-              slow.value().zolc_stats.done_events);
-  }
-}
-
-TEST(Sweep, MachinesForVariantsMapsAllVariants) {
-  const auto machines = machines_for_variants({zolc::ZolcVariant::kMicro,
-                                               zolc::ZolcVariant::kLite,
-                                               zolc::ZolcVariant::kFull});
-  ASSERT_EQ(machines.size(), 3u);
-  EXPECT_EQ(machines[0], MachineKind::kUZolc);
-  EXPECT_EQ(machines[1], MachineKind::kZolcLite);
-  EXPECT_EQ(machines[2], MachineKind::kZolcFull);
-}
-
-TEST(Sweep, ThreadsFromArgs) {
-  const char* argv1[] = {"bench", "--threads=3"};
-  EXPECT_EQ(threads_from_args(2, const_cast<char**>(argv1)), 3u);
-  const char* argv2[] = {"bench"};
-  EXPECT_EQ(threads_from_args(1, const_cast<char**>(argv2)), 0u);
-  const char* argv3[] = {"bench", "--threads=bogus"};
-  EXPECT_EQ(threads_from_args(2, const_cast<char**>(argv3)), 0u);
+  EXPECT_EQ(cell->machine, MachineKind::kZolcLite);
+  EXPECT_EQ(report.value().find({"fir", "ZOLCfull"}), nullptr);
+  EXPECT_EQ(report.value().find({"nope", "ZOLClite"}), nullptr);
+  // Labels on the remaining axes select points too.
+  EXPECT_EQ(report.value().find(
+                {"fir", "ZOLClite", "EX-resolve/rollback", "32t-8l-4x-4e",
+                 "pipeline", "1"}),
+            cell);
+  EXPECT_EQ(report.value().find({"fir", "ZOLClite", "", "", "iss"}), nullptr);
 }
 
 }  // namespace

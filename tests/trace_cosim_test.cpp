@@ -2,15 +2,19 @@
 // same instruction sequence, in the same program order, as the ISS golden
 // model -- the strongest equivalence check available (final-state equality
 // can mask compensating errors). Exercised on ZOLC-heavy kernels where
-// wrong-path fetches and rollbacks are constant.
+// wrong-path fetches and rollbacks are constant. Also pins the predecoded-
+// image fetch path against decoding from memory.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "codegen/lower.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
+#include "flow/compiled_unit.hpp"
+#include "flow/workload.hpp"
 #include "kernels/kernels.hpp"
 #include "zolc/controller.hpp"
 
@@ -134,6 +138,54 @@ TEST(TraceCoSim, WrongPathInstructionsNeverRetire) {
     ASSERT_GE(r.pc, lo);
     ASSERT_LT(r.pc, hi);
     ASSERT_NE(r.op, isa::Opcode::kInvalid);
+  }
+}
+
+// ---------------- predecoded image vs memory fetch ----------------
+
+/// Runs `unit` on `workload` with engine `E` (Pipeline or Iss), fetching
+/// through the unit's predecoded image or decoding from memory. Returns the
+/// final statistics and registers; the final memory stays in `workload`.
+template <typename E>
+auto run_unit(const flow::CompiledUnit& unit, flow::Workload& workload,
+              bool use_image) {
+  std::unique_ptr<zolc::ZolcController> controller;
+  if (const auto variant = codegen::machine_zolc_variant(unit.machine())) {
+    controller =
+        std::make_unique<zolc::ZolcController>(*variant, unit.geometry());
+  }
+  E engine(workload.memory());
+  engine.set_accelerator(controller.get());
+  if (use_image) engine.set_code_image(unit.image());
+  engine.set_pc(unit.program().base);
+  engine.run(50'000'000);
+  return std::pair(engine.stats(), engine.regs());
+}
+
+template <typename E>
+void expect_image_fetch_invisible(const flow::CompiledUnit& unit) {
+  flow::Workload image = flow::Workload::prepare(unit);
+  flow::Workload decode = flow::Workload::prepare(unit);
+  EXPECT_TRUE(run_unit<E>(unit, image, true) ==
+              run_unit<E>(unit, decode, false))
+      << codegen::machine_name(unit.machine());
+  EXPECT_TRUE(image.memory() == decode.memory())
+      << codegen::machine_name(unit.machine());
+}
+
+TEST(ImageFetch, MatchesMemoryFetchOnBothEngines) {
+  // Every run fetches through the unit's CodeImage; the memory-decode path
+  // remains for raw programs without one. The two must be
+  // architecturally indistinguishable.
+  for (const codegen::MachineKind machine :
+       {codegen::MachineKind::kXrDefault, codegen::MachineKind::kZolcFull}) {
+    flow::CompileSpec spec;
+    spec.kernel = "matmul";
+    spec.machine = machine;
+    const auto unit = flow::CompiledUnit::compile(spec);
+    ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+    expect_image_fetch_invisible<Pipeline>(unit.value());
+    expect_image_fetch_invisible<Iss>(unit.value());
   }
 }
 

@@ -6,6 +6,7 @@
 #include "codegen/lower.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
+#include "sim_test_util.hpp"
 #include "zolc/area_model.hpp"
 #include "zolc/controller.hpp"
 
@@ -13,7 +14,7 @@ namespace zolcsim {
 namespace {
 
 using codegen::MachineKind;
-using harness::run_experiment;
+using test::compile_and_run;
 using zolc::ZolcController;
 using zolc::ZolcGeometry;
 using zolc::ZolcVariant;
@@ -137,18 +138,15 @@ TEST(GeometryLowering, PaperGeometryIsTheDefault) {
 TEST(GeometryLowering, DeepNestFullyHardwareManagedUnderExtendedGeometry) {
   // The acceptance scenario: a >8-deep nest with zero software loop
   // overhead once the geometry provides the entries.
-  const auto* kernel = kernels::find_kernel("deepnest10");
-  ASSERT_NE(kernel, nullptr);
-  const auto result =
-      run_experiment(*kernel, MachineKind::kZolcLite, {}, {}, 200'000'000,
-                     true, ZolcGeometry{32, 12, 0, 0});
+  const auto result = compile_and_run("deepnest10", MachineKind::kZolcLite, {},
+                                      ZolcGeometry{32, 12, 0, 0});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().hw_loops, 10u);
   EXPECT_EQ(result.value().sw_loops, 0u);
   EXPECT_GT(result.value().zolc_stats.continue_events, 0u);
 
   // At the paper geometry the same kernel still runs, demoting two levels.
-  const auto paper = run_experiment(*kernel, MachineKind::kZolcLite);
+  const auto paper = compile_and_run("deepnest10", MachineKind::kZolcLite);
   ASSERT_TRUE(paper.ok()) << paper.error().to_string();
   EXPECT_EQ(paper.value().hw_loops, 8u);
   EXPECT_EQ(paper.value().sw_loops, 2u);
@@ -156,11 +154,8 @@ TEST(GeometryLowering, DeepNestFullyHardwareManagedUnderExtendedGeometry) {
 }
 
 TEST(GeometryLowering, TinyGeometryDemotesGracefully) {
-  const auto* kernel = kernels::find_kernel("tiled_mm");
-  ASSERT_NE(kernel, nullptr);
-  const auto result = run_experiment(*kernel, MachineKind::kZolcLite, {}, {},
-                                     200'000'000, true,
-                                     ZolcGeometry{8, 2, 0, 0});
+  const auto result = compile_and_run("tiled_mm", MachineKind::kZolcLite, {},
+                                      ZolcGeometry{8, 2, 0, 0});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   EXPECT_EQ(result.value().hw_loops, 2u);
   EXPECT_EQ(result.value().sw_loops, 4u);
@@ -169,7 +164,7 @@ TEST(GeometryLowering, TinyGeometryDemotesGracefully) {
 TEST(GeometryLowering, ExtendedKernelsVerifyOnEveryMachine) {
   for (const auto& kernel : kernels::extended_kernel_registry()) {
     for (const MachineKind machine : codegen::kAllMachines) {
-      const auto result = run_experiment(*kernel, machine);
+      const auto result = compile_and_run(kernel->name(), machine);
       ASSERT_TRUE(result.ok()) << result.error().to_string();
       EXPECT_GT(result.value().stats.cycles, 0u);
     }
@@ -180,14 +175,11 @@ TEST(GeometryLowering, WideRecordGeometryRunsZolcFullEndToEnd) {
   // 16 loops push exit records past one init word (record_words() == 2):
   // the zolw.ex1 emission path and the controller's hi-word unpack must
   // survive a real multi-exit run. me_tss carries the suite's break-out.
-  const auto* kernel = kernels::find_kernel("me_tss");
-  ASSERT_NE(kernel, nullptr);
   const ZolcGeometry wide{32, 16, 4, 4};
   ASSERT_EQ(wide.record_words(), 2u);
-  const auto result = run_experiment(*kernel, MachineKind::kZolcFull, {}, {},
-                                     200'000'000, true, wide);
+  const auto result = compile_and_run("me_tss", MachineKind::kZolcFull, {}, wide);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const auto paper = run_experiment(*kernel, MachineKind::kZolcFull);
+  const auto paper = compile_and_run("me_tss", MachineKind::kZolcFull);
   ASSERT_TRUE(paper.ok()) << paper.error().to_string();
   // Identical loop structure, but each exit record costs one extra init
   // write (the hi word).
@@ -222,9 +214,8 @@ TEST(GeometryLowering, InvalidGeometryIsRejected) {
       codegen::lower(kernel->build(env), MachineKind::kZolcLite, env.code_base,
                      ZolcGeometry{32, 64, 4, 4});
   EXPECT_FALSE(lowered.ok());
-  const auto experiment = run_experiment(*kernel, MachineKind::kZolcLite, {},
-                                         {}, 200'000'000, true,
-                                         ZolcGeometry{32, 64, 4, 4});
+  const auto experiment = compile_and_run("dotprod", MachineKind::kZolcLite,
+                                          {}, ZolcGeometry{32, 64, 4, 4});
   EXPECT_FALSE(experiment.ok());
 }
 
@@ -240,13 +231,17 @@ TEST(GeometrySweep, AxisProducesPerGeometryCells) {
   ASSERT_TRUE(swept.ok()) << swept.error().to_string();
   const harness::SweepReport& report = swept.value();
   ASSERT_EQ(report.cells.size(), 4u);
-  EXPECT_TRUE(report.has_geometry_axis());
+  EXPECT_TRUE(report.shown(harness::sweep_axis(harness::Axis::kGeometry)));
   // Paper geometry: 8 hw loops; extended: all 10.
-  EXPECT_EQ(report.at(0, 1, 0, 0).hw_loops, 8u);
-  EXPECT_EQ(report.at(0, 1, 0, 1).hw_loops, 10u);
-  EXPECT_LT(report.cycles(0, 1, 0, 1), report.cycles(0, 1, 0, 0));
+  const harness::CellCoord lite_paper{.machine = 1};
+  const harness::CellCoord lite_wide{.machine = 1, .geometry = 1};
+  EXPECT_EQ(report.at(lite_paper).hw_loops, 8u);
+  EXPECT_EQ(report.at(lite_wide).hw_loops, 10u);
+  EXPECT_LT(report.at(lite_wide).stats.cycles,
+            report.at(lite_paper).stats.cycles);
   // The baseline machine ignores the geometry.
-  EXPECT_EQ(report.cycles(0, 0, 0, 0), report.cycles(0, 0, 0, 1));
+  EXPECT_EQ(report.at({}).stats.cycles,
+            report.at({.geometry = 1}).stats.cycles);
   // The geometry column appears in the rendered CSV and JSON.
   EXPECT_NE(report.to_csv().find("geometry"), std::string::npos);
   EXPECT_NE(report.to_csv().find("32t-12l-0x-0e"), std::string::npos);
@@ -260,7 +255,8 @@ TEST(GeometrySweep, DefaultSweepKeepsTheHistoricalSchema) {
   spec.threads = 1;
   const auto swept = harness::run_sweep(spec);
   ASSERT_TRUE(swept.ok()) << swept.error().to_string();
-  EXPECT_FALSE(swept.value().has_geometry_axis());
+  EXPECT_FALSE(
+      swept.value().shown(harness::sweep_axis(harness::Axis::kGeometry)));
   EXPECT_EQ(swept.value().to_csv().find("geometry"), std::string::npos);
   EXPECT_EQ(swept.value().to_json().find("geometry"), std::string::npos);
 }

@@ -4,26 +4,6 @@
 
 namespace zolcsim::cli {
 
-// The axis grammars themselves live in the library (scenario/parse) so the
-// scenario-suite parser and the CLI accept exactly the same strings; the
-// cli:: names are kept as the tool-facing surface.
-
-Result<codegen::MachineKind> parse_machine(std::string_view s) {
-  return scenario::parse_machine(s);
-}
-
-Result<zolc::ZolcGeometry> parse_geometry(std::string_view s) {
-  return scenario::parse_geometry(s);
-}
-
-Result<cpu::PipelineConfig> parse_config(std::string_view s) {
-  return scenario::parse_config(s);
-}
-
-Result<harness::ExecMode> parse_mode(std::string_view s) {
-  return scenario::parse_mode(s);
-}
-
 Args Args::parse(int argc, char** argv, int skip) {
   Args args;
   for (int i = skip; i < argc; ++i) {

@@ -1,7 +1,6 @@
-// Argument parsing for the zolcsim CLI driver: string forms of the
-// machine / geometry / pipeline-config axes, matching the names the sweep
-// emitters print (machine_name, ZolcGeometry::label, config_name), so CSV
-// output and CLI input round-trip.
+// Argument handling for the zolcsim CLI driver: flag/positional splitting,
+// list values and error rendering. The axis values themselves parse with
+// scenario::parse_* (scenario/parse.hpp), the grammar suite files share.
 #ifndef ZOLCSIM_TOOLS_ZOLCSIM_CLI_HPP
 #define ZOLCSIM_TOOLS_ZOLCSIM_CLI_HPP
 
@@ -10,30 +9,9 @@
 #include <string_view>
 #include <vector>
 
-#include "codegen/program.hpp"
 #include "common/result.hpp"
-#include "cpu/pipeline.hpp"
-#include "scenario/parse.hpp"
-#include "zolc/config.hpp"
 
 namespace zolcsim::cli {
-
-/// "XRdefault" | "XRhrdwil" | "uZOLC" | "ZOLClite" | "ZOLCfull"
-/// (case-insensitive). Error: kBadConfig. Thin wrappers over
-/// scenario::parse_* -- one grammar for flags and suite files.
-[[nodiscard]] Result<codegen::MachineKind> parse_machine(std::string_view s);
-
-/// "Nt-Nl-Nx-Ne[-pB]" -- the ZolcGeometry::label() form, e.g. "32t-8l-4x-4e"
-/// or "64t-12l-4x-4e-p14". Error: kBadConfig.
-[[nodiscard]] Result<zolc::ZolcGeometry> parse_geometry(std::string_view s);
-
-/// "EX-resolve|ID-resolve" "/rollback|/gate" ["/nofwd"] -- the
-/// harness::config_name() form. Error: kBadConfig.
-[[nodiscard]] Result<cpu::PipelineConfig> parse_config(std::string_view s);
-
-/// "pipeline" | "iss" | "iss-fast" -- the harness::mode_name() form.
-/// Error: kBadConfig.
-[[nodiscard]] Result<harness::ExecMode> parse_mode(std::string_view s);
 
 /// Flag helpers over argv (skipping argv[0] and the subcommand).
 struct Args {

@@ -12,6 +12,7 @@
 //
 // Run `zolcsim help` (or any subcommand with bad flags) for the full flag
 // list. Exit codes: 0 success, 1 toolchain error, 2 usage error.
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "cli.hpp"
@@ -36,6 +38,7 @@
 #include "flow/unit_store.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
+#include "scenario/parse.hpp"
 #include "scenario/runner.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -59,16 +62,15 @@ commands:
   run <kernel>              compile + execute + verify one experiment
       --machine=NAME --geometry=LABEL
       --config=NAME         pipeline config, e.g. EX-resolve/rollback[/nofwd]
-      --engine=NAME         pipeline (cycle-accurate, default) or iss
-      --fast-path           ISS loop-summary fast path (implies --engine=iss)
+      --mode=NAME           pipeline (cycle-accurate, default), iss, or
+                            iss-fast (ISS with the loop-summary fast path)
       --max-cycles=N        cycle budget          (default 200000000)
-      --no-predecode        fetch/decode from memory every cycle
       --preempt-every=N     ISS only: save/clobber/restore the full ZOLC
                             context every N instructions (differential knob)
       --preempt-serialize   round-trip each saved context through JSON
       --tenants=N           time-slice N copies of the workload over one
                             controller (ISS only; reports switch cost)
-  sweep                     kernel x machine x config x geometry x mode grid
+  sweep                     grid over kernel/machine/config/geometry/mode/tenants
       --kernels=a,b,...     default: the 12-kernel paper suite
       --machines=a,b,...    default: all five machines
       --configs=a,b,...     default: EX-resolve/rollback
@@ -111,7 +113,7 @@ commands:
         compile <kernel>    --machine=NAME --geometry=LABEL
         run <kernel>        ... plus --config=NAME --mode=NAME
                             --max-cycles=N --tenants=N --preempt-every=N
-                            --preempt-serialize --no-predecode
+                            --preempt-serialize
         sweep               --from-file=SUITE --format=csv|json --out=FILE
                             --expect-zero-compiles --expect-zero-prepares
                             (output is byte-identical to local
@@ -175,6 +177,23 @@ std::optional<std::uint64_t> positive_int_flag(
   return static_cast<std::uint64_t>(*n);
 }
 
+/// Fetches "--name=value" through an axis parser (scenario::parse_*).
+/// Returns nullopt when the flag is absent; sets `rc` non-zero on an empty
+/// or unparsable value (a usage error, like an unknown flag).
+template <typename Parse>
+auto parsed_flag(const cli::Args& args, std::string_view name, int& rc,
+                 Parse parse)
+    -> std::optional<std::decay_t<decltype(parse("").value())>> {
+  const auto value = nonempty_value(args, name, rc);
+  if (!value) return std::nullopt;
+  auto parsed = parse(*value);
+  if (!parsed.ok()) {
+    rc = bad_flag_value(parsed.error());
+    return std::nullopt;
+  }
+  return std::move(parsed).value();
+}
+
 int reject_unknown_flags(const cli::Args& args,
                          const std::vector<std::string_view>& values,
                          const std::vector<std::string_view>& switches) {
@@ -196,6 +215,50 @@ int attach_store_flag(const cli::Args& args) {
     process_cache().attach_store(&*store);
   }
   return 0;
+}
+
+/// --format=csv|json (default csv); true for json. Sets `rc` non-zero on
+/// any other value.
+bool json_format_flag(const cli::Args& args, int& rc) {
+  const auto format = nonempty_value(args, "format", rc);
+  if (format && *format != "csv" && *format != "json") {
+    rc = usage_error("bad --format value '" + *format + "' (csv or json)");
+  }
+  return format == "json";
+}
+
+/// The --out-dir artifact directory (default "."), created if missing. Sets
+/// `rc` non-zero on an empty value or a directory that cannot be created.
+std::string out_dir_flag(const cli::Args& args, int& rc) {
+  const std::string dir = nonempty_value(args, "out-dir", rc).value_or(".");
+  std::error_code ec;
+  if (rc == 0) std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    rc = toolchain_error(Error{ErrorCode::kIo,
+                               "cannot create artifact directory '" + dir +
+                                   "': " + ec.message()});
+  }
+  return dir;
+}
+
+Result<std::string> read_text_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    return Error{ErrorCode::kIo, "cannot read '" + path + "'"};
+  }
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// Writes `text` to `path`. The explicit flush surfaces deferred write
+/// errors (e.g. disk full) as a kIo toolchain error (exit 1).
+int write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream file(path, std::ios::binary);
+  file << text;
+  file.flush();
+  if (file.good()) return 0;
+  return toolchain_error(Error{ErrorCode::kIo, "cannot write '" + path + "'"});
 }
 
 // ---------------------------------------------------------------- list ----
@@ -226,29 +289,23 @@ int cmd_list() {
 
 // ----------------------------------------------------- compile helpers ----
 
-struct UnitRequest {
-  flow::CompileSpec spec;
-};
-
 /// Shared flag handling for `compile` and `run`: kernel name + machine +
 /// geometry. Returns 0 and fills `out` on success, an exit code otherwise.
-int parse_unit_request(const cli::Args& args, UnitRequest& out) {
+int parse_unit_request(const cli::Args& args, flow::CompileSpec& out) {
   if (args.positional.size() != 1) {
     return usage_error("expected exactly one kernel name");
   }
-  out.spec.kernel = args.positional.front();
-  out.spec.machine = codegen::MachineKind::kZolcFull;
+  out.kernel = args.positional.front();
+  out.machine = codegen::MachineKind::kZolcFull;
   int rc = 0;
-  if (const auto machine = nonempty_value(args, "machine", rc)) {
-    auto parsed = cli::parse_machine(*machine);
-    if (!parsed.ok()) return bad_flag_value(parsed.error());
-    out.spec.machine = parsed.value();
+  if (const auto machine =
+          parsed_flag(args, "machine", rc, scenario::parse_machine)) {
+    out.machine = *machine;
   }
   if (rc != 0) return rc;
-  if (const auto geometry = nonempty_value(args, "geometry", rc)) {
-    auto parsed = cli::parse_geometry(*geometry);
-    if (!parsed.ok()) return bad_flag_value(parsed.error());
-    out.spec.geometry = parsed.value();
+  if (const auto geometry =
+          parsed_flag(args, "geometry", rc, scenario::parse_geometry)) {
+    out.geometry = *geometry;
   }
   return rc;
 }
@@ -291,8 +348,8 @@ int cmd_compile(const cli::Args& args) {
                                           {"disasm", "scan"})) {
     return rc;
   }
-  UnitRequest request;
-  if (const int rc = parse_unit_request(args, request)) return rc;
+  flow::CompileSpec spec;
+  if (const int rc = parse_unit_request(args, spec)) return rc;
   int rc = 0;
   bool json_format = false;
   if (const auto format = nonempty_value(args, "format", rc)) {
@@ -303,7 +360,7 @@ int cmd_compile(const cli::Args& args) {
     json_format = *format == "json";
   }
   if (rc != 0) return rc;
-  auto unit = flow::CompiledUnit::compile(request.spec);
+  auto unit = flow::CompiledUnit::compile(spec);
   if (!unit.ok()) return toolchain_error(unit.error());
   if (json_format) {
     // The JSON artifact subsumes --disasm/--scan: words, tables, and the
@@ -327,58 +384,45 @@ int cmd_compile(const cli::Args& args) {
 int cmd_run(const cli::Args& args) {
   if (const int rc = reject_unknown_flags(
           args,
-          {"machine", "geometry", "config", "engine", "max-cycles",
+          {"machine", "geometry", "config", "mode", "max-cycles",
            "preempt-every", "tenants"},
-          {"no-predecode", "fast-path", "preempt-serialize"})) {
+          {"preempt-serialize"})) {
     return rc;
   }
-  UnitRequest request;
-  if (const int rc = parse_unit_request(args, request)) return rc;
+  flow::CompileSpec spec;
+  if (const int rc = parse_unit_request(args, spec)) return rc;
 
   flow::RunPlan plan;
   int rc = 0;
-  if (const auto config = nonempty_value(args, "config", rc)) {
-    auto parsed = cli::parse_config(*config);
-    if (!parsed.ok()) return bad_flag_value(parsed.error());
-    plan.config = parsed.value();
+  if (const auto config =
+          parsed_flag(args, "config", rc, scenario::parse_config)) {
+    plan.config = *config;
   }
-  if (const auto engine = nonempty_value(args, "engine", rc)) {
-    if (*engine == "pipeline") {
-      plan.mode.engine = harness::SimEngine::kPipeline;
-    } else if (*engine == "iss") {
-      plan.mode.engine = harness::SimEngine::kIss;
-    } else {
-      return usage_error("bad --engine value '" + *engine +
-                         "' (pipeline or iss)");
-    }
+  if (rc != 0) return rc;
+  if (const auto mode = parsed_flag(args, "mode", rc, scenario::parse_mode)) {
+    plan.mode = *mode;
   }
-  if (args.has("fast-path")) {
-    if (plan.mode.engine == harness::SimEngine::kPipeline &&
-        args.value_of("engine")) {
-      return usage_error("--fast-path requires --engine=iss");
-    }
-    plan.mode.engine = harness::SimEngine::kIss;
-    plan.mode.fast_path = true;
-  }
+  if (rc != 0) return rc;
   if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
     plan.max_cycles = *cycles;
   }
   if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
     plan.preempt_every = *every;
   }
-  if (const auto tenants = positive_int_flag(args, "tenants", rc, 64)) {
-    plan.tenants = static_cast<unsigned>(*tenants);
+  if (rc != 0) return rc;
+  if (const auto tenants =
+          parsed_flag(args, "tenants", rc, scenario::parse_tenants)) {
+    plan.tenants = *tenants;
   }
+  if (rc != 0) return rc;
   plan.preempt_serialize = args.has("preempt-serialize");
   if ((plan.preempt_every != 0 || plan.tenants != 1) &&
       plan.mode.engine != harness::SimEngine::kIss) {
     return usage_error(
-        "--preempt-every/--tenants require --engine=iss or --fast-path");
+        "--preempt-every/--tenants require --mode=iss or --mode=iss-fast");
   }
-  if (rc != 0) return rc;
-  plan.predecode = !args.has("no-predecode");
 
-  auto unit = flow::CompiledUnit::compile(request.spec);
+  auto unit = flow::CompiledUnit::compile(spec);
   if (!unit.ok()) return toolchain_error(unit.error());
   auto result = flow::run(unit.value(), plan);
   if (!result.ok()) return toolchain_error(result.error());
@@ -420,19 +464,12 @@ int cmd_run(const cli::Args& args) {
 
 /// Renders a sweep report to --out/stdout per --format. Shared by the grid
 /// and --from-file paths of `sweep`.
-int emit_sweep_report(const harness::SweepReport& report,
-                      const std::string& format_name,
+int emit_sweep_report(const harness::SweepReport& report, bool json_format,
                       const std::optional<std::string>& out_path) {
   const std::string rendered =
-      format_name == "json" ? report.to_json() : report.to_csv();
+      json_format ? report.to_json() : report.to_csv();
   if (out_path) {
-    std::ofstream file(*out_path, std::ios::binary);
-    file << rendered;
-    file.flush();  // surface deferred write errors (e.g. disk full) here
-    if (!file.good()) {
-      return toolchain_error(
-          Error{ErrorCode::kIo, "cannot write '" + *out_path + "'"});
-    }
+    if (const int rc = write_text_file(*out_path, rendered)) return rc;
     std::fprintf(stderr,
                  "wrote %zu cells to %s (%zu compiles, %zu store hits, "
                  "%zu cache hits)\n",
@@ -446,12 +483,18 @@ int emit_sweep_report(const harness::SweepReport& report,
 }
 
 int cmd_sweep(const cli::Args& args) {
-  if (const int rc = reject_unknown_flags(
-          args,
-          {"kernels", "machines", "configs", "geometries", "modes",
-           "tenants", "preempt-every", "baseline", "max-cycles", "threads",
-           "format", "out", "from-file", "store-dir"},
-          {"preempt-serialize"})) {
+  // The grid flags -- every axis flag plus these -- shape the experiment;
+  // the rest select execution and output.
+  std::vector<std::string_view> grid = {"preempt-every", "baseline",
+                                        "max-cycles", "preempt-serialize"};
+  for (const harness::SweepAxis& axis : harness::sweep_axes()) {
+    grid.push_back(axis.flag);
+  }
+  std::vector<std::string_view> values = {"threads", "format", "out",
+                                          "from-file", "store-dir"};
+  values.insert(values.end(), grid.begin(), grid.end());
+  if (const int rc =
+          reject_unknown_flags(args, values, {"preempt-serialize"})) {
     return rc;
   }
   if (!args.positional.empty()) {
@@ -459,112 +502,58 @@ int cmd_sweep(const cli::Args& args) {
   }
   if (const int rc = attach_store_flag(args)) return rc;
   int rc = 0;
-  if (const auto suite_path = nonempty_value(args, "from-file", rc)) {
+  const auto suite_path = nonempty_value(args, "from-file", rc);
+  const auto threads = positive_int_flag(args, "threads", rc, 4096);
+  const bool json_format = json_format_flag(args, rc);
+  const auto out_path = nonempty_value(args, "out", rc);
+  if (rc != 0) return rc;
+
+  if (suite_path) {
     // Suite mode: the file is the grid; only execution/output flags apply.
-    for (const std::string_view grid_flag :
-         {"kernels", "machines", "configs", "geometries", "modes", "tenants",
-          "preempt-every", "baseline", "max-cycles"}) {
-      if (args.value_of(grid_flag)) {
-        return usage_error("--" + std::string(grid_flag) +
+    for (const std::string_view flag : grid) {
+      if (args.value_of(flag) || args.has(flag)) {
+        return usage_error("--" + std::string(flag) +
                            " conflicts with --from-file (the suite file "
                            "defines the grid)");
       }
     }
     scenario::RunOptions options;
-    if (const auto threads = positive_int_flag(args, "threads", rc, 4096)) {
-      options.threads = static_cast<unsigned>(*threads);
-    }
-    std::string format_name = "csv";
-    if (const auto format = nonempty_value(args, "format", rc)) {
-      if (*format != "csv" && *format != "json") {
-        return usage_error("bad --format value '" + *format +
-                           "' (csv or json)");
-      }
-      format_name = *format;
-    }
-    const auto out_path = nonempty_value(args, "out", rc);
-    if (rc != 0) return rc;
-
+    if (threads) options.threads = static_cast<unsigned>(*threads);
     auto suite = scenario::load_suite_file(*suite_path);
     if (!suite.ok()) return toolchain_error(suite.error());
     auto outcome =
         scenario::run_suite(suite.value(), process_cache(), options);
     if (!outcome.ok()) return toolchain_error(outcome.error());
-    return emit_sweep_report(outcome.value().report, format_name, out_path);
+    return emit_sweep_report(outcome.value().report, json_format, out_path);
   }
-  if (rc != 0) return rc;
 
   harness::SweepSpec spec;
-  if (const auto kernels = nonempty_value(args, "kernels", rc)) {
-    spec.kernels = cli::split_list(*kernels);
-  }
-  if (const auto machines = nonempty_value(args, "machines", rc)) {
-    for (const std::string& name : cli::split_list(*machines)) {
-      auto machine = cli::parse_machine(name);
-      if (!machine.ok()) return bad_flag_value(machine.error());
-      spec.machines.push_back(machine.value());
-    }
-  }
-  if (const auto configs = nonempty_value(args, "configs", rc)) {
-    for (const std::string& name : cli::split_list(*configs)) {
-      auto config = cli::parse_config(name);
-      if (!config.ok()) return bad_flag_value(config.error());
-      spec.configs.push_back(config.value());
-    }
-  }
-  if (const auto geometries = nonempty_value(args, "geometries", rc)) {
-    for (const std::string& name : cli::split_list(*geometries)) {
-      auto geometry = cli::parse_geometry(name);
-      if (!geometry.ok()) return bad_flag_value(geometry.error());
-      spec.geometries.push_back(geometry.value());
-    }
-  }
-  if (const auto modes = nonempty_value(args, "modes", rc)) {
-    for (const std::string& name : cli::split_list(*modes)) {
-      auto mode = cli::parse_mode(name);
-      if (!mode.ok()) return bad_flag_value(mode.error());
-      spec.modes.push_back(mode.value());
-    }
-  }
-  if (const auto tenants = nonempty_value(args, "tenants", rc)) {
-    for (const std::string& name : cli::split_list(*tenants)) {
-      const auto n = parse_int(name);
-      if (!n || *n <= 0 || *n > 64) {
-        return usage_error("bad --tenants entry '" + name +
-                           "' (want integers in [1, 64])");
-      }
-      spec.tenants.push_back(static_cast<unsigned>(*n));
+  for (const harness::SweepAxis& axis : harness::sweep_axes()) {
+    const auto list = nonempty_value(args, axis.flag, rc);
+    if (rc != 0) return rc;
+    if (!list) continue;
+    for (const std::string& item : cli::split_list(*list)) {
+      auto added = scenario::append_axis_value(spec, axis.id, item);
+      if (!added.ok()) return bad_flag_value(added.error());
     }
   }
   if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
     spec.preempt_every = *every;
   }
   spec.preempt_serialize = args.has("preempt-serialize");
-  if (const auto baseline = nonempty_value(args, "baseline", rc)) {
-    auto machine = cli::parse_machine(*baseline);
-    if (!machine.ok()) return bad_flag_value(machine.error());
-    spec.baseline = machine.value();
+  if (const auto baseline =
+          parsed_flag(args, "baseline", rc, scenario::parse_machine)) {
+    spec.baseline = *baseline;
   }
   if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
     spec.max_cycles = *cycles;
   }
-  if (const auto threads = positive_int_flag(args, "threads", rc, 4096)) {
-    spec.threads = static_cast<unsigned>(*threads);
-  }
-  std::string format_name = "csv";
-  if (const auto format = nonempty_value(args, "format", rc)) {
-    if (*format != "csv" && *format != "json") {
-      return usage_error("bad --format value '" + *format +
-                         "' (csv or json)");
-    }
-    format_name = *format;
-  }
-  const auto out_path = nonempty_value(args, "out", rc);
   if (rc != 0) return rc;
+  if (threads) spec.threads = static_cast<unsigned>(*threads);
 
   const auto swept = harness::run_sweep(spec, process_cache());
   if (!swept.ok()) return toolchain_error(swept.error());
-  return emit_sweep_report(swept.value(), format_name, out_path);
+  return emit_sweep_report(swept.value(), json_format, out_path);
 }
 
 // --------------------------------------------------------------- bench ----
@@ -573,34 +562,28 @@ int cmd_sweep(const cli::Args& args) {
 
 /// One data point of a BENCH artifact, keyed for cross-artifact matching.
 struct BenchPoint {
-  std::string key;  ///< "kernel|machine|config|geometry|mode|tenants"
+  std::string key;  ///< the point's axis labels joined by '|'
   std::uint64_t cycles = 0;
   double mips = 0.0;
 };
 
-/// Loads the points of one BENCH_*.json artifact. Accepts schema v1 (no
-/// per-point mode; defaults to "pipeline"), v2, v3 (no per-point tenants;
-/// defaults to 1), and v4.
+/// Loads the points of one BENCH_*.json artifact (schema
+/// scenario::kBenchSchema only). A gated axis field a point omits (tenants
+/// on a single-tenant suite) keys as the axis's default label.
 Result<std::vector<BenchPoint>> load_bench_points(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Error{ErrorCode::kIo, "cannot read artifact '" + path + "'"};
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  auto document = json::parse(text.str());
+  auto text = read_text_file(path);
+  if (!text.ok()) return std::move(text).error();
+  auto document = json::parse(text.value());
   if (!document.ok()) {
     return std::move(document).error().with_context("artifact " + path);
   }
   const json::Value& root = document.value();
   const json::Value* schema = root.find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      (schema->as_string() != "zolcsim-bench-v1" &&
-       schema->as_string() != "zolcsim-bench-v2" &&
-       schema->as_string() != "zolcsim-bench-v3" &&
-       schema->as_string() != std::string(scenario::kBenchSchema))) {
-    return Error{ErrorCode::kParse,
-                 "'" + path + "' is not a zolcsim BENCH artifact"};
+      schema->as_string() != scenario::kBenchSchema) {
+    return Error{ErrorCode::kParse, "'" + path + "' is not a " +
+                                        std::string(scenario::kBenchSchema) +
+                                        " BENCH artifact"};
   }
   const json::Value* points = root.find("points");
   if (points == nullptr || !points->is_array()) {
@@ -609,36 +592,19 @@ Result<std::vector<BenchPoint>> load_bench_points(const std::string& path) {
   std::vector<BenchPoint> out;
   for (const json::Value& point : points->items()) {
     BenchPoint p;
-    for (const char* part : {"kernel", "machine", "config", "geometry"}) {
-      const json::Value* v = point.find(part);
-      if (v == nullptr || !v->is_string()) {
-        return Error{ErrorCode::kParse, "'" + path +
-                                            "' point lacks a string '" +
-                                            part + "'"};
-      }
+    for (const harness::SweepAxis& axis : harness::sweep_axes()) {
       if (!p.key.empty()) p.key += '|';
-      p.key += v->as_string();
-    }
-    p.key += '|';
-    if (const json::Value* mode = point.find("mode")) {
-      if (!mode->is_string()) {
-        return Error{ErrorCode::kParse,
-                     "'" + path + "' point has a non-string 'mode'"};
+      const json::Value* v = point.find(axis.column);
+      if (v == nullptr && !axis.bench_always) {
+        p.key += axis.default_label;
+        continue;
       }
-      p.key += mode->as_string();
-    } else {
-      p.key += "pipeline";  // schema v1 predates the mode axis
-    }
-    p.key += '|';
-    if (const json::Value* tenants = point.find("tenants")) {
-      const auto count = tenants->as_uint();
-      if (!count) {
+      if (v == nullptr || (axis.numeric ? !v->as_uint() : !v->is_string())) {
         return Error{ErrorCode::kParse,
-                     "'" + path + "' point has a non-integer 'tenants'"};
+                     "'" + path + "' point lacks a valid '" +
+                         std::string(axis.column) + "'"};
       }
-      p.key += std::to_string(*count);
-    } else {
-      p.key += '1';  // schemas before v4 predate the tenant axis
+      p.key += axis.numeric ? std::to_string(*v->as_uint()) : v->as_string();
     }
     const json::Value* cycles = point.find("cycles");
     const auto n = cycles ? cycles->as_uint() : std::nullopt;
@@ -669,9 +635,9 @@ Result<std::vector<std::string>> list_bench_artifacts(const std::string& dir) {
 }
 
 /// `bench --compare OLD NEW`: matches artifacts by file name and points by
-/// (kernel, machine, config, geometry, mode). Cycle counts must be exactly
-/// equal (they are deterministic); MIPS may regress up to `tolerance`
-/// percent (they are host measurements). Exit 1 on any violation.
+/// their axis labels. Cycle counts must be exactly equal (they are
+/// deterministic); MIPS may regress up to `tolerance` percent (they are
+/// host measurements). Exit 1 on any violation.
 int cmd_bench_compare(const cli::Args& args) {
   if (const int rc =
           reject_unknown_flags(args, {"tolerance"}, {"compare"})) {
@@ -701,32 +667,22 @@ int cmd_bench_compare(const cli::Args& args) {
   for (const std::string& new_path : new_files.value()) {
     const std::string name =
         std::filesystem::path(new_path).filename().string();
-    const std::string* old_path = nullptr;
-    for (const std::string& candidate : old_files.value()) {
-      if (std::filesystem::path(candidate).filename().string() == name) {
-        old_path = &candidate;
-        break;
-      }
-    }
-    if (old_path == nullptr) {
+    const std::string old_path = args.positional[0] + "/" + name;
+    if (!std::filesystem::exists(old_path)) {
       std::printf("%-28s only in %s (skipped)\n", name.c_str(),
                   args.positional[1].c_str());
       continue;
     }
-    auto old_points = load_bench_points(*old_path);
+    auto old_points = load_bench_points(old_path);
     if (!old_points.ok()) return toolchain_error(old_points.error());
     auto new_points = load_bench_points(new_path);
     if (!new_points.ok()) return toolchain_error(new_points.error());
 
     for (const BenchPoint& np : new_points.value()) {
-      const BenchPoint* op = nullptr;
-      for (const BenchPoint& candidate : old_points.value()) {
-        if (candidate.key == np.key) {
-          op = &candidate;
-          break;
-        }
-      }
-      if (op == nullptr) continue;  // new grid point; nothing to diff
+      const auto op = std::find_if(
+          old_points.value().begin(), old_points.value().end(),
+          [&np](const BenchPoint& p) { return p.key == np.key; });
+      if (op == old_points.value().end()) continue;  // new grid point
       ++matched_points;
       const double mips_delta_pct =
           op->mips > 0.0 ? 100.0 * (np.mips - op->mips) / op->mips : 0.0;
@@ -773,8 +729,6 @@ int cmd_bench(const cli::Args& args) {
   const auto suite_dir = nonempty_value(args, "suite-dir", rc);
   if (rc != 0) return rc;
   if (!suite_dir) return usage_error("bench requires --suite-dir=DIR");
-  std::string out_dir = ".";
-  if (const auto dir = nonempty_value(args, "out-dir", rc)) out_dir = *dir;
   scenario::RunOptions options;
   if (const auto threads = positive_int_flag(args, "threads", rc, 4096)) {
     options.threads = static_cast<unsigned>(*threads);
@@ -787,14 +741,8 @@ int cmd_bench(const cli::Args& args) {
     return toolchain_error(Error{
         ErrorCode::kIo, "no *.json suite files in '" + *suite_dir + "'"});
   }
-
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) {
-    return toolchain_error(Error{ErrorCode::kIo,
-                                 "cannot create artifact directory '" +
-                                     out_dir + "': " + ec.message()});
-  }
+  const std::string out_dir = out_dir_flag(args, rc);
+  if (rc != 0) return rc;
 
   for (const std::string& path : files.value()) {
     auto suite = scenario::load_suite_file(path);
@@ -806,12 +754,9 @@ int cmd_bench(const cli::Args& args) {
 
     const std::string artifact = out_dir + "/" +
                                  scenario::bench_artifact_name(done.suite);
-    std::ofstream file(artifact, std::ios::binary);
-    file << scenario::bench_artifact_json(done);
-    file.flush();
-    if (!file.good()) {
-      return toolchain_error(
-          Error{ErrorCode::kIo, "cannot write '" + artifact + "'"});
+    if (const int write_rc =
+            write_text_file(artifact, scenario::bench_artifact_json(done))) {
+      return write_rc;
     }
     std::printf("suite %-20s %4zu cells  golden %-9s %7.2fs  %8.2f MIPS\n",
                 done.suite.name.c_str(), done.report.cells.size(),
@@ -964,16 +909,6 @@ int cmd_serve(const cli::Args& args) {
 
 // -------------------------------------------------------------- client ----
 
-Result<std::string> read_text_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Error{ErrorCode::kIo, "cannot read '" + path + "'"};
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
-}
-
 /// Builds the compile / run request JSON from the client flags. The axis
 /// values travel as strings and are validated daemon-side with the same
 /// parsers the local verbs use. Returns 0 and fills `payload`, or an exit
@@ -993,7 +928,10 @@ int build_client_unit_request(const cli::Args& args, const char* type,
   out += json::escape(args.positional[1]);
   out += "\"";
   int rc = 0;
-  for (const char* flag : {"machine", "geometry"}) {
+  const std::vector<const char*> string_flags =
+      run ? std::vector<const char*>{"machine", "geometry", "config", "mode"}
+          : std::vector<const char*>{"machine", "geometry"};
+  for (const char* flag : string_flags) {
     if (const auto value = nonempty_value(args, flag, rc)) {
       out += std::string(", \"") + flag + "\": \"" + json::escape(*value) +
              "\"";
@@ -1001,19 +939,14 @@ int build_client_unit_request(const cli::Args& args, const char* type,
     if (rc != 0) return rc;
   }
   if (run) {
-    for (const char* flag : {"config", "mode"}) {
-      if (const auto value = nonempty_value(args, flag, rc)) {
-        out += std::string(", \"") + flag + "\": \"" + json::escape(*value) +
-               "\"";
-      }
-      if (rc != 0) return rc;
-    }
     if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
       out += ", \"max_cycles\": " + std::to_string(*cycles);
     }
-    if (const auto tenants = positive_int_flag(args, "tenants", rc, 64)) {
+    if (const auto tenants =
+            parsed_flag(args, "tenants", rc, scenario::parse_tenants)) {
       out += ", \"tenants\": " + std::to_string(*tenants);
     }
+    if (rc != 0) return rc;
     if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
       out += ", \"preempt_every\": " + std::to_string(*every);
     }
@@ -1021,7 +954,6 @@ int build_client_unit_request(const cli::Args& args, const char* type,
     if (args.has("preempt-serialize")) {
       out += ", \"preempt_serialize\": true";
     }
-    if (args.has("no-predecode")) out += ", \"predecode\": false";
   }
   out += "}";
   payload = std::move(out);
@@ -1050,12 +982,8 @@ int client_sweep_reply(const cli::Args& args, const json::Value& reply) {
   const auto out_path = nonempty_value(args, "out", rc);
   if (rc != 0) return rc;
   if (out_path) {
-    std::ofstream file(*out_path, std::ios::binary);
-    file << output.value();
-    file.flush();
-    if (!file.good()) {
-      return toolchain_error(
-          Error{ErrorCode::kIo, "cannot write '" + *out_path + "'"});
+    if (const int write_rc = write_text_file(*out_path, output.value())) {
+      return write_rc;
     }
   } else {
     std::fputs(output.value().c_str(), stdout);
@@ -1087,23 +1015,11 @@ int client_bench_reply(const cli::Args& args, const json::Value& reply) {
   auto artifact = server::reply_string(reply, "artifact");
   if (!artifact.ok()) return toolchain_error(artifact.error());
   int rc = 0;
-  std::string out_dir = ".";
-  if (const auto dir = nonempty_value(args, "out-dir", rc)) out_dir = *dir;
+  const std::string out_dir = out_dir_flag(args, rc);
   if (rc != 0) return rc;
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) {
-    return toolchain_error(Error{ErrorCode::kIo,
-                                 "cannot create artifact directory '" +
-                                     out_dir + "': " + ec.message()});
-  }
   const std::string path = out_dir + "/" + name.value();
-  std::ofstream file(path, std::ios::binary);
-  file << artifact.value();
-  file.flush();
-  if (!file.good()) {
-    return toolchain_error(
-        Error{ErrorCode::kIo, "cannot write '" + path + "'"});
+  if (const int write_rc = write_text_file(path, artifact.value())) {
+    return write_rc;
   }
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
@@ -1121,7 +1037,7 @@ int cmd_client(const cli::Args& args) {
           {"socket", "machine", "geometry", "config", "mode", "max-cycles",
            "tenants", "preempt-every", "from-file", "format", "out",
            "out-dir"},
-          {"preempt-serialize", "no-predecode", "expect-zero-compiles",
+          {"preempt-serialize", "expect-zero-compiles",
            "expect-zero-prepares"})) {
     return rc;
   }
@@ -1153,14 +1069,7 @@ int cmd_client(const cli::Args& args) {
     auto text = read_text_file(*suite_path);
     if (!text.ok()) return toolchain_error(text.error());
     if (action == "sweep") {
-      bool json_format = false;
-      if (const auto format = nonempty_value(args, "format", rc)) {
-        if (*format != "csv" && *format != "json") {
-          return usage_error("bad --format value '" + *format +
-                             "' (csv or json)");
-        }
-        json_format = *format == "json";
-      }
+      const bool json_format = json_format_flag(args, rc);
       if (rc != 0) return rc;
       auto request = server::sweep_request(text.value(), json_format);
       if (!request.ok()) return toolchain_error(request.error());
