@@ -117,10 +117,4 @@ bool branch_taken(isa::Opcode op, std::int32_t rs, std::int32_t rt) {
   }
 }
 
-bool uses_immediate_operand(isa::Opcode op) {
-  const isa::OpcodeInfo& info = isa::opcode_info(op);
-  return info.format == isa::Format::kI || info.format == isa::Format::kMem ||
-         info.format == isa::Format::kLui;
-}
-
 }  // namespace zolcsim::cpu

@@ -42,10 +42,6 @@ struct AluInputs {
 [[nodiscard]] bool branch_taken(isa::Opcode op, std::int32_t rs,
                                 std::int32_t rt);
 
-/// True iff `op` produces its operand `b` from the immediate field
-/// (I-type ALU and memory address computation).
-[[nodiscard]] bool uses_immediate_operand(isa::Opcode op);
-
 /// Performs the load described by `op` at byte address `addr` and returns
 /// the register write-back value (width and sign extension per opcode).
 /// Precondition: op is a load. Inline: this sits on both simulators' hot

@@ -10,41 +10,8 @@ using isa::Format;
 using isa::Instruction;
 using isa::Opcode;
 
-bool is_zolc_instr(const Instruction& instr) {
-  return isa::opcode_info(instr.op).is_zolc;
-}
-
-}  // namespace
-
-Pipeline::Pipeline(mem::Memory& memory, PipelineConfig config)
-    : mem_(memory), config_(config) {}
-
-std::int32_t Pipeline::forward_to_ex(const Latches& cur, std::uint8_t reg,
-                                     std::int32_t id_value) const {
-  if (!config_.forwarding || reg == 0) return id_value;
-  // Youngest producer wins: EX/MEM latch first, then MEM/WB.
-  if (cur.ex_mem.valid && cur.ex_mem.dest && *cur.ex_mem.dest == reg &&
-      !cur.ex_mem.is_load) {
-    return cur.ex_mem.alu;
-  }
-  if (cur.mem_wb.valid && cur.mem_wb.dest && *cur.mem_wb.dest == reg) {
-    return cur.mem_wb.value;
-  }
-  return id_value;
-}
-
-std::int32_t Pipeline::read_in_id(const Latches& cur, std::uint8_t reg) const {
-  // The register file was already updated by this cycle's WB (write-before-
-  // read). The only in-flight value visible to ID is the previous EX result.
-  if (config_.forwarding && reg != 0 && cur.ex_mem.valid && cur.ex_mem.dest &&
-      *cur.ex_mem.dest == reg && !cur.ex_mem.is_load) {
-    return cur.ex_mem.alu;
-  }
-  return regs_.read(reg);
-}
-
-bool Pipeline::writes_reg(const std::optional<std::uint8_t>& dest,
-                          const isa::SourceRegs& srcs) const {
+bool writes_reg(const std::optional<std::uint8_t>& dest,
+                const isa::SourceRegs& srcs) {
   if (!dest) return false;
   for (std::uint8_t i = 0; i < srcs.count; ++i) {
     if (srcs.regs[i] == *dest) return true;
@@ -52,23 +19,98 @@ bool Pipeline::writes_reg(const std::optional<std::uint8_t>& dest,
   return false;
 }
 
+}  // namespace
+
+Pipeline::Pipeline(mem::Memory& memory, PipelineConfig config)
+    : mem_(memory), config_(config) {}
+
+void Pipeline::set_code_image(isa::CodeImage image) {
+  image_ = image;
+  image_meta_.clear();
+  image_meta_.reserve(image.size_words);
+  for (std::size_t i = 0; i < image.size_words; ++i) {
+    image_meta_.push_back(make_meta(image.code[i]));
+  }
+}
+
+Pipeline::InstrMeta Pipeline::make_meta(const Instruction& instr) {
+  InstrMeta meta;
+  if (!instr.valid()) return meta;
+  meta.info = &isa::opcode_info(instr.op);
+  meta.srcs = isa::source_regs(instr);
+  meta.dest = isa::dest_reg(instr);
+  meta.is_control = isa::is_control_flow(instr);
+  return meta;
+}
+
+std::int32_t Pipeline::forward_to_ex(const Latches& cur, std::uint8_t reg,
+                                     std::int32_t id_value) const {
+  if (!config_.forwarding || reg == 0) return id_value;
+  // Youngest producer wins: EX/MEM latch first, then MEM/WB.
+  if (cur.ex_mem.valid && cur.ex_mem.dest == reg && !cur.ex_mem.is_load) {
+    return cur.ex_mem.alu;
+  }
+  if (cur.mem_wb.valid && cur.mem_wb.dest == reg) return cur.mem_wb.value;
+  return id_value;
+}
+
+std::int32_t Pipeline::read_in_id(const Latches& cur, std::uint8_t reg) const {
+  // The register file was already updated by this cycle's WB (write-before-
+  // read). The only in-flight value visible to ID is the previous EX result.
+  if (config_.forwarding && reg != 0 && cur.ex_mem.valid &&
+      cur.ex_mem.dest == reg && !cur.ex_mem.is_load) {
+    return cur.ex_mem.alu;
+  }
+  return regs_.read(reg);
+}
+
 bool Pipeline::control_in_flight(const Latches& cur) const {
-  if (cur.if_id.valid && cur.if_id.instr.valid() &&
-      isa::is_control_flow(cur.if_id.instr)) {
-    return true;
+  // Invalid instructions carry is_control == false.
+  if (cur.if_id.valid && cur.if_id.meta.is_control) return true;
+  return config_.branch_resolve == BranchResolveStage::kExecute &&
+         cur.id_ex.valid && cur.id_ex.meta.is_control;
+}
+
+std::uint32_t Pipeline::fetch(const Latches& cur, IfId& ifi) {
+  ifi.valid = true;
+  ifi.pc = pc_;
+  if (image_.covers(pc_)) {
+    const std::size_t word = (pc_ - image_.base) / 4;
+    ifi.instr = image_.code[word];
+    ifi.meta = image_meta_[word];
+  } else {
+    ifi.instr = isa::decode(mem_.fetch32(pc_));
+    ifi.meta = make_meta(ifi.instr);
   }
-  if (config_.branch_resolve == BranchResolveStage::kExecute &&
-      cur.id_ex.valid && cur.id_ex.instr.valid() &&
-      isa::is_control_flow(cur.id_ex.instr)) {
-    return true;
-  }
-  return false;
+  ifi.event = kNoEvent;
+  if (accel_ == nullptr || !accel_->will_trigger(pc_)) return pc_ + 4;
+
+  // Round robin is safe: IF/ID and ID/EX hold at most the two most recent
+  // events, so the slot three events back is free.
+  const auto slot = static_cast<std::int8_t>(next_event_);
+  next_event_ = static_cast<std::uint8_t>((next_event_ + 1) % kEventSlots);
+  ZS_ASSERT(!(cur.if_id.valid && cur.if_id.event == slot) &&
+            !(cur.id_ex.valid && cur.id_ex.event == slot));
+  FetchInfo& fi = events_[static_cast<std::size_t>(slot)];
+  fi.before = accel_->snapshot();
+  auto event = accel_->on_fetch(pc_);
+  ZS_ASSERT(event.has_value());
+  fi.event = std::move(*event);
+  ifi.event = slot;
+  ++stats_.zolc_fetch_events;
+  return fi.event.redirect.value_or(pc_ + 4);
 }
 
 void Pipeline::cycle() {
   if (halted_) return;
-  const Latches cur = latches_;
-  Latches next;
+  // Every stage reads `cur` and writes its output fields straight into
+  // `next`; a latch left with valid == false is a bubble.
+  const Latches& cur = latches_[cur_];
+  Latches& next = latches_[cur_ ^ 1];
+  next.if_id.valid = false;
+  next.id_ex.valid = false;
+  next.ex_mem.valid = false;
+  next.mem_wb.valid = false;
 
   // Redirect bookkeeping for this cycle.
   bool redirect = false;
@@ -76,7 +118,7 @@ void Pipeline::cycle() {
   std::uint32_t resolved_pc = 0;
   bool redirect_from_ex = false;
   // Oldest accel snapshot to restore on a wrong-path rollback.
-  std::optional<AccelSnapshot> rollback_to;
+  const AccelSnapshot* rollback_to = nullptr;
 
   // ---------------- WB ----------------
   if (cur.mem_wb.valid) {
@@ -88,17 +130,18 @@ void Pipeline::cycle() {
     if (cur.mem_wb.dest) regs_.write(*cur.mem_wb.dest, cur.mem_wb.value);
     ++stats_.instructions;
     if (retire_hook_) retire_hook_(cur.mem_wb.pc, cur.mem_wb.instr);
-    if (is_zolc_instr(cur.mem_wb.instr)) ++stats_.zolc_init_instructions;
+    if (cur.mem_wb.is_zolc) ++stats_.zolc_init_instructions;
     if (cur.mem_wb.instr.op == Opcode::kHalt) halted_ = true;
   }
 
   // ---------------- MEM ----------------
   if (cur.ex_mem.valid) {
-    MemWb wb;
+    MemWb& wb = next.mem_wb;
     wb.valid = true;
+    wb.is_zolc = cur.ex_mem.is_zolc;
+    wb.dest = cur.ex_mem.dest;
     wb.pc = cur.ex_mem.pc;
     wb.instr = cur.ex_mem.instr;
-    wb.dest = cur.ex_mem.dest;
     wb.value = cur.ex_mem.alu;
     if (cur.ex_mem.is_load) {
       wb.value = mem_load(cur.ex_mem.instr.op, mem_,
@@ -110,20 +153,22 @@ void Pipeline::cycle() {
                 cur.ex_mem.store_val);
       ++stats_.stores;
     }
-    next.mem_wb = wb;
   }
 
   // ---------------- EX ----------------
-  if (cur.id_ex.valid && !cur.id_ex.instr.valid()) {
+  if (cur.id_ex.valid && cur.id_ex.meta.info == nullptr) {
     // Pass invalid instructions through as inert bubbles; they trap at WB.
-    ExMem ex;
+    ExMem& ex = next.ex_mem;
     ex.valid = true;
+    ex.is_load = false;
+    ex.is_store = false;
+    ex.is_zolc = false;
+    ex.dest.reset();
     ex.pc = cur.id_ex.pc;
     ex.instr = cur.id_ex.instr;
-    next.ex_mem = ex;
   } else if (cur.id_ex.valid) {
     const Instruction& instr = cur.id_ex.instr;
-    const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
+    const isa::OpcodeInfo& info = *cur.id_ex.meta.info;
 
     const std::int32_t a = forward_to_ex(cur, instr.rs, cur.id_ex.rs_val);
     const std::int32_t rt_fwd = forward_to_ex(cur, instr.rt, cur.id_ex.rt_val);
@@ -152,11 +197,12 @@ void Pipeline::cycle() {
     // Commit this instruction's fetch-time ZOLC write-backs now that it is
     // entering EX (non-speculative) -- unless it is itself a taken control
     // transfer, in which case the fetch-time speculation was wrong-path.
-    if (cur.id_ex.fetch_info) {
+    if (cur.id_ex.event != kNoEvent) {
+      const FetchInfo& fi = event_at(cur.id_ex.event);
       if (taken) {
-        rollback_to = cur.id_ex.fetch_info->before;
+        rollback_to = &fi.before;
       } else {
-        for (const RfWrite& w : cur.id_ex.fetch_info->event.rf_writes) {
+        for (const RfWrite& w : fi.event.rf_writes) {
           regs_.write(w.reg, w.value);
         }
       }
@@ -170,13 +216,15 @@ void Pipeline::cycle() {
       ++stats_.taken_control;
     }
 
-    ExMem ex;
+    ExMem& ex = next.ex_mem;
     ex.valid = true;
-    ex.pc = cur.id_ex.pc;
-    ex.instr = instr;
-    ex.dest = isa::dest_reg(instr);
     ex.is_load = info.is_load;
     ex.is_store = info.is_store;
+    ex.is_zolc = info.is_zolc;
+    ex.dest = cur.id_ex.meta.dest;
+    ex.pc = cur.id_ex.pc;
+    ex.instr = instr;
+    ex.alu = 0;
 
     switch (info.format) {
       case Format::kR3:
@@ -220,7 +268,6 @@ void Pipeline::cycle() {
       case Format::kJump:
         if (instr.op == Opcode::kJal) {
           ex.alu = static_cast<std::int32_t>(cur.id_ex.pc + 4);
-          ex.dest = 31;
         }
         break;
       case Format::kZolcWrite:
@@ -242,41 +289,33 @@ void Pipeline::cycle() {
       case Format::kNone:
         break;
     }
-    next.ex_mem = ex;
   }
 
   // ---------------- ID ----------------
   // Skip decode entirely when the EX stage redirected this cycle: the
   // instruction in ID is wrong-path and is squashed below.
   bool stall = false;
-  if (cur.if_id.valid && !redirect_from_ex && !cur.if_id.instr.valid()) {
-    // Inert pass-through; traps at WB if it ever retires.
-    IdEx id;
-    id.valid = true;
-    id.pc = cur.if_id.pc;
-    id.instr = cur.if_id.instr;
-    next.id_ex = id;
-  } else if (cur.if_id.valid && !redirect_from_ex) {
-    const Instruction& instr = cur.if_id.instr;
-    const isa::SourceRegs srcs = isa::source_regs(instr);
-
-    // An invalid (wrong-path garbage) instruction in EX is inert: it has no
-    // destination and participates in no hazards.
-    const bool ex_stage_valid = cur.id_ex.valid && cur.id_ex.instr.valid();
+  if (cur.if_id.valid && !redirect_from_ex) {
+    // An invalid instruction passes through inertly (it traps at WB if it
+    // ever retires): it has no sources, so it takes part in no hazards. An
+    // invalid (wrong-path garbage) instruction in EX has no destination.
+    const InstrMeta& meta = cur.if_id.meta;
+    const bool ex_stage_valid =
+        cur.id_ex.valid && cur.id_ex.meta.info != nullptr;
     if (config_.forwarding) {
       // Load-use interlock: producer load currently in EX.
-      if (ex_stage_valid && isa::opcode_info(cur.id_ex.instr.op).is_load &&
-          writes_reg(isa::dest_reg(cur.id_ex.instr), srcs)) {
+      if (ex_stage_valid && cur.id_ex.meta.info->is_load &&
+          writes_reg(cur.id_ex.meta.dest, meta.srcs)) {
         stall = true;
         ++stats_.load_use_stalls;
       }
       // ID-resolution interlocks: branch operands must be available in ID.
       if (!stall && config_.branch_resolve == BranchResolveStage::kDecode &&
-          isa::is_control_flow(instr)) {
+          meta.is_control) {
         const bool ex_hazard =
-            ex_stage_valid && writes_reg(isa::dest_reg(cur.id_ex.instr), srcs);
+            ex_stage_valid && writes_reg(cur.id_ex.meta.dest, meta.srcs);
         const bool mem_load_hazard = cur.ex_mem.valid && cur.ex_mem.is_load &&
-                                     writes_reg(cur.ex_mem.dest, srcs);
+                                     writes_reg(cur.ex_mem.dest, meta.srcs);
         if (ex_hazard || mem_load_hazard) {
           stall = true;
           ++stats_.interlock_stalls;
@@ -285,32 +324,36 @@ void Pipeline::cycle() {
     } else {
       // No forwarding: wait until every producer has written back.
       const bool hazard =
-          (ex_stage_valid &&
-           writes_reg(isa::dest_reg(cur.id_ex.instr), srcs)) ||
-          (cur.ex_mem.valid && writes_reg(cur.ex_mem.dest, srcs));
+          (ex_stage_valid && writes_reg(cur.id_ex.meta.dest, meta.srcs)) ||
+          (cur.ex_mem.valid && writes_reg(cur.ex_mem.dest, meta.srcs));
       if (hazard) {
         stall = true;
         ++stats_.raw_stalls;
       }
     }
 
-    if (!stall) {
-      IdEx id;
+    if (stall) {
+      next.if_id = cur.if_id;  // hold
+    } else {
+      const Instruction& instr = cur.if_id.instr;
+      IdEx& id = next.id_ex;
       id.valid = true;
+      // An invalid instruction's fetch event is dropped: it never commits
+      // its write-backs and is never rolled back from ID/EX.
+      id.event = meta.info != nullptr ? cur.if_id.event : kNoEvent;
       id.pc = cur.if_id.pc;
       id.instr = instr;
+      id.meta = meta;
       id.rs_val = read_in_id(cur, instr.rs);
       id.rt_val = read_in_id(cur, instr.rt);
       id.rd_val = read_in_id(cur, instr.rd);
-      id.fetch_info = cur.if_id.fetch_info;
 
       // Early (decode-stage) control resolution.
       if (config_.branch_resolve == BranchResolveStage::kDecode &&
-          isa::is_control_flow(instr)) {
-        const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
+          meta.is_control) {
         bool taken = false;
         std::uint32_t target = 0;
-        if (info.is_cond_branch) {
+        if (meta.info->is_cond_branch) {
           std::int32_t lhs = id.rs_val;
           if (instr.op == Opcode::kDbne) {
             lhs = alu_eval(Opcode::kDbne, AluInputs{id.rs_val, 0, 0, 0});
@@ -330,20 +373,18 @@ void Pipeline::cycle() {
           ++stats_.taken_control;
           // This branch's own fetch-time event was fall-through speculation:
           // cancel it (write-backs never applied) and remember the rollback.
-          if (id.fetch_info) {
-            if (!rollback_to) rollback_to = id.fetch_info->before;
-            id.fetch_info.reset();
+          if (id.event != kNoEvent) {
+            if (rollback_to == nullptr) {
+              rollback_to = &event_at(id.event).before;
+            }
+            id.event = kNoEvent;
           }
         }
       }
-      next.id_ex = id;
-    } else {
-      next.if_id = cur.if_id;  // hold
     }
   }
 
   // ---------------- IF ----------------
-  bool fetched = false;
   std::uint32_t next_pc = pc_;
   if (!stall) {
     const bool gate = config_.speculation == SpeculationPolicy::kGate &&
@@ -352,25 +393,7 @@ void Pipeline::cycle() {
     if (gate) {
       ++stats_.gate_stalls;
     } else {
-      IfId ifi;
-      ifi.valid = true;
-      ifi.pc = pc_;
-      ifi.instr = image_.covers(pc_) ? image_.at(pc_)
-                                     : isa::decode(mem_.fetch32(pc_));
-      if (accel_ != nullptr && accel_->will_trigger(pc_)) {
-        FetchInfo fi;
-        fi.before = accel_->snapshot();
-        auto event = accel_->on_fetch(pc_);
-        ZS_ASSERT(event.has_value());
-        fi.event = std::move(*event);
-        ++stats_.zolc_fetch_events;
-        next_pc = fi.event.redirect.value_or(pc_ + 4);
-        ifi.fetch_info = std::move(fi);
-      } else {
-        next_pc = pc_ + 4;
-      }
-      next.if_id = ifi;
-      fetched = true;
+      next_pc = fetch(cur, next.if_id);
     }
   }
 
@@ -379,15 +402,17 @@ void Pipeline::cycle() {
     // Determine the oldest wrong-path ZOLC event and restore its snapshot.
     // Priority (oldest first): the branch's own event (already captured in
     // rollback_to), then the squashed IF/ID instruction (EX resolution
-    // only), then this cycle's squashed fetch.
-    if (!rollback_to && redirect_from_ex && cur.if_id.valid &&
-        cur.if_id.fetch_info) {
-      rollback_to = cur.if_id.fetch_info->before;
+    // only), then this cycle's squashed fetch. (IF/ID also turns valid when
+    // ID stalls, but a stall never coincides with a redirect.)
+    if (rollback_to == nullptr && redirect_from_ex && cur.if_id.valid &&
+        cur.if_id.event != kNoEvent) {
+      rollback_to = &event_at(cur.if_id.event).before;
     }
-    if (!rollback_to && fetched && next.if_id.fetch_info) {
-      rollback_to = next.if_id.fetch_info->before;
+    if (rollback_to == nullptr && next.if_id.valid &&
+        next.if_id.event != kNoEvent) {
+      rollback_to = &event_at(next.if_id.event).before;
     }
-    if (rollback_to) {
+    if (rollback_to != nullptr) {
       ZS_ASSERT(accel_ != nullptr);
       accel_->restore(*rollback_to);
       ++stats_.zolc_rollbacks;
@@ -402,18 +427,16 @@ void Pipeline::cycle() {
         }
       }
     }
-    // Squash wrong-path slots (this cycle's fetch or a held IF/ID entry,
-    // plus -- for EX resolution -- the instruction that was in ID).
+    // Squash wrong-path slots (this cycle's fetch, plus -- for EX
+    // resolution -- the instruction that was in ID, which the ID stage
+    // already left out of ID/EX).
     if (next.if_id.valid) ++stats_.control_flush_slots;
-    next.if_id = IfId{};
-    if (redirect_from_ex) {
-      if (cur.if_id.valid) ++stats_.control_flush_slots;
-      next.id_ex = IdEx{};
-    }
+    next.if_id.valid = false;
+    if (redirect_from_ex && cur.if_id.valid) ++stats_.control_flush_slots;
     next_pc = redirect_target;
   }
 
-  latches_ = next;
+  cur_ ^= 1;
   pc_ = next_pc;
   ++stats_.cycles;
 }

@@ -14,8 +14,11 @@
 #ifndef ZOLCSIM_CPU_PIPELINE_HPP
 #define ZOLCSIM_CPU_PIPELINE_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "cpu/accel.hpp"
 #include "cpu/exec.hpp"
@@ -69,9 +72,10 @@ class Pipeline {
   void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
 
   /// Attaches a predecoded code image (non-owning; must outlive the
-  /// pipeline). Fetches inside the image skip the per-cycle decode; fetches
-  /// outside it decode from memory as before.
-  void set_code_image(isa::CodeImage image) noexcept { image_ = image; }
+  /// pipeline) and builds the per-word metadata table the stages read.
+  /// Fetches inside the image skip the per-cycle decode and metadata
+  /// lookups; fetches outside it decode from memory as before.
+  void set_code_image(isa::CodeImage image);
 
   /// Observer called at write-back for every retired instruction (program
   /// order; wrong-path instructions never reach it).
@@ -95,46 +99,66 @@ class Pipeline {
   std::uint64_t run(std::uint64_t max_cycles);
 
  private:
+  /// The opcode metadata the stages consult, derived once per code word
+  /// (set_code_image) or per out-of-image fetch, then carried in the
+  /// latches so ID, EX and WB never look it up again.
+  struct InstrMeta {
+    const isa::OpcodeInfo* info = nullptr;  ///< nullptr: invalid encoding
+    isa::SourceRegs srcs;
+    std::optional<std::uint8_t> dest;
+    bool is_control = false;
+  };
+
   /// Fetch-time ZOLC event riding with the triggering instruction.
   struct FetchInfo {
     AccelEvent event;
     AccelSnapshot before;  ///< accelerator state before the event fired
   };
 
+  /// Fetch events live in a ring the latches index by slot, so latches stay
+  /// small. A stall blocks fetch, so at most three are live at once: the
+  /// ones in IF/ID and ID/EX, and the one being fetched.
+  static constexpr std::size_t kEventSlots = 3;
+  static constexpr std::int8_t kNoEvent = -1;
+
   struct IfId {
     bool valid = false;
+    std::int8_t event = kNoEvent;  ///< fetch-event slot
     std::uint32_t pc = 0;
     isa::Instruction instr;
-    std::optional<FetchInfo> fetch_info;
+    InstrMeta meta;
   };
 
   struct IdEx {
     bool valid = false;
+    std::int8_t event = kNoEvent;  ///< fetch-event slot
     std::uint32_t pc = 0;
     isa::Instruction instr;
+    InstrMeta meta;
     std::int32_t rs_val = 0;
     std::int32_t rt_val = 0;
     std::int32_t rd_val = 0;
-    std::optional<FetchInfo> fetch_info;
   };
 
   struct ExMem {
     bool valid = false;
+    bool is_load = false;
+    bool is_store = false;
+    bool is_zolc = false;
+    std::optional<std::uint8_t> dest;
     std::uint32_t pc = 0;
     isa::Instruction instr;
     std::int32_t alu = 0;
     std::int32_t store_val = 0;
-    std::optional<std::uint8_t> dest;
-    bool is_load = false;
-    bool is_store = false;
   };
 
   struct MemWb {
     bool valid = false;
+    bool is_zolc = false;
+    std::optional<std::uint8_t> dest;
     std::uint32_t pc = 0;
     isa::Instruction instr;
     std::int32_t value = 0;
-    std::optional<std::uint8_t> dest;
   };
 
   struct Latches {
@@ -144,22 +168,34 @@ class Pipeline {
     MemWb mem_wb;
   };
 
-  // Stage helpers (operate on the previous-cycle latch copy `cur`).
+  [[nodiscard]] static InstrMeta make_meta(const isa::Instruction& instr);
+  [[nodiscard]] const FetchInfo& event_at(std::int8_t slot) const {
+    return events_[static_cast<std::size_t>(slot)];
+  }
+
+  // Stage helpers (operate on the previous-cycle latches `cur`).
   [[nodiscard]] std::int32_t forward_to_ex(const Latches& cur, std::uint8_t reg,
                                            std::int32_t id_value) const;
   [[nodiscard]] std::int32_t read_in_id(const Latches& cur,
                                         std::uint8_t reg) const;
-  [[nodiscard]] bool writes_reg(const std::optional<std::uint8_t>& dest,
-                                const isa::SourceRegs& srcs) const;
   [[nodiscard]] bool control_in_flight(const Latches& cur) const;
+  /// Fills `ifi` with the instruction at pc_ and fires its fetch-time ZOLC
+  /// event, if any. Returns the next fetch PC.
+  std::uint32_t fetch(const Latches& cur, IfId& ifi);
 
   mem::Memory& mem_;
   PipelineConfig config_;
   RegFile regs_;
   isa::CodeImage image_;
+  std::vector<InstrMeta> image_meta_;  ///< parallel to image_
   LoopAccelerator* accel_ = nullptr;
   RetireHook retire_hook_;
-  Latches latches_;
+  /// Double-buffered latches: each cycle reads latches_[cur_] and writes
+  /// latches_[cur_ ^ 1] in place, then flips cur_.
+  std::array<Latches, 2> latches_;
+  std::uint8_t cur_ = 0;
+  std::array<FetchInfo, kEventSlots> events_;
+  std::uint8_t next_event_ = 0;  ///< ring slot the next fetch event takes
   std::uint32_t pc_ = 0;
   bool halted_ = false;
   PipelineStats stats_;

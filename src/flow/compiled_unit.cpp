@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/contracts.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "isa/disasm.hpp"
@@ -42,6 +43,22 @@ std::string CompileSpec::key() const {
   return k;
 }
 
+namespace {
+
+/// Index of the first word of `program` that isa::encode rejects, if any.
+std::optional<std::size_t> first_unencodable(const codegen::Program& program) {
+  for (std::size_t i = 0; i < program.code.size(); ++i) {
+    try {
+      (void)isa::encode(program.code[i]);
+    } catch (const ContractViolation&) {
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 Result<CompiledUnit> CompiledUnit::compile(const CompileSpec& spec) {
   const kernels::Kernel* kernel = kernels::find_kernel(spec.kernel);
   if (kernel == nullptr) {
@@ -66,6 +83,19 @@ Result<CompiledUnit> CompiledUnit::compile(const kernels::Kernel& kernel,
     return std::move(lowered).error().with_context(frame() + ": lowering");
   }
   codegen::Program program = std::move(lowered).value();
+
+  // A KernelEnv can scale a kernel past what its immediates reach (fft at
+  // scale 16 needs offsets wider than 16 bits). Encode every word now, so
+  // that surfaces as a configuration error of this compile rather than as a
+  // failed precondition when a run first loads the program.
+  if (const auto bad = first_unencodable(program)) {
+    const auto pc = program.base + static_cast<std::uint32_t>(*bad) * 4;
+    return Error{ErrorCode::kBadConfig,
+                 "at scale " + std::to_string(spec.env.scale) + ", '" +
+                     isa::disassemble(program.code[*bad], pc) + "' at " +
+                     hex32(pc) + " does not fit the instruction encoding"}
+        .with_context(frame());
+  }
 
   // Post-link analysis metadata rides with the unit: which counted loops a
   // binary-level scan would still recover from the lowered code.

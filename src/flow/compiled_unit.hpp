@@ -53,8 +53,9 @@ class CompiledUnit {
  public:
   /// Compiles `spec.kernel` (looked up in the registries) for
   /// `spec.machine`/`spec.geometry`. Errors: kUnknownKernel, kBadConfig
-  /// (invalid geometry), kInvalidKernel, kCapacity -- each carrying a
-  /// "kernel (machine)" context frame.
+  /// (invalid geometry, or an env whose scale overflows an instruction
+  /// field), kInvalidKernel, kCapacity -- each carrying a "kernel (machine)"
+  /// context frame.
   [[nodiscard]] static Result<CompiledUnit> compile(const CompileSpec& spec);
 
   /// Same, for a caller-owned kernel (must outlive the unit). Used by tests

@@ -10,6 +10,7 @@
 #include "codegen/lower.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
+#include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 
 namespace zolcsim::codegen {
@@ -122,8 +123,11 @@ struct MachineOutcome {
   std::string error;
 };
 
+/// Runs `kernel` on `machine`'s pipeline, fetching through the program's
+/// code image, under the pipeline configuration `seed` selects (the seeds
+/// rotate through all eight), and co-simulates it on the ISS.
 MachineOutcome run_machine(const std::vector<KNode>& kernel,
-                           MachineKind machine) {
+                           MachineKind machine, std::uint32_t seed) {
   MachineOutcome out;
   auto prog = lower(kernel, machine, 0x1000);
   if (!prog.ok()) {
@@ -136,8 +140,10 @@ MachineOutcome run_machine(const std::vector<KNode>& kernel,
   if (const auto variant = machine_zolc_variant(machine)) {
     pipe_ctrl = std::make_unique<zolc::ZolcController>(*variant);
   }
-  cpu::Pipeline pipe(memory);
+  const auto configs = test::all_pipeline_configs();
+  cpu::Pipeline pipe(memory, configs[seed % configs.size()]);
   pipe.set_accelerator(pipe_ctrl.get());
+  pipe.set_code_image(prog.value().image());
   pipe.set_pc(0x1000);
   pipe.run(5'000'000);
 
@@ -167,13 +173,14 @@ TEST_P(KernelFuzz, AllMachinesComputeTheSameResult) {
   RandomKernel generator(GetParam() * 2654435761u + 17u);
   const auto kernel = generator.generate();
 
-  const auto baseline = run_machine(kernel, MachineKind::kXrDefault);
+  const auto baseline =
+      run_machine(kernel, MachineKind::kXrDefault, GetParam());
   ASSERT_TRUE(baseline.ok) << baseline.error;
 
   for (const MachineKind machine :
        {MachineKind::kXrHrdwil, MachineKind::kUZolc, MachineKind::kZolcLite,
         MachineKind::kZolcFull}) {
-    const auto got = run_machine(kernel, machine);
+    const auto got = run_machine(kernel, machine, GetParam());
     ASSERT_TRUE(got.ok) << machine_name(machine) << ": " << got.error;
     EXPECT_EQ(got.accs, baseline.accs)
         << "architectural divergence on " << machine_name(machine)

@@ -114,6 +114,18 @@ TEST(CompiledUnit, InvalidGeometryReportsCode) {
   EXPECT_EQ(unit.error().code, ErrorCode::kBadConfig);
 }
 
+TEST(CompiledUnit, EnvBeyondTheEncodingReportsCode) {
+  // fft at scale 16 needs memory offsets wider than 16 bits: the compile,
+  // not the first run, must reject it.
+  CompileSpec spec = spec_for("fft", MachineKind::kXrDefault);
+  spec.env.scale = 16;
+  const auto unit = CompiledUnit::compile(spec);
+  ASSERT_FALSE(unit.ok());
+  EXPECT_EQ(unit.error().code, ErrorCode::kBadConfig);
+  ASSERT_FALSE(unit.error().context.empty());
+  EXPECT_EQ(unit.error().context.front(), "fft (XRdefault)");
+}
+
 TEST(CompiledUnit, ReservedRegisterUseReportsCode) {
   // r24-r27 are the lowering's pool registers; kernels must not touch them.
   codegen::KernelBuilder kb;

@@ -23,6 +23,7 @@
 #include "flow/run.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim {
 namespace {
@@ -32,22 +33,6 @@ constexpr const char* kHeader =
     "control_flush_slots,load_use_stalls,interlock_stalls,raw_stalls,"
     "gate_stalls,zolc_fetch_events,zolc_rollbacks,zolc_resolution_events,"
     "zolc_init_instructions";
-
-/// The eight configurations: resolution stage x speculation policy x
-/// forwarding.
-std::vector<cpu::PipelineConfig> all_configs() {
-  std::vector<cpu::PipelineConfig> configs;
-  for (const bool forwarding : {true, false}) {
-    for (const auto resolve : {cpu::BranchResolveStage::kExecute,
-                               cpu::BranchResolveStage::kDecode}) {
-      for (const auto speculation : {cpu::SpeculationPolicy::kRollback,
-                                     cpu::SpeculationPolicy::kGate}) {
-        configs.push_back(cpu::PipelineConfig{resolve, speculation, forwarding});
-      }
-    }
-  }
-  return configs;
-}
 
 std::string stats_fields(const cpu::PipelineStats& s) {
   std::ostringstream os;
@@ -89,7 +74,7 @@ TEST(PipelineGolden, EveryCounterMatchesTheRecordedTable) {
   for (const auto& k : kernels::extended_kernel_registry()) {
     kernels.push_back(k.get());
   }
-  const auto configs = all_configs();
+  const auto configs = test::all_pipeline_configs();
 
   std::string actual = std::string(kHeader) + '\n';
   for (const kernels::Kernel* kernel : kernels) {

@@ -140,6 +140,19 @@ TEST(RunSuite, GoldenDigestMismatchIsKVerifyMismatch) {
   EXPECT_EQ(outcome.error().code, ErrorCode::kVerifyMismatch);
 }
 
+TEST(RunSuite, EnvBeyondTheEncodingIsKBadConfig) {
+  // fft's offsets outgrow 16-bit immediates at scale 16: the compile stage
+  // rejects the cell before any run loads the program.
+  const auto suite = parse_suite(
+      R"({"suite": "s", "version": 1,
+          "sweep": {"kernels": ["fft"], "env": {"scale": 16}}})");
+  ASSERT_TRUE(suite.ok()) << suite.error().to_string();
+  flow::CompileCache cache;
+  const auto outcome = run_suite(suite.value(), cache);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.error().code, ErrorCode::kBadConfig);
+}
+
 TEST(RunSuite, ThresholdViolationIsKThreshold) {
   auto suite = parse_suite(kSmallSuite);
   ASSERT_TRUE(suite.ok());

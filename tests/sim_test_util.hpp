@@ -45,6 +45,23 @@ inline void emit_li(std::vector<isa::Instruction>& out, std::uint8_t reg,
   }
 }
 
+/// The eight pipeline configurations: resolution stage x speculation
+/// policy x forwarding.
+inline std::vector<cpu::PipelineConfig> all_pipeline_configs() {
+  std::vector<cpu::PipelineConfig> configs;
+  for (const bool forwarding : {true, false}) {
+    for (const auto resolve : {cpu::BranchResolveStage::kExecute,
+                               cpu::BranchResolveStage::kDecode}) {
+      for (const auto speculation : {cpu::SpeculationPolicy::kRollback,
+                                     cpu::SpeculationPolicy::kGate}) {
+        configs.push_back(
+            cpu::PipelineConfig{resolve, speculation, forwarding});
+      }
+    }
+  }
+  return configs;
+}
+
 struct RunResult {
   cpu::PipelineStats pipe_stats;
   cpu::RegFile regs;

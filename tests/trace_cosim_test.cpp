@@ -1,21 +1,26 @@
-// Retirement-stream co-simulation: the pipeline must retire exactly the
-// same instruction sequence, in the same program order, as the ISS golden
-// model -- the strongest equivalence check available (final-state equality
-// can mask compensating errors). Exercised on ZOLC-heavy kernels where
-// wrong-path fetches and rollbacks are constant. Also pins the predecoded-
-// image fetch path against decoding from memory.
+// Retirement-stream co-simulation: for every registered kernel on every
+// machine, the pipeline must retire exactly the same instruction sequence,
+// in the same program order, as the ISS golden model -- the strongest
+// equivalence check available (final-state equality can mask compensating
+// errors) -- and end with the same register file and memory. Every one of
+// the eight pipeline configurations is checked, fetching both through the
+// unit's predecoded image (and the pipeline's per-image metadata table) and
+// by decoding from memory; the two fetch paths must also agree on every
+// statistic.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <utility>
+#include <ostream>
+#include <string>
 #include <vector>
 
-#include "codegen/lower.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/workload.hpp"
+#include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
+#include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
@@ -28,44 +33,25 @@ struct Retired {
   friend bool operator==(const Retired&, const Retired&) = default;
 };
 
-std::vector<Retired> pipeline_trace(const codegen::Program& prog,
-                                    const kernels::Kernel* kernel,
-                                    PipelineConfig config = {}) {
-  mem::Memory memory;
-  prog.load_into(memory);
-  if (kernel != nullptr) kernel->setup({}, memory);
+/// Runs `unit` to completion on `engine` (a Pipeline or an Iss over a
+/// Workload prepared for `unit`), fetching through the unit's image or
+/// decoding from memory, and returns the retirement stream.
+template <typename Engine>
+std::vector<Retired> run_traced(Engine& engine, const flow::CompiledUnit& unit,
+                                bool use_image) {
   std::unique_ptr<zolc::ZolcController> controller;
-  if (const auto variant = codegen::machine_zolc_variant(prog.machine)) {
-    controller = std::make_unique<zolc::ZolcController>(*variant);
+  if (const auto variant = codegen::machine_zolc_variant(unit.machine())) {
+    controller =
+        std::make_unique<zolc::ZolcController>(*variant, unit.geometry());
   }
-  Pipeline pipe(memory, config);
-  pipe.set_accelerator(controller.get());
-  pipe.set_pc(prog.base);
+  engine.set_accelerator(controller.get());
+  if (use_image) engine.set_code_image(unit.image());
+  engine.set_pc(unit.program().base);
   std::vector<Retired> trace;
-  pipe.set_retire_hook([&trace](std::uint32_t pc, const isa::Instruction& i) {
+  engine.set_retire_hook([&trace](std::uint32_t pc, const isa::Instruction& i) {
     trace.push_back(Retired{pc, i.op});
   });
-  pipe.run(50'000'000);
-  return trace;
-}
-
-std::vector<Retired> iss_trace(const codegen::Program& prog,
-                               const kernels::Kernel* kernel) {
-  mem::Memory memory;
-  prog.load_into(memory);
-  if (kernel != nullptr) kernel->setup({}, memory);
-  std::unique_ptr<zolc::ZolcController> controller;
-  if (const auto variant = codegen::machine_zolc_variant(prog.machine)) {
-    controller = std::make_unique<zolc::ZolcController>(*variant);
-  }
-  Iss iss(memory);
-  iss.set_accelerator(controller.get());
-  iss.set_pc(prog.base);
-  std::vector<Retired> trace;
-  iss.set_retire_hook([&trace](std::uint32_t pc, const isa::Instruction& i) {
-    trace.push_back(Retired{pc, i.op});
-  });
-  iss.run(50'000'000);
+  engine.run(50'000'000);
   return trace;
 }
 
@@ -79,46 +65,74 @@ void expect_traces_equal(const std::vector<Retired>& a,
 }
 
 struct TraceCase {
-  const char* kernel;
+  std::string kernel;
   codegen::MachineKind machine;
+
+  friend void PrintTo(const TraceCase& c, std::ostream* os) {
+    *os << c.kernel << " on " << codegen::machine_name(c.machine);
+  }
 };
+
+std::vector<TraceCase> all_cases() {
+  std::vector<TraceCase> cases;
+  for (const auto* registry : {&kernels::kernel_registry(),
+                               &kernels::extended_kernel_registry()}) {
+    for (const auto& kernel : *registry) {
+      for (const codegen::MachineKind machine : codegen::kAllMachines) {
+        cases.push_back(TraceCase{std::string(kernel->name()), machine});
+      }
+    }
+  }
+  return cases;
+}
 
 class TraceCoSim : public ::testing::TestWithParam<TraceCase> {};
 
-TEST_P(TraceCoSim, PipelineRetiresExactlyTheIssStream) {
-  const auto& [name, machine] = GetParam();
-  const kernels::Kernel* kernel = kernels::find_kernel(name);
-  ASSERT_NE(kernel, nullptr);
-  auto prog = codegen::lower(kernel->build({}), machine, 0x1000);
-  ASSERT_TRUE(prog.ok());
+TEST_P(TraceCoSim, PipelineMatchesTheIssInEveryConfig) {
+  flow::CompileSpec spec;
+  spec.kernel = GetParam().kernel;
+  spec.machine = GetParam().machine;
+  const auto compiled = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  const flow::CompiledUnit& unit = compiled.value();
 
-  const auto reference = iss_trace(prog.value(), kernel);
+  flow::Workload reference_wl = flow::Workload::prepare(unit);
+  Iss reference_iss(reference_wl.memory());
+  const auto reference = run_traced(reference_iss, unit, true);
   ASSERT_FALSE(reference.empty());
-  expect_traces_equal(pipeline_trace(prog.value(), kernel), reference);
+  {
+    SCOPED_TRACE("ISS decoding from memory");
+    flow::Workload wl = flow::Workload::prepare(unit);
+    Iss iss(wl.memory());
+    expect_traces_equal(run_traced(iss, unit, false), reference);
+    EXPECT_TRUE(iss.stats() == reference_iss.stats());
+    EXPECT_TRUE(iss.regs() == reference_iss.regs());
+    EXPECT_TRUE(wl.memory() == reference_wl.memory());
+  }
 
-  // The stream is also microarchitecture-independent.
-  PipelineConfig decode_cfg;
-  decode_cfg.branch_resolve = BranchResolveStage::kDecode;
-  expect_traces_equal(pipeline_trace(prog.value(), kernel, decode_cfg),
-                      reference);
-  PipelineConfig gate_cfg;
-  gate_cfg.speculation = SpeculationPolicy::kGate;
-  expect_traces_equal(pipeline_trace(prog.value(), kernel, gate_cfg),
-                      reference);
+  for (const PipelineConfig& config : test::all_pipeline_configs()) {
+    PipelineStats image_stats;
+    for (const bool use_image : {true, false}) {
+      SCOPED_TRACE(harness::config_name(config) +
+                   (use_image ? " (image fetch)" : " (memory fetch)"));
+      flow::Workload wl = flow::Workload::prepare(unit);
+      Pipeline pipe(wl.memory(), config);
+      expect_traces_equal(run_traced(pipe, unit, use_image), reference);
+      EXPECT_TRUE(pipe.regs() == reference_iss.regs());
+      EXPECT_TRUE(wl.memory() == reference_wl.memory());
+      if (use_image) {
+        image_stats = pipe.stats();
+      } else {
+        EXPECT_TRUE(pipe.stats() == image_stats);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, TraceCoSim,
-    ::testing::Values(
-        TraceCase{"crc32", codegen::MachineKind::kZolcLite},
-        TraceCase{"me_tss", codegen::MachineKind::kZolcFull},
-        TraceCase{"me_tss", codegen::MachineKind::kZolcLite},
-        TraceCase{"fft", codegen::MachineKind::kUZolc},
-        TraceCase{"conv2d", codegen::MachineKind::kZolcLite},
-        TraceCase{"vecmax", codegen::MachineKind::kXrDefault},
-        TraceCase{"matmul", codegen::MachineKind::kXrHrdwil}),
+    AllKernels, TraceCoSim, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<TraceCase>& info) {
-      return std::string(info.param.kernel) + "_" +
+      return info.param.kernel + "_" +
              std::string(codegen::machine_name(info.param.machine));
     });
 
@@ -126,66 +140,21 @@ TEST(TraceCoSim, WrongPathInstructionsNeverRetire) {
   // A ZOLC program whose body branches constantly (the rollback stress
   // kernel): every retired pc must lie inside the program image, and no
   // instruction after a taken exit's shadow may appear.
-  const kernels::Kernel* kernel = kernels::find_kernel("me_tss");
-  auto prog = codegen::lower(kernel->build({}),
-                             codegen::MachineKind::kZolcFull, 0x1000);
-  ASSERT_TRUE(prog.ok());
-  const auto trace = pipeline_trace(prog.value(), kernel);
-  const std::uint32_t lo = prog.value().base;
+  flow::CompileSpec spec;
+  spec.kernel = "me_tss";
+  spec.machine = codegen::MachineKind::kZolcFull;
+  const auto unit = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+  flow::Workload wl = flow::Workload::prepare(unit.value());
+  Pipeline pipe(wl.memory());
+  const auto trace = run_traced(pipe, unit.value(), true);
+  const std::uint32_t lo = unit.value().program().base;
   const std::uint32_t hi =
-      lo + static_cast<std::uint32_t>(prog.value().code.size()) * 4;
+      lo + static_cast<std::uint32_t>(unit.value().program().size_words()) * 4;
   for (const Retired& r : trace) {
     ASSERT_GE(r.pc, lo);
     ASSERT_LT(r.pc, hi);
     ASSERT_NE(r.op, isa::Opcode::kInvalid);
-  }
-}
-
-// ---------------- predecoded image vs memory fetch ----------------
-
-/// Runs `unit` on `workload` with engine `E` (Pipeline or Iss), fetching
-/// through the unit's predecoded image or decoding from memory. Returns the
-/// final statistics and registers; the final memory stays in `workload`.
-template <typename E>
-auto run_unit(const flow::CompiledUnit& unit, flow::Workload& workload,
-              bool use_image) {
-  std::unique_ptr<zolc::ZolcController> controller;
-  if (const auto variant = codegen::machine_zolc_variant(unit.machine())) {
-    controller =
-        std::make_unique<zolc::ZolcController>(*variant, unit.geometry());
-  }
-  E engine(workload.memory());
-  engine.set_accelerator(controller.get());
-  if (use_image) engine.set_code_image(unit.image());
-  engine.set_pc(unit.program().base);
-  engine.run(50'000'000);
-  return std::pair(engine.stats(), engine.regs());
-}
-
-template <typename E>
-void expect_image_fetch_invisible(const flow::CompiledUnit& unit) {
-  flow::Workload image = flow::Workload::prepare(unit);
-  flow::Workload decode = flow::Workload::prepare(unit);
-  EXPECT_TRUE(run_unit<E>(unit, image, true) ==
-              run_unit<E>(unit, decode, false))
-      << codegen::machine_name(unit.machine());
-  EXPECT_TRUE(image.memory() == decode.memory())
-      << codegen::machine_name(unit.machine());
-}
-
-TEST(ImageFetch, MatchesMemoryFetchOnBothEngines) {
-  // Every run fetches through the unit's CodeImage; the memory-decode path
-  // remains for raw programs without one. The two must be
-  // architecturally indistinguishable.
-  for (const codegen::MachineKind machine :
-       {codegen::MachineKind::kXrDefault, codegen::MachineKind::kZolcFull}) {
-    flow::CompileSpec spec;
-    spec.kernel = "matmul";
-    spec.machine = machine;
-    const auto unit = flow::CompiledUnit::compile(spec);
-    ASSERT_TRUE(unit.ok()) << unit.error().to_string();
-    expect_image_fetch_invisible<Pipeline>(unit.value());
-    expect_image_fetch_invisible<Iss>(unit.value());
   }
 }
 
