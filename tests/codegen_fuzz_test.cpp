@@ -10,6 +10,7 @@
 #include "codegen/lower.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
+#include "flow/scheduler.hpp"
 #include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 
@@ -123,9 +124,56 @@ struct MachineOutcome {
   std::string error;
 };
 
+/// One ISS execution tier: plain `iss`, `iss-fast` (loop-summary replay),
+/// or plain `iss` preempted every `quantum` instructions with a full
+/// controller context save/clobber/restore (0 = never).
+struct IssTier {
+  const char* name;
+  bool fast_path;
+  std::uint64_t quantum;
+};
+
+struct IssOutcome {
+  mem::Memory memory;
+  cpu::RegFile regs;
+  cpu::IssStats stats;
+};
+
+IssOutcome run_iss_tier(const Program& prog, MachineKind machine,
+                        const IssTier& tier) {
+  IssOutcome out;
+  prog.load_into(out.memory);
+  std::unique_ptr<zolc::ZolcController> ctrl;
+  if (const auto variant = machine_zolc_variant(machine)) {
+    ctrl = std::make_unique<zolc::ZolcController>(*variant);
+  }
+  cpu::Iss iss(out.memory);
+  iss.set_accelerator(ctrl.get());
+  iss.set_code_image(prog.image());
+  iss.set_fast_path(tier.fast_path);
+  iss.set_pc(prog.base);
+  if (tier.quantum == 0) {
+    iss.run(5'000'000);
+  } else {
+    std::uint64_t executed = 0;
+    while (!iss.halted() && executed < 5'000'000) {
+      executed += iss.run_slice(tier.quantum);
+      if (ctrl != nullptr && !iss.halted()) {
+        flow::preempt_cycle(*ctrl, /*serialize=*/tier.quantum % 2 == 0);
+      }
+    }
+    EXPECT_TRUE(iss.halted()) << "step limit on " << tier.name;
+  }
+  out.regs = iss.regs();
+  out.stats = iss.stats();
+  return out;
+}
+
 /// Runs `kernel` on `machine`'s pipeline, fetching through the program's
 /// code image, under the pipeline configuration `seed` selects (the seeds
-/// rotate through all eight), and co-simulates it on the ISS.
+/// rotate through all eight), and co-simulates it on all three ISS tiers,
+/// each with an independent controller: registers and memory must match the
+/// pipeline, and IssStats must match across tiers.
 MachineOutcome run_machine(const std::vector<KNode>& kernel,
                            MachineKind machine, std::uint32_t seed) {
   MachineOutcome out;
@@ -147,19 +195,20 @@ MachineOutcome run_machine(const std::vector<KNode>& kernel,
   pipe.set_pc(0x1000);
   pipe.run(5'000'000);
 
-  // ISS co-simulation with an independent controller.
-  mem::Memory iss_mem;
-  prog.value().load_into(iss_mem);
-  std::unique_ptr<zolc::ZolcController> iss_ctrl;
-  if (const auto variant = machine_zolc_variant(machine)) {
-    iss_ctrl = std::make_unique<zolc::ZolcController>(*variant);
+  const std::uint64_t quantum = 1 + seed * 7919u % 61u;
+  const IssTier tiers[] = {
+      {"iss", false, 0}, {"iss-fast", true, 0}, {"iss-preempt", false, quantum}};
+  const IssOutcome base = run_iss_tier(prog.value(), machine, tiers[0]);
+  for (const IssTier& tier : tiers) {
+    const IssOutcome got = run_iss_tier(prog.value(), machine, tier);
+    const std::string what = std::string(tier.name) + " on " +
+                             std::string(machine_name(machine)) +
+                             " seed=" + std::to_string(seed);
+    EXPECT_TRUE(pipe.regs() == got.regs) << "pipeline/ISS registers, " << what;
+    EXPECT_TRUE(memory == got.memory) << "pipeline/ISS memory, " << what;
+    EXPECT_EQ(pipe.stats().instructions, got.stats.instructions) << what;
+    EXPECT_TRUE(got.stats == base.stats) << "IssStats vs iss, " << what;
   }
-  cpu::Iss iss(iss_mem);
-  iss.set_accelerator(iss_ctrl.get());
-  iss.set_pc(0x1000);
-  iss.run(5'000'000);
-  EXPECT_TRUE(pipe.regs() == iss.regs())
-      << "pipeline/ISS divergence on " << machine_name(machine);
 
   for (unsigned i = 0; i < 4; ++i) out.accs[i] = pipe.regs().read(kAccRegs[i]);
   out.cycles = pipe.stats().cycles;

@@ -281,6 +281,23 @@ TEST(ExecMisc, IllegalInstructionTraps) {
   EXPECT_THROW(iss.step(), SimError);
 }
 
+TEST(ExecMisc, IllegalInstructionInCodeImageTraps) {
+  // Memory holds a valid nop at the PC, but the image covers it, so the
+  // invalid predecoded entry is what executes.
+  const std::vector<Instruction> code = {b::addi(1, 0, 5), Instruction{},
+                                         b::halt()};
+  mem::Memory memory;
+  memory.load_words(0x1000, std::vector<std::uint32_t>(code.size(), 0));
+  Iss iss(memory);
+  iss.set_code_image(isa::CodeImage{0x1000, code.data(), code.size()});
+  iss.set_pc(0x1000);
+  iss.step();
+  EXPECT_EQ(iss.regs().read(1), 5);
+  EXPECT_THROW(iss.step(), SimError);
+  EXPECT_EQ(iss.pc(), 0x1004u);
+  EXPECT_EQ(iss.stats().instructions, 1u);
+}
+
 TEST(ExecMisc, ZolcInstructionWithoutAccelTraps) {
   std::vector<isa::Instruction> prog;
   prog.push_back(b::zoloff());

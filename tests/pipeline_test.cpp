@@ -188,6 +188,30 @@ TEST(PipelineControl, CorrectPathGarbageTrapsAtCommit) {
   EXPECT_THROW(pipe.run(100), SimError);
 }
 
+TEST(PipelineControl, InvalidWordInCodeImageTrapsAtCommit) {
+  // The image covers the word, so fetch never decodes memory (which holds
+  // a valid nop here); the invalid predecoded entry must still trap, and a
+  // wrong-path one must not.
+  const std::uint32_t base = 0x1000;
+  const std::vector<Instruction> code = {Instruction{}, b::halt()};
+  const std::vector<Instruction> shadowed = {b::beq(0, 0, 1), Instruction{},
+                                             b::halt()};
+  for (const auto& [program, traps] :
+       {std::pair{code, true}, std::pair{shadowed, false}}) {
+    mem::Memory memory;
+    memory.load_words(base, std::vector<std::uint32_t>(program.size(), 0));
+    Pipeline pipe(memory);
+    pipe.set_code_image(isa::CodeImage{base, program.data(), program.size()});
+    pipe.set_pc(base);
+    if (traps) {
+      EXPECT_THROW(pipe.run(100), SimError);
+    } else {
+      EXPECT_NO_THROW(pipe.run(100));
+      EXPECT_TRUE(pipe.halted());
+    }
+  }
+}
+
 TEST(PipelineControl, RunHonorsCycleLimit) {
   mem::Memory memory;
   const std::uint32_t base = 0x1000;

@@ -3,6 +3,10 @@
 // capacity enforcement, and snapshot/rollback.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <string>
+
 #include "cpu/exec.hpp"
 #include "zolc/controller.hpp"
 
@@ -497,6 +501,187 @@ TEST_F(FullTest, ReinitMaskOverInvalidLoopTraps) {
 TEST_F(FullTest, InactiveIgnoresRecords) {
   write_exit(0, 0, 103, 0, 0x1, true);
   EXPECT_FALSE(c.on_taken_control(pc_of(103), pc_of(300)).has_value());
+}
+
+// ---------------- armed trigger PC: randomized property ----------------
+
+/// The armed PC the controller's observable state implies: the current
+/// task's end PC (lite/full) or the uZOLC end register, while active.
+std::optional<std::uint32_t> expected_trigger(const ZolcController& c) {
+  const ZolcContext ctx = c.save_context();
+  if (!ctx.active) return std::nullopt;
+  if (ctx.variant == ZolcVariant::kMicro) return ctx.micro.end_pc;
+  const TaskEntry& t = ctx.tasks[ctx.current_task];
+  if (!t.valid) return std::nullopt;
+  return ctx.base + (static_cast<std::uint32_t>(t.end_pc_ofs) << 2);
+}
+
+/// Random but mostly well-formed operations over a small table window, so
+/// sequences reach active states, continue/done events, cascades, exit and
+/// entry matches as well as every trap.
+class TriggerFuzzer {
+ public:
+  TriggerFuzzer(ZolcVariant variant, std::uint32_t seed)
+      : c_(variant), rng_(seed) {}
+
+  void run(unsigned steps) {
+    for (unsigned i = 0; i < steps; ++i) {
+      const std::string op = step();
+      check(op + " (step " + std::to_string(i) + ")");
+    }
+  }
+
+ private:
+  unsigned pick(unsigned lo, unsigned hi) {
+    return std::uniform_int_distribution<unsigned>(lo, hi)(rng_);
+  }
+  std::uint32_t pc(unsigned ofs) const { return base_ + ofs * 4; }
+
+  void random_write() {
+    const auto idx = static_cast<std::uint8_t>(pick(0, 4));
+    if (c_.variant() == ZolcVariant::kMicro) {
+      const std::uint32_t values[] = {0, 3, 1, 0, pc(pick(0, 7)),
+                                      pc(pick(0, 7)),
+                                      pack_micro_ctrl(7, LoopCond::kLt)};
+      const auto reg = static_cast<std::uint8_t>(pick(0, 7));
+      c_.init_write(Opcode::kZolwU, reg, reg < 7 ? values[reg] : 0);
+      return;
+    }
+    switch (pick(0, c_.variant() == ZolcVariant::kFull ? 4 : 2)) {
+      case 0: {
+        TaskEntry e;
+        e.end_pc_ofs = static_cast<std::uint16_t>(pick(0, 7));
+        e.loop_id = static_cast<std::uint8_t>(pick(0, 3));
+        e.next_task_cont = static_cast<std::uint8_t>(pick(0, 3));
+        e.next_task_done = static_cast<std::uint8_t>(pick(0, 3));
+        e.is_last = pick(0, 2) == 0;
+        e.valid = pick(0, 5) != 0;
+        c_.init_write(Opcode::kZolwTe, idx, e.pack());
+        break;
+      }
+      case 1:
+        c_.init_write(Opcode::kZolwTs, idx, pick(0, 7));
+        break;
+      case 2: {
+        LoopEntry e;
+        e.initial = 0;
+        e.final = static_cast<std::int16_t>(pick(0, 3));
+        e.step = 1;
+        e.index_rf = static_cast<std::uint8_t>(1 + idx);
+        e.valid = pick(0, 5) != 0;
+        c_.init_write(Opcode::kZolwLp0, idx, e.pack_word0());
+        c_.init_write(Opcode::kZolwLp1, idx, e.pack_word1());
+        break;
+      }
+      case 3: {
+        ExitRecord r;
+        r.branch_pc_ofs = static_cast<std::uint16_t>(pick(0, 7));
+        r.next_task = static_cast<std::uint8_t>(pick(0, 3));
+        r.reinit_mask = pick(0, 3);
+        r.valid = true;
+        r.deactivate = pick(0, 3) == 0;
+        c_.init_write(Opcode::kZolwEx0, idx, r.pack_lo());
+        break;
+      }
+      default: {
+        EntryRecord r;
+        r.entry_pc_ofs = static_cast<std::uint16_t>(pick(0, 7));
+        r.next_task = static_cast<std::uint8_t>(pick(0, 3));
+        r.reinit_mask = pick(0, 3);
+        r.valid = true;
+        c_.init_write(Opcode::kZolwEn0, idx, r.pack_lo());
+        break;
+      }
+    }
+  }
+
+  /// Performs one random call; returns its name. A SimError leaves the
+  /// controller mid-operation (as a trapping program does), so the
+  /// state-derived expectation is only checked again after a call that
+  /// re-derives the armed PC from scratch.
+  std::string step() {
+    const unsigned kind = pick(0, 10);
+    try {
+      switch (kind) {
+        case 0:
+        case 1:
+          random_write();
+          return "init_write";
+        case 2: {
+          base_ = pick(0, 5) == 0 ? 0x1002 : 0x1000 + 0x100 * pick(0, 1);
+          c_.activate(static_cast<std::uint8_t>(pick(0, 4)), base_);
+          coherent_ = true;
+          return "activate";
+        }
+        case 3:
+          c_.deactivate();
+          coherent_ = true;
+          return "deactivate";
+        case 4:
+        case 5:
+        case 6: {
+          const auto trig = c_.trigger_pc();
+          c_.on_fetch(trig && pick(0, 3) != 0 ? *trig : pc(pick(0, 7)));
+          return "on_fetch";
+        }
+        case 7:
+          c_.on_taken_control(pc(pick(0, 7)), pc(pick(0, 7)));
+          return "on_taken_control";
+        case 8:
+          if (pick(0, 1) == 0) {
+            snap_ = c_.snapshot();
+            return "snapshot";
+          }
+          c_.restore(snap_);
+          coherent_ = true;
+          return "restore";
+        case 9:
+          if (pick(0, 1) == 0) {
+            ctx_ = c_.save_context();
+            return "save_context";
+          }
+          EXPECT_TRUE(c_.restore_context(ctx_).ok());
+          coherent_ = true;
+          return "restore_context";
+        default:
+          c_.reset();
+          coherent_ = true;
+          return "reset";
+      }
+    } catch (const cpu::SimError&) {
+      coherent_ = false;
+      return "trap";
+    }
+  }
+
+  void check(const std::string& what) {
+    const std::optional<std::uint32_t> trig = c_.trigger_pc();
+    if (coherent_) {
+      EXPECT_EQ(trig, expected_trigger(c_)) << what;
+    }
+    const std::uint32_t t = trig.value_or(base_ + 4);
+    for (const std::uint32_t p : {t, t - 4, t + 4, base_, 0x1000u}) {
+      EXPECT_EQ(c_.will_trigger(p), trig == p) << what << " p=" << p;
+    }
+  }
+
+  ZolcController c_;
+  std::mt19937 rng_;
+  std::uint32_t base_ = 0x1000;
+  cpu::AccelSnapshot snap_ = c_.snapshot();
+  ZolcContext ctx_ = c_.save_context();
+  bool coherent_ = true;
+};
+
+TEST(TriggerProperty, WillTriggerMatchesTriggerPcOnEveryVariant) {
+  for (const ZolcVariant variant :
+       {ZolcVariant::kMicro, ZolcVariant::kLite, ZolcVariant::kFull}) {
+    for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(std::string(variant_name(variant)) +
+                   " seed=" + std::to_string(seed));
+      TriggerFuzzer(variant, seed).run(400);
+    }
+  }
 }
 
 }  // namespace
