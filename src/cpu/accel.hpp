@@ -211,9 +211,12 @@ class LoopAccelerator {
   /// zoloff: leave active mode.
   virtual void deactivate() = 0;
 
-  /// Cheap check: would on_fetch(pc) produce an event? Used by the pipeline
-  /// to avoid snapshots on the common path and by the fetch-gating policy.
-  [[nodiscard]] virtual bool will_trigger(std::uint32_t pc) const = 0;
+  /// Cheap check: would on_fetch(pc) produce an event? One compare against
+  /// the armed task-end comparator, inline on both simulators' per-fetch
+  /// path; also drives the pipeline's fetch-gating policy.
+  [[nodiscard]] bool will_trigger(std::uint32_t pc) const noexcept {
+    return armed_pc_ == pc;
+  }
 
   /// Fetch-time hook ("PC decode" side): if `pc` ends the current task,
   /// performs the task switch (including combinational cascades across
@@ -233,8 +236,9 @@ class LoopAccelerator {
   /// the next event, when the controller is active and armed. The summary
   /// tier uses it to bound the straight-line region it may replay.
   /// Equivalent to the will_trigger() predicate, exposed as a value.
-  [[nodiscard]] virtual std::optional<std::uint32_t> trigger_pc() const {
-    return std::nullopt;
+  [[nodiscard]] std::optional<std::uint32_t> trigger_pc() const noexcept {
+    if (armed_pc_ == kDisarmed) return std::nullopt;
+    return static_cast<std::uint32_t>(armed_pc_);
   }
 
   /// Summary-tier hook: the innermost loop currently being iterated, when
@@ -275,6 +279,15 @@ class LoopAccelerator {
     (void)cascades;
     (void)max_cascade_depth;
   }
+
+ protected:
+  /// armed_pc_ value no 32-bit fetch PC can match.
+  static constexpr std::uint64_t kDisarmed = std::uint64_t{1} << 32;
+
+  /// The task-end comparator: the fetch PC that raises the next on_fetch
+  /// event, or kDisarmed. Implementations must keep it equal to that PC
+  /// after every call that changes it (activation, events, restores).
+  std::uint64_t armed_pc_ = kDisarmed;
 };
 
 }  // namespace zolcsim::cpu

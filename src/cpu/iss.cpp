@@ -13,25 +13,55 @@ using isa::Opcode;
 
 }  // namespace
 
+void Iss::set_code_image(isa::CodeImage image) {
+  image_ = image;
+  image_info_.clear();
+  image_info_.reserve(image.size_words);
+  for (std::size_t i = 0; i < image.size_words; ++i) {
+    const Instruction& instr = image.code[i];
+    image_info_.push_back(instr.valid() ? &isa::opcode_info(instr.op)
+                                        : nullptr);
+  }
+  summarizer_.clear_cache();
+}
+
 void Iss::step() {
   if (halted_) return;
   fetch_redirected_ = false;
 
-  const Instruction instr =
-      image_.covers(pc_) ? image_.at(pc_) : isa::decode(mem_.fetch32(pc_));
-  if (!instr.valid()) {
+  // Fetch: by reference into the code image, with its predecoded opcode
+  // metadata; outside the image, decode from memory.
+  const Instruction* fetched = nullptr;
+  const isa::OpcodeInfo* fetched_info = nullptr;
+  Instruction decoded;
+  if (image_.covers(pc_)) {
+    const std::size_t word = (pc_ - image_.base) / 4;
+    fetched = &image_.code[word];
+    fetched_info = image_info_[word];
+  } else {
+    decoded = isa::decode(mem_.fetch32(pc_));
+    fetched = &decoded;
+    if (decoded.valid()) fetched_info = &isa::opcode_info(decoded.op);
+  }
+  if (fetched_info == nullptr) {
     throw SimError("illegal instruction " + hex32(mem_.fetch32(pc_)) +
                    " at " + hex32(pc_));
   }
-  const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
+  const Instruction& instr = *fetched;
+  const isa::OpcodeInfo& info = *fetched_info;
 
   // Fetch-time ZOLC event (speculative: discarded if this instruction is a
-  // taken control transfer, mirroring the pipeline's rollback).
-  std::optional<AccelEvent> fetch_event;
-  AccelSnapshot pre_fetch{};
-  if (accel_ != nullptr && accel_->will_trigger(pc_)) {
+  // taken control transfer, mirroring the pipeline's rollback). Only a
+  // control transfer can discard it, so only those take the snapshot.
+  const bool fetch_triggers = accel_ != nullptr && accel_->will_trigger(pc_);
+  AccelSnapshot pre_fetch;
+  if (fetch_triggers && (info.is_cond_branch || info.is_jump)) {
     pre_fetch = accel_->snapshot();
-    fetch_event = accel_->on_fetch(pc_);
+  }
+  const std::optional<AccelEvent> fetch_event =
+      fetch_triggers ? accel_->on_fetch(pc_) : std::nullopt;
+  if (fetch_triggers) {
+    ZS_ASSERT(fetch_event.has_value());
     ++stats_.zolc_fetch_events;
   }
 
@@ -87,12 +117,11 @@ void Iss::step() {
       break;
     }
     case Format::kMem: {
-      const auto addr = static_cast<std::uint32_t>(
-          rs_val + instr.imm);
-      const isa::OpcodeInfo& minfo = isa::opcode_info(instr.op);
-      if (minfo.is_load) {
+      const std::uint32_t addr = static_cast<std::uint32_t>(rs_val) +
+                                 static_cast<std::uint32_t>(instr.imm);
+      if (info.is_load) {
         regs_.write(instr.rt, mem_load(instr.op, mem_, addr));
-      } else if (minfo.is_store) {
+      } else if (info.is_store) {
         mem_store(instr.op, mem_, addr, rt_val);
       } else {
         ZS_UNREACHABLE("memory format without memory opcode");

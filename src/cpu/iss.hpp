@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "cpu/accel.hpp"
 #include "cpu/exec.hpp"
@@ -41,13 +42,11 @@ class Iss {
   /// Attaches a loop accelerator (non-owning; may be nullptr).
   void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
 
-  /// Attaches a predecoded code image (non-owning; must outlive the ISS).
-  /// Fetches inside the image skip the per-step decode; fetches outside it
-  /// decode from memory as before.
-  void set_code_image(isa::CodeImage image) noexcept {
-    image_ = image;
-    summarizer_.clear_cache();
-  }
+  /// Attaches a predecoded code image (non-owning; must outlive the ISS)
+  /// and builds its per-word opcode table. Fetches inside the image skip
+  /// the per-step decode and opcode lookup; fetches outside it decode from
+  /// memory as before.
+  void set_code_image(isa::CodeImage image);
 
   /// Enables the loop-summary fast path (DESIGN.md section 7): hardware-
   /// managed innermost loops replay through pre-bound micro-ops instead of
@@ -94,6 +93,9 @@ class Iss {
   mem::Memory& mem_;
   RegFile regs_;
   isa::CodeImage image_;
+  /// Opcode metadata per image word, parallel to image_.code; nullptr for
+  /// words that do not decode.
+  std::vector<const isa::OpcodeInfo*> image_info_;
   LoopAccelerator* accel_ = nullptr;
   RetireHook retire_hook_;
   LoopSummarizer summarizer_;

@@ -71,17 +71,18 @@ void ZolcController::reset() {
   current_task_ = 0;
   active_ = false;
   stats_ = {};
-  trigger_pc_ = kNoTrigger;
   nest_dirty_ = true;
+  refresh_trigger();
 }
 
 void ZolcController::refresh_trigger() noexcept {
-  if (!active_ || variant_ == ZolcVariant::kMicro || tasks_.empty()) {
-    trigger_pc_ = kNoTrigger;
-    return;
+  armed_pc_ = kDisarmed;
+  if (!active_) return;
+  if (variant_ == ZolcVariant::kMicro) {
+    armed_pc_ = micro_.end_pc;
+  } else if (!tasks_.empty() && tasks_[current_task_].valid) {
+    armed_pc_ = ofs_to_pc(tasks_[current_task_].end_pc_ofs);
   }
-  const TaskEntry& t = tasks_[current_task_];
-  trigger_pc_ = t.valid ? ofs_to_pc(t.end_pc_ofs) : kNoTrigger;
 }
 
 void ZolcController::init_write(Opcode op, std::uint8_t idx,
@@ -188,6 +189,7 @@ void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
   if (variant_ == ZolcVariant::kMicro) {
     micro_.current = micro_.initial;
     active_ = true;
+    refresh_trigger();
     return;
   }
   if (start_task >= tasks_.size()) {
@@ -210,7 +212,7 @@ void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
 
 void ZolcController::deactivate() {
   active_ = false;
-  trigger_pc_ = kNoTrigger;
+  refresh_trigger();
 }
 
 bool ZolcController::pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const {
@@ -225,19 +227,12 @@ std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
   return base_ + (static_cast<std::uint32_t>(ofs) << 2);
 }
 
-bool ZolcController::will_trigger(std::uint32_t pc) const {
-  if (!active_) return false;
-  if (variant_ == ZolcVariant::kMicro) return pc == micro_.end_pc;
-  // Single comparison against the latched end PC of the current task (the
-  // hardware's task-end comparator); refresh_trigger() keeps it coherent
-  // across task switches.
-  return pc == trigger_pc_;
-}
-
 std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
-  if (!will_trigger(pc)) return std::nullopt;
+  // Every path returns `out`, so the event is built in the caller's slot.
+  std::optional<AccelEvent> out;
+  if (!will_trigger(pc)) return out;
 
-  AccelEvent ev;
+  AccelEvent& ev = out.emplace();
   if (variant_ == ZolcVariant::kMicro) {
     const std::int32_t next = micro_.current + micro_.step;
     if (cond_holds(micro_.cond, next, micro_.final)) {
@@ -252,7 +247,7 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
       ev.rf_writes.push_back(RfWrite{micro_.index_rf, micro_.initial});
       ++stats_.done_events;
     }
-    return ev;
+    return out;
   }
 
   std::uint16_t ofs = 0;
@@ -298,7 +293,7 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
                                                        depth);
   }
   refresh_trigger();
-  return ev;
+  return out;
 }
 
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
@@ -396,13 +391,6 @@ std::int64_t remaining_backedges(std::int64_t cur, std::int64_t step,
 }
 
 }  // namespace
-
-std::optional<std::uint32_t> ZolcController::trigger_pc() const {
-  if (!active_) return std::nullopt;
-  if (variant_ == ZolcVariant::kMicro) return micro_.end_pc;
-  if (trigger_pc_ == kNoTrigger) return std::nullopt;
-  return trigger_pc_;
-}
 
 std::optional<cpu::LoopSummaryInfo> ZolcController::innermost_summary() const {
   if (!active_) return std::nullopt;

@@ -84,13 +84,11 @@ class ZolcController final : public cpu::LoopAccelerator {
                   std::uint32_t value) override;
   void activate(std::uint8_t start_task, std::uint32_t base) override;
   void deactivate() override;
-  [[nodiscard]] bool will_trigger(std::uint32_t pc) const override;
   std::optional<cpu::AccelEvent> on_fetch(std::uint32_t pc) override;
   std::optional<cpu::AccelEvent> on_taken_control(std::uint32_t pc,
                                                   std::uint32_t target) override;
   [[nodiscard]] cpu::AccelSnapshot snapshot() const override;
   void restore(const cpu::AccelSnapshot& snapshot) override;
-  [[nodiscard]] std::optional<std::uint32_t> trigger_pc() const override;
   [[nodiscard]] std::optional<cpu::LoopSummaryInfo> innermost_summary()
       const override;
   void advance_innermost(std::uint64_t iterations) override;
@@ -108,18 +106,14 @@ class ZolcController final : public cpu::LoopAccelerator {
   /// Re-initializes every loop in `mask`, appending RF write-backs to `ev`.
   void apply_reinit_mask(std::uint32_t mask, cpu::AccelEvent& ev);
 
-  /// Recomputes trigger_pc_ -- the hardware's latched task-end comparator
-  /// input -- after anything that changes the current task, the base, or
-  /// the active flag.
+  /// Recomputes armed_pc_ -- the hardware's latched task-end comparator
+  /// input -- after anything that changes the current task, the base, the
+  /// uZOLC end register, or the active flag.
   void refresh_trigger() noexcept;
-
-  /// Sentinel trigger_pc_ value no word-aligned fetch can match.
-  static constexpr std::uint32_t kNoTrigger = 1;
 
   ZolcVariant variant_;
   ZolcGeometry geom_;
   std::uint32_t pc_mask_ = 0;      ///< mask32(geom_.pc_ofs_bits), cached
-  std::uint32_t trigger_pc_ = kNoTrigger;
 
   // ZOLClite / ZOLCfull storage, sized by geom_.
   std::vector<TaskEntry> tasks_;
