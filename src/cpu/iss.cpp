@@ -54,9 +54,8 @@ void Iss::step() {
   // taken control transfer, mirroring the pipeline's rollback). Only a
   // control transfer can discard it, so only those take the snapshot.
   const bool fetch_triggers = accel_ != nullptr && accel_->will_trigger(pc_);
-  AccelSnapshot pre_fetch;
   if (fetch_triggers && (info.is_cond_branch || info.is_jump)) {
-    pre_fetch = accel_->snapshot();
+    pre_fetch_ = accel_->snapshot();
   }
   const std::optional<AccelEvent> fetch_event =
       fetch_triggers ? accel_->on_fetch(pc_) : std::nullopt;
@@ -165,7 +164,7 @@ void Iss::step() {
     ++stats_.taken_control;
     // The fetch-time speculation assumed fall-through; discard it.
     if (fetch_event) {
-      accel_->restore(pre_fetch);
+      accel_->restore(pre_fetch_);
     }
     if (accel_ != nullptr) {
       if (auto resolution = accel_->on_taken_control(pc_, control_target)) {

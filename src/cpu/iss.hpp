@@ -104,6 +104,10 @@ class Iss {
   bool fast_path_ = false;
   bool fetch_redirected_ = false;  ///< last step applied a fetch-event redirect
   IssStats stats_;
+  /// Controller state before this step's fetch event, taken only when the
+  /// triggering instruction is a control transfer. A member rather than a
+  /// local so the common step constructs no snapshot.
+  AccelSnapshot pre_fetch_;
 };
 
 }  // namespace zolcsim::cpu

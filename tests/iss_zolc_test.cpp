@@ -105,21 +105,13 @@ void seed_registers(RegFile& regs) {
   regs.write(10, kStoreValue);
 }
 
-const char* variant_label(ZolcVariant v) {
-  switch (v) {
-    case ZolcVariant::kMicro: return "uZOLC";
-    case ZolcVariant::kLite: return "ZOLClite";
-    case ZolcVariant::kFull: return "ZOLCfull";
-  }
-  return "?";
-}
-
 TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
   for (const ZolcVariant variant :
        {ZolcVariant::kMicro, ZolcVariant::kLite, ZolcVariant::kFull}) {
     for (const Case& tc : cases()) {
       for (const bool use_image : {true, false}) {
-        const std::string what = tc.name + " on " + variant_label(variant) +
+        const std::string what = tc.name + " on " +
+                                 std::string(zolc::variant_name(variant)) +
                                  (use_image ? " (image)" : " (memory)");
         std::vector<Instruction> program(kProgramWords, b::nop());
         program[kTriggerOfs] = tc.instr;
