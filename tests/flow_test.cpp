@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
@@ -324,27 +326,56 @@ TEST(FlowRun, SingleRepPreparesExactlyOnce) {
 }
 
 TEST(Workload, WarmViewMatchesColdAcrossRegistryKernels) {
-  const auto unit =
-      CompiledUnit::compile(spec_for("conv2d", MachineKind::kZolcFull));
-  ASSERT_TRUE(unit.ok());
-  Workload cold = Workload::prepare(unit.value());
-  Workload warm = Workload::prepare_warm(unit.value());
-  EXPECT_FALSE(cold.memory().has_baseline());
-  EXPECT_TRUE(warm.memory().has_baseline());
-  EXPECT_TRUE(cold.memory() == warm.memory());
+  // Every registered kernel x machine x execution mode: a run on a cold
+  // image (Workload::prepare, the reference) and a run on a copy-on-write
+  // view of the unit's prepared image must agree on every statistic and on
+  // the final memory image, and so must a second run after reset() (the
+  // timing-rep path).
+  const harness::ExecMode modes[] = {
+      {harness::SimEngine::kPipeline, false},
+      {harness::SimEngine::kIss, false},
+      {harness::SimEngine::kIss, true}};
+  std::vector<const kernels::Kernel*> all;
+  for (const auto& k : kernels::kernel_registry()) all.push_back(k.get());
+  for (const auto& k : kernels::extended_kernel_registry()) {
+    all.push_back(k.get());
+  }
+  for (const kernels::Kernel* kernel : all) {
+    for (const MachineKind machine : codegen::kAllMachines) {
+      const auto unit = CompiledUnit::compile(
+          spec_for(std::string(kernel->name()), machine));
+      ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+      for (const harness::ExecMode& mode : modes) {
+        SCOPED_TRACE(std::string(kernel->name()) + " on " +
+                     std::string(codegen::machine_name(machine)) + " " +
+                     std::string(harness::mode_name(mode)));
+        Workload cold = Workload::prepare(unit.value());
+        Workload warm = Workload::prepare_warm(unit.value());
+        EXPECT_FALSE(cold.memory().has_baseline());
+        EXPECT_TRUE(warm.memory().has_baseline());
+        EXPECT_TRUE(cold.memory() == warm.memory());
 
-  const auto a = run(unit.value(), cold, {});
-  const auto b = run(unit.value(), warm, {});
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().stats.cycles, b.value().stats.cycles);
-  EXPECT_EQ(a.value().stats.instructions, b.value().stats.instructions);
-  EXPECT_TRUE(cold.memory() == warm.memory());  // same final image
+        RunPlan plan;
+        plan.mode = mode;
+        for (int pass = 0; pass < 2; ++pass) {
+          const auto a = run(unit.value(), cold, plan);
+          const auto b = run(unit.value(), warm, plan);
+          ASSERT_TRUE(a.ok()) << a.error().to_string();
+          ASSERT_TRUE(b.ok()) << b.error().to_string();
+          EXPECT_EQ(a.value().stats, b.value().stats);
+          EXPECT_EQ(a.value().zolc_stats, b.value().zolc_stats);
+          EXPECT_EQ(a.value().fastpath, b.value().fastpath);
+          EXPECT_TRUE(cold.memory() == warm.memory());  // same final image
 
-  // reset() restores both to the pristine image.
-  cold.reset();
-  warm.reset();
-  EXPECT_TRUE(cold.memory() == warm.memory());
-  EXPECT_EQ(warm.memory().stats().writes, 0u);
+          // reset() restores both to the pristine image.
+          cold.reset();
+          warm.reset();
+          EXPECT_TRUE(cold.memory() == warm.memory());
+          EXPECT_EQ(warm.memory().stats().writes, 0u);
+        }
+      }
+    }
+  }
 }
 
 // ---------------- compile cache ----------------
