@@ -1,7 +1,8 @@
 # CLI smoke test: run `zolcsim sweep` on one kernel and validate the CSV
 # schema against the checked-in golden header, then run one checked-in
 # scenario suite through `sweep --from-file`, exercise `run --mode`, and
-# pin the exit codes of rejected flags and of `bench --compare`. Invoked by
+# pin the exit codes of rejected flags, of a removed suite member and of
+# `bench --compare`. Invoked by
 # CTest as
 #   cmake -DCLI=<zolcsim> -DGOLDEN=<sweep_header.csv> -DOUT=<scratch.csv>
 #        -DSUITE=<scenarios/fig2_cycles.json> -P cli_smoke.cmake
@@ -75,6 +76,23 @@ expect_exit(2 run dotprod --no-predecode)
 # conflicts with it.
 expect_exit(2 sweep --from-file=${SUITE} --preempt-serialize)
 expect_exit(2 sweep --from-file=${SUITE} --preempt-every=97)
+
+# A removed suite member fails loudly: the strict schema rejects the retired
+# cold-start run-path selector as unknown instead of ignoring it.
+string(CONCAT retired "warm" "_start")
+file(READ ${SUITE} suite_text)
+string(REPLACE "\"sweep\": {" "\"sweep\": {\"${retired}\": \"both\", "
+       suite_text "${suite_text}")
+file(WRITE ${OUT}.retired.json "${suite_text}")
+execute_process(
+  COMMAND ${CLI} sweep --from-file=${OUT}.retired.json --threads=1
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE stderr_text)
+if(NOT rc EQUAL 1 OR
+   NOT stderr_text MATCHES "unknown sweep member '${retired}'")
+  message(FATAL_ERROR
+      "a suite carrying '${retired}' must fail with exit 1 and the "
+      "unknown-member error: exit ${rc}\n${stderr_text}")
+endif()
 
 # `bench --compare` reads only the current BENCH schema: a self-compare
 # passes, an artifact claiming an older schema is refused.

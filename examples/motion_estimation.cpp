@@ -34,7 +34,7 @@ int main() {
       const auto unit = flow::CompiledUnit::compile(spec);
       const auto result = unit.ok()
                               ? flow::run(unit.value())
-                              : Result<harness::ExperimentResult>(
+                              : Result<flow::ExperimentResult>(
                                     Error(unit.error()));
       if (!result.ok()) {
         std::fprintf(stderr, "FAILED: %s\n",

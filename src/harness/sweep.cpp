@@ -9,6 +9,7 @@
 #include "common/strings.hpp"
 #include "flow/cache.hpp"
 #include "flow/run.hpp"
+#include "harness/experiment.hpp"
 
 namespace zolcsim::harness {
 
@@ -23,7 +24,7 @@ namespace {
 struct CellOutcome {
   enum class State : std::uint8_t { kNotRun, kOk, kError, kCopyGeometryZero };
   State state = State::kNotRun;
-  ExperimentResult result;
+  flow::ExperimentResult result;
   Error error;
 };
 
@@ -56,9 +57,9 @@ const std::array<SweepAxis, kNumAxes>& sweep_axes() {
       {Axis::kMode, "modes", "mode", &CellCoord::mode,
        [](const SweepReport& r) { return r.modes.size(); },
        [](const SweepReport& r, std::size_t i) {
-         return std::string(mode_name(r.modes[i]));
+         return std::string(flow::mode_name(r.modes[i]));
        },
-       std::string(mode_name(ExecMode{})), true, false},
+       std::string(flow::mode_name(flow::ExecMode{})), true, false},
       // Multi-tenant material is BENCH-gated too: single-tenant suites keep
       // their historical points.
       {Axis::kTenant, "tenants", "tenants", &CellCoord::tenant,
@@ -104,11 +105,12 @@ CellCoord SweepReport::coord_of(std::size_t index) const {
   return coord;
 }
 
-const ExperimentResult& SweepReport::at(const CellCoord& coord) const {
+const flow::ExperimentResult& SweepReport::at(const CellCoord& coord) const {
   return cells[index_of(coord)].result;
 }
 
-const ExperimentResult* SweepReport::find(const AxisLabels& labels) const {
+const flow::ExperimentResult* SweepReport::find(
+    const AxisLabels& labels) const {
   CellCoord coord;
   for (const SweepAxis& axis : sweep_axes()) {
     const std::string& want = labels[static_cast<std::size_t>(axis.id)];
@@ -182,7 +184,7 @@ std::string SweepReport::to_csv() const {
   }
   CsvWriter csv(header);
   for (const SweepCell& cell : cells) {
-    const ExperimentResult& r = cell.result;
+    const flow::ExperimentResult& r = cell.result;
     std::vector<std::string> row;
     for (const SweepAxis* axis : axes) {
       row.push_back(axis->label(*this, cell.coord.*axis->coord));
@@ -218,7 +220,7 @@ std::string SweepReport::to_json() const {
   out += "\",\n  \"cells\": [\n";
   bool first = true;
   for (const SweepCell& cell : cells) {
-    const ExperimentResult& r = cell.result;
+    const flow::ExperimentResult& r = cell.result;
     if (!first) out += ",\n";
     first = false;
     out += "    {" + json_axis_members(axes, cell.coord);
@@ -279,8 +281,9 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
       spec.geometries.empty()
           ? std::vector<zolc::ZolcGeometry>{zolc::ZolcGeometry{}}
           : spec.geometries;
-  report.modes = spec.modes.empty() ? std::vector<ExecMode>{ExecMode{}}
-                                    : spec.modes;
+  report.modes =
+      spec.modes.empty() ? std::vector<flow::ExecMode>{flow::ExecMode{}}
+                         : spec.modes;
   report.tenants = spec.tenants.empty() ? std::vector<unsigned>{1}
                                         : spec.tenants;
   for (const zolc::ZolcGeometry& geometry : report.geometries) {
@@ -292,8 +295,8 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
   // Tenant scheduling and preemption are ISS-engine features; reject the
   // combination with any pipeline mode up front rather than per cell.
   const bool all_iss = [&] {
-    for (const ExecMode& mode : report.modes) {
-      if (mode.engine != SimEngine::kIss) return false;
+    for (const flow::ExecMode& mode : report.modes) {
+      if (mode.engine != flow::SimEngine::kIss) return false;
     }
     return true;
   }();
@@ -356,13 +359,12 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
         plan.max_cycles = spec.max_cycles;
         plan.mode = report.modes[coord.mode];
         plan.timing_reps = spec.timing_reps;
-        plan.warm_start = spec.warm_start;
         plan.preempt_every = spec.preempt_every;
         plan.preempt_serialize = spec.preempt_serialize;
         plan.tenants = report.tenants[coord.tenant];
         auto result =
             unit.ok() ? flow::run(*unit.value(), plan)
-                      : Result<ExperimentResult>(std::move(unit).error());
+                      : Result<flow::ExperimentResult>(std::move(unit).error());
         if (result.ok()) {
           out.state = CellOutcome::State::kOk;
           out.result = std::move(result).value();
@@ -423,7 +425,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
       ZS_ASSERT(outcomes[i].state == CellOutcome::State::kOk);
       cell.result = std::move(outcomes[i].result);
     }
-    report.full_prepares += cell.result.full_prepares;
     report.image_resets += cell.result.image_resets;
     report.cells.push_back(std::move(cell));
   }

@@ -16,7 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "flow/run.hpp"
 
 namespace zolcsim::flow {
 class CompileCache;
@@ -33,9 +33,9 @@ struct SweepSpec {
   /// ZOLC geometry axis; empty = the paper-default geometry only.
   std::vector<zolc::ZolcGeometry> geometries;
   /// Execution-mode axis (pipeline / iss / iss-fast); empty = pipeline only.
-  std::vector<ExecMode> modes;
+  std::vector<flow::ExecMode> modes;
   /// Tenant-count axis: N workloads time-sliced over one controller
-  /// (flow::run_tenants). Empty = single-tenant only; counts > 1 require
+  /// (RunPlan::tenants). Empty = single-tenant only; counts > 1 require
   /// every mode on the ISS engine (kBadConfig otherwise).
   std::vector<unsigned> tenants;
   kernels::KernelEnv env;
@@ -46,12 +46,6 @@ struct SweepSpec {
   /// minimum over this many identical runs. Use >1 for suites whose cells
   /// are too short for stable one-shot MIPS.
   std::uint64_t timing_reps = 1;
-  /// Warm-start run path (RunPlan::warm_start, default on): cells run on
-  /// copy-on-write views of each unit's shared prepared image instead of
-  /// rebuilding the memory image per run. Architecturally identical either
-  /// way (scenario golden digests pin it); off reproduces the historical
-  /// cold path for comparison.
-  bool warm_start = true;
   /// Preempt-anywhere execution knobs (RunPlan::preempt_every /
   /// preempt_serialize): every ISS cell is preempted at this instruction
   /// interval with a full context save/clobber/restore. Architecturally
@@ -76,7 +70,7 @@ struct CellCoord {
 
 struct SweepCell {
   CellCoord coord;
-  ExperimentResult result;
+  flow::ExperimentResult result;
 };
 
 struct SweepReport;
@@ -130,7 +124,7 @@ struct SweepReport {
   std::vector<codegen::MachineKind> machines;   ///< resolved machine set
   std::vector<cpu::PipelineConfig> configs;     ///< resolved config grid
   std::vector<zolc::ZolcGeometry> geometries;   ///< resolved geometry axis
-  std::vector<ExecMode> modes;                  ///< resolved mode axis
+  std::vector<flow::ExecMode> modes;            ///< resolved mode axis
   std::vector<unsigned> tenants;                ///< resolved tenant axis
   codegen::MachineKind baseline = codegen::MachineKind::kXrDefault;
   std::vector<SweepCell> cells;
@@ -147,10 +141,9 @@ struct SweepReport {
   std::size_t compile_cache_store_hits = 0;
   std::size_t compile_cache_compiles = 0;
 
-  /// Warm-start accounting summed over all cells (see ExperimentResult):
-  /// full image builds vs O(dirty) copy-on-write resets. BENCH-artifact
-  /// material, not part of the CSV/JSON emitters.
-  std::uint64_t full_prepares = 0;
+  /// Copy-on-write image resets summed over all cells (see
+  /// ExperimentResult). BENCH-artifact material, not part of the CSV/JSON
+  /// emitters.
   std::uint64_t image_resets = 0;
 
   /// Position of `coord` in `cells` (mixed radix over sweep_axes()), and
@@ -158,11 +151,13 @@ struct SweepReport {
   [[nodiscard]] std::size_t index_of(const CellCoord& coord) const;
   [[nodiscard]] CellCoord coord_of(std::size_t index) const;
 
-  [[nodiscard]] const ExperimentResult& at(const CellCoord& coord) const;
+  [[nodiscard]] const flow::ExperimentResult& at(
+      const CellCoord& coord) const;
 
   /// Lookup by labels, e.g. find({"fir", "ZOLClite"}); nullptr when the
   /// cell is not in the grid.
-  [[nodiscard]] const ExperimentResult* find(const AxisLabels& labels) const;
+  [[nodiscard]] const flow::ExperimentResult* find(
+      const AxisLabels& labels) const;
 
   /// %-reduction of the cell vs the baseline machine at the same config,
   /// geometry, mode, and tenant count. 0 when the baseline machine is not

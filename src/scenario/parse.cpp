@@ -120,11 +120,11 @@ Result<cpu::PipelineConfig> parse_config(std::string_view s) {
   return config;
 }
 
-Result<harness::ExecMode> parse_mode(std::string_view s) {
+Result<flow::ExecMode> parse_mode(std::string_view s) {
   const std::string lower = to_lower(s);
-  harness::ExecMode mode;
+  flow::ExecMode mode;
   if (lower == "pipeline") return mode;
-  mode.engine = harness::SimEngine::kIss;
+  mode.engine = flow::SimEngine::kIss;
   if (lower == "iss") return mode;
   mode.fast_path = true;
   if (lower == "iss-fast") return mode;

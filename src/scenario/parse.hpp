@@ -11,7 +11,7 @@
 #include "codegen/program.hpp"
 #include "common/result.hpp"
 #include "cpu/pipeline.hpp"
-#include "harness/experiment.hpp"
+#include "flow/run.hpp"
 #include "harness/sweep.hpp"
 #include "zolc/config.hpp"
 
@@ -29,8 +29,8 @@ namespace zolcsim::scenario {
 /// harness::config_name() form.
 [[nodiscard]] Result<cpu::PipelineConfig> parse_config(std::string_view s);
 
-/// "pipeline" | "iss" | "iss-fast" -- the harness::mode_name() form.
-[[nodiscard]] Result<harness::ExecMode> parse_mode(std::string_view s);
+/// "pipeline" | "iss" | "iss-fast" -- the flow::mode_name() form.
+[[nodiscard]] Result<flow::ExecMode> parse_mode(std::string_view s);
 
 /// Largest tenant count a run or sweep accepts.
 inline constexpr unsigned kMaxTenants = 64;

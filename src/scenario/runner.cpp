@@ -11,7 +11,7 @@ namespace zolcsim::scenario {
 namespace {
 
 /// Simulated MIPS of one cell: simulated instructions over host wall time.
-double cell_mips(const harness::ExperimentResult& r) {
+double cell_mips(const flow::ExperimentResult& r) {
   if (r.wall_ns == 0) return 0.0;
   return static_cast<double>(r.stats.instructions) /
          (static_cast<double>(r.wall_ns) * 1e-9) / 1e6;
@@ -25,7 +25,7 @@ Result<void> check_mode_equivalence(const Suite& suite,
   std::optional<std::size_t> iss;
   std::optional<std::size_t> fast;
   for (std::size_t x = 0; x < report.modes.size(); ++x) {
-    if (report.modes[x].engine != harness::SimEngine::kIss) continue;
+    if (report.modes[x].engine != flow::SimEngine::kIss) continue;
     (report.modes[x].fast_path ? fast : iss) = x;
   }
   if (!iss || !fast) return {};
@@ -33,8 +33,8 @@ Result<void> check_mode_equivalence(const Suite& suite,
     if (cell.coord.mode != *iss) continue;
     harness::CellCoord twin = cell.coord;
     twin.mode = *fast;
-    const harness::ExperimentResult& a = cell.result;
-    const harness::ExperimentResult& b = report.at(twin);
+    const flow::ExperimentResult& a = cell.result;
+    const flow::ExperimentResult& b = report.at(twin);
     const bool equal = a.stats.cycles == b.stats.cycles &&
                        a.stats.instructions == b.stats.instructions &&
                        a.stats.taken_control == b.stats.taken_control &&
@@ -55,7 +55,7 @@ Result<void> check_mode_equivalence(const Suite& suite,
 Result<void> check_thresholds(const Suite& suite,
                               const harness::SweepReport& report) {
   for (const Threshold& t : suite.thresholds) {
-    const harness::ExperimentResult* cell = report.find(
+    const flow::ExperimentResult* cell = report.find(
         {t.kernel, t.machine, t.config, t.geometry, t.mode, ""});
     if (cell == nullptr) {
       return Error{ErrorCode::kBadConfig,
@@ -93,24 +93,6 @@ Result<SuiteOutcome> run_suite(const Suite& suite, flow::CompileCache& cache,
   harness::SweepSpec spec = suite.sweep;
   spec.threads = options.threads;
 
-  // A "both" suite runs the grid cold first; the warm pass below must then
-  // render a byte-identical CSV, pinning the copy-on-write run path against
-  // the historical cold path on this exact grid. The warm pass is the
-  // reported one (its timings reflect the default run path).
-  std::optional<std::string> cold_csv;
-  if (suite.warm_start == WarmStart::kBoth) {
-    harness::SweepSpec cold = spec;
-    cold.warm_start = false;
-    auto cold_swept = harness::run_sweep(cold, cache);
-    if (!cold_swept.ok()) {
-      return std::move(cold_swept)
-          .error()
-          .with_context("suite " + suite.name + " (cold pass)");
-    }
-    cold_csv = cold_swept.value().to_csv();
-    spec.warm_start = true;
-  }
-
   const auto started = std::chrono::steady_clock::now();
   auto swept = harness::run_sweep(spec, cache);
   if (!swept.ok()) {
@@ -124,28 +106,15 @@ Result<SuiteOutcome> run_suite(const Suite& suite, flow::CompileCache& cache,
 
   outcome.csv = outcome.report.to_csv();
   outcome.csv_fnv1a64 = fnv1a64(outcome.csv);
-  if (cold_csv) {
-    if (*cold_csv != outcome.csv) {
-      return Error{ErrorCode::kVerifyMismatch,
-                   "warm-start CSV differs from the cold-start CSV (the "
-                   "copy-on-write run path is not architecturally "
-                   "invisible)"}
-          .with_context("suite " + suite.name);
-    }
-    outcome.warm_cold_checked = true;
-  }
   if (suite.expect_csv_fnv1a64) {
     if (*suite.expect_csv_fnv1a64 != outcome.csv_fnv1a64) {
-      if (options.enforce_golden) {
-        return Error{ErrorCode::kVerifyMismatch,
-                     "CSV digest " + hex64(outcome.csv_fnv1a64) +
-                         " differs from the golden " +
-                         hex64(*suite.expect_csv_fnv1a64)}
-            .with_context("suite " + suite.name);
-      }
-    } else {
-      outcome.golden_checked = true;
+      return Error{ErrorCode::kVerifyMismatch,
+                   "CSV digest " + hex64(outcome.csv_fnv1a64) +
+                       " differs from the golden " +
+                       hex64(*suite.expect_csv_fnv1a64)}
+          .with_context("suite " + suite.name);
     }
+    outcome.golden_checked = true;
   }
 
   if (auto equal = check_mode_equivalence(suite, outcome.report);
@@ -153,11 +122,8 @@ Result<SuiteOutcome> run_suite(const Suite& suite, flow::CompileCache& cache,
     return std::move(equal).error();
   }
 
-  if (options.enforce_thresholds) {
-    if (auto checked = check_thresholds(suite, outcome.report);
-        !checked.ok()) {
-      return std::move(checked).error();
-    }
+  if (auto checked = check_thresholds(suite, outcome.report); !checked.ok()) {
+    return std::move(checked).error();
   }
 
   std::uint64_t instructions = 0;
@@ -198,9 +164,6 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
   out += "  \"wall_seconds\": " + format_fixed(outcome.wall_seconds, 4) +
          ",\n";
   out += "  \"mips\": " + format_fixed(outcome.mips, 2) + ",\n";
-  out += "  \"warm_start\": \"";
-  out += warm_start_name(outcome.suite.warm_start);
-  out += "\",\n";
   out += "  \"compile_cache\": {\"hits\": " +
          std::to_string(report.compile_cache_hits) +
          ", \"misses\": " + std::to_string(report.compile_cache_misses) +
@@ -208,10 +171,8 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
          std::to_string(report.compile_cache_store_hits) +
          ", \"compiles\": " + std::to_string(report.compile_cache_compiles) +
          ", \"hit_rate\": " + format_fixed(hit_rate, 3) + "},\n";
-  out += "  \"prepares\": {\"full\": " +
-         std::to_string(report.full_prepares) +
-         ", \"image_resets\": " + std::to_string(report.image_resets) +
-         "},\n";
+  out += "  \"prepares\": {\"image_resets\": " +
+         std::to_string(report.image_resets) + "},\n";
   out += "  \"csv_fnv1a64\": \"" + hex64(outcome.csv_fnv1a64) + "\",\n";
   out += std::string("  \"golden\": \"") +
          (outcome.golden_checked ? "match" : "unchecked") + "\",\n";
@@ -224,7 +185,7 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
       report.shown(harness::sweep_axis(harness::Axis::kTenant));
   bool first = true;
   for (const harness::SweepCell& cell : report.cells) {
-    const harness::ExperimentResult& r = cell.result;
+    const flow::ExperimentResult& r = cell.result;
     if (!first) out += ",\n";
     first = false;
     out += "    {" + report.json_axis_members(axes, cell.coord);

@@ -22,9 +22,7 @@ namespace zolcsim::scenario {
 inline constexpr std::string_view kBenchSchema = "zolcsim-bench-v4";
 
 struct RunOptions {
-  unsigned threads = 0;            ///< sweep worker count; 0 = hardware
-  bool enforce_golden = true;      ///< fail on csv_fnv1a64 mismatch
-  bool enforce_thresholds = true;  ///< fail on threshold violations
+  unsigned threads = 0;  ///< sweep worker count; 0 = hardware
 };
 
 /// Everything a completed suite produced. `csv` is the deterministic
@@ -36,18 +34,14 @@ struct SuiteOutcome {
   std::string csv;
   std::uint64_t csv_fnv1a64 = 0;
   bool golden_checked = false;  ///< an expected digest existed and matched
-  /// A WarmStart::kBoth suite ran cold + warm and the CSVs matched byte
-  /// for byte (always false for single-pass suites).
-  bool warm_cold_checked = false;
   double wall_seconds = 0.0;    ///< whole-suite wall time (compile + run)
   double mips = 0.0;            ///< simulated instructions / wall / 1e6
 };
 
 /// Runs the suite's grid. Errors: everything run_sweep can fail with, plus
 /// kVerifyMismatch when the rendered CSV's digest differs from the suite's
-/// golden (or, for warm_start "both", when the warm CSV differs from the
-/// cold one) and kThreshold when a per-cell expectation is violated (both
-/// subject to RunOptions).
+/// golden or the iss and iss-fast cells disagree, and kThreshold when a
+/// per-cell expectation is violated.
 [[nodiscard]] Result<SuiteOutcome> run_suite(const Suite& suite,
                                              flow::CompileCache& cache,
                                              const RunOptions& options = {});

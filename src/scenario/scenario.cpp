@@ -52,7 +52,7 @@ Result<std::uint64_t> uint_member(const json::Value& object,
 Result<void> parse_sweep(const json::Value& sweep, Suite& suite,
                          std::string_view origin) {
   static constexpr std::string_view kKnown[] = {
-      "baseline", "max_cycles", "env", "timing_reps", "warm_start"};
+      "baseline", "max_cycles", "env", "timing_reps"};
   for (const auto& [key, value] : sweep.members()) {
     (void)value;
     bool known = false;
@@ -116,31 +116,6 @@ Result<void> parse_sweep(const json::Value& sweep, Suite& suite,
     return config_error(origin, "'timing_reps' must be in [1, 1000]");
   }
   suite.sweep.timing_reps = timing_reps.value();
-
-  if (const json::Value* warm = sweep.find("warm_start")) {
-    if (!warm->is_string()) {
-      return shape_error(origin,
-                         "'warm_start' must be \"warm\", \"cold\", or "
-                         "\"both\"");
-    }
-    const std::string_view mode = warm->as_string();
-    if (mode == "warm") {
-      suite.warm_start = WarmStart::kWarm;
-    } else if (mode == "cold") {
-      suite.warm_start = WarmStart::kCold;
-    } else if (mode == "both") {
-      suite.warm_start = WarmStart::kBoth;
-    } else {
-      return config_error(origin,
-                          "bad 'warm_start' value " + quoted(mode) +
-                              " (want warm, cold, or both)");
-    }
-    // kBoth leaves sweep.warm_start at its default; the runner overrides
-    // it per pass.
-    if (suite.warm_start != WarmStart::kBoth) {
-      suite.sweep.warm_start = suite.warm_start == WarmStart::kWarm;
-    }
-  }
 
   if (const json::Value* env = sweep.find("env")) {
     if (!env->is_object()) {
@@ -243,7 +218,7 @@ Result<void> parse_expect(const json::Value& expect, Suite& suite,
         return std::move(mode).error().with_context("suite " +
                                                     std::string(origin));
       }
-      t.mode = harness::mode_name(mode.value());
+      t.mode = flow::mode_name(mode.value());
     }
     auto max_cycles = uint_member(entry, "max_cycles", 0, origin);
     if (!max_cycles.ok()) return std::move(max_cycles).error();
@@ -268,18 +243,6 @@ Result<void> parse_expect(const json::Value& expect, Suite& suite,
 }
 
 }  // namespace
-
-std::string_view warm_start_name(WarmStart mode) {
-  switch (mode) {
-    case WarmStart::kWarm:
-      return "warm";
-    case WarmStart::kCold:
-      return "cold";
-    case WarmStart::kBoth:
-      return "both";
-  }
-  return "warm";
-}
 
 Result<Suite> parse_suite(std::string_view text, std::string_view origin) {
   auto document = json::parse(text);

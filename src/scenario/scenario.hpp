@@ -40,22 +40,11 @@ struct Threshold {
   double min_mips = 0.0;         ///< fail when simulated MIPS falls below
 };
 
-/// Run-path selection for a suite ("warm_start" sweep member). `kBoth`
-/// runs the grid twice -- once cold, once warm -- and fails the suite with
-/// kVerifyMismatch unless the two rendered CSVs are byte-identical; the
-/// warm run's report becomes the suite outcome.
-enum class WarmStart { kWarm, kCold, kBoth };
-
-/// Canonical spelling ("warm" / "cold" / "both").
-[[nodiscard]] std::string_view warm_start_name(WarmStart mode);
-
 /// A parsed scenario suite: grid + expectations.
 struct Suite {
   std::string name;         ///< "suite" field; names the BENCH artifact
   std::string description;
   harness::SweepSpec sweep;  ///< lowered grid (threads left at the default)
-  /// Run-path axis; kWarm/kCold also set sweep.warm_start directly.
-  WarmStart warm_start = WarmStart::kWarm;
   /// Expected fnv1a64 of the rendered paper-default CSV (the golden).
   std::optional<std::uint64_t> expect_csv_fnv1a64;
   std::vector<Threshold> thresholds;

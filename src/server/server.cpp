@@ -72,8 +72,7 @@ std::string reply_head(std::string_view reply) {
 
 /// The shared warm-state counters of a sweep/bench reply: what this request
 /// compiled vs reused. These are the numbers the warm-serving story is
-/// measured by (a second identical request must report all-zero compiles
-/// and full prepares).
+/// measured by (a second identical request must report zero compiles).
 std::string counters_members(const harness::SweepReport& report) {
   return ", \"cache\": {\"hits\": " +
          std::to_string(report.compile_cache_hits) +
@@ -81,9 +80,8 @@ std::string counters_members(const harness::SweepReport& report) {
          ", \"store_hits\": " +
          std::to_string(report.compile_cache_store_hits) +
          ", \"compiles\": " + std::to_string(report.compile_cache_compiles) +
-         "}, \"prepares\": {\"full\": " +
-         std::to_string(report.full_prepares) +
-         ", \"image_resets\": " + std::to_string(report.image_resets) + "}";
+         "}, \"prepares\": {\"image_resets\": " +
+         std::to_string(report.image_resets) + "}";
 }
 
 }  // namespace
@@ -367,7 +365,7 @@ Result<std::string> Server::handle_run(const Request& request) {
   if (!unit.ok()) return std::move(unit).error();
   auto result = flow::run(*unit.value(), request.plan);
   if (!result.ok()) return std::move(result).error();
-  const harness::ExperimentResult& r = result.value();
+  const flow::ExperimentResult& r = result.value();
   std::string out = reply_head("run");
   out += ", \"kernel\": \"" + json::escape(r.kernel) + "\"";
   out += ", \"machine\": \"";
@@ -376,7 +374,7 @@ Result<std::string> Server::handle_run(const Request& request) {
   out += ", \"config\": \"" +
          json::escape(harness::config_name(request.plan.config)) + "\"";
   out += ", \"mode\": \"";
-  out += harness::mode_name(r.mode);
+  out += flow::mode_name(r.mode);
   out += "\", \"cycles\": " + std::to_string(r.stats.cycles);
   out += ", \"instructions\": " + std::to_string(r.stats.instructions);
   out += ", \"continue_events\": " +
@@ -386,8 +384,7 @@ Result<std::string> Server::handle_run(const Request& request) {
   out += ", \"tenants\": " + std::to_string(r.tenants);
   out += ", \"ctx_switches\": " + std::to_string(r.context_switches);
   out += ", \"ctx_switch_cycles\": " +
-         std::to_string(r.context_switch_cycles);
-  out += ", \"full_prepares\": " + std::to_string(r.full_prepares) + "}";
+         std::to_string(r.context_switch_cycles) + "}";
   return out;
 }
 
@@ -401,7 +398,6 @@ Result<std::string> Server::handle_suite(const Request& request) {
   const scenario::SuiteOutcome& done = outcome.value();
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.full_prepares += done.report.full_prepares;
     stats_.image_resets += done.report.image_resets;
     if (done.mips > 0.0) mips_samples_.push_back(done.mips);
   }
@@ -498,9 +494,8 @@ std::string Server::handle_stats() {
          ", \"store_hits\": " + std::to_string(cache.store_hits) +
          ", \"compiles\": " + std::to_string(cache.compiles) +
          ", \"hit_rate\": " + format_fixed(hit_rate, 3) + "}";
-  out += ", \"prepares\": {\"full\": " +
-         std::to_string(snapshot.full_prepares) +
-         ", \"image_resets\": " + std::to_string(snapshot.image_resets) + "}";
+  out += ", \"prepares\": {\"image_resets\": " +
+         std::to_string(snapshot.image_resets) + "}";
   out += ", \"wall_ms\": " + percentile_object(wall_ms, 3);
   out += ", \"mips\": " + percentile_object(mips, 2);
   out += ", \"workers\": " + std::to_string(options_.workers);

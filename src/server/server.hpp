@@ -52,8 +52,7 @@ struct ServerStats {
   std::uint64_t requests = 0;     ///< well-formed requests dispatched
   std::uint64_t errors = 0;       ///< typed error replies sent
   std::array<std::uint64_t, kNumRequestTypes> by_type{};
-  std::uint64_t full_prepares = 0;  ///< summed over sweep/bench replies
-  std::uint64_t image_resets = 0;
+  std::uint64_t image_resets = 0;  ///< summed over sweep/bench replies
 };
 
 class Server {

@@ -88,8 +88,8 @@ TEST(CliParse, EveryAxisLabelParsesBackToItsPoint) {
                                         false}};
   report.geometries = {zolc::ZolcGeometry{},
                        zolc::ZolcGeometry{64, 16, 4, 4, 14}};
-  report.modes = {harness::ExecMode{},
-                  harness::ExecMode{harness::SimEngine::kIss, true}};
+  report.modes = {flow::ExecMode{},
+                  flow::ExecMode{flow::SimEngine::kIss, true}};
   report.tenants = {1, 3};
   harness::SweepSpec spec;
   for (const harness::SweepAxis& axis : harness::sweep_axes()) {

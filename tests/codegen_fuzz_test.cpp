@@ -10,7 +10,7 @@
 #include "codegen/lower.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/pipeline.hpp"
-#include "flow/scheduler.hpp"
+#include "flow/run.hpp"
 #include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 

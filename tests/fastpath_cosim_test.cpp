@@ -15,7 +15,7 @@
 
 #include "cpu/iss.hpp"
 #include "flow/compiled_unit.hpp"
-#include "flow/scheduler.hpp"
+#include "flow/run.hpp"
 #include "flow/workload.hpp"
 #include "kernels/kernels.hpp"
 #include "sim_test_util.hpp"

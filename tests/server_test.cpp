@@ -1,7 +1,7 @@
 // End-to-end serve daemon behaviour over a real Unix-domain socket: warm
-// second requests (zero compiles, zero full prepares), byte-identity
-// between the server's sweep rendering and the local run_suite path for
-// every checked-in scenario suite, two concurrent clients compiling each
+// second requests (zero compiles), byte-identity between the server's sweep
+// rendering and the local run_suite path for every checked-in scenario
+// suite, two concurrent clients compiling each
 // unit exactly once (the cache's singleflight guarantee), the stats
 // endpoint, idle timeouts, warm restarts off an on-disk store, and
 // graceful drain.
@@ -102,11 +102,11 @@ TEST_F(ServerTest, SecondIdenticalSweepIsFullyWarm) {
   EXPECT_GT(nested_uint(first, "cache", "compiles"), 0u);
 
   // The acceptance bar of the warm-serving story: an identical second
-  // request reports zero compiles and zero full table prepares.
+  // request reports zero compiles. Single-rep cells reset no image.
   const json::Value second = sweep_ok(client, kTinySuite);
   EXPECT_EQ(nested_uint(second, "cache", "compiles"), 0u);
   EXPECT_EQ(nested_uint(second, "cache", "misses"), 0u);
-  EXPECT_EQ(nested_uint(second, "prepares", "full"), 0u);
+  EXPECT_EQ(nested_uint(second, "prepares", "image_resets"), 0u);
   EXPECT_GT(nested_uint(second, "cache", "hits"), 0u);
 }
 
@@ -204,7 +204,7 @@ TEST_F(ServerTest, WarmRestartServesEntirelyFromTheStore) {
     daemon_.reset();
   }
   // A fresh daemon over the same store: every unit comes off disk, nothing
-  // recompiles, and the warm path never runs a full table prepare.
+  // recompiles.
   ServeOptions options;
   options.store_dir = store_dir.string();
   start(std::move(options));
@@ -212,7 +212,7 @@ TEST_F(ServerTest, WarmRestartServesEntirelyFromTheStore) {
   const json::Value reply = sweep_ok(client, kTinySuite);
   EXPECT_EQ(nested_uint(reply, "cache", "compiles"), 0u);
   EXPECT_GT(nested_uint(reply, "cache", "store_hits"), 0u);
-  EXPECT_EQ(nested_uint(reply, "prepares", "full"), 0u);
+  EXPECT_EQ(nested_uint(reply, "prepares", "image_resets"), 0u);
 }
 
 TEST_F(ServerTest, StatsEndpointCountsRequestsAndLatency) {

@@ -103,7 +103,7 @@ inline IssResult run_iss(std::span<const isa::Instruction> program,
 /// Compiles a registry kernel for `machine` and runs the unit under `plan`
 /// (flow::CompiledUnit::compile + flow::run), surfacing either stage's
 /// error.
-inline Result<harness::ExperimentResult> compile_and_run(
+inline Result<flow::ExperimentResult> compile_and_run(
     std::string_view kernel, codegen::MachineKind machine,
     const flow::RunPlan& plan = {}, const zolc::ZolcGeometry& geometry = {},
     const kernels::KernelEnv& env = {}) {

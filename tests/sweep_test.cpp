@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "flow/cache.hpp"
+#include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "sim_test_util.hpp"
 
@@ -71,8 +72,8 @@ TEST(Sweep, EngineMatchesDirectRuns) {
 
 TEST(Sweep, CellsCarryTheirCoordinatesInIndexOrder) {
   SweepSpec spec = small_spec();
-  spec.modes = {ExecMode{SimEngine::kIss, false},
-                ExecMode{SimEngine::kIss, true}};
+  spec.modes = {flow::ExecMode{flow::SimEngine::kIss, false},
+                flow::ExecMode{flow::SimEngine::kIss, true}};
   spec.tenants = {1, 2};
   const auto report = run_sweep(spec);
   ASSERT_TRUE(report.ok()) << report.error().to_string();
@@ -200,7 +201,7 @@ TEST(Sweep, ConfigGridIsSwept) {
 TEST(Sweep, FindLooksUpByLabels) {
   const auto report = run_sweep(small_spec());
   ASSERT_TRUE(report.ok());
-  const ExperimentResult* cell = report.value().find({"fir", "ZOLClite"});
+  const flow::ExperimentResult* cell = report.value().find({"fir", "ZOLClite"});
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->kernel, "fir");
   EXPECT_EQ(cell->machine, MachineKind::kZolcLite);

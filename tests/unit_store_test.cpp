@@ -75,7 +75,7 @@ TEST(UnitStore, RoundTripCoSimulatesEveryRegisteredKernel) {
   // ISS keeps the per-kernel co-simulation cheap; the engines are pinned
   // against each other elsewhere.
   RunPlan plan;
-  plan.mode.engine = harness::SimEngine::kIss;
+  plan.mode.engine = flow::SimEngine::kIss;
 
   const auto check = [&](const kernels::Kernel& kernel) {
     SCOPED_TRACE(std::string(kernel.name()));

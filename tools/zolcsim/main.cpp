@@ -115,7 +115,7 @@ commands:
                             --max-cycles=N --tenants=N --preempt-every=N
                             --preempt-serialize
         sweep               --from-file=SUITE --format=csv|json --out=FILE
-                            --expect-zero-compiles --expect-zero-prepares
+                            --expect-zero-compiles
                             (output is byte-identical to local
                             `zolcsim sweep --from-file`)
         bench-suite         --from-file=SUITE --out-dir=DIR
@@ -417,7 +417,7 @@ int cmd_run(const cli::Args& args) {
   if (rc != 0) return rc;
   plan.preempt_serialize = args.has("preempt-serialize");
   if ((plan.preempt_every != 0 || plan.tenants != 1) &&
-      plan.mode.engine != harness::SimEngine::kIss) {
+      plan.mode.engine != flow::SimEngine::kIss) {
     return usage_error(
         "--preempt-every/--tenants require --mode=iss or --mode=iss-fast");
   }
@@ -427,7 +427,7 @@ int cmd_run(const cli::Args& args) {
   auto result = flow::run(unit.value(), plan);
   if (!result.ok()) return toolchain_error(result.error());
 
-  const harness::ExperimentResult& r = result.value();
+  const flow::ExperimentResult& r = result.value();
   print_unit_summary(unit.value());
   std::printf(
       "run: config %s mode %s\n  cycles            %llu\n"
@@ -435,7 +435,7 @@ int cmd_run(const cli::Args& args) {
       "  done events       %llu\n  table writes      %llu\n"
       "  verification      ok\n",
       harness::config_name(plan.config).c_str(),
-      std::string(harness::mode_name(plan.mode)).c_str(),
+      std::string(flow::mode_name(plan.mode)).c_str(),
       static_cast<unsigned long long>(r.stats.cycles),
       static_cast<unsigned long long>(r.stats.instructions),
       static_cast<unsigned long long>(r.zolc_stats.continue_events),
@@ -974,7 +974,7 @@ std::optional<std::uint64_t> nested_reply_uint(const json::Value& reply,
 
 /// The sweep action: prints/writes the rendered report carried by the
 /// reply (byte-identical to the local `sweep --from-file` rendering) and
-/// enforces the --expect-zero-* warm-serving assertions.
+/// enforces the --expect-zero-compiles warm-serving assertion.
 int client_sweep_reply(const cli::Args& args, const json::Value& reply) {
   auto output = server::reply_string(reply, "output");
   if (!output.ok()) return toolchain_error(output.error());
@@ -989,20 +989,12 @@ int client_sweep_reply(const cli::Args& args, const json::Value& reply) {
     std::fputs(output.value().c_str(), stdout);
   }
   const auto compiles = nested_reply_uint(reply, "cache", "compiles");
-  const auto prepares = nested_reply_uint(reply, "prepares", "full");
   if (args.has("expect-zero-compiles") && compiles.value_or(1) != 0) {
     return toolchain_error(Error{
         ErrorCode::kVerifyMismatch,
         std::to_string(compiles.value_or(0)) +
             " unit(s) compiled despite --expect-zero-compiles (the "
             "daemon's warm cache should have served them)"});
-  }
-  if (args.has("expect-zero-prepares") && prepares.value_or(1) != 0) {
-    return toolchain_error(Error{
-        ErrorCode::kVerifyMismatch,
-        std::to_string(prepares.value_or(0)) +
-            " full table prepare(s) despite --expect-zero-prepares (the "
-            "daemon's prepared images should have been reused)"});
   }
   return 0;
 }
@@ -1037,8 +1029,7 @@ int cmd_client(const cli::Args& args) {
           {"socket", "machine", "geometry", "config", "mode", "max-cycles",
            "tenants", "preempt-every", "from-file", "format", "out",
            "out-dir"},
-          {"preempt-serialize", "expect-zero-compiles",
-           "expect-zero-prepares"})) {
+          {"preempt-serialize", "expect-zero-compiles"})) {
     return rc;
   }
   int rc = 0;
