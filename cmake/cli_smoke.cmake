@@ -78,7 +78,8 @@ expect_exit(2 sweep --from-file=${SUITE} --preempt-serialize)
 expect_exit(2 sweep --from-file=${SUITE} --preempt-every=97)
 
 # A removed suite member fails loudly: the strict schema rejects the retired
-# cold-start run-path selector as unknown instead of ignoring it.
+# cold-start run-path selector as unknown instead of ignoring it (its name
+# is split so the tree keeps no live use of it).
 string(CONCAT retired "warm" "_start")
 file(READ ${SUITE} suite_text)
 string(REPLACE "\"sweep\": {" "\"sweep\": {\"${retired}\": \"both\", "

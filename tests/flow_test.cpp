@@ -271,7 +271,7 @@ TEST(CompiledUnit, PreparedImageIsBuiltOnceAndShared) {
   EXPECT_EQ(image->stats().writes, 0u);
 }
 
-TEST(FlowRun, OnePrepareServesEveryTimingRep) {
+TEST(FlowRun, OnePrepareServesEveryRunAndRep) {
   TestKernel kernel = make_store_one_kernel();
   int setups = 0;
   kernel.count_setups(&setups);
@@ -279,34 +279,22 @@ TEST(FlowRun, OnePrepareServesEveryTimingRep) {
       kernel, spec_for("test", MachineKind::kXrDefault));
   ASSERT_TRUE(unit.ok()) << unit.error().to_string();
 
-  RunPlan plan;
-  plan.timing_reps = 3;
-  const auto reps = run(unit.value(), plan);
-  ASSERT_TRUE(reps.ok()) << reps.error().to_string();
-  EXPECT_EQ(setups, 1);  // one prepared-image build serves every rep
-  EXPECT_EQ(reps.value().image_resets, 2u);
-
-  // Later runs of the unit reuse the cached image; the reps are
-  // architecturally invisible.
+  // Regression pin for the historical double-prepare: a single-rep run
+  // must not build one image just to throw it away.
   const auto once = run(unit.value(), RunPlan{});
   ASSERT_TRUE(once.ok()) << once.error().to_string();
   EXPECT_EQ(setups, 1);
   EXPECT_EQ(once.value().image_resets, 0u);
-  EXPECT_EQ(once.value().stats, reps.value().stats);
-}
 
-TEST(FlowRun, SingleRepPreparesExactlyOnce) {
-  // Regression pin for the historical double-prepare: the fresh-workload
-  // run() overload must not build one image just to throw it away.
-  TestKernel kernel = make_store_one_kernel();
-  int setups = 0;
-  kernel.count_setups(&setups);
-  const auto unit = CompiledUnit::compile(
-      kernel, spec_for("test", MachineKind::kXrDefault));
-  ASSERT_TRUE(unit.ok());
-
-  ASSERT_TRUE(run(unit.value(), RunPlan{}).ok());
+  // Later runs reuse the unit's cached image, and every extra timing rep
+  // resets it; the reps are architecturally invisible.
+  RunPlan plan;
+  plan.timing_reps = 3;
+  const auto reps = run(unit.value(), plan);
+  ASSERT_TRUE(reps.ok()) << reps.error().to_string();
   EXPECT_EQ(setups, 1);
+  EXPECT_EQ(reps.value().image_resets, 2u);
+  EXPECT_EQ(reps.value().stats, once.value().stats);
 }
 
 TEST(Workload, WarmViewMatchesColdAcrossRegistryKernels) {
