@@ -2,7 +2,7 @@
 //
 //   1. Compile stage -- flow::CompiledUnit::compile() turns a (kernel,
 //      machine, geometry, env) point into an immutable artifact: lowered
-//      program, predecoded image, zolcscan metadata.
+//      program, decoded image, zolcscan metadata.
 //   2. Runtime stage -- flow::run() executes that unit under any number of
 //      pipeline configurations without recompiling.
 //   3. Comparison -- a second unit for the unmodified core gives the

@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "isa/code_image.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 #include "zolc/config.hpp"
@@ -65,13 +64,6 @@ struct Program {
 
   /// Encodes and loads the image into simulator memory at `base`.
   void load_into(mem::Memory& memory) const;
-
-  /// Non-owning predecoded view of `code` for the simulators' fetch fast
-  /// path. Valid only while this Program (and its `code` vector) is alive
-  /// and unmodified.
-  [[nodiscard]] isa::CodeImage image() const noexcept {
-    return isa::CodeImage{base, code.data(), code.size()};
-  }
 
   [[nodiscard]] std::size_t size_words() const noexcept { return code.size(); }
 };

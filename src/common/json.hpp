@@ -3,8 +3,7 @@
 // repo never emits: numbers are parsed as double (every count we carry fits
 // a 53-bit mantissa exactly) and \uXXXX escapes outside ASCII are passed
 // through verbatim. Parse failures are Result errors (ErrorCode::kParse)
-// carrying the 1-based line of the offending token, matching the assembler's
-// error shape.
+// carrying the 1-based line of the offending token (Error::line).
 #ifndef ZOLCSIM_COMMON_JSON_HPP
 #define ZOLCSIM_COMMON_JSON_HPP
 

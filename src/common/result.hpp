@@ -27,7 +27,7 @@ namespace zolcsim {
 /// on message text.
 enum class ErrorCode : std::uint8_t {
   kUnknown = 0,     ///< unclassified (avoid: classify at the throw site)
-  kParse,           ///< assembler syntax / directive / operand errors
+  kParse,           ///< malformed JSON, scenario or request text
   kEncode,          ///< instruction encoding range violations (imm/offset)
   kBadConfig,       ///< invalid geometry, sweep spec, or CLI usage
   kUnknownKernel,   ///< kernel name not present in any registry
@@ -112,7 +112,7 @@ inline constexpr ErrorCode kAllErrorCodes[] = {
 }
 
 /// A structured error: code + innermost message + outermost-first context
-/// chain, with optional source line info (used by the assembler).
+/// chain, with optional source line info (used by the JSON reader).
 struct Error {
   ErrorCode code = ErrorCode::kUnknown;
   std::string message;

@@ -1,4 +1,4 @@
-// Small string helpers shared by the assembler and report formatters.
+// Small string helpers shared by the parsers and report formatters.
 #ifndef ZOLCSIM_COMMON_STRINGS_HPP
 #define ZOLCSIM_COMMON_STRINGS_HPP
 

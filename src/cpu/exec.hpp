@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/contracts.hpp"
+#include "cpu/decoded.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 
@@ -50,10 +51,10 @@ inline std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
                                    static_cast<std::uint32_t>(b));
 }
 
-/// Evaluates the ALU/DSP result of `op`. For jal/jalr pass the link value
-/// through `in.acc`. Precondition: op has an ALU result (not a pure branch,
-/// store, or zolc op). Inline with its helpers: it sits on the hot paths of
-/// the ISS step, the pipeline's EX stage and the summary tier's replay.
+/// Evaluates the ALU/DSP result of `op`. Precondition: `op` decodes to an
+/// ALU kind (DecodedOp::kAlu .. kAddi). Inline with its helpers: it sits on
+/// the hot paths of the ISS step, the pipeline's EX stage and the summary
+/// tier's replay.
 [[nodiscard]] inline std::int32_t alu_eval(isa::Opcode op,
                                            const AluInputs& in) {
   using O = isa::Opcode;
@@ -116,11 +117,6 @@ inline std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
       return in.a < 0 ? wrap_sub(0, in.a) : in.a;
     case O::kClz:
       return static_cast<std::int32_t>(std::countl_zero(ua));
-    case O::kDbne:
-      return wrap_sub(in.a, 1);  // decremented counter, written back to rs
-    case O::kJal:
-    case O::kJalr:
-      return in.acc;  // link value (pc + 4), supplied by the caller
     default:
       ZS_UNREACHABLE("alu_eval: opcode has no ALU result");
   }
@@ -145,6 +141,34 @@ inline std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
     case O::kDbne: return rs != 0;  // rs is the decremented value
     default:
       ZS_UNREACHABLE("branch_taken: not a conditional branch");
+  }
+}
+
+/// Where a control transfer goes: whether it is taken and, if so, where.
+struct ControlOutcome {
+  bool taken = false;
+  std::uint32_t target = 0;
+};
+
+/// Resolves the branch or jump `op` fetched at `pc` given its rs and rt
+/// operand values; any other kind is not taken.
+[[nodiscard]] inline ControlOutcome resolve_control(const DecodedOp& op,
+                                                    std::uint32_t pc,
+                                                    std::int32_t rs,
+                                                    std::int32_t rt) {
+  const isa::Instruction& instr = op.instr;
+  switch (op.kind) {
+    case DecodedOp::Kind::kBranch: {
+      const std::int32_t lhs =
+          instr.op == isa::Opcode::kDbne ? wrap_sub(rs, 1) : rs;
+      return {branch_taken(instr.op, lhs, rt), isa::branch_target(instr, pc)};
+    }
+    case DecodedOp::Kind::kJump:
+      return {true, isa::jump_target(instr, pc)};
+    case DecodedOp::Kind::kJumpReg:
+      return {true, static_cast<std::uint32_t>(rs)};
+    default:
+      return {};
   }
 }
 

@@ -1,60 +1,43 @@
 #include "cpu/iss.hpp"
 
 #include "common/strings.hpp"
-#include "isa/encoding.hpp"
 
 namespace zolcsim::cpu {
 
 namespace {
 
-using isa::Format;
 using isa::Instruction;
 using isa::Opcode;
+using Kind = DecodedOp::Kind;
 
 }  // namespace
-
-void Iss::set_code_image(isa::CodeImage image) {
-  image_ = image;
-  image_info_.clear();
-  image_info_.reserve(image.size_words);
-  for (std::size_t i = 0; i < image.size_words; ++i) {
-    const Instruction& instr = image.code[i];
-    image_info_.push_back(instr.valid() ? &isa::opcode_info(instr.op)
-                                        : nullptr);
-  }
-  summarizer_.clear_cache();
-}
 
 void Iss::step() {
   if (halted_) return;
   fetch_redirected_ = false;
 
-  // Fetch: by reference into the code image, with its predecoded opcode
-  // metadata; outside the image, decode from memory.
-  const Instruction* fetched = nullptr;
-  const isa::OpcodeInfo* fetched_info = nullptr;
-  Instruction decoded;
-  if (image_.covers(pc_)) {
-    const std::size_t word = (pc_ - image_.base) / 4;
-    fetched = &image_.code[word];
-    fetched_info = image_info_[word];
+  // Fetch: by reference into the decoded image; outside the image, decode
+  // from memory.
+  const DecodedOp* fetched = nullptr;
+  DecodedOp decoded;
+  if (image_ != nullptr && image_->covers(pc_)) {
+    fetched = &image_->at(pc_);
   } else {
-    decoded = isa::decode(mem_.fetch32(pc_));
+    decoded = decode_op(isa::decode(mem_.fetch32(pc_)));
     fetched = &decoded;
-    if (decoded.valid()) fetched_info = &isa::opcode_info(decoded.op);
   }
-  if (fetched_info == nullptr) {
+  const DecodedOp& op = *fetched;
+  if (op.kind == Kind::kInvalid) {
     throw SimError("illegal instruction " + hex32(mem_.fetch32(pc_)) +
                    " at " + hex32(pc_));
   }
-  const Instruction& instr = *fetched;
-  const isa::OpcodeInfo& info = *fetched_info;
+  const Instruction& instr = op.instr;
 
   // Fetch-time ZOLC event (speculative: discarded if this instruction is a
   // taken control transfer, mirroring the pipeline's rollback). Only a
   // control transfer can discard it, so only those take the snapshot.
   const bool fetch_triggers = accel_ != nullptr && accel_->will_trigger(pc_);
-  if (fetch_triggers && (info.is_cond_branch || info.is_jump)) {
+  if (fetch_triggers && op.is_control()) {
     pre_fetch_ = accel_->snapshot();
   }
   const std::optional<AccelEvent> fetch_event =
@@ -72,71 +55,49 @@ void Iss::step() {
   bool taken_control = false;
   std::uint32_t control_target = 0;
 
-  switch (info.format) {
-    case Format::kR3:
-    case Format::kR3Acc:
-    case Format::kR2:
-    case Format::kR1:
-    case Format::kRShift: {
-      if (instr.op == Opcode::kJr || instr.op == Opcode::kJalr) {
-        taken_control = true;
-        control_target = static_cast<std::uint32_t>(rs_val);
-        if (instr.op == Opcode::kJalr) {
-          regs_.write(instr.rd, static_cast<std::int32_t>(pc_ + 4));
-        }
-        break;
-      }
+  switch (op.kind) {
+    case Kind::kAlu:
+    case Kind::kAdd:
+    case Kind::kMac:
+    case Kind::kMax:
+    case Kind::kSll:
+    case Kind::kMul:
+    case Kind::kAluImm:
+    case Kind::kAddi: {
       AluInputs in;
       in.a = rs_val;
-      in.b = rt_val;
+      in.b = op.imm_operand() ? instr.imm : rt_val;
       in.acc = rd_val;
       in.shamt = instr.shamt;
-      regs_.write(instr.rd, alu_eval(instr.op, in));
+      regs_.write(op.dest, alu_eval(instr.op, in));
       break;
     }
-    case Format::kI:
-    case Format::kLui: {
-      AluInputs in;
-      in.a = rs_val;
-      in.b = instr.imm;
-      regs_.write(instr.rt, alu_eval(instr.op, in));
-      break;
-    }
-    case Format::kBranchCmp:
-    case Format::kBranchZero: {
-      std::int32_t lhs = rs_val;
-      if (instr.op == Opcode::kDbne) {
-        lhs = alu_eval(Opcode::kDbne, AluInputs{rs_val, 0, 0, 0});
-        regs_.write(instr.rs, lhs);
-      }
-      if (branch_taken(instr.op, lhs, rt_val)) {
-        taken_control = true;
-        control_target = isa::branch_target(instr, pc_);
-      }
-      break;
-    }
-    case Format::kMem: {
+    case Kind::kLoad:
+    case Kind::kStore: {
       const std::uint32_t addr = static_cast<std::uint32_t>(rs_val) +
                                  static_cast<std::uint32_t>(instr.imm);
-      if (info.is_load) {
-        regs_.write(instr.rt, mem_load(instr.op, mem_, addr));
-      } else if (info.is_store) {
-        mem_store(instr.op, mem_, addr, rt_val);
+      if (op.kind == Kind::kLoad) {
+        regs_.write(op.dest, mem_load(instr.op, mem_, addr));
       } else {
-        ZS_UNREACHABLE("memory format without memory opcode");
+        mem_store(instr.op, mem_, addr, rt_val);
       }
       break;
     }
-    case Format::kJump: {
-      taken_control = true;
-      control_target = isa::jump_target(instr, pc_);
-      if (instr.op == Opcode::kJal) {
-        regs_.write(31, static_cast<std::int32_t>(pc_ + 4));
-      }
+    case Kind::kBranch:
+    case Kind::kJump:
+    case Kind::kJumpReg: {
+      const ControlOutcome control = resolve_control(op, pc_, rs_val, rt_val);
+      taken_control = control.taken;
+      control_target = control.target;
+      // dbne writes back its decremented counter, jal and jalr their link;
+      // the other transfers have no destination.
+      const std::int32_t written = op.kind == Kind::kBranch
+                                       ? wrap_sub(rs_val, 1)
+                                       : static_cast<std::int32_t>(pc_ + 4);
+      regs_.write(op.dest, written);
       break;
     }
-    case Format::kZolcWrite:
-    case Format::kZolcNone: {
+    case Kind::kZolc: {
       if (accel_ == nullptr) {
         throw SimError("ZOLC instruction at " + hex32(pc_) +
                        " with no loop accelerator attached");
@@ -151,10 +112,11 @@ void Iss::step() {
       }
       break;
     }
-    case Format::kNone: {
-      if (instr.op == Opcode::kHalt) halted_ = true;
+    case Kind::kHalt:
+      halted_ = true;
       break;
-    }
+    case Kind::kInvalid:
+      ZS_UNREACHABLE("invalid instructions trap at fetch");
   }
 
   ++stats_.instructions;

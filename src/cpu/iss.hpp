@@ -9,13 +9,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "cpu/accel.hpp"
+#include "cpu/decoded.hpp"
 #include "cpu/exec.hpp"
 #include "cpu/regfile.hpp"
 #include "cpu/summary.hpp"
-#include "isa/code_image.hpp"
 #include "mem/memory.hpp"
 
 namespace zolcsim::cpu {
@@ -42,14 +41,16 @@ class Iss {
   /// Attaches a loop accelerator (non-owning; may be nullptr).
   void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
 
-  /// Attaches a predecoded code image (non-owning; must outlive the ISS)
-  /// and builds its per-word opcode table. Fetches inside the image skip
-  /// the per-step decode and opcode lookup; fetches outside it decode from
-  /// memory as before.
-  void set_code_image(isa::CodeImage image);
+  /// Attaches a decoded code image (non-owning; must outlive the ISS).
+  /// Fetches inside the image read its records; fetches outside it decode
+  /// from memory.
+  void set_code_image(const DecodedImage& image) noexcept {
+    image_ = &image;
+    summarizer_.clear_cache();
+  }
 
   /// Enables the loop-summary fast path (DESIGN.md section 7): hardware-
-  /// managed innermost loops replay through pre-bound micro-ops instead of
+  /// managed innermost loops replay through the decoded records instead of
   /// per-instruction stepping. Architecturally invisible; automatically
   /// disabled while a retire hook is attached (the hook must observe every
   /// instruction individually).
@@ -92,10 +93,7 @@ class Iss {
  private:
   mem::Memory& mem_;
   RegFile regs_;
-  isa::CodeImage image_;
-  /// Opcode metadata per image word, parallel to image_.code; nullptr for
-  /// words that do not decode.
-  std::vector<const isa::OpcodeInfo*> image_info_;
+  const DecodedImage* image_ = nullptr;
   LoopAccelerator* accel_ = nullptr;
   RetireHook retire_hook_;
   LoopSummarizer summarizer_;

@@ -6,15 +6,15 @@ namespace zolcsim::cpu {
 
 namespace {
 
-using isa::Format;
 using isa::Instruction;
 using isa::Opcode;
+using Kind = DecodedOp::Kind;
 
-bool writes_reg(const std::optional<std::uint8_t>& dest,
-                const isa::SourceRegs& srcs) {
-  if (!dest) return false;
+/// True iff `dest` (0: none) is one of `srcs`.
+bool writes_reg(std::uint8_t dest, const isa::SourceRegs& srcs) {
+  if (dest == 0) return false;
   for (std::uint8_t i = 0; i < srcs.count; ++i) {
-    if (srcs.regs[i] == *dest) return true;
+    if (srcs.regs[i] == dest) return true;
   }
   return false;
 }
@@ -23,25 +23,6 @@ bool writes_reg(const std::optional<std::uint8_t>& dest,
 
 Pipeline::Pipeline(mem::Memory& memory, PipelineConfig config)
     : mem_(memory), config_(config) {}
-
-void Pipeline::set_code_image(isa::CodeImage image) {
-  image_ = image;
-  image_meta_.clear();
-  image_meta_.reserve(image.size_words);
-  for (std::size_t i = 0; i < image.size_words; ++i) {
-    image_meta_.push_back(make_meta(image.code[i]));
-  }
-}
-
-Pipeline::InstrMeta Pipeline::make_meta(const Instruction& instr) {
-  InstrMeta meta;
-  if (!instr.valid()) return meta;
-  meta.info = &isa::opcode_info(instr.op);
-  meta.srcs = isa::source_regs(instr);
-  meta.dest = isa::dest_reg(instr);
-  meta.is_control = isa::is_control_flow(instr);
-  return meta;
-}
 
 std::int32_t Pipeline::forward_to_ex(const Latches& cur, std::uint8_t reg,
                                      std::int32_t id_value) const {
@@ -65,23 +46,16 @@ std::int32_t Pipeline::read_in_id(const Latches& cur, std::uint8_t reg) const {
 }
 
 bool Pipeline::control_in_flight(const Latches& cur) const {
-  // Invalid instructions carry is_control == false.
-  if (cur.if_id.valid && cur.if_id.meta.is_control) return true;
+  // Invalid instructions are not control transfers.
+  if (cur.if_id.valid && cur.if_id.op.is_control()) return true;
   return config_.branch_resolve == BranchResolveStage::kExecute &&
-         cur.id_ex.valid && cur.id_ex.meta.is_control;
+         cur.id_ex.valid && cur.id_ex.op.is_control();
 }
 
 std::uint32_t Pipeline::fetch(const Latches& cur, IfId& ifi) {
   ifi.valid = true;
   ifi.pc = pc_;
-  if (image_.covers(pc_)) {
-    const std::size_t word = (pc_ - image_.base) / 4;
-    ifi.instr = image_.code[word];
-    ifi.meta = image_meta_[word];
-  } else {
-    ifi.instr = isa::decode(mem_.fetch32(pc_));
-    ifi.meta = make_meta(ifi.instr);
-  }
+  ifi.op = fetch_op(image_, mem_, pc_);
   ifi.event = kNoEvent;
   if (accel_ == nullptr || !accel_->will_trigger(pc_)) return pc_ + 4;
 
@@ -127,7 +101,7 @@ void Pipeline::cycle() {
     if (!cur.mem_wb.instr.valid()) {
       throw SimError("illegal instruction at " + hex32(cur.mem_wb.pc));
     }
-    if (cur.mem_wb.dest) regs_.write(*cur.mem_wb.dest, cur.mem_wb.value);
+    if (cur.mem_wb.dest != 0) regs_.write(cur.mem_wb.dest, cur.mem_wb.value);
     ++stats_.instructions;
     if (retire_hook_) retire_hook_(cur.mem_wb.pc, cur.mem_wb.instr);
     if (cur.mem_wb.is_zolc) ++stats_.zolc_init_instructions;
@@ -156,19 +130,11 @@ void Pipeline::cycle() {
   }
 
   // ---------------- EX ----------------
-  if (cur.id_ex.valid && cur.id_ex.meta.info == nullptr) {
-    // Pass invalid instructions through as inert bubbles; they trap at WB.
-    ExMem& ex = next.ex_mem;
-    ex.valid = true;
-    ex.is_load = false;
-    ex.is_store = false;
-    ex.is_zolc = false;
-    ex.dest.reset();
-    ex.pc = cur.id_ex.pc;
-    ex.instr = cur.id_ex.instr;
-  } else if (cur.id_ex.valid) {
-    const Instruction& instr = cur.id_ex.instr;
-    const isa::OpcodeInfo& info = *cur.id_ex.meta.info;
+  // An invalid instruction passes through inertly (kind kInvalid: no
+  // destination, no memory access, no fetch event); it traps at WB.
+  if (cur.id_ex.valid) {
+    const DecodedOp& op = cur.id_ex.op;
+    const Instruction& instr = op.instr;
 
     const std::int32_t a = forward_to_ex(cur, instr.rs, cur.id_ex.rs_val);
     const std::int32_t rt_fwd = forward_to_ex(cur, instr.rt, cur.id_ex.rt_val);
@@ -176,22 +142,9 @@ void Pipeline::cycle() {
 
     // Resolve control flow first (EX-resolution config); under kDecode it
     // was already resolved in ID and the latch carries no live branch work.
-    bool taken = false;
-    std::uint32_t target = 0;
+    ControlOutcome control;
     if (config_.branch_resolve == BranchResolveStage::kExecute) {
-      if (info.is_cond_branch) {
-        std::int32_t lhs = a;
-        if (instr.op == Opcode::kDbne) {
-          lhs = alu_eval(Opcode::kDbne, AluInputs{a, 0, 0, 0});
-        }
-        taken = branch_taken(instr.op, lhs, rt_fwd);
-        target = isa::branch_target(instr, cur.id_ex.pc);
-      } else if (info.is_jump) {
-        taken = true;
-        target = (instr.op == Opcode::kJ || instr.op == Opcode::kJal)
-                     ? isa::jump_target(instr, cur.id_ex.pc)
-                     : static_cast<std::uint32_t>(a);
-      }
+      control = resolve_control(op, cur.id_ex.pc, a, rt_fwd);
     }
 
     // Commit this instruction's fetch-time ZOLC write-backs now that it is
@@ -199,7 +152,7 @@ void Pipeline::cycle() {
     // transfer, in which case the fetch-time speculation was wrong-path.
     if (cur.id_ex.event != kNoEvent) {
       const FetchInfo& fi = event_at(cur.id_ex.event);
-      if (taken) {
+      if (control.taken) {
         rollback_to = &fi.before;
       } else {
         for (const RfWrite& w : fi.event.rf_writes) {
@@ -208,70 +161,57 @@ void Pipeline::cycle() {
       }
     }
 
-    if (taken) {
+    if (control.taken) {
       redirect = true;
       redirect_from_ex = true;
-      redirect_target = target;
+      redirect_target = control.target;
       resolved_pc = cur.id_ex.pc;
       ++stats_.taken_control;
     }
 
     ExMem& ex = next.ex_mem;
     ex.valid = true;
-    ex.is_load = info.is_load;
-    ex.is_store = info.is_store;
-    ex.is_zolc = info.is_zolc;
-    ex.dest = cur.id_ex.meta.dest;
+    ex.is_load = op.kind == Kind::kLoad;
+    ex.is_store = op.kind == Kind::kStore;
+    ex.is_zolc = op.kind == Kind::kZolc;
+    ex.dest = op.dest;
     ex.pc = cur.id_ex.pc;
     ex.instr = instr;
     ex.alu = 0;
 
-    switch (info.format) {
-      case Format::kR3:
-      case Format::kR3Acc:
-      case Format::kR2:
-      case Format::kR1:
-      case Format::kRShift: {
-        if (instr.op == Opcode::kJr) break;
-        if (instr.op == Opcode::kJalr) {
-          ex.alu = static_cast<std::int32_t>(cur.id_ex.pc + 4);
-          break;
-        }
+    switch (op.kind) {
+      case Kind::kAlu:
+      case Kind::kAdd:
+      case Kind::kMac:
+      case Kind::kMax:
+      case Kind::kSll:
+      case Kind::kMul:
+      case Kind::kAluImm:
+      case Kind::kAddi: {
         AluInputs in;
         in.a = a;
-        in.b = rt_fwd;
+        in.b = op.imm_operand() ? instr.imm : rt_fwd;
         in.acc = acc;
         in.shamt = instr.shamt;
         ex.alu = alu_eval(instr.op, in);
         break;
       }
-      case Format::kI:
-      case Format::kLui: {
-        AluInputs in;
-        in.a = a;
-        in.b = instr.imm;
-        ex.alu = alu_eval(instr.op, in);
-        break;
-      }
-      case Format::kMem:
+      case Kind::kLoad:
+      case Kind::kStore:
         ex.alu =
             static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
                                       static_cast<std::uint32_t>(instr.imm));
         ex.store_val = rt_fwd;
         break;
-      case Format::kBranchCmp:
-      case Format::kBranchZero:
-        if (instr.op == Opcode::kDbne) {
-          ex.alu = alu_eval(Opcode::kDbne, AluInputs{a, 0, 0, 0});
-        }
+      case Kind::kBranch:
+        if (instr.op == Opcode::kDbne) ex.alu = wrap_sub(a, 1);
         break;
-      case Format::kJump:
-        if (instr.op == Opcode::kJal) {
-          ex.alu = static_cast<std::int32_t>(cur.id_ex.pc + 4);
-        }
+      case Kind::kJump:
+      case Kind::kJumpReg:
+        // The link value for jal / jalr; j and jr have no destination.
+        ex.alu = static_cast<std::int32_t>(cur.id_ex.pc + 4);
         break;
-      case Format::kZolcWrite:
-      case Format::kZolcNone: {
+      case Kind::kZolc: {
         if (accel_ == nullptr) {
           throw SimError("ZOLC instruction at " + hex32(cur.id_ex.pc) +
                          " with no loop accelerator attached");
@@ -286,7 +226,8 @@ void Pipeline::cycle() {
         }
         break;
       }
-      case Format::kNone:
+      case Kind::kHalt:
+      case Kind::kInvalid:
         break;
     }
   }
@@ -297,25 +238,24 @@ void Pipeline::cycle() {
   bool stall = false;
   if (cur.if_id.valid && !redirect_from_ex) {
     // An invalid instruction passes through inertly (it traps at WB if it
-    // ever retires): it has no sources, so it takes part in no hazards. An
-    // invalid (wrong-path garbage) instruction in EX has no destination.
-    const InstrMeta& meta = cur.if_id.meta;
-    const bool ex_stage_valid =
-        cur.id_ex.valid && cur.id_ex.meta.info != nullptr;
+    // ever retires): it has no sources and no destination, so it takes part
+    // in no hazards.
+    const DecodedOp& op = cur.if_id.op;
+    const bool ex_valid = cur.id_ex.valid;
     if (config_.forwarding) {
       // Load-use interlock: producer load currently in EX.
-      if (ex_stage_valid && cur.id_ex.meta.info->is_load &&
-          writes_reg(cur.id_ex.meta.dest, meta.srcs)) {
+      if (ex_valid && cur.id_ex.op.kind == Kind::kLoad &&
+          writes_reg(cur.id_ex.op.dest, op.srcs)) {
         stall = true;
         ++stats_.load_use_stalls;
       }
       // ID-resolution interlocks: branch operands must be available in ID.
       if (!stall && config_.branch_resolve == BranchResolveStage::kDecode &&
-          meta.is_control) {
+          op.is_control()) {
         const bool ex_hazard =
-            ex_stage_valid && writes_reg(cur.id_ex.meta.dest, meta.srcs);
+            ex_valid && writes_reg(cur.id_ex.op.dest, op.srcs);
         const bool mem_load_hazard = cur.ex_mem.valid && cur.ex_mem.is_load &&
-                                     writes_reg(cur.ex_mem.dest, meta.srcs);
+                                     writes_reg(cur.ex_mem.dest, op.srcs);
         if (ex_hazard || mem_load_hazard) {
           stall = true;
           ++stats_.interlock_stalls;
@@ -324,8 +264,8 @@ void Pipeline::cycle() {
     } else {
       // No forwarding: wait until every producer has written back.
       const bool hazard =
-          (ex_stage_valid && writes_reg(cur.id_ex.meta.dest, meta.srcs)) ||
-          (cur.ex_mem.valid && writes_reg(cur.ex_mem.dest, meta.srcs));
+          (ex_valid && writes_reg(cur.id_ex.op.dest, op.srcs)) ||
+          (cur.ex_mem.valid && writes_reg(cur.ex_mem.dest, op.srcs));
       if (hazard) {
         stall = true;
         ++stats_.raw_stalls;
@@ -335,40 +275,26 @@ void Pipeline::cycle() {
     if (stall) {
       next.if_id = cur.if_id;  // hold
     } else {
-      const Instruction& instr = cur.if_id.instr;
+      const Instruction& instr = op.instr;
       IdEx& id = next.id_ex;
       id.valid = true;
       // An invalid instruction's fetch event is dropped: it never commits
       // its write-backs and is never rolled back from ID/EX.
-      id.event = meta.info != nullptr ? cur.if_id.event : kNoEvent;
+      id.event = op.kind != Kind::kInvalid ? cur.if_id.event : kNoEvent;
       id.pc = cur.if_id.pc;
-      id.instr = instr;
-      id.meta = meta;
+      id.op = op;
       id.rs_val = read_in_id(cur, instr.rs);
       id.rt_val = read_in_id(cur, instr.rt);
       id.rd_val = read_in_id(cur, instr.rd);
 
       // Early (decode-stage) control resolution.
       if (config_.branch_resolve == BranchResolveStage::kDecode &&
-          meta.is_control) {
-        bool taken = false;
-        std::uint32_t target = 0;
-        if (meta.info->is_cond_branch) {
-          std::int32_t lhs = id.rs_val;
-          if (instr.op == Opcode::kDbne) {
-            lhs = alu_eval(Opcode::kDbne, AluInputs{id.rs_val, 0, 0, 0});
-          }
-          taken = branch_taken(instr.op, lhs, id.rt_val);
-          target = isa::branch_target(instr, id.pc);
-        } else {
-          taken = true;
-          target = (instr.op == Opcode::kJ || instr.op == Opcode::kJal)
-                       ? isa::jump_target(instr, id.pc)
-                       : static_cast<std::uint32_t>(id.rs_val);
-        }
-        if (taken) {
+          op.is_control()) {
+        const ControlOutcome control =
+            resolve_control(op, id.pc, id.rs_val, id.rt_val);
+        if (control.taken) {
           redirect = true;
-          redirect_target = target;
+          redirect_target = control.target;
           resolved_pc = id.pc;
           ++stats_.taken_control;
           // This branch's own fetch-time event was fall-through speculation:

@@ -17,15 +17,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "cpu/accel.hpp"
+#include "cpu/decoded.hpp"
 #include "cpu/exec.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/regfile.hpp"
-#include "isa/code_image.hpp"
-#include "isa/encoding.hpp"
 #include "mem/memory.hpp"
 
 namespace zolcsim::cpu {
@@ -71,11 +68,10 @@ class Pipeline {
   /// Attaches a loop accelerator (non-owning; may be nullptr).
   void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
 
-  /// Attaches a predecoded code image (non-owning; must outlive the
-  /// pipeline) and builds the per-word metadata table the stages read.
-  /// Fetches inside the image skip the per-cycle decode and metadata
-  /// lookups; fetches outside it decode from memory as before.
-  void set_code_image(isa::CodeImage image);
+  /// Attaches a decoded code image (non-owning; must outlive the
+  /// pipeline). Fetches inside the image copy its records into IF/ID;
+  /// fetches outside it decode from memory.
+  void set_code_image(const DecodedImage& image) noexcept { image_ = &image; }
 
   /// Observer called at write-back for every retired instruction (program
   /// order; wrong-path instructions never reach it).
@@ -99,16 +95,6 @@ class Pipeline {
   std::uint64_t run(std::uint64_t max_cycles);
 
  private:
-  /// The opcode metadata the stages consult, derived once per code word
-  /// (set_code_image) or per out-of-image fetch, then carried in the
-  /// latches so ID, EX and WB never look it up again.
-  struct InstrMeta {
-    const isa::OpcodeInfo* info = nullptr;  ///< nullptr: invalid encoding
-    isa::SourceRegs srcs;
-    std::optional<std::uint8_t> dest;
-    bool is_control = false;
-  };
-
   /// Fetch-time ZOLC event riding with the triggering instruction.
   struct FetchInfo {
     AccelEvent event;
@@ -125,16 +111,14 @@ class Pipeline {
     bool valid = false;
     std::int8_t event = kNoEvent;  ///< fetch-event slot
     std::uint32_t pc = 0;
-    isa::Instruction instr;
-    InstrMeta meta;
+    DecodedOp op;
   };
 
   struct IdEx {
     bool valid = false;
     std::int8_t event = kNoEvent;  ///< fetch-event slot
     std::uint32_t pc = 0;
-    isa::Instruction instr;
-    InstrMeta meta;
+    DecodedOp op;
     std::int32_t rs_val = 0;
     std::int32_t rt_val = 0;
     std::int32_t rd_val = 0;
@@ -145,7 +129,7 @@ class Pipeline {
     bool is_load = false;
     bool is_store = false;
     bool is_zolc = false;
-    std::optional<std::uint8_t> dest;
+    std::uint8_t dest = 0;  ///< 0: no register write
     std::uint32_t pc = 0;
     isa::Instruction instr;
     std::int32_t alu = 0;
@@ -155,7 +139,7 @@ class Pipeline {
   struct MemWb {
     bool valid = false;
     bool is_zolc = false;
-    std::optional<std::uint8_t> dest;
+    std::uint8_t dest = 0;  ///< 0: no register write
     std::uint32_t pc = 0;
     isa::Instruction instr;
     std::int32_t value = 0;
@@ -168,7 +152,6 @@ class Pipeline {
     MemWb mem_wb;
   };
 
-  [[nodiscard]] static InstrMeta make_meta(const isa::Instruction& instr);
   [[nodiscard]] const FetchInfo& event_at(std::int8_t slot) const {
     return events_[static_cast<std::size_t>(slot)];
   }
@@ -186,8 +169,7 @@ class Pipeline {
   mem::Memory& mem_;
   PipelineConfig config_;
   RegFile regs_;
-  isa::CodeImage image_;
-  std::vector<InstrMeta> image_meta_;  ///< parallel to image_
+  const DecodedImage* image_ = nullptr;
   LoopAccelerator* accel_ = nullptr;
   RetireHook retire_hook_;
   /// Double-buffered latches: each cycle reads latches_[cur_] and writes

@@ -32,7 +32,7 @@ class RegFile {
   }
 
   // Unchecked accessors for the ISS summary tier's replay loop: its
-  // pre-bound micro-ops and exported loop descriptors carry 5-bit register
+  // decoded records and exported loop descriptors carry 5-bit register
   // fields, so the precondition holds by construction.
 
   [[nodiscard]] std::int32_t read_raw(unsigned reg) const noexcept {

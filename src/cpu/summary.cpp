@@ -5,36 +5,16 @@
 
 #include "common/contracts.hpp"
 #include "cpu/exec.hpp"
-#include "isa/encoding.hpp"
 
 namespace zolcsim::cpu {
 
 namespace {
 
-using isa::Format;
 using isa::Instruction;
-using isa::Opcode;
+using Kind = DecodedOp::Kind;
 
 constexpr std::size_t idx(BailoutReason reason) noexcept {
   return static_cast<std::size_t>(reason);
-}
-
-std::uint8_t access_width(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kSb:
-      return 1;
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kSh:
-      return 2;
-    case Opcode::kLw:
-    case Opcode::kSw:
-      return 4;
-    default:
-      ZS_UNREACHABLE("access_width: not a memory opcode");
-  }
 }
 
 // Back-edges a loop at `cur` will still take before its done event: the
@@ -89,7 +69,7 @@ const char* bailout_reason_name(BailoutReason reason) {
 
 LoopSummarizer::CacheEntry LoopSummarizer::analyze_body(
     std::uint32_t body_start, std::uint32_t body_end,
-    const isa::CodeImage& image, const mem::Memory& mem) {
+    const DecodedImage* image, const mem::Memory& mem) {
   CacheEntry entry;
   if (body_start > body_end || ((body_end - body_start) & 3u) != 0) {
     entry.rejected = BailoutReason::kTrap;
@@ -101,91 +81,38 @@ LoopSummarizer::CacheEntry LoopSummarizer::analyze_body(
   // address it bases.
   std::uint32_t nonaffine_mask = 0;
   for (std::uint32_t p = body_start;; p += 4) {
-    const Instruction instr =
-        image.covers(p) ? image.at(p) : isa::decode(mem.fetch32(p));
-    if (!instr.valid()) {
-      entry.rejected = BailoutReason::kTrap;
-      return entry;
-    }
-    const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
-    if (info.is_zolc) {
-      entry.rejected = BailoutReason::kAccelMutation;
-      return entry;
-    }
-    if (isa::is_control_flow(instr) || instr.op == Opcode::kHalt) {
-      entry.rejected = BailoutReason::kControlFlow;
-      return entry;
-    }
-    Uop u;
-    u.op = instr.op;
-    u.rs = instr.rs;
-    u.rt = instr.rt;
-    u.shamt = instr.shamt;
-    u.imm = instr.imm;
-    switch (info.format) {
-      case Format::kR3:
-      case Format::kR3Acc:
-      case Format::kR2:
-      case Format::kR1:
-      case Format::kRShift:
-        u.dest = instr.rd;
-        switch (instr.op) {
-          case Opcode::kAdd:
-            u.kind = Uop::Kind::kAdd;
-            break;
-          case Opcode::kMac:
-            u.kind = Uop::Kind::kMac;
-            break;
-          case Opcode::kMax:
-            u.kind = Uop::Kind::kMax;
-            break;
-          case Opcode::kSll:
-            u.kind = Uop::Kind::kSll;
-            break;
-          case Opcode::kMul:
-            u.kind = Uop::Kind::kMul;
-            break;
-          default:
-            u.kind = Uop::Kind::kAlu;
-            break;
-        }
-        break;
-      case Format::kI:
-      case Format::kLui:
-        u.kind = instr.op == Opcode::kAddi ? Uop::Kind::kAddi
-                                           : Uop::Kind::kAluImm;
-        u.dest = instr.rt;
-        break;
-      case Format::kMem:
-        u.kind = info.is_load ? Uop::Kind::kLoad : Uop::Kind::kStore;
-        u.dest = instr.rt;
-        u.width = access_width(instr.op);
-        u.sign_extend =
-            instr.op == Opcode::kLb || instr.op == Opcode::kLh;
-        break;
-      default:
-        // Branches/jumps were rejected above; anything else left in the
-        // region (e.g. a stray no-format opcode) cannot be micro-op'd.
+    const DecodedOp op = fetch_op(image, mem, p);
+    switch (op.kind) {
+      case Kind::kInvalid:
+        entry.rejected = BailoutReason::kTrap;
+        return entry;
+      case Kind::kZolc:
+        entry.rejected = BailoutReason::kAccelMutation;
+        return entry;
+      case Kind::kBranch:
+      case Kind::kJump:
+      case Kind::kJumpReg:
+      case Kind::kHalt:
         entry.rejected = BailoutReason::kControlFlow;
         return entry;
+      default:
+        break;
     }
-
-    const isa::SourceRegs srcs = isa::source_regs(instr);
-    for (std::uint8_t i = 0; i < srcs.count; ++i) {
-      body.reads_mask |= 1u << srcs.regs[i];
+    for (std::uint8_t i = 0; i < op.srcs.count; ++i) {
+      body.reads_mask |= 1u << op.srcs.regs[i];
     }
-    if (const auto dest = isa::dest_reg(instr)) {
-      body.writes_mask |= 1u << *dest;
-      if (instr.op == Opcode::kAddi && instr.rs == *dest) {
-        body.affine_delta[*dest] += instr.imm;
+    if (op.dest != 0) {
+      body.writes_mask |= 1u << op.dest;
+      if (op.kind == Kind::kAddi && op.instr.rs == op.dest) {
+        body.affine_delta[op.dest] += op.instr.imm;
       } else {
-        nonaffine_mask |= 1u << *dest;
+        nonaffine_mask |= 1u << op.dest;
       }
     }
-    if (u.kind == Uop::Kind::kStore) {
-      body.store_slots.push_back(static_cast<std::uint32_t>(body.uops.size()));
+    if (op.kind == Kind::kStore) {
+      body.store_slots.push_back(static_cast<std::uint32_t>(body.ops.size()));
     }
-    body.uops.push_back(u);
+    body.ops.push_back(op);
     if (p == body_end) break;
   }
   // A non-affine write poisons the affine delta too: the register's
@@ -194,7 +121,7 @@ LoopSummarizer::CacheEntry LoopSummarizer::analyze_body(
     if ((nonaffine_mask >> r) & 1u) body.affine_delta[r] = 0;
   }
   for (std::uint32_t slot : body.store_slots) {
-    const std::uint8_t base = body.uops[slot].rs;
+    const std::uint8_t base = body.ops[slot].instr.rs;
     if (((body.writes_mask >> base) & 1u) != 0 &&
         ((nonaffine_mask >> base) & 1u) != 0) {
       entry.bulk_rejected = BailoutReason::kNonAffineUpdate;
@@ -206,7 +133,7 @@ LoopSummarizer::CacheEntry LoopSummarizer::analyze_body(
 
 LoopSummarizer::CacheEntry& LoopSummarizer::region(std::uint32_t start,
                                                    std::uint32_t end,
-                                                   const isa::CodeImage& image,
+                                                   const DecodedImage* image,
                                                    const mem::Memory& mem) {
   const std::uint64_t key = (static_cast<std::uint64_t>(start) << 32) | end;
   // Two MRU ways: a loop nest with an imperfect level alternates between
@@ -266,8 +193,8 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
     std::int32_t idx_step, std::int32_t* idx_val,
     std::vector<StoreRecord>* record, std::optional<BailoutReason>* bail) {
   RunOutcome out;
-  const Uop* const uops = body.uops.data();
-  const std::size_t n = body.uops.size();
+  const DecodedOp* const ops = body.ops.data();
+  const std::size_t n = body.ops.size();
   // Access statistics are batched into one count_accesses() call so the
   // raw-page accesses below leave MemoryStats exactly as read*/write*
   // would have (misaligned accesses bail before they are counted, just as
@@ -278,56 +205,57 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
   std::uint64_t bytes_written = 0;
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
   for (std::size_t j = 0; j < n; ++j) {
-    const Uop& u = uops[j];
+    const DecodedOp& u = ops[j];
+    const Instruction& ins = u.instr;
     switch (u.kind) {
-      case Uop::Kind::kAddi:
-        regs.write_raw(u.dest, wrap_add(regs.read_raw(u.rs), u.imm));
+      case Kind::kAddi:
+        regs.write_raw(u.dest, wrap_add(regs.read_raw(ins.rs), ins.imm));
         break;
-      case Uop::Kind::kAdd:
+      case Kind::kAdd:
         regs.write_raw(u.dest,
-                       wrap_add(regs.read_raw(u.rs), regs.read_raw(u.rt)));
+                       wrap_add(regs.read_raw(ins.rs), regs.read_raw(ins.rt)));
         break;
-      case Uop::Kind::kMac: {
+      case Kind::kMac: {
         const std::int32_t prod =
-            wrap_mul(regs.read_raw(u.rs), regs.read_raw(u.rt));
+            wrap_mul(regs.read_raw(ins.rs), regs.read_raw(ins.rt));
         regs.write_raw(u.dest, wrap_add(regs.read_raw(u.dest), prod));
         break;
       }
-      case Uop::Kind::kMax: {
-        const std::int32_t a = regs.read_raw(u.rs);
-        const std::int32_t b = regs.read_raw(u.rt);
+      case Kind::kMax: {
+        const std::int32_t a = regs.read_raw(ins.rs);
+        const std::int32_t b = regs.read_raw(ins.rt);
         regs.write_raw(u.dest, a > b ? a : b);
         break;
       }
-      case Uop::Kind::kSll:
+      case Kind::kSll:
         regs.write_raw(u.dest,
                        static_cast<std::int32_t>(
-                           static_cast<std::uint32_t>(regs.read_raw(u.rt))
-                           << u.shamt));
+                           static_cast<std::uint32_t>(regs.read_raw(ins.rt))
+                           << ins.shamt));
         break;
-      case Uop::Kind::kMul:
+      case Kind::kMul:
         regs.write_raw(u.dest,
-                       wrap_mul(regs.read_raw(u.rs), regs.read_raw(u.rt)));
+                       wrap_mul(regs.read_raw(ins.rs), regs.read_raw(ins.rt)));
         break;
-      case Uop::Kind::kAlu: {
+      case Kind::kAlu: {
         AluInputs in;
-        in.a = regs.read_raw(u.rs);
-        in.b = regs.read_raw(u.rt);
+        in.a = regs.read_raw(ins.rs);
+        in.b = regs.read_raw(ins.rt);
         in.acc = regs.read_raw(u.dest);
-        in.shamt = u.shamt;
-        regs.write_raw(u.dest, alu_eval(u.op, in));
+        in.shamt = ins.shamt;
+        regs.write_raw(u.dest, alu_eval(ins.op, in));
         break;
       }
-      case Uop::Kind::kAluImm: {
+      case Kind::kAluImm: {
         AluInputs in;
-        in.a = regs.read_raw(u.rs);
-        in.b = u.imm;
-        regs.write_raw(u.dest, alu_eval(u.op, in));
+        in.a = regs.read_raw(ins.rs);
+        in.b = ins.imm;
+        regs.write_raw(u.dest, alu_eval(ins.op, in));
         break;
       }
-      case Uop::Kind::kLoad: {
+      case Kind::kLoad: {
         const auto addr =
-            static_cast<std::uint32_t>(regs.read_raw(u.rs) + u.imm);
+            static_cast<std::uint32_t>(regs.read_raw(ins.rs) + ins.imm);
         if ((addr & (u.width - 1u)) != 0) {
           // Resume at this instruction; the baseline re-executes it and
           // raises the MemoryFault with its precise message.
@@ -382,16 +310,16 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
         regs.write_raw(u.dest, value);
         break;
       }
-      case Uop::Kind::kStore: {
+      case Kind::kStore: {
         const auto addr =
-            static_cast<std::uint32_t>(regs.read_raw(u.rs) + u.imm);
+            static_cast<std::uint32_t>(regs.read_raw(ins.rs) + ins.imm);
         if ((addr & (u.width - 1u)) != 0) {
           *bail = BailoutReason::kTrap;
           out.partial = j;
           goto account;
         }
         // Bail before a store lands inside any summarized region: the
-        // cached micro-ops must never go stale. Conservative (the bounds
+        // cached records must never go stale. Conservative (the bounds
         // cover the whole cached span), costs two compares per store.
         if (addr <= cache_hi_ + 3 && addr + u.width > cache_lo_) {
           *bail = BailoutReason::kSelfModifyingStore;
@@ -414,7 +342,7 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
           mem_epoch_ = mem.cow_epoch();
         }
         const std::uint32_t ofs = addr & (mem::Memory::kPageSize - 1);
-        const auto uv = static_cast<std::uint32_t>(regs.read_raw(u.rt));
+        const auto uv = static_cast<std::uint32_t>(regs.read_raw(ins.rt));
         switch (u.width) {
           case 1:
             store_page_[ofs] = static_cast<std::uint8_t>(uv);
@@ -430,13 +358,20 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
         }
         break;
       }
+      case Kind::kInvalid:
+      case Kind::kBranch:
+      case Kind::kJump:
+      case Kind::kJumpReg:
+      case Kind::kZolc:
+      case Kind::kHalt:
+        ZS_UNREACHABLE("analyze_body admits only ALU, load and store kinds");
     }
   }
   ++out.passes;
   if (out.passes <= edge_limit) {
     // Fused back-edge: the hardware's continue event at the body's last
     // instruction -- index recurrence applied; the redirect is implicit in
-    // the next pass starting over at the first micro-op.
+    // the next pass starting over at the first record.
     *idx_val = wrap_add(*idx_val, idx_step);
     regs.write_raw(idx_reg, *idx_val);
   }
@@ -447,7 +382,7 @@ account:
 }
 
 LoopSummarizer::Replay LoopSummarizer::try_engage(
-    LoopAccelerator& accel, const isa::CodeImage& image, mem::Memory& mem,
+    LoopAccelerator& accel, const DecodedImage* image, mem::Memory& mem,
     RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
   // Copy-on-write memories invalidate handed-out page pointers when a
   // baseline page is privatized or the dirty set is reset; re-validate the
@@ -483,7 +418,7 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
       break;
     }
     const BodyInfo& body = entry.body;
-    const std::size_t body_len = body.uops.size();
+    const std::size_t body_len = body.ops.size();
 
     std::optional<LoopSummaryInfo> summary;
     if (entry.maybe_self_loop) {
@@ -516,7 +451,7 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
         std::vector<std::int64_t>& strides = scratch_strides_;
         strides.clear();
         for (std::uint32_t slot : body.store_slots) {
-          const std::uint8_t base = body.uops[slot].rs;
+          const std::uint8_t base = body.ops[slot].instr.rs;
           strides.push_back(base == summary->index_rf
                                 ? summary->step
                                 : body.affine_delta[base]);
@@ -610,7 +545,7 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
 }
 
 LoopSummarizer::Replay LoopSummarizer::engage_nest(
-    const NestProgram& np, LoopAccelerator& accel, const isa::CodeImage& image,
+    const NestProgram& np, LoopAccelerator& accel, const DecodedImage* image,
     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
     std::uint64_t max_instructions) {
   Replay out;
@@ -675,7 +610,7 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
       break;
     }
     const BodyInfo& body = entry.body;
-    const std::size_t body_len = body.uops.size();
+    const std::size_t body_len = body.ops.size();
 
     // A self-looping task from its body start replays in bulk: all its
     // remaining passes run fused in run_region, back-edges included, with
@@ -749,7 +684,7 @@ LoopSummarizer::Replay LoopSummarizer::engage_nest(
           // take, for validating the recorded passes below.
           strides.clear();
           for (std::uint32_t slot : body.store_slots) {
-            const std::uint8_t base = body.uops[slot].rs;
+            const std::uint8_t base = body.ops[slot].instr.rs;
             strides.push_back(base == loop.index_rf
                                   ? loop.step
                                   : body.affine_delta[base]);

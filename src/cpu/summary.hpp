@@ -1,18 +1,18 @@
 // Loop-summary fast path for the ISS (DESIGN.md section 7). When execution
 // lands inside a ZOLC-managed region, the LoopSummarizer takes over from
-// per-instruction stepping: it decodes the straight-line region between the
-// current PC and the controller's latched trigger into pre-bound micro-ops,
-// executes it in a tight loop, raises the boundary event (on_fetch) itself,
-// and follows the redirect into the next region. When the current task
-// self-loops (an innermost loop body repeating under pure back-edge
-// control), it goes further: it records the first iteration's store pattern,
-// validates it against the second, then replays all remaining iterations
-// with the index recurrence applied in closed form (advance_innermost) --
-// no per-iteration controller event at all. Replay is architecturally
-// invisible: micro-ops reuse the exact alu_eval / mem_load / mem_store
-// semantics and every disqualifying event bails out to cycle-accurate mode
-// at an exact instruction boundary with a typed BailoutReason surfaced as a
-// counter.
+// per-instruction stepping: it copies the decoded records of the
+// straight-line region between the current PC and the controller's latched
+// trigger, executes them in a tight loop, raises the boundary event
+// (on_fetch) itself, and follows the redirect into the next region. When
+// the current task self-loops (an innermost loop body repeating under pure
+// back-edge control), it goes further: it records the first iteration's
+// store pattern, validates it against the second, then replays all
+// remaining iterations with the index recurrence applied in closed form
+// (advance_innermost) -- no per-iteration controller event at all. Replay
+// is architecturally invisible: it reuses the exact alu_eval / mem_load /
+// mem_store semantics and every disqualifying event bails out to
+// cycle-accurate mode at an exact instruction boundary with a typed
+// BailoutReason surfaced as a counter.
 #ifndef ZOLCSIM_CPU_SUMMARY_HPP
 #define ZOLCSIM_CPU_SUMMARY_HPP
 
@@ -23,9 +23,8 @@
 #include <vector>
 
 #include "cpu/accel.hpp"
+#include "cpu/decoded.hpp"
 #include "cpu/regfile.hpp"
-#include "isa/code_image.hpp"
-#include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 
 namespace zolcsim::cpu {
@@ -104,7 +103,7 @@ class LoopSummarizer {
   /// the controller disarms, or `max_instructions` is reached. Leaves
   /// registers, memory, and accelerator state exactly as cycle-accurate
   /// stepping would at resume_pc.
-  Replay try_engage(LoopAccelerator& accel, const isa::CodeImage& image,
+  Replay try_engage(LoopAccelerator& accel, const DecodedImage* image,
                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
                     std::uint64_t max_instructions);
 
@@ -141,47 +140,20 @@ class LoopSummarizer {
   }
 
  private:
-  /// A pre-bound micro-op: the region instruction with its operand routing
-  /// resolved, so replay is a flat switch with no decode or table lookups.
-  /// The hottest opcodes (addi/add/mac/max, word load/store) get dedicated
-  /// kinds; everything else dispatches through the shared alu_eval.
-  struct Uop {
-    enum class Kind : std::uint8_t {
-      kAlu,     ///< generic register-form op via alu_eval
-      kAluImm,  ///< generic immediate-form op via alu_eval
-      kAddi,
-      kAdd,
-      kMac,
-      kMax,
-      kSll,
-      kMul,
-      kLoad,
-      kStore,
-    };
-    Kind kind = Kind::kAlu;
-    isa::Opcode op = isa::Opcode::kInvalid;
-    std::uint8_t dest = 0;  ///< rd (register forms) or rt (imm/load forms)
-    std::uint8_t rs = 0;
-    std::uint8_t rt = 0;
-    std::uint8_t shamt = 0;
-    std::uint8_t width = 0;     ///< access bytes for kLoad / kStore
-    bool sign_extend = false;   ///< kLoad: sign- vs zero-extend
-    std::int32_t imm = 0;
-  };
-
-  /// Decoded region plus the static dataflow facts qualification needs.
+  /// The region's decoded records plus the static dataflow facts
+  /// qualification needs. Only ALU, load and store kinds qualify.
   struct BodyInfo {
-    std::vector<Uop> uops;
-    std::vector<std::uint32_t> store_slots;  ///< uop indices of stores
-    std::uint32_t reads_mask = 0;   ///< registers any uop reads
-    std::uint32_t writes_mask = 0;  ///< registers any uop writes
+    std::vector<DecodedOp> ops;
+    std::vector<std::uint32_t> store_slots;  ///< op indices of stores
+    std::uint32_t reads_mask = 0;   ///< registers any op reads
+    std::uint32_t writes_mask = 0;  ///< registers any op writes
     /// Net per-iteration delta for registers written only by affine
     /// self-increments (addi r, r, imm); zero for invariant registers.
     std::array<std::int32_t, isa::kNumRegs> affine_delta{};
   };
 
   struct CacheEntry {
-    std::optional<BailoutReason> rejected;  ///< region cannot run as uops
+    std::optional<BailoutReason> rejected;  ///< region cannot be replayed
     /// Region runs fine one pass at a time but cannot be replayed in
     /// closed form (a store base is neither invariant nor self-affine).
     std::optional<BailoutReason> bulk_rejected;
@@ -194,21 +166,21 @@ class LoopSummarizer {
 
   static CacheEntry analyze_body(std::uint32_t body_start,
                                  std::uint32_t body_end,
-                                 const isa::CodeImage& image,
+                                 const DecodedImage* image,
                                  const mem::Memory& mem);
 
   /// Looks up (or analyzes and caches) the region [start, end].
   CacheEntry& region(std::uint32_t start, std::uint32_t end,
-                     const isa::CodeImage& image, const mem::Memory& mem);
+                     const DecodedImage* image, const mem::Memory& mem);
 
-  /// Outcome of run_region: fully completed passes, plus the number of uops
-  /// executed into the bailed pass (the uop at `partial` did NOT execute).
+  /// Outcome of run_region: fully completed passes, plus the number of ops
+  /// executed into the bailed pass (the op at `partial` did NOT execute).
   struct RunOutcome {
     std::uint64_t passes = 0;
     std::size_t partial = 0;
   };
 
-  /// Executes up to `passes` back-to-back passes over `body` via micro-ops.
+  /// Executes up to `passes` back-to-back passes over `body`'s records.
   /// After each of the first `edge_limit` completed passes the fused
   /// back-edge index write is applied: *idx_val += idx_step, written to
   /// `idx_reg` (callers replaying an index-blind body pass edge_limit 0 and
@@ -229,9 +201,8 @@ class LoopSummarizer {
   /// writes the final state back through restore() and credits the elided
   /// event counters. Architecturally exact, including ZolcStats.
   Replay engage_nest(const NestProgram& np, LoopAccelerator& accel,
-                     const isa::CodeImage& image, mem::Memory& mem,
-                     RegFile& regs, std::uint32_t pc,
-                     std::uint64_t max_instructions);
+                     const DecodedImage* image, mem::Memory& mem, RegFile& regs,
+                     std::uint32_t pc, std::uint64_t max_instructions);
 
   std::uint64_t min_backedges_ = 2;
   FastPathStats stats_;
@@ -273,7 +244,7 @@ class LoopSummarizer {
   std::vector<StoreRecord> scratch_rec_[2];
   /// Bounds of all cached executable regions: a store landing inside
   /// [cache_lo_, cache_hi_ + 3] bails out (kSelfModifyingStore) before
-  /// executing, so cached micro-ops can never go stale.
+  /// executing, so cached records can never go stale.
   std::uint32_t cache_lo_ = UINT32_MAX;
   std::uint32_t cache_hi_ = 0;
 };

@@ -5,11 +5,11 @@
 // CompiledUnit captures everything the compile stage produces for one
 // (kernel, machine, geometry, env) point:
 //
-//   KIR build -> lower() -> Program -> predecoded CodeImage -> zolcscan
+//   KIR build -> lower() -> Program -> DecodedImage -> zolcscan
 //
 // and is immutable thereafter, so sweeps (and any other caller) can run the
 // same unit against many pipeline configurations without paying the
-// lowering/assembly/predecode cost again. See flow/run.hpp for the runtime
+// lowering/encoding/decode cost again. See flow/run.hpp for the runtime
 // stage and flow/cache.hpp for keyed sharing across sweep cells.
 #ifndef ZOLCSIM_FLOW_COMPILED_UNIT_HPP
 #define ZOLCSIM_FLOW_COMPILED_UNIT_HPP
@@ -22,7 +22,7 @@
 #include "codegen/lower.hpp"
 #include "codegen/program.hpp"
 #include "common/result.hpp"
-#include "isa/code_image.hpp"
+#include "cpu/decoded.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/memory.hpp"
 #include "zolc/config.hpp"
@@ -46,9 +46,7 @@ struct CompileSpec {
 };
 
 /// The immutable compile-stage artifact. Construct via compile(); every
-/// accessor is const and the underlying Program never changes, so the
-/// predecoded image() stays valid for the unit's whole lifetime (including
-/// after moves -- vector storage is stable under move).
+/// accessor is const and the underlying Program never changes.
 class CompiledUnit {
  public:
   /// Compiles `spec.kernel` (looked up in the registries) for
@@ -80,10 +78,11 @@ class CompiledUnit {
   [[nodiscard]] const codegen::Program& program() const noexcept {
     return program_;
   }
-  /// Predecoded instruction image (the fetch fast path). Non-owning view
-  /// into this unit; valid while the unit is alive.
-  [[nodiscard]] isa::CodeImage image() const noexcept {
-    return program_.image();
+  /// The program's decoded records, which every engine reads on fetch.
+  /// Built once by the constructor and shared (not deep-copied) across
+  /// unit copies; valid while any copy of the unit is alive.
+  [[nodiscard]] const cpu::DecodedImage& decoded() const noexcept {
+    return *decoded_;
   }
   /// Post-link loop-acceleration metadata: the zolcscan analysis of the
   /// lowered code (candidate counted loops + rejection reasons).
@@ -117,8 +116,14 @@ class CompiledUnit {
       : kernel_(&kernel),
         spec_(std::move(spec)),
         program_(std::move(program)),
+        decoded_(std::make_shared<const cpu::DecodedImage>(program_.base,
+                                                           program_.code)),
         scan_(std::move(scan)),
-        image_slot_(std::make_shared<ImageSlot>()) {}
+        image_slot_(std::make_shared<ImageSlot>()) {
+    // Caches keep units for the process lifetime; the lowering leaves
+    // about a quarter of the code vector as spare capacity.
+    program_.code.shrink_to_fit();
+  }
 
   /// Lazily built prepared image; shared (not deep-copied) across unit
   /// copies -- the image depends only on the immutable program + env.
@@ -130,6 +135,7 @@ class CompiledUnit {
   const kernels::Kernel* kernel_;  ///< non-owning; registry or caller-owned
   CompileSpec spec_;
   codegen::Program program_;
+  std::shared_ptr<const cpu::DecodedImage> decoded_;
   cfg::ScanReport scan_;
   std::shared_ptr<ImageSlot> image_slot_;
 };

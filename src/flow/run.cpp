@@ -40,7 +40,7 @@ std::unique_ptr<zolc::ZolcController> make_controller(
 void load_iss(cpu::Iss& iss, const CompiledUnit& unit, const RunPlan& plan,
               zolc::ZolcController* controller) {
   iss.set_accelerator(controller);
-  iss.set_code_image(unit.image());
+  iss.set_code_image(unit.decoded());
   iss.set_fast_path(plan.mode.fast_path);
   iss.set_pc(unit.program().base);
 }
@@ -301,7 +301,7 @@ Result<ExperimentResult> run(const CompiledUnit& unit, Workload& workload,
     } else {
       cpu::Pipeline pipe(workload.memory(), plan.config);
       pipe.set_accelerator(controller.get());
-      pipe.set_code_image(unit.image());
+      pipe.set_code_image(unit.decoded());
       pipe.set_pc(unit.program().base);
       pipe.run(plan.max_cycles);
       result.stats = pipe.stats();

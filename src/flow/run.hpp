@@ -114,7 +114,7 @@ struct RunPlan {
 };
 
 /// Runs `unit` on a fresh Workload; every engine fetches through the unit's
-/// predecoded image(). Failure modes: kSimulation (trap or cycle budget),
+/// decoded() image. Failure modes: kSimulation (trap or cycle budget),
 /// kVerifyMismatch (outputs differ from the golden reference; always a
 /// bug, never a reportable data point) and kBadConfig (tenants or
 /// preemption outside the ISS engine, zero tenants).

@@ -1,6 +1,6 @@
 // Instruction factories: the canonical way to construct decoded instructions
 // programmatically (code generator, tests, examples). Field placement
-// mirrors the assembler's operand order.
+// mirrors the disassembler's operand order.
 #ifndef ZOLCSIM_ISA_BUILD_HPP
 #define ZOLCSIM_ISA_BUILD_HPP
 

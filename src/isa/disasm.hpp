@@ -1,5 +1,5 @@
-// Disassembler: renders decoded instructions in the same syntax the
-// assembler accepts, so text<->binary round trips are testable.
+// Disassembler: renders decoded instructions in MIPS-style assembly syntax
+// for listings (`zolcsim compile --disasm`) and error messages.
 #ifndef ZOLCSIM_ISA_DISASM_HPP
 #define ZOLCSIM_ISA_DISASM_HPP
 

@@ -12,16 +12,17 @@
 namespace zolcsim::isa {
 
 /// A fully decoded instruction. Field validity depends on the opcode's
-/// Format; unused fields are zero.
+/// Format; unused fields are zero. The byte fields come first so the
+/// struct packs into 16 bytes.
 struct Instruction {
   Opcode op = Opcode::kInvalid;
   std::uint8_t rd = 0;
   std::uint8_t rs = 0;
   std::uint8_t rt = 0;
   std::uint8_t shamt = 0;
+  std::uint8_t zidx = 0;     ///< ZOLC table index field
   std::int32_t imm = 0;      ///< sign- or zero-extended per opcode_info()
   std::uint32_t target = 0;  ///< 26-bit jump target field (raw)
-  std::uint8_t zidx = 0;     ///< ZOLC table index field
 
   [[nodiscard]] bool valid() const noexcept { return op != Opcode::kInvalid; }
 
@@ -34,6 +35,8 @@ struct SourceRegs {
   std::uint8_t count = 0;
 
   void push(std::uint8_t r) { regs[count++] = r; }
+
+  friend bool operator==(const SourceRegs&, const SourceRegs&) = default;
 };
 
 /// Returns the registers `instr` reads (rs/rt/rd-accumulator as applicable).

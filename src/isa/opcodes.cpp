@@ -1,10 +1,8 @@
 #include "isa/opcodes.hpp"
 
 #include <array>
-#include <unordered_map>
 
 #include "common/contracts.hpp"
-#include "common/strings.hpp"
 
 namespace zolcsim::isa {
 
@@ -195,17 +193,6 @@ const Table& table() {
   return t;
 }
 
-const std::unordered_map<std::string_view, Opcode>& mnemonic_map() {
-  static const auto* map = [] {
-    auto* m = new std::unordered_map<std::string_view, Opcode>();
-    for (const OpcodeInfo& info : table()) {
-      if (info.op != Opcode::kInvalid) m->emplace(info.mnemonic, info.op);
-    }
-    return m;
-  }();
-  return *map;
-}
-
 constexpr std::array<std::string_view, kNumRegs> kRegNames = {
     "$zero", "$at", "$v0", "$v1", "$a0", "$a1", "$a2", "$a3",
     "$t0",   "$t1", "$t2", "$t3", "$t4", "$t5", "$t6", "$t7",
@@ -221,32 +208,9 @@ const OpcodeInfo& opcode_info(Opcode op) {
   return info;
 }
 
-std::optional<Opcode> opcode_from_mnemonic(std::string_view mnemonic) {
-  const auto& map = mnemonic_map();
-  const auto it = map.find(mnemonic);
-  if (it == map.end()) return std::nullopt;
-  return it->second;
-}
-
 std::string_view reg_name(unsigned reg) {
   ZS_EXPECTS(reg < kNumRegs);
   return kRegNames[reg];
-}
-
-std::optional<unsigned> reg_from_name(std::string_view name) {
-  if (name.empty()) return std::nullopt;
-  // Symbolic names: "$t0" etc.
-  for (unsigned i = 0; i < kNumRegs; ++i) {
-    if (name == kRegNames[i]) return i;
-  }
-  // Numeric forms: "$5" or "r5".
-  if (name[0] == '$' || name[0] == 'r' || name[0] == 'R') {
-    const auto value = parse_int(name.substr(1));
-    if (value && *value >= 0 && *value < static_cast<std::int64_t>(kNumRegs)) {
-      return static_cast<unsigned>(*value);
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace zolcsim::isa

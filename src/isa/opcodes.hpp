@@ -76,8 +76,8 @@ enum class Format : std::uint8_t {
   kNone,        ///< no operands     (halt)
 };
 
-/// Static per-opcode properties consumed by the decoder, the pipeline's
-/// hazard logic, the CFG builder, and the assembler.
+/// Static per-opcode properties consumed by the encoder/decoder,
+/// cpu::decode_op, the CFG builder and the disassembler.
 struct OpcodeInfo {
   Opcode op = Opcode::kInvalid;
   std::string_view mnemonic;
@@ -101,10 +101,6 @@ struct OpcodeInfo {
 /// Returns the metadata record for `op`. Precondition: op is a real opcode.
 const OpcodeInfo& opcode_info(Opcode op);
 
-/// Looks up an opcode by assembler mnemonic (lowercase). Returns nullopt for
-/// unknown mnemonics.
-std::optional<Opcode> opcode_from_mnemonic(std::string_view mnemonic);
-
 /// Primary opcode field values for the instruction groups.
 inline constexpr std::uint8_t kPrimarySpecial = 0x00;  // R-type group
 inline constexpr std::uint8_t kPrimaryDsp = 0x1C;      // DSP group
@@ -117,10 +113,6 @@ inline constexpr unsigned kNumRegs = 32;
 
 /// Conventional register names ($zero, $at, $v0, ... $ra), index 0..31.
 std::string_view reg_name(unsigned reg);
-
-/// Parses "$3" / "$t0" / "r3" style register names. Returns nullopt if the
-/// name is unknown or out of range.
-std::optional<unsigned> reg_from_name(std::string_view name);
 
 }  // namespace zolcsim::isa
 

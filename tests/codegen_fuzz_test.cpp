@@ -147,9 +147,10 @@ IssOutcome run_iss_tier(const Program& prog, MachineKind machine,
   if (const auto variant = machine_zolc_variant(machine)) {
     ctrl = std::make_unique<zolc::ZolcController>(*variant);
   }
+  const cpu::DecodedImage image(prog.base, prog.code);
   cpu::Iss iss(out.memory);
   iss.set_accelerator(ctrl.get());
-  iss.set_code_image(prog.image());
+  iss.set_code_image(image);
   iss.set_fast_path(tier.fast_path);
   iss.set_pc(prog.base);
   if (tier.quantum == 0) {
@@ -189,9 +190,10 @@ MachineOutcome run_machine(const std::vector<KNode>& kernel,
     pipe_ctrl = std::make_unique<zolc::ZolcController>(*variant);
   }
   const auto configs = test::all_pipeline_configs();
+  const cpu::DecodedImage image(prog.value().base, prog.value().code);
   cpu::Pipeline pipe(memory, configs[seed % configs.size()]);
   pipe.set_accelerator(pipe_ctrl.get());
-  pipe.set_code_image(prog.value().image());
+  pipe.set_code_image(image);
   pipe.set_pc(0x1000);
   pipe.run(5'000'000);
 

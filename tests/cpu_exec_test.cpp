@@ -4,7 +4,9 @@
 
 #include <limits>
 
+#include "common/strings.hpp"
 #include "sim_test_util.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 namespace {
@@ -273,29 +275,185 @@ TEST(ExecMisc, WritesToZeroRegisterIgnored) {
   EXPECT_EQ(r.regs.read(3), 0);
 }
 
-TEST(ExecMisc, IllegalInstructionTraps) {
-  mem::Memory memory;
-  memory.load_words(0x1000, std::vector<std::uint32_t>{0xFFFF'FFFFu});
-  Iss iss(memory);
-  iss.set_pc(0x1000);
-  EXPECT_THROW(iss.step(), SimError);
+// ---------------- the shared decoder ----------------
+
+/// The execution kind an instruction's format class (and, for the hot
+/// ALU kinds, its opcode) implies.
+DecodedOp::Kind expected_kind(const Instruction& instr) {
+  using K = DecodedOp::Kind;
+  using isa::Opcode;
+  const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
+  switch (info.format) {
+    case isa::Format::kR3:
+    case isa::Format::kR3Acc:
+    case isa::Format::kR2:
+    case isa::Format::kR1:
+    case isa::Format::kRShift:
+      switch (instr.op) {
+        case Opcode::kJr:
+        case Opcode::kJalr: return K::kJumpReg;
+        case Opcode::kAdd: return K::kAdd;
+        case Opcode::kMac: return K::kMac;
+        case Opcode::kMax: return K::kMax;
+        case Opcode::kSll: return K::kSll;
+        case Opcode::kMul: return K::kMul;
+        default: return K::kAlu;
+      }
+    case isa::Format::kI:
+    case isa::Format::kLui:
+      return instr.op == Opcode::kAddi ? K::kAddi : K::kAluImm;
+    case isa::Format::kMem:
+      return info.is_load ? K::kLoad : K::kStore;
+    case isa::Format::kBranchCmp:
+    case isa::Format::kBranchZero:
+      return K::kBranch;
+    case isa::Format::kJump:
+      return K::kJump;
+    case isa::Format::kZolcWrite:
+    case isa::Format::kZolcNone:
+      return K::kZolc;
+    case isa::Format::kNone:
+      return K::kHalt;
+  }
+  return K::kInvalid;
 }
 
-TEST(ExecMisc, IllegalInstructionInCodeImageTraps) {
-  // Memory holds a valid nop at the PC, but the image covers it, so the
-  // invalid predecoded entry is what executes.
+TEST(DecodeOp, AgreesWithTheIsaQueriesForEveryOpcode) {
+  using isa::Opcode;
+  for (const Instruction& instr : test::representative_instructions()) {
+    const isa::OpcodeInfo& info = isa::opcode_info(instr.op);
+    SCOPED_TRACE(std::string(info.mnemonic));
+    const DecodedOp op = decode_op(instr);
+    EXPECT_EQ(op.instr, instr);
+    EXPECT_EQ(op.info(), &info);
+    EXPECT_EQ(op.srcs, isa::source_regs(instr));
+    EXPECT_EQ(op.dest, isa::dest_reg(instr).value_or(0));
+    EXPECT_EQ(op.is_control(), isa::is_control_flow(instr));
+    EXPECT_EQ(op.kind, expected_kind(instr));
+    const bool narrow_byte = instr.op == Opcode::kLb ||
+                             instr.op == Opcode::kLbu ||
+                             instr.op == Opcode::kSb;
+    const bool narrow_half = instr.op == Opcode::kLh ||
+                             instr.op == Opcode::kLhu ||
+                             instr.op == Opcode::kSh;
+    const unsigned width = info.is_load || info.is_store
+                               ? (narrow_byte ? 1u : narrow_half ? 2u : 4u)
+                               : 0u;
+    EXPECT_EQ(op.width, width);
+    EXPECT_EQ(op.sign_extend,
+              instr.op == Opcode::kLb || instr.op == Opcode::kLh);
+    // The memory-decode path produces the same record.
+    EXPECT_EQ(decode_op(isa::decode(isa::encode(instr))), op);
+  }
+}
+
+/// Words no opcode decodes: the halt group with a junk funct, an undefined
+/// SPECIAL funct, and an undefined primary opcode.
+constexpr std::uint32_t kInvalidWords[] = {0xFFFF'FFFFu, 0x0000'003Fu,
+                                           0xC000'0000u};
+constexpr std::uint32_t kCodeBase = 0x1000;
+
+TEST(DecodeOp, InvalidWordsYieldNullInfo) {
+  for (const std::uint32_t word : kInvalidWords) {
+    const DecodedOp op = decode_op(isa::decode(word));
+    EXPECT_EQ(op.info(), nullptr) << hex32(word);
+    EXPECT_EQ(op.kind, DecodedOp::Kind::kInvalid) << hex32(word);
+    EXPECT_EQ(op.srcs.count, 0u) << hex32(word);
+    EXPECT_EQ(op.dest, 0u) << hex32(word);
+    EXPECT_FALSE(op.is_control()) << hex32(word);
+  }
+}
+
+TEST(DecodeOp, EveryEngineTrapsOnInvalidWords) {
+  // addi; <word>; halt. From the image, memory holds a valid nop where the
+  // image holds the invalid record; from memory, there is no image.
   const std::vector<Instruction> code = {b::addi(1, 0, 5), Instruction{},
                                          b::halt()};
-  mem::Memory memory;
-  memory.load_words(0x1000, std::vector<std::uint32_t>(code.size(), 0));
-  Iss iss(memory);
-  iss.set_code_image(isa::CodeImage{0x1000, code.data(), code.size()});
-  iss.set_pc(0x1000);
-  iss.step();
-  EXPECT_EQ(iss.regs().read(1), 5);
-  EXPECT_THROW(iss.step(), SimError);
-  EXPECT_EQ(iss.pc(), 0x1004u);
-  EXPECT_EQ(iss.stats().instructions, 1u);
+  const DecodedImage image(kCodeBase, code);
+  for (const std::uint32_t word : kInvalidWords) {
+    for (const bool use_image : {true, false}) {
+      SCOPED_TRACE(hex32(word) + (use_image ? " (image)" : " (memory)"));
+      mem::Memory memory;
+      memory.load_words(kCodeBase, std::vector<std::uint32_t>{
+                                       isa::encode(code[0]),
+                                       use_image ? 0u : word,
+                                       isa::encode(code[2])});
+      Iss iss(memory);
+      if (use_image) iss.set_code_image(image);
+      iss.set_pc(kCodeBase);
+      iss.step();
+      EXPECT_EQ(iss.regs().read(1), 5);
+      EXPECT_THROW(iss.step(), SimError);
+      EXPECT_EQ(iss.pc(), kCodeBase + 4);
+      EXPECT_EQ(iss.stats().instructions, 1u);
+
+      for (const PipelineConfig& config : test::all_pipeline_configs()) {
+        Pipeline pipe(memory, config);
+        if (use_image) pipe.set_code_image(image);
+        pipe.set_pc(kCodeBase);
+        EXPECT_THROW(pipe.run(100), SimError);
+        EXPECT_EQ(pipe.stats().instructions, 1u);
+      }
+    }
+  }
+}
+
+TEST(DecodeOp, SummaryTierBailsOnInvalidWords) {
+  // A ZOLClite loop of ten passes over a three-word body; its middle word
+  // is a nop (the control: the tier engages) or an invalid word (the tier
+  // must decline with kTrap before executing anything).
+  const auto attempt = [](const DecodedImage* image, std::uint32_t middle) {
+    mem::Memory memory;
+    memory.load_words(kCodeBase, std::vector<std::uint32_t>{
+                                     isa::encode(b::addi(2, 2, 1)), middle,
+                                     isa::encode(b::addi(3, 3, 1)),
+                                     isa::encode(b::halt())});
+    zolc::ZolcController ctrl(zolc::ZolcVariant::kLite);
+    zolc::LoopEntry loop;
+    loop.initial = 0;
+    loop.final = 10;
+    loop.step = 1;
+    loop.index_rf = 1;
+    loop.valid = true;
+    ctrl.init_write(isa::Opcode::kZolwLp0, 0, loop.pack_word0());
+    ctrl.init_write(isa::Opcode::kZolwLp1, 0, loop.pack_word1());
+    zolc::TaskEntry task;
+    task.end_pc_ofs = 2;
+    task.is_last = true;
+    task.valid = true;
+    ctrl.init_write(isa::Opcode::kZolwTe, 0, task.pack());
+    ctrl.init_write(isa::Opcode::kZolwTs, 0, 0);
+    ctrl.activate(0, kCodeBase);
+    RegFile regs;
+    LoopSummarizer summarizer;
+    const LoopSummarizer::Replay replay =
+        summarizer.try_engage(ctrl, image, memory, regs, kCodeBase, 1000);
+    return std::pair{replay, summarizer.stats()};
+  };
+  const std::uint32_t nop = isa::encode(b::nop());
+  const auto [engaged, engaged_stats] = attempt(nullptr, nop);
+  EXPECT_TRUE(engaged.engaged);
+  EXPECT_EQ(engaged_stats.total_bailouts(), 0u);
+
+  const auto expect_trap_bailout = [](const LoopSummarizer::Replay& replay,
+                                      const FastPathStats& stats) {
+    EXPECT_FALSE(replay.engaged);
+    EXPECT_EQ(replay.instructions, 0u);
+    EXPECT_EQ(replay.resume_pc, kCodeBase);
+    EXPECT_EQ(stats.bailout(BailoutReason::kTrap), 1u);
+  };
+  // From the image: memory holds the nop, the image the invalid record.
+  const std::vector<Instruction> bad = {b::addi(2, 2, 1), Instruction{},
+                                        b::addi(3, 3, 1), b::halt()};
+  const DecodedImage image(kCodeBase, bad);
+  const auto [from_image, image_stats] = attempt(&image, nop);
+  expect_trap_bailout(from_image, image_stats);
+  // From memory.
+  for (const std::uint32_t word : kInvalidWords) {
+    SCOPED_TRACE(hex32(word));
+    const auto [from_memory, memory_stats] = attempt(nullptr, word);
+    expect_trap_bailout(from_memory, memory_stats);
+  }
 }
 
 TEST(ExecMisc, ZolcInstructionWithoutAccelTraps) {

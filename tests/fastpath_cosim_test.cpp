@@ -57,7 +57,7 @@ TierRun run_tier(const flow::CompiledUnit& unit, bool fast) {
   }
   cpu::Iss iss(out.workload.memory());
   iss.set_accelerator(controller.get());
-  iss.set_code_image(unit.image());
+  iss.set_code_image(unit.decoded());
   iss.set_fast_path(fast);
   iss.set_pc(unit.program().base);
   iss.run(50'000'000);

@@ -77,9 +77,12 @@ TEST(CompiledUnit, CarriesAllCompileStageArtifacts) {
   EXPECT_EQ(u.machine(), MachineKind::kZolcLite);
   EXPECT_GT(u.program().size_words(), 0u);
   EXPECT_EQ(u.program().machine, MachineKind::kZolcLite);
-  // Predecoded image views the unit's own code.
-  EXPECT_EQ(u.image().size_words, u.program().code.size());
-  EXPECT_EQ(u.image().code, u.program().code.data());
+  // The decoded image holds one record per word of the unit's own code.
+  EXPECT_EQ(u.decoded().base, u.program().base);
+  ASSERT_EQ(u.decoded().ops.size(), u.program().code.size());
+  for (std::size_t i = 0; i < u.program().code.size(); ++i) {
+    EXPECT_EQ(u.decoded().ops[i].instr, u.program().code[i]);
+  }
   // Disassembly covers every word.
   const std::string disasm = u.disassembly();
   EXPECT_EQ(static_cast<std::size_t>(
@@ -295,6 +298,33 @@ TEST(FlowRun, OnePrepareServesEveryRunAndRep) {
   EXPECT_EQ(setups, 1);
   EXPECT_EQ(reps.value().image_resets, 2u);
   EXPECT_EQ(reps.value().stats, once.value().stats);
+}
+
+TEST(FlowRun, UnitCopiesShareOneDecodedImage) {
+  const auto unit =
+      CompiledUnit::compile(spec_for("fir", MachineKind::kZolcLite));
+  ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+  const cpu::DecodedImage& table = unit.value().decoded();
+  const cpu::DecodedOp* const records = table.ops.data();
+
+  // A copy exposes the same table, not a rebuilt one.
+  const CompiledUnit copy = unit.value();
+  EXPECT_EQ(&copy.decoded(), &table);
+
+  // Runs on either engine read the unit's table in place: it is neither
+  // rebuilt nor reallocated.
+  for (const SimEngine engine : {SimEngine::kPipeline, SimEngine::kIss}) {
+    RunPlan plan;
+    plan.mode.engine = engine;
+    const auto first = run(copy, plan);
+    const auto second = run(copy, plan);
+    ASSERT_TRUE(first.ok()) << first.error().to_string();
+    ASSERT_TRUE(second.ok()) << second.error().to_string();
+    EXPECT_EQ(first.value().stats, second.value().stats);
+    EXPECT_EQ(&copy.decoded(), &table);
+    EXPECT_EQ(copy.decoded().ops.data(), records);
+    EXPECT_EQ(copy.decoded().ops.size(), unit.value().program().code.size());
+  }
 }
 
 TEST(Workload, WarmViewMatchesColdAcrossRegistryKernels) {

@@ -1,85 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "isa/build.hpp"
 #include "isa/disasm.hpp"
 #include "isa/encoding.hpp"
+#include "sim_test_util.hpp"
 
 namespace zolcsim::isa {
 namespace {
 
 namespace b = build;
-
-/// A representative instruction per opcode with distinctive field values,
-/// used by the encode/decode round-trip property suite.
-std::vector<Instruction> representative_instructions() {
-  std::vector<Instruction> v;
-  v.push_back(b::add(1, 2, 3));
-  v.push_back(b::sub(4, 5, 6));
-  v.push_back(b::and_(7, 8, 9));
-  v.push_back(b::or_(10, 11, 12));
-  v.push_back(b::xor_(13, 14, 15));
-  v.push_back(b::nor_(16, 17, 18));
-  v.push_back(b::slt(19, 20, 21));
-  v.push_back(b::sltu(22, 23, 24));
-  v.push_back(b::sllv(25, 26, 27));
-  v.push_back(b::srlv(28, 29, 30));
-  v.push_back(b::srav(31, 1, 2));
-  v.push_back(b::sll(3, 4, 31));
-  v.push_back(b::srl(5, 6, 1));
-  v.push_back(b::sra(7, 8, 16));
-  v.push_back(b::jr(31));
-  v.push_back(b::jalr(30, 29));
-  v.push_back(b::mul(1, 2, 3));
-  v.push_back(b::mulh(4, 5, 6));
-  v.push_back(b::mulhu(7, 8, 9));
-  v.push_back(b::mac(10, 11, 12));
-  v.push_back(b::max(13, 14, 15));
-  v.push_back(b::min(16, 17, 18));
-  v.push_back(b::abs_(19, 20));
-  v.push_back(b::clz(21, 22));
-  v.push_back(b::addi(1, 2, -32768));
-  v.push_back(b::slti(3, 4, 32767));
-  v.push_back(b::sltiu(5, 6, 0xFFFF));
-  v.push_back(b::andi(7, 8, 0xABCD));
-  v.push_back(b::ori(9, 10, 0x1234));
-  v.push_back(b::xori(11, 12, 0x0F0F));
-  v.push_back(b::lui(13, 0x8000));
-  v.push_back(b::beq(1, 2, -4));
-  v.push_back(b::bne(3, 4, 100));
-  v.push_back(b::blez(5, -1));
-  v.push_back(b::bgtz(6, 7));
-  v.push_back(b::blt(7, 8, 2));
-  v.push_back(b::bge(9, 10, -2));
-  v.push_back(b::bltu(11, 12, 3));
-  v.push_back(b::bgeu(13, 14, -3));
-  v.push_back(b::lb(1, -128, 2));
-  v.push_back(b::lh(3, 256, 4));
-  v.push_back(b::lw(5, 1024, 6));
-  v.push_back(b::lbu(7, 1, 8));
-  v.push_back(b::lhu(9, 2, 10));
-  v.push_back(b::sb(11, -1, 12));
-  v.push_back(b::sh(13, 6, 14));
-  v.push_back(b::sw(15, 8, 16));
-  v.push_back(b::j(0x0040'0000));
-  v.push_back(b::jal(0x0000'1234 & ~3u));
-  v.push_back(b::dbne(17, -20));
-  v.push_back(b::zolc_write(Opcode::kZolwTe, 31, 8));
-  v.push_back(b::zolc_write(Opcode::kZolwTs, 0, 9));
-  v.push_back(b::zolc_write(Opcode::kZolwLp0, 7, 10));
-  v.push_back(b::zolc_write(Opcode::kZolwLp1, 6, 11));
-  v.push_back(b::zolc_write(Opcode::kZolwEx0, 31, 12));
-  v.push_back(b::zolc_write(Opcode::kZolwEx1, 30, 13));
-  v.push_back(b::zolc_write(Opcode::kZolwEn0, 29, 14));
-  v.push_back(b::zolc_write(Opcode::kZolwEn1, 28, 15));
-  v.push_back(b::zolc_write(Opcode::kZolwU, 5, 16));
-  v.push_back(b::zolon(3, 17));
-  v.push_back(b::zoloff());
-  v.push_back(b::halt());
-  return v;
-}
+using test::representative_instructions;
 
 class RoundTrip : public ::testing::TestWithParam<Instruction> {};
 
@@ -130,18 +65,6 @@ TEST(Encode, RejectsOutOfRangeImmediates) {
   EXPECT_THROW((void)encode(b::addi(1, 2, 40000)), ContractViolation);
   EXPECT_THROW((void)encode(b::addi(1, 2, -40000)), ContractViolation);
   EXPECT_THROW((void)encode(b::ori(1, 2, -1)), ContractViolation);  // unsigned imm
-}
-
-TEST(OpcodeInfo, MnemonicLookupRoundTrips) {
-  for (std::size_t i = 1; i < static_cast<std::size_t>(Opcode::kOpcodeCount_);
-       ++i) {
-    const auto op = static_cast<Opcode>(i);
-    const OpcodeInfo& info = opcode_info(op);
-    const auto found = opcode_from_mnemonic(info.mnemonic);
-    ASSERT_TRUE(found.has_value()) << info.mnemonic;
-    EXPECT_EQ(*found, op);
-  }
-  EXPECT_FALSE(opcode_from_mnemonic("bogus").has_value());
 }
 
 TEST(OpcodeInfo, StorePropertiesAreConsistent) {
@@ -203,17 +126,27 @@ TEST(Disasm, GoldenStrings) {
   EXPECT_EQ(disassemble_word(encode(b::mac(1, 2, 3)), 0),
             "mac $at, $v0, $v1");
   EXPECT_EQ(disassemble_word(0xFFFFFFFF, 0), "<invalid>");
+
+  // Every opcode: the listing names its mnemonic, and disassembling the
+  // encoded word matches disassembling the instruction.
+  const std::uint32_t pc = 0x2000;
+  for (const Instruction& instr : representative_instructions()) {
+    const std::string_view mnemonic = opcode_info(instr.op).mnemonic;
+    const std::string text = disassemble(instr, pc);
+    EXPECT_EQ(text.compare(0, mnemonic.size(), mnemonic), 0)
+        << text << " does not start with " << mnemonic;
+    EXPECT_EQ(disassemble_word(encode(instr), pc), text);
+  }
 }
 
-TEST(Regs, NamesRoundTrip) {
+TEST(Regs, NamesAreDistinct) {
+  EXPECT_EQ(reg_name(0), "$zero");
+  EXPECT_EQ(reg_name(29), "$sp");
+  EXPECT_EQ(reg_name(31), "$ra");
   for (unsigned r = 0; r < kNumRegs; ++r) {
-    EXPECT_EQ(reg_from_name(reg_name(r)).value(), r);
+    EXPECT_EQ(reg_name(r).front(), '$');
+    for (unsigned q = 0; q < r; ++q) EXPECT_NE(reg_name(q), reg_name(r));
   }
-  EXPECT_EQ(reg_from_name("$5").value(), 5u);
-  EXPECT_EQ(reg_from_name("r31").value(), 31u);
-  EXPECT_FALSE(reg_from_name("$32").has_value());
-  EXPECT_FALSE(reg_from_name("x1").has_value());
-  EXPECT_FALSE(reg_from_name("").has_value());
 }
 
 TEST(ControlFlow, Classification) {

@@ -124,12 +124,10 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
         program_loop(ctrl);
         const AccelSnapshot before = ctrl.snapshot();
 
+        const DecodedImage image(kBase, program);
         Iss iss(memory);
         iss.set_accelerator(&ctrl);
-        if (use_image) {
-          iss.set_code_image(
-              isa::CodeImage{kBase, program.data(), program.size()});
-        }
+        if (use_image) iss.set_code_image(image);
         seed_registers(iss.regs());
         iss.set_pc(pc_of(kTriggerOfs));
         RegFile expected_regs = iss.regs();

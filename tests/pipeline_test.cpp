@@ -188,9 +188,9 @@ TEST(PipelineControl, CorrectPathGarbageTrapsAtCommit) {
   EXPECT_THROW(pipe.run(100), SimError);
 }
 
-TEST(PipelineControl, InvalidWordInCodeImageTrapsAtCommit) {
+TEST(PipelineControl, InvalidWordInDecodedImageTrapsAtCommit) {
   // The image covers the word, so fetch never decodes memory (which holds
-  // a valid nop here); the invalid predecoded entry must still trap, and a
+  // a valid nop here); the invalid decoded record must still trap, and a
   // wrong-path one must not.
   const std::uint32_t base = 0x1000;
   const std::vector<Instruction> code = {Instruction{}, b::halt()};
@@ -200,8 +200,9 @@ TEST(PipelineControl, InvalidWordInCodeImageTrapsAtCommit) {
        {std::pair{code, true}, std::pair{shadowed, false}}) {
     mem::Memory memory;
     memory.load_words(base, std::vector<std::uint32_t>(program.size(), 0));
+    const DecodedImage image(base, program);
     Pipeline pipe(memory);
-    pipe.set_code_image(isa::CodeImage{base, program.data(), program.size()});
+    pipe.set_code_image(image);
     pipe.set_pc(base);
     if (traps) {
       EXPECT_THROW(pipe.run(100), SimError);

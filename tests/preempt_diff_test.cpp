@@ -171,7 +171,7 @@ ManualRun run_manual(const CompiledUnit& unit, Workload& workload,
   }
   cpu::Iss iss(workload.memory());
   iss.set_accelerator(controller.get());
-  iss.set_code_image(unit.image());
+  iss.set_code_image(unit.decoded());
   iss.set_pc(unit.program().base);
 
   ManualRun out;

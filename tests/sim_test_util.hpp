@@ -1,6 +1,7 @@
-// Shared helpers for simulator tests: program loading, 32-bit immediate
-// materialization, one-call ISS / pipeline runs, and one-call compile +
-// run of a registry kernel through the staged toolchain.
+// Shared helpers for simulator tests: one representative instruction per
+// opcode, program loading, 32-bit immediate materialization, one-call ISS /
+// pipeline runs, and one-call compile + run of a registry kernel through the
+// staged toolchain.
 #ifndef ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 #define ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 
@@ -28,6 +29,77 @@ inline void load_program(mem::Memory& memory, std::uint32_t addr,
     words.push_back(isa::encode(instr));
   }
   memory.load_words(addr, words);
+}
+
+/// A representative instruction per opcode with distinctive field values,
+/// used by the ISA and decoder property suites.
+inline std::vector<isa::Instruction> representative_instructions() {
+  namespace b = isa::build;
+  using isa::Opcode;
+  std::vector<isa::Instruction> v;
+  v.push_back(b::add(1, 2, 3));
+  v.push_back(b::sub(4, 5, 6));
+  v.push_back(b::and_(7, 8, 9));
+  v.push_back(b::or_(10, 11, 12));
+  v.push_back(b::xor_(13, 14, 15));
+  v.push_back(b::nor_(16, 17, 18));
+  v.push_back(b::slt(19, 20, 21));
+  v.push_back(b::sltu(22, 23, 24));
+  v.push_back(b::sllv(25, 26, 27));
+  v.push_back(b::srlv(28, 29, 30));
+  v.push_back(b::srav(31, 1, 2));
+  v.push_back(b::sll(3, 4, 31));
+  v.push_back(b::srl(5, 6, 1));
+  v.push_back(b::sra(7, 8, 16));
+  v.push_back(b::jr(31));
+  v.push_back(b::jalr(30, 29));
+  v.push_back(b::mul(1, 2, 3));
+  v.push_back(b::mulh(4, 5, 6));
+  v.push_back(b::mulhu(7, 8, 9));
+  v.push_back(b::mac(10, 11, 12));
+  v.push_back(b::max(13, 14, 15));
+  v.push_back(b::min(16, 17, 18));
+  v.push_back(b::abs_(19, 20));
+  v.push_back(b::clz(21, 22));
+  v.push_back(b::addi(1, 2, -32768));
+  v.push_back(b::slti(3, 4, 32767));
+  v.push_back(b::sltiu(5, 6, 0xFFFF));
+  v.push_back(b::andi(7, 8, 0xABCD));
+  v.push_back(b::ori(9, 10, 0x1234));
+  v.push_back(b::xori(11, 12, 0x0F0F));
+  v.push_back(b::lui(13, 0x8000));
+  v.push_back(b::beq(1, 2, -4));
+  v.push_back(b::bne(3, 4, 100));
+  v.push_back(b::blez(5, -1));
+  v.push_back(b::bgtz(6, 7));
+  v.push_back(b::blt(7, 8, 2));
+  v.push_back(b::bge(9, 10, -2));
+  v.push_back(b::bltu(11, 12, 3));
+  v.push_back(b::bgeu(13, 14, -3));
+  v.push_back(b::lb(1, -128, 2));
+  v.push_back(b::lh(3, 256, 4));
+  v.push_back(b::lw(5, 1024, 6));
+  v.push_back(b::lbu(7, 1, 8));
+  v.push_back(b::lhu(9, 2, 10));
+  v.push_back(b::sb(11, -1, 12));
+  v.push_back(b::sh(13, 6, 14));
+  v.push_back(b::sw(15, 8, 16));
+  v.push_back(b::j(0x0040'0000));
+  v.push_back(b::jal(0x0000'1234 & ~3u));
+  v.push_back(b::dbne(17, -20));
+  v.push_back(b::zolc_write(Opcode::kZolwTe, 31, 8));
+  v.push_back(b::zolc_write(Opcode::kZolwTs, 0, 9));
+  v.push_back(b::zolc_write(Opcode::kZolwLp0, 7, 10));
+  v.push_back(b::zolc_write(Opcode::kZolwLp1, 6, 11));
+  v.push_back(b::zolc_write(Opcode::kZolwEx0, 31, 12));
+  v.push_back(b::zolc_write(Opcode::kZolwEx1, 30, 13));
+  v.push_back(b::zolc_write(Opcode::kZolwEn0, 29, 14));
+  v.push_back(b::zolc_write(Opcode::kZolwEn1, 28, 15));
+  v.push_back(b::zolc_write(Opcode::kZolwU, 5, 16));
+  v.push_back(b::zolon(3, 17));
+  v.push_back(b::zoloff());
+  v.push_back(b::halt());
+  return v;
 }
 
 /// Appends instructions materializing `value` into `reg` (1 or 2 ops).

@@ -4,9 +4,8 @@
 // equivalence check available (final-state equality can mask compensating
 // errors) -- and end with the same register file and memory. Every one of
 // the eight pipeline configurations is checked, fetching both through the
-// unit's predecoded image (and the pipeline's per-image metadata table) and
-// by decoding from memory; the two fetch paths must also agree on every
-// statistic.
+// unit's decoded image and by decoding from memory; the two fetch paths
+// must also agree on every statistic.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -45,7 +44,7 @@ std::vector<Retired> run_traced(Engine& engine, const flow::CompiledUnit& unit,
         std::make_unique<zolc::ZolcController>(*variant, unit.geometry());
   }
   engine.set_accelerator(controller.get());
-  if (use_image) engine.set_code_image(unit.image());
+  if (use_image) engine.set_code_image(unit.decoded());
   engine.set_pc(unit.program().base);
   std::vector<Retired> trace;
   engine.set_retire_hook([&trace](std::uint32_t pc, const isa::Instruction& i) {

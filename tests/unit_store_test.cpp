@@ -94,6 +94,10 @@ TEST(UnitStore, RoundTripCoSimulatesEveryRegisteredKernel) {
       // Canonical-codec equality covers program words, tables, and the
       // full scan report in one comparison.
       EXPECT_EQ(reloaded.value()->to_json(), fresh.value().to_json());
+      // The reloaded unit decodes to the same table, record for record.
+      EXPECT_EQ(reloaded.value()->decoded().base,
+                fresh.value().decoded().base);
+      EXPECT_EQ(reloaded.value()->decoded().ops, fresh.value().decoded().ops);
 
       const auto a = run(fresh.value(), plan);     // verifies outputs too
       const auto b = run(*reloaded.value(), plan);
