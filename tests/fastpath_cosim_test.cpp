@@ -39,7 +39,9 @@ using zolc::ZolcVariant;
 // ---------------- part one: whole-kernel co-simulation ----------------
 
 /// One ISS run of a compiled unit, keeping everything the equivalence
-/// check needs to look at (the workload owns the final memory image).
+/// check needs to look at (the workload owns the final memory image). A
+/// `warm` run executes on a copy-on-write view of the unit's prepared image,
+/// so its first store to each page privatizes a baseline page.
 struct TierRun {
   flow::Workload workload;
   cpu::IssStats stats;
@@ -49,8 +51,10 @@ struct TierRun {
   cpu::AccelSnapshot snapshot;
 };
 
-TierRun run_tier(const flow::CompiledUnit& unit, bool fast) {
-  TierRun out{flow::Workload::prepare(unit), {}, {}, {}, {}, {}};
+TierRun run_tier(const flow::CompiledUnit& unit, bool fast, bool warm) {
+  TierRun out{warm ? flow::Workload::prepare_warm(unit)
+                   : flow::Workload::prepare(unit),
+              {}, {}, {}, {}, {}};
   std::unique_ptr<ZolcController> controller;
   if (const auto variant = codegen::machine_zolc_variant(unit.machine())) {
     controller = std::make_unique<ZolcController>(*variant, unit.geometry());
@@ -73,7 +77,9 @@ TierRun run_tier(const flow::CompiledUnit& unit, bool fast) {
 }
 
 /// Runs `kernel` x `machine` under both tiers and checks every piece of
-/// architectural state. Returns the fast tier's counters so the caller can
+/// architectural state. The baseline tier runs on a cold image and the fast
+/// tier on a warm one, so replayed stores privatize baseline pages that
+/// replayed loads read next. Returns the fast tier's counters so the caller can
 /// assert the suite actually replayed something.
 FastPathStats cosim(const kernels::Kernel& kernel, MachineKind machine,
                     zolc::ZolcGeometry geometry = {}) {
@@ -85,8 +91,8 @@ FastPathStats cosim(const kernels::Kernel& kernel, MachineKind machine,
   EXPECT_TRUE(unit.ok()) << unit.error().to_string();
   if (!unit.ok()) return {};
 
-  const TierRun base = run_tier(unit.value(), /*fast=*/false);
-  const TierRun fast = run_tier(unit.value(), /*fast=*/true);
+  const TierRun base = run_tier(unit.value(), /*fast=*/false, /*warm=*/false);
+  const TierRun fast = run_tier(unit.value(), /*fast=*/true, /*warm=*/true);
   const std::string label = std::string(kernel.name()) + " on " +
                             std::string(codegen::machine_name(machine));
 

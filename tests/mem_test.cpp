@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "mem/memory.hpp"
@@ -242,8 +243,12 @@ TEST(MemoryCow, EqualityIgnoresResidencyDifferences) {
 }
 
 /// Randomized write/reset fuzz: a COW view and a plain-copy oracle receive
-/// the same writes; the view must stay equal to the oracle, and after
-/// reset_to_baseline() it must match the pristine image again.
+/// the same writes; every read width must agree with the oracle, the view
+/// must stay equal to it, and after reset_to_baseline() it must match the
+/// pristine image again. Most writes hit the baseline pages and the seam
+/// past them; a quarter land anywhere in the 32-bit space, and fixed probes
+/// cover the first and last pages and both sides of a directory leaf
+/// boundary.
 TEST(MemoryCow, FuzzAgainstPlainCopyOracle) {
   const auto baseline = make_baseline();
   Memory view;
@@ -256,20 +261,44 @@ TEST(MemoryCow, FuzzAgainstPlainCopyOracle) {
     rng ^= rng << 17;
     return rng;
   };
+  const auto random_addr = [&next] {
+    const std::uint64_t r = next();
+    if (r % 4 == 0) return static_cast<std::uint32_t>(r >> 32) & ~3u;
+    return static_cast<std::uint32_t>((r >> 2) % (6 * Memory::kPageSize)) &
+           ~3u;
+  };
+  constexpr std::uint32_t kLeafSpan = 64 * Memory::kPageSize;
+  constexpr std::array<std::uint32_t, 5> kProbes = {
+      0x0000'0000u, 0x0000'0FFCu, 0xFFFF'F000u, kLeafSpan - 4, kLeafSpan};
 
   for (int round = 0; round < 8; ++round) {
     Memory oracle;  // plain copy of the image, rebuilt the cold way
     write_image(oracle);
-    for (int i = 0; i < 400; ++i) {
-      // Cover baseline pages, fresh pages, and the page-boundary seam.
-      const std::uint32_t addr =
-          static_cast<std::uint32_t>(next() % (6 * Memory::kPageSize)) & ~3u;
+    std::vector<std::uint32_t> touched(kProbes.begin(), kProbes.end());
+    for (std::uint32_t addr : kProbes) {
       const auto value = static_cast<std::uint32_t>(next());
       view.write32(addr, value);
       oracle.write32(addr, value);
     }
+    for (int i = 0; i < 400; ++i) {
+      const std::uint32_t addr = random_addr();
+      const auto value = static_cast<std::uint32_t>(next());
+      view.write32(addr, value);
+      oracle.write32(addr, value);
+      touched.push_back(addr);
+      touched.push_back(random_addr());  // reads an untouched spot too
+    }
+    for (std::uint32_t addr : touched) {
+      for (std::uint32_t ofs = 0; ofs < 4; ++ofs) {
+        ASSERT_EQ(view.read8(addr + ofs), oracle.read8(addr + ofs))
+            << "round " << round << " addr " << addr + ofs;
+      }
+      ASSERT_EQ(view.read16(addr), oracle.read16(addr)) << "round " << round;
+      ASSERT_EQ(view.read16(addr + 2), oracle.read16(addr + 2))
+          << "round " << round;
+      ASSERT_EQ(view.read32(addr), oracle.read32(addr)) << "round " << round;
+    }
     EXPECT_TRUE(view == oracle) << "round " << round;
-    EXPECT_LE(view.dirty_pages(), 6u);
     view.reset_to_baseline();
     EXPECT_TRUE(view == *baseline) << "round " << round;
     EXPECT_EQ(view.dirty_pages(), 0u);
