@@ -195,14 +195,6 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
   RunOutcome out;
   const DecodedOp* const ops = body.ops.data();
   const std::size_t n = body.ops.size();
-  // Access statistics are batched into one count_accesses() call so the
-  // raw-page accesses below leave MemoryStats exactly as read*/write*
-  // would have (misaligned accesses bail before they are counted, just as
-  // the throwing path counts nothing).
-  std::uint64_t reads = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes_written = 0;
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
   for (std::size_t j = 0; j < n; ++j) {
     const DecodedOp& u = ops[j];
@@ -261,31 +253,12 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
           // raises the MemoryFault with its precise message.
           *bail = BailoutReason::kTrap;
           out.partial = j;
-          goto account;
+          return out;
         }
-        ++reads;
-        bytes_read += u.width;
-        const std::uint32_t page_no = addr >> mem::Memory::kPageBits;
-        const std::uint8_t* page;
-        if (page_no == load_page_no_[0]) {
-          page = load_page_[0];
-        } else if (page_no == load_page_no_[1]) {
-          page = load_page_[1];
-        } else if (page_no == load_page_no_[2]) {
-          page = load_page_[2];
-        } else if (page_no == load_page_no_[3]) {
-          page = load_page_[3];
-        } else {
-          // Only resident pages are cached: a miss (nullptr) is re-looked
-          // up every time so a page materializing later is observed.
-          page = mem.peek_page(addr);
-          if (page == nullptr) {
-            regs.write_raw(u.dest, 0);
-            break;
-          }
-          load_page_no_[load_victim_] = page_no;
-          load_page_[load_victim_] = page;
-          load_victim_ = (load_victim_ + 1) & 3u;
+        const std::uint8_t* const page = mem.peek_page(addr);
+        if (page == nullptr) {  // never written: reads as zero
+          regs.write_raw(u.dest, 0);
+          break;
         }
         const std::uint32_t ofs = addr & (mem::Memory::kPageSize - 1);
         std::int32_t value = 0;
@@ -316,7 +289,7 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
         if ((addr & (u.width - 1u)) != 0) {
           *bail = BailoutReason::kTrap;
           out.partial = j;
-          goto account;
+          return out;
         }
         // Bail before a store lands inside any summarized region: the
         // cached records must never go stale. Conservative (the bounds
@@ -324,36 +297,23 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
         if (addr <= cache_hi_ + 3 && addr + u.width > cache_lo_) {
           *bail = BailoutReason::kSelfModifyingStore;
           out.partial = j;
-          goto account;
+          return out;
         }
         if (record != nullptr) record->push_back({addr, u.width});
-        ++writes;
-        bytes_written += u.width;
-        const std::uint32_t page_no = addr >> mem::Memory::kPageBits;
-        if (page_no != store_page_no_) {
-          store_page_no_ = page_no;
-          store_page_ = mem.touch_page(addr);
-          // touch_page may have just privatized a copy-on-write baseline
-          // page; a load way still holding the baseline pointer for the
-          // same page would read pre-store data. Repoint it.
-          for (unsigned w = 0; w < 4; ++w) {
-            if (load_page_no_[w] == page_no) load_page_[w] = store_page_;
-          }
-          mem_epoch_ = mem.cow_epoch();
-        }
+        std::uint8_t* const page = mem.touch_page(addr);
         const std::uint32_t ofs = addr & (mem::Memory::kPageSize - 1);
         const auto uv = static_cast<std::uint32_t>(regs.read_raw(ins.rt));
         switch (u.width) {
           case 1:
-            store_page_[ofs] = static_cast<std::uint8_t>(uv);
+            page[ofs] = static_cast<std::uint8_t>(uv);
             break;
           case 2: {
             const auto v = static_cast<std::uint16_t>(uv);
-            std::memcpy(store_page_ + ofs, &v, 2);
+            std::memcpy(page + ofs, &v, 2);
             break;
           }
           default:
-            std::memcpy(store_page_ + ofs, &uv, 4);
+            std::memcpy(page + ofs, &uv, 4);
             break;
         }
         break;
@@ -376,21 +336,12 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
     regs.write_raw(idx_reg, *idx_val);
   }
   }
-account:
-  mem.count_accesses(reads, bytes_read, writes, bytes_written);
   return out;
 }
 
 LoopSummarizer::Replay LoopSummarizer::try_engage(
     LoopAccelerator& accel, const DecodedImage* image, mem::Memory& mem,
     RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
-  // Copy-on-write memories invalidate handed-out page pointers when a
-  // baseline page is privatized or the dirty set is reset; re-validate the
-  // page caches against the epoch before touching them.
-  if (mem.cow_epoch() != mem_epoch_) {
-    drop_page_cache();
-    mem_epoch_ = mem.cow_epoch();
-  }
   // Accelerators that export their tables get summary execution: every
   // boundary event resolves inline, with no controller call per event. The
   // chaining path below remains for accelerators that only expose the

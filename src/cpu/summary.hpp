@@ -120,15 +120,14 @@ class LoopSummarizer {
   [[nodiscard]] const FastPathStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = FastPathStats{}; }
 
-  /// Drops decoded regions, cached disqualifications, and raw page
-  /// pointers (call when the code image or program memory changes).
+  /// Drops decoded regions and cached disqualifications (call when the
+  /// code image or program memory changes).
   void clear_cache() noexcept {
     cache_.clear();
     cache_lo_ = UINT32_MAX;
     cache_hi_ = 0;
     mru_key_[0] = mru_key_[1] = 0;
     mru_entry_[0] = mru_entry_[1] = nullptr;
-    drop_page_cache();
   }
 
   /// Minimum remaining back-edges required to engage closed-form replay on
@@ -186,8 +185,8 @@ class LoopSummarizer {
   /// `idx_reg` (callers replaying an index-blind body pass edge_limit 0 and
   /// land the final value themselves). `*bail` is set on a mid-pass
   /// bailout. When `record` is non-null, store addresses of every pass are
-  /// appended to it. Memory goes through cached raw page pointers with the
-  /// access statistics accounted in one batch.
+  /// appended to it. Memory goes through mem::Memory::peek_page and
+  /// touch_page, looked up afresh on every access.
   RunOutcome run_region(const BodyInfo& body, mem::Memory& mem, RegFile& regs,
                         std::uint64_t passes, std::uint64_t edge_limit,
                         std::uint8_t idx_reg, std::int32_t idx_step,
@@ -212,33 +211,6 @@ class LoopSummarizer {
   /// way 0 is the most recent.
   std::uint64_t mru_key_[2] = {0, 0};
   CacheEntry* mru_entry_[2] = {nullptr, nullptr};
-  /// Cached raw data pages (see mem::Memory::peek_page): four round-robin
-  /// load ways (a tiled body streams two input arrays plus an accumulator)
-  /// and the last store target. The load ways only hold resident pages, so
-  /// a page materializing later is still observed.
-  std::uint32_t load_page_no_[4] = {UINT32_MAX, UINT32_MAX, UINT32_MAX,
-                                    UINT32_MAX};
-  const std::uint8_t* load_page_[4] = {nullptr, nullptr, nullptr, nullptr};
-  std::uint32_t load_victim_ = 0;
-  std::uint32_t store_page_no_ = UINT32_MAX;
-  std::uint8_t* store_page_ = nullptr;
-  /// mem::Memory::cow_epoch() observed when the page caches were last
-  /// (re)filled. Copy-on-write memories bump their epoch when a baseline
-  /// page is privatized or reset_to_baseline() frees private pages; a
-  /// mismatch at engagement entry drops the cached page pointers above.
-  std::uint64_t mem_epoch_ = 0;
-
-  /// Drops only the raw page-pointer caches (keeps decoded regions, which
-  /// depend on the code image, not on data-page identity).
-  void drop_page_cache() noexcept {
-    for (unsigned w = 0; w < 4; ++w) {
-      load_page_no_[w] = UINT32_MAX;
-      load_page_[w] = nullptr;
-    }
-    load_victim_ = 0;
-    store_page_no_ = UINT32_MAX;
-    store_page_ = nullptr;
-  }
   /// Scratch buffers reused across engagements (allocation-free replay).
   std::vector<std::int64_t> scratch_strides_;
   std::vector<StoreRecord> scratch_rec_[2];

@@ -154,7 +154,6 @@ std::shared_ptr<const mem::Memory> CompiledUnit::prepared_image() const {
     auto image = std::make_shared<mem::Memory>();
     program_.load_into(*image);
     kernel_->setup(spec_.env, *image);
-    image->reset_stats();  // preparation writes are not run statistics
     image_slot_->image = std::move(image);
   }
   return image_slot_->image;

@@ -23,7 +23,6 @@ void Workload::reset() {
     unit_->program().load_into(memory_);
     unit_->kernel().setup(unit_->env(), memory_);
   }
-  memory_.reset_stats();
 }
 
 Result<void> Workload::verify() const {

@@ -36,7 +36,6 @@ class Workload {
 
   /// Restores the pristine prepared image so the workload can host another
   /// run: O(dirty pages) for warm workloads, a full rebuild for cold ones.
-  /// Also clears the memory access statistics.
   void reset();
 
   /// Golden-reference output check (Kernel::verify). Fails with

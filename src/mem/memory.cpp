@@ -18,74 +18,54 @@ namespace {
 
 }  // namespace
 
-const std::uint8_t* Memory::page_for_read(std::uint32_t addr) const {
-  const auto it = pages_.find(addr >> kPageBits);
-  if (it != pages_.end()) return it->second.get();
-  if (baseline_) {
-    const auto base = baseline_->pages_.find(addr >> kPageBits);
-    if (base != baseline_->pages_.end()) return base->second.get();
+std::uint8_t* Memory::add_page(std::uint32_t addr) {
+  const std::uint32_t leaf = addr >> (kPageBits + kLeafBits);
+  if (leaf >= dir_.size()) dir_.resize(leaf + 1);
+  if (!dir_[leaf]) dir_[leaf] = std::make_unique<Leaf>();
+  Page& page = (*dir_[leaf])[(addr >> kPageBits) & (kLeafPages - 1)];
+  const std::uint8_t* base = baseline_ ? baseline_->own_page(addr) : nullptr;
+  if (base) {
+    page = std::make_unique_for_overwrite<std::uint8_t[]>(kPageSize);
+    std::memcpy(page.get(), base, kPageSize);
+  } else {
+    page = std::make_unique<std::uint8_t[]>(kPageSize);  // zero-filled
   }
-  return nullptr;
-}
-
-std::uint8_t* Memory::page_for_write(std::uint32_t addr) {
-  Page& page = pages_[addr >> kPageBits];
-  if (!page) {
-    page = std::make_unique<std::uint8_t[]>(kPageSize);
-    const std::uint8_t* base = nullptr;
-    if (baseline_) {
-      const auto it = baseline_->pages_.find(addr >> kPageBits);
-      if (it != baseline_->pages_.end()) base = it->second.get();
-    }
-    if (base) {
-      // Privatizing a baseline page invalidates read pointers handed out
-      // for it earlier; advertise that to pointer-caching consumers.
-      std::memcpy(page.get(), base, kPageSize);
-      ++cow_epoch_;
-    } else {
-      std::memset(page.get(), 0, kPageSize);
-    }
-  }
+  page_nos_.push_back(addr >> kPageBits);
   return page.get();
 }
 
 void Memory::set_baseline(std::shared_ptr<const Memory> baseline) {
   ZS_EXPECTS(baseline != nullptr);
   ZS_EXPECTS(!baseline->has_baseline());  // no COW chains
-  ZS_EXPECTS(pages_.empty());
+  ZS_EXPECTS(page_nos_.empty());
   baseline_ = std::move(baseline);
 }
 
 void Memory::reset_to_baseline() {
   ZS_EXPECTS(baseline_ != nullptr);
-  if (pages_.empty()) return;
-  pages_.clear();
-  ++cow_epoch_;
+  for (std::uint32_t page_no : page_nos_) {
+    (*dir_[page_no >> kLeafBits])[page_no & (kLeafPages - 1)].reset();
+  }
+  page_nos_.clear();
 }
 
 bool operator==(const Memory& a, const Memory& b) {
   static const std::uint8_t kZeroPage[Memory::kPageSize] = {};
   // Effective view: private pages shadow baseline pages, absent reads as 0.
-  const auto effective = [](const Memory& m,
-                            std::uint32_t page_no) -> const std::uint8_t* {
-    const auto it = m.pages_.find(page_no);
-    if (it != m.pages_.end()) return it->second.get();
-    if (m.baseline_) {
-      const auto base = m.baseline_->pages_.find(page_no);
-      if (base != m.baseline_->pages_.end()) return base->second.get();
-    }
-    return kZeroPage;
+  const auto effective = [](const Memory& m, std::uint32_t page_no) {
+    const std::uint8_t* page = m.peek_page(page_no << Memory::kPageBits);
+    return page ? page : kZeroPage;
   };
   const auto covered_by = [&effective](const Memory& lhs, const Memory& rhs) {
     const auto pages_match = [&](std::uint32_t page_no) {
       return std::memcmp(effective(lhs, page_no), effective(rhs, page_no),
                          Memory::kPageSize) == 0;
     };
-    for (const auto& [page_no, page] : lhs.pages_) {
+    for (std::uint32_t page_no : lhs.page_nos_) {
       if (!pages_match(page_no)) return false;
     }
     if (lhs.baseline_) {
-      for (const auto& [page_no, page] : lhs.baseline_->pages_) {
+      for (std::uint32_t page_no : lhs.baseline_->page_nos_) {
         if (!pages_match(page_no)) return false;
       }
     }
@@ -95,17 +75,13 @@ bool operator==(const Memory& a, const Memory& b) {
 }
 
 std::uint8_t Memory::read8(std::uint32_t addr) const {
-  ++stats_.reads;
-  ++stats_.bytes_read;
-  const std::uint8_t* page = page_for_read(addr);
+  const std::uint8_t* page = peek_page(addr);
   return page ? page[addr & (kPageSize - 1)] : 0;
 }
 
 std::uint16_t Memory::read16(std::uint32_t addr) const {
   if (!is_aligned(addr, 2)) misaligned(addr, 2);
-  ++stats_.reads;
-  stats_.bytes_read += 2;
-  const std::uint8_t* page = page_for_read(addr);
+  const std::uint8_t* page = peek_page(addr);
   if (!page) return 0;
   const std::uint32_t ofs = addr & (kPageSize - 1);
   return static_cast<std::uint16_t>(
@@ -114,9 +90,7 @@ std::uint16_t Memory::read16(std::uint32_t addr) const {
 
 std::uint32_t Memory::read32(std::uint32_t addr) const {
   if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  ++stats_.reads;
-  stats_.bytes_read += 4;
-  const std::uint8_t* page = page_for_read(addr);
+  const std::uint8_t* page = peek_page(addr);
   if (!page) return 0;
   const std::uint32_t ofs = addr & (kPageSize - 1);
   std::uint32_t value = 0;
@@ -125,25 +99,16 @@ std::uint32_t Memory::read32(std::uint32_t addr) const {
 }
 
 std::uint32_t Memory::fetch32(std::uint32_t addr) const {
-  if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  const std::uint8_t* page = page_for_read(addr);
-  if (!page) return 0;
-  std::uint32_t value = 0;
-  std::memcpy(&value, page + (addr & (kPageSize - 1)), 4);
-  return value;
+  return read32(addr);
 }
 
 void Memory::write8(std::uint32_t addr, std::uint8_t value) {
-  ++stats_.writes;
-  ++stats_.bytes_written;
-  page_for_write(addr)[addr & (kPageSize - 1)] = value;
+  touch_page(addr)[addr & (kPageSize - 1)] = value;
 }
 
 void Memory::write16(std::uint32_t addr, std::uint16_t value) {
   if (!is_aligned(addr, 2)) misaligned(addr, 2);
-  ++stats_.writes;
-  stats_.bytes_written += 2;
-  std::uint8_t* page = page_for_write(addr);
+  std::uint8_t* page = touch_page(addr);
   const std::uint32_t ofs = addr & (kPageSize - 1);
   page[ofs] = static_cast<std::uint8_t>(value & 0xFF);
   page[ofs + 1] = static_cast<std::uint8_t>(value >> 8);
@@ -151,16 +116,14 @@ void Memory::write16(std::uint32_t addr, std::uint16_t value) {
 
 void Memory::write32(std::uint32_t addr, std::uint32_t value) {
   if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  ++stats_.writes;
-  stats_.bytes_written += 4;
-  std::uint8_t* page = page_for_write(addr);
+  std::uint8_t* page = touch_page(addr);
   std::memcpy(page + (addr & (kPageSize - 1)), &value, 4);
 }
 
 void Memory::load_bytes(std::uint32_t addr,
                         std::span<const std::uint8_t> bytes) {
   for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::uint8_t* page = page_for_write(addr + static_cast<std::uint32_t>(i));
+    std::uint8_t* page = touch_page(addr + static_cast<std::uint32_t>(i));
     page[(addr + i) & (kPageSize - 1)] = bytes[i];
   }
 }
@@ -170,7 +133,7 @@ void Memory::load_words(std::uint32_t addr,
   for (std::size_t i = 0; i < words.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(i) * 4;
     if (!is_aligned(a, 4)) misaligned(a, 4);
-    std::uint8_t* page = page_for_write(a);
+    std::uint8_t* page = touch_page(a);
     std::memcpy(page + (a & (kPageSize - 1)), &words[i], 4);
   }
 }

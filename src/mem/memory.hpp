@@ -1,7 +1,9 @@
 // Sparse byte-addressable memory model. Little-endian, paged allocation so a
 // full 4 GiB address space can be simulated with only the touched pages
-// resident. Misaligned accesses raise MemoryFault (the modelled core, like
-// XiRisc, has no misaligned access support).
+// resident: a two-level page directory whose root grows to the highest
+// touched leaf and whose leaves are allocated on first touch. Misaligned
+// accesses raise MemoryFault (the modelled core, like XiRisc, has no
+// misaligned access support).
 //
 // A Memory can additionally reference an immutable shared baseline image
 // (copy-on-write): reads fall through to the baseline, the first write to a
@@ -11,12 +13,12 @@
 #ifndef ZOLCSIM_MEM_MEMORY_HPP
 #define ZOLCSIM_MEM_MEMORY_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace zolcsim::mem {
@@ -28,18 +30,15 @@ class MemoryFault : public std::runtime_error {
       : std::runtime_error(what_arg) {}
 };
 
-/// Access counters, reset with Memory::reset_stats().
-struct MemoryStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-};
-
 class Memory {
  public:
   static constexpr std::uint32_t kPageBits = 12;  // 4 KiB pages
   static constexpr std::uint32_t kPageSize = 1u << kPageBits;
+  /// Pages per directory leaf. 64 (a 256 KiB span) keeps a paper-layout
+  /// image (code at 0x1000, data at 0x100000-0x13FFFF) to two small leaves,
+  /// which matters because a daemon holds one prepared image per unit.
+  static constexpr std::uint32_t kLeafBits = 6;
+  static constexpr std::uint32_t kLeafPages = 1u << kLeafBits;
 
   Memory() = default;
 
@@ -53,7 +52,7 @@ class Memory {
   void write16(std::uint32_t addr, std::uint16_t value);
   void write32(std::uint32_t addr, std::uint32_t value);
 
-  /// Instruction fetch: same as read32 but not counted in data statistics.
+  /// Instruction fetch: same as read32.
   [[nodiscard]] std::uint32_t fetch32(std::uint32_t addr) const;
 
   /// Copies a block of bytes into memory starting at `addr`.
@@ -66,14 +65,10 @@ class Memory {
   [[nodiscard]] std::vector<std::uint32_t> read_words(std::uint32_t addr,
                                                       std::size_t count) const;
 
-  [[nodiscard]] const MemoryStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = MemoryStats{}; }
-
-  /// Number of locally resident (touched) pages; used by tests to verify
-  /// sparseness. Baseline pages are not counted: with a baseline attached
-  /// this is the dirty-page count.
+  /// Pages this memory owns, i.e. dirty pages when a baseline is attached
+  /// (baseline pages are not counted). Reads never allocate.
   [[nodiscard]] std::size_t resident_pages() const noexcept {
-    return pages_.size();
+    return page_nos_.size();
   }
 
   // ---- copy-on-write baseline ----
@@ -92,71 +87,55 @@ class Memory {
   }
 
   /// Discards every private page so the memory reads as the baseline image
-  /// again, in O(dirty pages). Requires a baseline. Statistics are kept;
-  /// reset them separately if the next run should start from zero.
+  /// again, in O(dirty pages). Requires a baseline.
   void reset_to_baseline();
-
-  /// Pages privatized (or newly created) since set_baseline(); without a
-  /// baseline, identical to resident_pages().
-  [[nodiscard]] std::size_t dirty_pages() const noexcept {
-    return pages_.size();
-  }
-
-  /// Incremented whenever a raw page pointer handed out earlier may have
-  /// become invalid: a baseline page is privatized (the read pointer now
-  /// aliases stale data) or reset_to_baseline() frees private pages.
-  /// Consumers that cache peek_page()/touch_page() results across calls
-  /// (cpu::LoopSummarizer) must drop their caches when this changes.
-  [[nodiscard]] std::uint64_t cow_epoch() const noexcept { return cow_epoch_; }
 
   /// Content equality over the union of both memories' effective pages
   /// (private pages shadowing baseline pages); a page resident on one side
   /// only must be all-zero (absent memory reads as zero, so residency
-  /// itself is not architectural state). Statistics are not compared. Used
-  /// by co-simulation tests to compare full images.
+  /// itself is not architectural state). Used by co-simulation tests to
+  /// compare full images.
   friend bool operator==(const Memory& a, const Memory& b);
 
-  // Raw page access for the ISS summary tier (cpu::LoopSummarizer), which
-  // caches the returned pointers across a replay. Without a baseline, pages
-  // are never moved or freed once allocated, so the pointers stay valid for
-  // the Memory's lifetime. With a baseline, peek_page() may return a
-  // baseline page that a later write shadows, and reset_to_baseline() frees
-  // private pages — both bump cow_epoch(), which caching consumers must
-  // check. These do no statistics accounting: callers batch the counts
-  // through count_accesses() so MemoryStats stay exact.
+  // Raw page access (the read*/write* accessors and the ISS summary tier go
+  // through these). A returned pointer is valid until the next write to, or
+  // reset of, this Memory: a write may privatize the baseline page a read
+  // pointer aliases, and a reset frees private pages.
 
-  /// The resident page containing `addr` (private first, then baseline), or
-  /// nullptr when the page was never written (such memory reads as zero).
+  /// The page containing `addr` (private first, then baseline), or nullptr
+  /// when the page was never written (such memory reads as zero).
   [[nodiscard]] const std::uint8_t* peek_page(std::uint32_t addr) const {
-    return page_for_read(addr);
+    if (const std::uint8_t* page = own_page(addr)) return page;
+    return baseline_ ? baseline_->own_page(addr) : nullptr;
   }
 
   /// The writable (private) page containing `addr`, allocated — and copied
   /// from the baseline when one covers it — on first touch.
   [[nodiscard]] std::uint8_t* touch_page(std::uint32_t addr) {
-    return page_for_write(addr);
-  }
-
-  /// Batch statistics accounting for accesses performed through raw pages.
-  void count_accesses(std::uint64_t reads, std::uint64_t bytes_read,
-                      std::uint64_t writes,
-                      std::uint64_t bytes_written) const noexcept {
-    stats_.reads += reads;
-    stats_.bytes_read += bytes_read;
-    stats_.writes += writes;
-    stats_.bytes_written += bytes_written;
+    if (std::uint8_t* page = own_page(addr)) return page;
+    return add_page(addr);
   }
 
  private:
   using Page = std::unique_ptr<std::uint8_t[]>;
+  using Leaf = std::array<Page, kLeafPages>;
 
-  [[nodiscard]] const std::uint8_t* page_for_read(std::uint32_t addr) const;
-  [[nodiscard]] std::uint8_t* page_for_write(std::uint32_t addr);
+  /// This memory's own page containing `addr`, ignoring the baseline.
+  [[nodiscard]] std::uint8_t* own_page(std::uint32_t addr) const {
+    const std::uint32_t leaf = addr >> (kPageBits + kLeafBits);
+    if (leaf >= dir_.size() || !dir_[leaf]) return nullptr;
+    return (*dir_[leaf])[(addr >> kPageBits) & (kLeafPages - 1)].get();
+  }
 
-  std::unordered_map<std::uint32_t, Page> pages_;
+  /// Allocates the own page containing `addr` (zeroed, or a copy of the
+  /// baseline's page).
+  std::uint8_t* add_page(std::uint32_t addr);
+
+  /// Root of the page directory: grown to the highest touched leaf.
+  std::vector<std::unique_ptr<Leaf>> dir_;
+  /// Page numbers of every own page, so reset and equality are O(own pages).
+  std::vector<std::uint32_t> page_nos_;
   std::shared_ptr<const Memory> baseline_;
-  std::uint64_t cow_epoch_ = 0;
-  mutable MemoryStats stats_;
 };
 
 }  // namespace zolcsim::mem

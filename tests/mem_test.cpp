@@ -91,28 +91,6 @@ TEST(Memory, LoadBytes) {
   EXPECT_EQ(m.read8(Memory::kPageSize + 2), 5);
 }
 
-TEST(Memory, StatsCountAccesses) {
-  Memory m;
-  m.write32(0, 1);
-  m.write8(4, 2);
-  (void)m.read16(0);
-  (void)m.read32(0);
-  EXPECT_EQ(m.stats().writes, 2u);
-  EXPECT_EQ(m.stats().reads, 2u);
-  EXPECT_EQ(m.stats().bytes_written, 5u);
-  EXPECT_EQ(m.stats().bytes_read, 6u);
-  m.reset_stats();
-  EXPECT_EQ(m.stats().reads, 0u);
-}
-
-TEST(Memory, FetchDoesNotCountInDataStats) {
-  Memory m;
-  m.write32(0x100, 42);
-  m.reset_stats();
-  EXPECT_EQ(m.fetch32(0x100), 42u);
-  EXPECT_EQ(m.stats().reads, 0u);
-}
-
 TEST(Memory, OverwriteInPlace) {
   Memory m;
   m.write32(0x40, 0xAAAA'AAAA);
@@ -127,7 +105,6 @@ void write_image(Memory& m) {
   for (std::uint32_t addr = 0; addr < 4 * Memory::kPageSize; addr += 4) {
     m.write32(addr, addr * 2654435761u + 1);
   }
-  m.reset_stats();
 }
 
 /// A small deterministic baseline image spanning several pages.
@@ -146,7 +123,7 @@ TEST(MemoryCow, ReadsFallThroughToBaseline) {
   EXPECT_EQ(view.fetch32(0x1000), baseline->fetch32(0x1000));
   // Beyond the baseline image: still zero.
   EXPECT_EQ(view.read32(8 * Memory::kPageSize), 0u);
-  EXPECT_EQ(view.dirty_pages(), 0u);  // reads never privatize
+  EXPECT_EQ(view.resident_pages(), 0u);  // reads never privatize
 }
 
 TEST(MemoryCow, WritePrivatizesOnePage) {
@@ -155,7 +132,7 @@ TEST(MemoryCow, WritePrivatizesOnePage) {
   view.set_baseline(baseline);
   const std::uint32_t before = view.read32(0x104);
   view.write32(0x100, 0xDEAD'BEEF);
-  EXPECT_EQ(view.dirty_pages(), 1u);
+  EXPECT_EQ(view.resident_pages(), 1u);
   EXPECT_EQ(view.read32(0x100), 0xDEAD'BEEFu);
   // The rest of the privatized page was copied, not zeroed.
   EXPECT_EQ(view.read32(0x104), before);
@@ -170,29 +147,12 @@ TEST(MemoryCow, ResetToBaselineDropsDirtyPages) {
   view.write32(0x100, 1);
   view.write32(Memory::kPageSize + 8, 2);
   view.write32(9 * Memory::kPageSize, 3);  // a page the baseline lacks
-  EXPECT_EQ(view.dirty_pages(), 3u);
+  EXPECT_EQ(view.resident_pages(), 3u);
   view.reset_to_baseline();
-  EXPECT_EQ(view.dirty_pages(), 0u);
+  EXPECT_EQ(view.resident_pages(), 0u);
   EXPECT_EQ(view.read32(0x100), baseline->read32(0x100));
   EXPECT_EQ(view.read32(9 * Memory::kPageSize), 0u);
   EXPECT_TRUE(view == *baseline);
-}
-
-TEST(MemoryCow, EpochAdvancesOnPrivatizationAndReset) {
-  const auto baseline = make_baseline();
-  Memory view;
-  view.set_baseline(baseline);
-  const std::uint64_t e0 = view.cow_epoch();
-  view.write32(0x10, 1);  // privatizes page 0
-  const std::uint64_t e1 = view.cow_epoch();
-  EXPECT_GT(e1, e0);
-  view.write32(0x20, 2);  // same page, already private: no bump
-  EXPECT_EQ(view.cow_epoch(), e1);
-  view.reset_to_baseline();
-  EXPECT_GT(view.cow_epoch(), e1);
-  const std::uint64_t e2 = view.cow_epoch();
-  view.reset_to_baseline();  // nothing dirty: no bump
-  EXPECT_EQ(view.cow_epoch(), e2);
 }
 
 TEST(MemoryCow, MisalignedFaultDoesNotPrivatize) {
@@ -202,7 +162,7 @@ TEST(MemoryCow, MisalignedFaultDoesNotPrivatize) {
   EXPECT_THROW(view.write32(0x101, 1), MemoryFault);
   EXPECT_THROW(view.write16(0x7, 1), MemoryFault);
   EXPECT_THROW((void)view.read32(0x2), MemoryFault);
-  EXPECT_EQ(view.dirty_pages(), 0u);
+  EXPECT_EQ(view.resident_pages(), 0u);
   EXPECT_TRUE(view == *baseline);
 }
 
@@ -231,7 +191,7 @@ TEST(MemoryCow, EqualityIgnoresResidencyDifferences) {
   // A privatized page with unchanged content stays equal to the baseline.
   const std::uint32_t v = view.read32(0x200);
   view.write32(0x200, v);
-  EXPECT_EQ(view.dirty_pages(), 1u);
+  EXPECT_EQ(view.resident_pages(), 1u);
   EXPECT_TRUE(view == *baseline);
   // An all-zero private page equals absent memory on the other side.
   Memory a;
@@ -267,7 +227,7 @@ TEST(MemoryCow, FuzzAgainstPlainCopyOracle) {
     return static_cast<std::uint32_t>((r >> 2) % (6 * Memory::kPageSize)) &
            ~3u;
   };
-  constexpr std::uint32_t kLeafSpan = 64 * Memory::kPageSize;
+  constexpr std::uint32_t kLeafSpan = Memory::kLeafPages * Memory::kPageSize;
   constexpr std::array<std::uint32_t, 5> kProbes = {
       0x0000'0000u, 0x0000'0FFCu, 0xFFFF'F000u, kLeafSpan - 4, kLeafSpan};
 
@@ -301,7 +261,7 @@ TEST(MemoryCow, FuzzAgainstPlainCopyOracle) {
     EXPECT_TRUE(view == oracle) << "round " << round;
     view.reset_to_baseline();
     EXPECT_TRUE(view == *baseline) << "round " << round;
-    EXPECT_EQ(view.dirty_pages(), 0u);
+    EXPECT_EQ(view.resident_pages(), 0u);
   }
 }
 
