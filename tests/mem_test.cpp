@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -100,10 +101,15 @@ TEST(Memory, OverwriteInPlace) {
 
 // ---- copy-on-write baseline ----
 
+constexpr std::uint32_t kImageBytes = 4 * Memory::kPageSize;
+
+/// The test image's word at `addr` (below kImageBytes).
+std::uint32_t image_word(std::uint32_t addr) { return addr * 2654435761u + 1; }
+
 /// Writes the deterministic test image (several pages) into `m`.
 void write_image(Memory& m) {
-  for (std::uint32_t addr = 0; addr < 4 * Memory::kPageSize; addr += 4) {
-    m.write32(addr, addr * 2654435761u + 1);
+  for (std::uint32_t addr = 0; addr < kImageBytes; addr += 4) {
+    m.write32(addr, image_word(addr));
   }
 }
 
@@ -203,9 +209,9 @@ TEST(MemoryCow, EqualityIgnoresResidencyDifferences) {
 }
 
 /// Randomized write/reset fuzz: a COW view and a plain-copy oracle receive
-/// the same writes; every read width must agree with the oracle, the view
-/// must stay equal to it, and after reset_to_baseline() it must match the
-/// pristine image again. Most writes hit the baseline pages and the seam
+/// the same writes; every read width of both must agree with a word model
+/// kept outside Memory, the view must stay equal to the oracle, and after
+/// reset_to_baseline() it must match the pristine image again. Most writes hit the baseline pages and the seam
 /// past them; a quarter land anywhere in the 32-bit space, and fixed probes
 /// cover the first and last pages and both sides of a directory leaf
 /// boundary.
@@ -234,29 +240,36 @@ TEST(MemoryCow, FuzzAgainstPlainCopyOracle) {
   for (int round = 0; round < 8; ++round) {
     Memory oracle;  // plain copy of the image, rebuilt the cold way
     write_image(oracle);
+    std::map<std::uint32_t, std::uint32_t> written;  // the word model
     std::vector<std::uint32_t> touched(kProbes.begin(), kProbes.end());
-    for (std::uint32_t addr : kProbes) {
+    const auto write = [&](std::uint32_t addr) {
       const auto value = static_cast<std::uint32_t>(next());
       view.write32(addr, value);
       oracle.write32(addr, value);
-    }
+      written[addr] = value;
+    };
+    for (std::uint32_t addr : kProbes) write(addr);
     for (int i = 0; i < 400; ++i) {
       const std::uint32_t addr = random_addr();
-      const auto value = static_cast<std::uint32_t>(next());
-      view.write32(addr, value);
-      oracle.write32(addr, value);
+      write(addr);
       touched.push_back(addr);
       touched.push_back(random_addr());  // reads an untouched spot too
     }
     for (std::uint32_t addr : touched) {
-      for (std::uint32_t ofs = 0; ofs < 4; ++ofs) {
-        ASSERT_EQ(view.read8(addr + ofs), oracle.read8(addr + ofs))
-            << "round " << round << " addr " << addr + ofs;
+      const auto it = written.find(addr);
+      const std::uint32_t want = it != written.end() ? it->second
+                                 : addr < kImageBytes ? image_word(addr)
+                                                      : 0u;
+      for (const Memory* m : {&view, &oracle}) {
+        const char* which = m == &view ? "view" : "oracle";
+        ASSERT_EQ(m->read32(addr), want) << which << " round " << round;
+        ASSERT_EQ(m->read16(addr), want & 0xFFFFu) << which;
+        ASSERT_EQ(m->read16(addr + 2), want >> 16) << which;
+        for (std::uint32_t ofs = 0; ofs < 4; ++ofs) {
+          ASSERT_EQ(m->read8(addr + ofs), (want >> (8 * ofs)) & 0xFFu)
+              << which << " addr " << addr + ofs;
+        }
       }
-      ASSERT_EQ(view.read16(addr), oracle.read16(addr)) << "round " << round;
-      ASSERT_EQ(view.read16(addr + 2), oracle.read16(addr + 2))
-          << "round " << round;
-      ASSERT_EQ(view.read32(addr), oracle.read32(addr)) << "round " << round;
     }
     EXPECT_TRUE(view == oracle) << "round " << round;
     view.reset_to_baseline();
