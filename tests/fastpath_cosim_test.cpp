@@ -2,12 +2,14 @@
 // must be architecturally invisible. Part one co-simulates every kernel in
 // both registries under baseline and fast ISS and demands identical
 // register files, memory images, instruction counts, ZOLC statistics, and
-// controller snapshots. Part two drives each typed BailoutReason with a
-// hand-built ZOLC program (or the validation seam) and checks that the
-// decline is counted AND that the architectural state still matches the
-// baseline exactly. Part three pins the per-run statistics reset.
+// controller snapshots, and pins the tier's exact counters on the paper
+// suite. Part two drives each typed BailoutReason with a hand-built ZOLC
+// program (or the validation seam) and checks that the decline is counted
+// AND that the architectural state still matches the baseline exactly.
+// Part three pins the per-run statistics reset.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -148,6 +150,104 @@ TEST(FastPathCosim, ExtendedSuiteMatchesBaselineOnDeepGeometries) {
   // bulk of the execution, not just match while declining.
   EXPECT_GT(engagements, 0u);
   EXPECT_GT(replayed, 10'000u);
+}
+
+/// Exact fast-path counters for one paper kernel at scale 1. Cosim checks
+/// architectural state only, so these pin the tier's engagement decisions:
+/// where it engages, how much it replays, and why it declines.
+struct PinnedCounters {
+  const char* kernel;
+  MachineKind machine;
+  std::uint64_t preempt_every;  ///< 0 = uninterrupted
+  std::uint64_t attempts;
+  std::uint64_t engagements;
+  std::uint64_t replayed_instructions;
+  std::uint64_t replayed_backedges;
+  std::array<std::uint64_t, cpu::kNumBailoutReasons> bailouts;
+};
+
+TEST(FastPathCounters, PaperSuiteCountersArePinned) {
+  // Bailout columns follow BailoutReason order: short_loop, control_flow,
+  // non_affine_update, exit_record, accel_mutation, trap,
+  // self_modifying_store, overlapping_store, validation_mismatch.
+  const std::vector<PinnedCounters> pinned = {
+      {"dotprod", MachineKind::kUZolc, 0, 1, 1, 315, 63, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dotprod", MachineKind::kUZolc, 13, 25, 24, 190, 38, {1, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dotprod", MachineKind::kZolcLite, 0, 1, 1, 315, 63, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dotprod", MachineKind::kZolcLite, 13, 25, 24, 190, 38, {1, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"vecmax", MachineKind::kUZolc, 0, 63, 0, 0, 0, {0, 63, 0, 0, 0, 0, 0, 0, 0}},
+      {"vecmax", MachineKind::kUZolc, 13, 63, 0, 0, 0, {0, 58, 0, 0, 0, 0, 0, 0, 0}},
+      {"vecmax", MachineKind::kZolcLite, 0, 63, 0, 0, 0, {0, 63, 0, 0, 0, 0, 0, 0, 0}},
+      {"vecmax", MachineKind::kZolcLite, 13, 63, 0, 0, 0, {0, 57, 0, 0, 0, 0, 0, 0, 0}},
+      {"fir", MachineKind::kUZolc, 0, 32, 32, 2400, 480, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"fir", MachineKind::kUZolc, 13, 216, 168, 1320, 264, {36, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"fir", MachineKind::kZolcLite, 0, 1, 1, 2744, 543, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"fir", MachineKind::kZolcLite, 13, 244, 199, 1480, 299, {36, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"iir_biquad", MachineKind::kUZolc, 0, 64, 64, 4224, 192, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"iir_biquad", MachineKind::kUZolc, 13, 192, 0, 0, 0, {118, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"iir_biquad", MachineKind::kZolcLite, 0, 1, 1, 5990, 319, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"iir_biquad", MachineKind::kZolcLite, 13, 266, 54, 108, 54, {118, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"crc32", MachineKind::kUZolc, 0, 128, 128, 4480, 896, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"crc32", MachineKind::kUZolc, 13, 472, 276, 2120, 424, {147, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"crc32", MachineKind::kZolcLite, 0, 1, 1, 5496, 1023, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"crc32", MachineKind::kZolcLite, 13, 550, 325, 2512, 473, {147, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"matmul", MachineKind::kUZolc, 0, 64, 64, 2240, 448, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"matmul", MachineKind::kUZolc, 13, 238, 137, 1050, 210, {75, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"matmul", MachineKind::kZolcLite, 0, 1, 1, 2998, 575, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"matmul", MachineKind::kZolcLite, 13, 296, 202, 1313, 280, {74, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"conv2d", MachineKind::kUZolc, 0, 600, 0, 0, 0, {600, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"conv2d", MachineKind::kUZolc, 13, 600, 0, 0, 0, {554, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"conv2d", MachineKind::kZolcLite, 0, 3, 1, 5977, 997, {2, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"conv2d", MachineKind::kZolcLite, 13, 813, 171, 969, 187, {474, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"sobel", MachineKind::kUZolc, 0, 10, 10, 2880, 90, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"sobel", MachineKind::kUZolc, 13, 90, 0, 0, 0, {18, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"sobel", MachineKind::kZolcLite, 0, 1, 1, 3168, 99, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"sobel", MachineKind::kZolcLite, 13, 99, 0, 0, 0, {19, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dct8x8", MachineKind::kUZolc, 0, 64, 64, 2240, 448, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dct8x8", MachineKind::kUZolc, 13, 239, 137, 1045, 209, {86, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dct8x8", MachineKind::kZolcLite, 0, 1, 1, 6326, 1151, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"dct8x8", MachineKind::kZolcLite, 13, 615, 389, 2772, 537, {148, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"fft", MachineKind::kUZolc, 0, 28, 0, 0, 0, {0, 0, 28, 0, 0, 0, 0, 0, 0}},
+      {"fft", MachineKind::kUZolc, 13, 28, 0, 0, 0, {0, 0, 24, 0, 0, 0, 0, 0, 0}},
+      {"fft", MachineKind::kZolcLite, 0, 43, 4, 152, 4, {0, 0, 43, 0, 0, 0, 0, 0, 0}},
+      {"fft", MachineKind::kZolcLite, 13, 47, 0, 0, 0, {0, 0, 39, 0, 0, 0, 0, 0, 0}},
+      {"me_fsbm", MachineKind::kUZolc, 0, 648, 648, 31752, 4536, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_fsbm", MachineKind::kUZolc, 13, 3041, 1495, 10465, 1495, {949, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_fsbm", MachineKind::kZolcLite, 0, 81, 81, 37409, 5831, {0, 81, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_fsbm", MachineKind::kZolcLite, 13, 3556, 2137, 12904, 2356, {946, 74, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_tss", MachineKind::kUZolc, 0, 104, 104, 5096, 728, {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_tss", MachineKind::kUZolc, 13, 488, 240, 1680, 240, {152, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_tss", MachineKind::kZolcLite, 0, 2, 0, 0, 0, {0, 2, 0, 0, 0, 0, 0, 0, 0}},
+      {"me_tss", MachineKind::kZolcLite, 13, 2, 0, 0, 0, {0, 1, 0, 0, 0, 0, 0, 0, 0}},
+  };
+  ASSERT_EQ(pinned.size(), kernels::kernel_registry().size() * 4);
+  for (const PinnedCounters& want : pinned) {
+    flow::CompileSpec spec;
+    spec.kernel = want.kernel;
+    spec.machine = want.machine;
+    const auto unit = flow::CompiledUnit::compile(spec);
+    ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+    flow::RunPlan plan;
+    plan.mode = {flow::SimEngine::kIss, /*fast_path=*/true};
+    plan.preempt_every = want.preempt_every;
+    plan.preempt_serialize = want.preempt_every != 0;
+    const auto result = flow::run(unit.value(), plan);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    const FastPathStats& got = result.value().fastpath;
+    const std::string label =
+        std::string(want.kernel) + " on " +
+        std::string(codegen::machine_name(want.machine)) + ", preempt every " +
+        std::to_string(want.preempt_every);
+    EXPECT_EQ(got.attempts, want.attempts) << label;
+    EXPECT_EQ(got.engagements, want.engagements) << label;
+    EXPECT_EQ(got.replayed_instructions, want.replayed_instructions) << label;
+    EXPECT_EQ(got.replayed_backedges, want.replayed_backedges) << label;
+    for (std::size_t r = 0; r < cpu::kNumBailoutReasons; ++r) {
+      EXPECT_EQ(got.bailouts[r], want.bailouts[r])
+          << label << ": "
+          << cpu::bailout_reason_name(static_cast<BailoutReason>(r));
+    }
+  }
 }
 
 // ---------------- part two: typed bailout reasons ----------------
