@@ -400,32 +400,73 @@ BailoutRun expect_bailout_cosim(const std::vector<Instruction>& prog,
   return fast;
 }
 
-/// acc += i for i in [0, n): 17-instruction prologue, then the body.
+/// The uZOLC form of a one-loop program: its six registers, written with
+/// zolw.u (the caller activates). The loop runs from `start_ofs` to
+/// `end_ofs`, word offsets from kBase.
+void emit_micro_loop(std::vector<Instruction>& out, std::int32_t initial,
+                     std::int32_t final, std::int32_t step,
+                     std::uint16_t start_ofs, std::uint16_t end_ofs,
+                     std::uint8_t index_rf) {
+  using zolc::MicroReg;
+  const auto write = [&](MicroReg reg, std::uint32_t value) {
+    emit_table_write(out, Opcode::kZolwU, static_cast<std::uint8_t>(reg),
+                     value);
+  };
+  write(MicroReg::kInitial, static_cast<std::uint32_t>(initial));
+  write(MicroReg::kFinal, static_cast<std::uint32_t>(final));
+  write(MicroReg::kStep, static_cast<std::uint32_t>(step));
+  write(MicroReg::kStartPc, kBase + 4u * start_ofs);
+  write(MicroReg::kEndPc, kBase + 4u * end_ofs);
+  write(MicroReg::kCtrl, zolc::pack_micro_ctrl(index_rf, LoopCond::kLt));
+}
+
+/// acc += i for i in [0, n), with r1 the index and r2 the accumulator:
+/// `setup` runs after both are zeroed, then the loop is programmed for
+/// `variant` (a task and a loop entry on ZOLClite/ZOLCfull, the six
+/// registers on uZOLC), then the controller activates and the body
+/// follows, ending in a halt.
 std::vector<Instruction> summing_loop_program(
-    std::int16_t n, const std::vector<Instruction>& body) {
+    ZolcVariant variant, std::int16_t n, const std::vector<Instruction>& body,
+    const std::vector<Instruction>& setup = {}) {
   std::vector<Instruction> prog;
   prog.push_back(b::addi(2, 0, 0));  // acc
   prog.push_back(b::addi(1, 0, 0));  // index register
-  emit_loop(prog, 0, 0, n, 1, /*index_rf=*/1);
-  const auto start = static_cast<std::uint16_t>(17);
-  const auto end = static_cast<std::uint16_t>(17 + body.size() - 1);
-  emit_task(prog, 0, start, end, /*loop=*/0, /*cont=*/0, /*done=*/0,
-            /*is_last=*/true);
+  prog.insert(prog.end(), setup.begin(), setup.end());
+  // Each table write is a 3-instruction li32 + zolw; activation is 3 more.
+  const std::size_t table_writes = variant == ZolcVariant::kMicro ? 6 : 4;
+  const auto start =
+      static_cast<std::uint16_t>(prog.size() + 3 * table_writes + 3);
+  const auto end = static_cast<std::uint16_t>(start + body.size() - 1);
+  if (variant == ZolcVariant::kMicro) {
+    emit_micro_loop(prog, 0, n, 1, start, end, /*index_rf=*/1);
+  } else {
+    emit_loop(prog, 0, 0, n, 1, /*index_rf=*/1);
+    emit_task(prog, 0, start, end, /*loop=*/0, /*cont=*/0, /*done=*/0,
+              /*is_last=*/true);
+  }
   emit_activate(prog, 0);
-  EXPECT_EQ(prog.size(), 17u);
+  EXPECT_EQ(prog.size(), start);
   prog.insert(prog.end(), body.begin(), body.end());
   prog.push_back(b::halt());
   return prog;
 }
 
+/// The variants the directed bailouts below run over: uZOLC's single loop
+/// and the same loop as a one-task ZOLClite program.
+constexpr ZolcVariant kSingleLoopVariants[] = {ZolcVariant::kMicro,
+                                               ZolcVariant::kLite};
+
 TEST(FastPathBailouts, ShortLoopDeclinesBelowMinBackedges) {
-  const auto prog =
-      summing_loop_program(50, {b::add(2, 2, 1), b::nop()});
-  const BailoutRun fast = expect_bailout_cosim(
-      prog, ZolcVariant::kLite, BailoutReason::kShortLoop,
-      /*min_backedges=*/std::uint64_t{1} << 30);
-  EXPECT_EQ(fast.regs.read(2), 50 * 49 / 2);
-  EXPECT_EQ(fast.fastpath.engagements, 0u);  // every attempt declined
+  for (const ZolcVariant variant : kSingleLoopVariants) {
+    SCOPED_TRACE(zolc::variant_name(variant));
+    const auto prog =
+        summing_loop_program(variant, 50, {b::add(2, 2, 1), b::nop()});
+    const BailoutRun fast = expect_bailout_cosim(
+        prog, variant, BailoutReason::kShortLoop,
+        /*min_backedges=*/std::uint64_t{1} << 30);
+    EXPECT_EQ(fast.regs.read(2), 50 * 49 / 2);
+    EXPECT_EQ(fast.fastpath.engagements, 0u);  // every attempt declined
+  }
 }
 
 TEST(FastPathBailouts, ControlFlowInBodyDeclines) {
@@ -452,11 +493,14 @@ TEST(FastPathBailouts, BodyWritingLoopIndexDeclines) {
   // add r1, r1, r0 rewrites the index with its own value: architecturally a
   // no-op, but the body now writes the index register and closed-form
   // replay of the recurrence is off the table.
-  const auto prog = summing_loop_program(
-      50, {b::add(2, 2, 1), b::add(1, 1, 0), b::nop()});
-  const BailoutRun fast = expect_bailout_cosim(
-      prog, ZolcVariant::kLite, BailoutReason::kNonAffineUpdate);
-  EXPECT_EQ(fast.regs.read(2), 50 * 49 / 2);
+  for (const ZolcVariant variant : kSingleLoopVariants) {
+    SCOPED_TRACE(zolc::variant_name(variant));
+    const auto prog = summing_loop_program(
+        variant, 50, {b::add(2, 2, 1), b::add(1, 1, 0), b::nop()});
+    const BailoutRun fast = expect_bailout_cosim(
+        prog, variant, BailoutReason::kNonAffineUpdate);
+    EXPECT_EQ(fast.regs.read(2), 50 * 49 / 2);
+  }
 }
 
 TEST(FastPathBailouts, ArmedExitRecordDeclines) {
@@ -520,61 +564,59 @@ TEST(FastPathBailouts, MisalignedAccessBailsThenTrapsPrecisely) {
   // The pointer advances by 2 each iteration: the first load is aligned,
   // the second traps. The fast path must bail at the exact instruction
   // boundary so the baseline raises the same MemoryFault both ways.
-  std::vector<Instruction> prog;
-  prog.push_back(b::addi(2, 0, 0));  // acc
-  prog.push_back(b::addi(1, 0, 0));  // index
-  li32(prog, 7, 0x4000);             // data pointer (fills 2 slots)
-  emit_loop(prog, 0, 0, 50, 1, /*index_rf=*/1);
-  emit_task(prog, 0, /*start=*/19, /*end=*/21, 0, 0, 0, true);
-  emit_activate(prog, 0);
-  ASSERT_EQ(prog.size(), 19u);
-  prog.push_back(b::lw(6, 0, 7));    // 19
-  prog.push_back(b::addi(7, 7, 2));  // 20: misaligns the next load
-  prog.push_back(b::nop());          // 21: task end
-  prog.push_back(b::halt());
+  std::vector<Instruction> setup;
+  li32(setup, 7, 0x4000);  // data pointer
+  for (const ZolcVariant variant : kSingleLoopVariants) {
+    SCOPED_TRACE(zolc::variant_name(variant));
+    const auto prog = summing_loop_program(
+        variant, 50,
+        {b::lw(6, 0, 7), b::addi(7, 7, 2) /* misaligns the next load */,
+         b::nop()},
+        setup);
 
-  const auto run_to_fault = [&](bool fast, bool preempt) {
-    mem::Memory memory;
-    test::load_program(memory, kBase, prog);
-    const std::vector<std::uint32_t> data = {11, 22, 33};
-    memory.load_words(0x4000, data);
-    ZolcController controller(ZolcVariant::kLite);
-    cpu::Iss iss(memory);
-    iss.set_accelerator(&controller);
-    iss.set_fast_path(fast);
-    iss.set_pc(kBase);
-    if (preempt) {
-      bool serialize = false;
-      EXPECT_THROW(
-          {
-            while (!iss.halted()) {
-              iss.run_slice(13);
-              if (iss.halted()) break;
-              flow::preempt_cycle(controller, serialize);
-              serialize = !serialize;
-            }
-          },
-          mem::MemoryFault);
-    } else {
-      EXPECT_THROW(iss.run(2'000'000), mem::MemoryFault);
-    }
-    return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
-                      controller.zolc_stats(), controller.active()};
-  };
-  const BailoutRun base = run_to_fault(false, false);
-  const BailoutRun fast = run_to_fault(true, false);
-  // Both tiers stop at the same architectural point: r7 misaligned, the
-  // first element still in r6, the fault instruction not retired.
-  EXPECT_TRUE(fast.regs == base.regs);
-  EXPECT_EQ(fast.stats.instructions, base.stats.instructions);
-  EXPECT_GE(fast.fastpath.bailout(BailoutReason::kTrap), 1u);
-  EXPECT_EQ(fast.regs.read_u(7), 0x4002u);
-  EXPECT_EQ(fast.regs.read(6), 11);
-  // Save/clobber/restore mid-replay must not move the fault point.
-  const BailoutRun preempted = run_to_fault(true, true);
-  EXPECT_TRUE(preempted.regs == base.regs);
-  EXPECT_EQ(preempted.stats.instructions, base.stats.instructions);
-  EXPECT_GE(preempted.fastpath.bailout(BailoutReason::kTrap), 1u);
+    const auto run_to_fault = [&](bool fast, bool preempt) {
+      mem::Memory memory;
+      test::load_program(memory, kBase, prog);
+      const std::vector<std::uint32_t> data = {11, 22, 33};
+      memory.load_words(0x4000, data);
+      ZolcController controller(variant);
+      cpu::Iss iss(memory);
+      iss.set_accelerator(&controller);
+      iss.set_fast_path(fast);
+      iss.set_pc(kBase);
+      if (preempt) {
+        bool serialize = false;
+        EXPECT_THROW(
+            {
+              while (!iss.halted()) {
+                iss.run_slice(13);
+                if (iss.halted()) break;
+                flow::preempt_cycle(controller, serialize);
+                serialize = !serialize;
+              }
+            },
+            mem::MemoryFault);
+      } else {
+        EXPECT_THROW(iss.run(2'000'000), mem::MemoryFault);
+      }
+      return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
+                        controller.zolc_stats(), controller.active()};
+    };
+    const BailoutRun base = run_to_fault(false, false);
+    const BailoutRun fast = run_to_fault(true, false);
+    // Both tiers stop at the same architectural point: r7 misaligned, the
+    // first element still in r6, the fault instruction not retired.
+    EXPECT_TRUE(fast.regs == base.regs);
+    EXPECT_EQ(fast.stats.instructions, base.stats.instructions);
+    EXPECT_GE(fast.fastpath.bailout(BailoutReason::kTrap), 1u);
+    EXPECT_EQ(fast.regs.read_u(7), 0x4002u);
+    EXPECT_EQ(fast.regs.read(6), 11);
+    // Save/clobber/restore mid-replay must not move the fault point.
+    const BailoutRun preempted = run_to_fault(true, true);
+    EXPECT_TRUE(preempted.regs == base.regs);
+    EXPECT_EQ(preempted.stats.instructions, base.stats.instructions);
+    EXPECT_GE(preempted.fastpath.bailout(BailoutReason::kTrap), 1u);
+  }
 }
 
 TEST(FastPathBailouts, StoreIntoSummarizedCodeDeclines) {
@@ -603,23 +645,22 @@ TEST(FastPathBailouts, OverlappingStoresInOneIterationDecline) {
   // Two word stores to the same address per iteration: the recorded pattern
   // self-overlaps, so closed-form replay (which commits one value per slot)
   // cannot represent the write ordering and must bail after validation.
-  std::vector<Instruction> prog;
-  prog.push_back(b::addi(2, 0, 7));  // first store value
-  prog.push_back(b::addi(1, 0, 0));  // index
-  li32(prog, 7, 0x4000);             // output pointer (loop-invariant)
-  emit_loop(prog, 0, 0, 30, 1, /*index_rf=*/1);
-  emit_task(prog, 0, /*start=*/19, /*end=*/21, 0, 0, 0, true);
-  emit_activate(prog, 0);
-  ASSERT_EQ(prog.size(), 19u);
-  prog.push_back(b::sw(2, 0, 7));    // 19
-  prog.push_back(b::sw(1, 0, 7));    // 20: overwrites the same word
-  prog.push_back(b::nop());          // 21: task end
-  prog.push_back(b::halt());
-  const BailoutRun fast = expect_bailout_cosim(
-      prog, ZolcVariant::kLite, BailoutReason::kOverlappingStore);
-  // The last iteration's second store wins, exactly as per-instruction
-  // execution would have it.
-  EXPECT_EQ(fast.regs.read(1), 0);  // reinit-on-exit
+  std::vector<Instruction> setup;
+  setup.push_back(b::addi(2, 0, 7));  // first store value
+  li32(setup, 7, 0x4000);             // output pointer (loop-invariant)
+  for (const ZolcVariant variant : kSingleLoopVariants) {
+    SCOPED_TRACE(zolc::variant_name(variant));
+    const auto prog = summing_loop_program(
+        variant, 30,
+        {b::sw(2, 0, 7), b::sw(1, 0, 7) /* overwrites the same word */,
+         b::nop()},
+        setup);
+    const BailoutRun fast = expect_bailout_cosim(
+        prog, variant, BailoutReason::kOverlappingStore);
+    // The last iteration's second store wins, exactly as per-instruction
+    // execution would have it.
+    EXPECT_EQ(fast.regs.read(1), 0);  // reinit-on-exit
+  }
 }
 
 TEST(FastPathBailouts, ValidationSeamRejectsDoctoredRecordings) {
@@ -675,8 +716,8 @@ TEST(FastPathStatsReset, RunCountsThisRunOnly) {
 }
 
 TEST(FastPathStatsReset, FastPathCountersResetPerRun) {
-  const auto prog =
-      summing_loop_program(50, {b::add(2, 2, 1), b::nop()});
+  const auto prog = summing_loop_program(ZolcVariant::kLite, 50,
+                                         {b::add(2, 2, 1), b::nop()});
   mem::Memory memory;
   test::load_program(memory, kBase, prog);
   ZolcController controller(ZolcVariant::kLite);
