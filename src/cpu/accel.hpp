@@ -81,10 +81,10 @@ inline constexpr unsigned kMaxAccelLoops = 32;
 /// Snapshots sit on the simulators' hot paths (they ride the pipeline
 /// latches while a fetch event is in flight), so copies touch only the
 /// `loop_count` live entries, not the full worst-case array; entries at
-/// index >= loop_count are uninitialized and must never be read.
+/// index >= loop_count are uninitialized and must never be read. uZOLC's
+/// one loop index lives in loop_current[0] (its geometry sizes one loop).
 struct AccelSnapshot {
   std::array<std::int32_t, kMaxAccelLoops> loop_current;
-  std::int32_t micro_current = 0;
   std::uint8_t loop_count = 0;  ///< live prefix of loop_current
   std::uint8_t current_task = 0;
   bool active = false;
@@ -95,7 +95,6 @@ struct AccelSnapshot {
     for (std::uint8_t i = 0; i < other.loop_count; ++i) {
       loop_current[i] = other.loop_current[i];
     }
-    micro_current = other.micro_current;
     loop_count = other.loop_count;
     current_task = other.current_task;
     active = other.active;
@@ -104,8 +103,8 @@ struct AccelSnapshot {
 
   friend bool operator==(const AccelSnapshot& a,
                          const AccelSnapshot& b) noexcept {
-    if (a.loop_count != b.loop_count || a.micro_current != b.micro_current ||
-        a.current_task != b.current_task || a.active != b.active) {
+    if (a.loop_count != b.loop_count || a.current_task != b.current_task ||
+        a.active != b.active) {
       return false;
     }
     for (std::uint8_t i = 0; i < a.loop_count; ++i) {
@@ -113,27 +112,6 @@ struct AccelSnapshot {
     }
     return true;
   }
-};
-
-/// Static description of the innermost hardware-managed loop the controller
-/// is currently iterating: the summary-execution tier's view of the
-/// hardware. Valid only while the controller sits in a self-looping task
-/// (the continue successor re-enters the same task), i.e. a body that
-/// repeats under pure back-edge control with no task switching.
-struct LoopSummaryInfo {
-  std::uint32_t body_start = 0;  ///< PC of the first body instruction
-  std::uint32_t body_end = 0;    ///< PC of the last body instruction (the
-                                 ///< task-end trigger comparator value)
-  std::uint8_t index_rf = 0;     ///< GPR receiving the index write-back
-  std::int32_t step = 0;         ///< index increment per back-edge
-  std::int32_t current = 0;      ///< live index value (mirrors index_rf)
-  /// Back-edges the hardware will still take before the done event, by the
-  /// loop-condition recurrence. The body therefore executes remaining + 1
-  /// more times (the final iteration's boundary event is `done`).
-  std::uint64_t remaining = 0;
-  /// ZOLCfull only: candidate-exit records are armed for this loop. The
-  /// summary tier must decline (a record could fire on a body branch).
-  bool has_exit_records = false;
 };
 
 /// Loop-condition relation for NestLoopDesc, matching the controller's
@@ -150,6 +128,31 @@ enum class NestCond : std::uint8_t { kLt, kLe, kGt, kGe };
     case NestCond::kGe: return value >= final_value;
   }
   return false;
+}
+
+/// Back-edges a loop at `cur` will still take before its done event: the
+/// largest n >= 0 with nest_cond_holds(cond, cur + k*step, fin) for every k
+/// in [1, n]. Conditions are monotone along the step direction, so the count
+/// is closed-form. Returns -1 when the recurrence does not terminate (step
+/// zero or against the condition direction).
+[[nodiscard]] inline std::int64_t nest_remaining_backedges(
+    std::int64_t cur, std::int64_t step, std::int64_t fin,
+    NestCond cond) noexcept {
+  switch (cond) {
+    case NestCond::kLt:
+      if (step <= 0) return -1;
+      return cur >= fin ? 0 : (fin - cur - 1) / step;
+    case NestCond::kLe:
+      if (step <= 0) return -1;
+      return cur > fin ? 0 : (fin - cur) / step;
+    case NestCond::kGt:
+      if (step >= 0) return -1;
+      return cur <= fin ? 0 : (cur - fin - 1) / -step;
+    case NestCond::kGe:
+      if (step >= 0) return -1;
+      return cur < fin ? 0 : (cur - fin) / -step;
+  }
+  return -1;
 }
 
 /// One loop-table entry exported to the summary tier (NestProgram).
@@ -177,6 +180,9 @@ struct NestTaskDesc {
   std::uint8_t cont = 0;  ///< continue-successor task
   std::uint8_t done = 0;  ///< done-successor task
   bool is_last = false;
+  /// uZOLC: done re-initializes the index and falls through to end_pc + 4
+  /// with the controller still active and armed on this task.
+  bool done_falls_through = false;
   bool valid = false;
   /// A fetch event at end_pc is statically guaranteed to resolve without a
   /// hardware fault (every task in the done-cascade from here references a
@@ -190,6 +196,8 @@ struct NestTaskDesc {
 /// function of the programmed tables and activation base, so it stays valid
 /// for a whole active period (tables cannot be rewritten while active).
 /// Dynamic state (loop currents, current task) comes from AccelSnapshot.
+/// uZOLC exports its one loop as a single task whose continue and done
+/// successors are itself, with done_falls_through set.
 struct NestProgram {
   std::vector<NestTaskDesc> tasks;
   std::vector<NestLoopDesc> loops;
@@ -233,38 +241,18 @@ class LoopAccelerator {
   virtual void restore(const AccelSnapshot& snapshot) = 0;
 
   /// The latched task-end comparator value: the PC whose fetch will raise
-  /// the next event, when the controller is active and armed. The summary
-  /// tier uses it to bound the straight-line region it may replay.
-  /// Equivalent to the will_trigger() predicate, exposed as a value.
+  /// the next event, when the controller is active and armed. Equivalent
+  /// to the will_trigger() predicate, exposed as a value (the controller
+  /// tests check it against the tables after every operation).
   [[nodiscard]] std::optional<std::uint32_t> trigger_pc() const noexcept {
     if (armed_pc_ == kDisarmed) return std::nullopt;
     return static_cast<std::uint32_t>(armed_pc_);
   }
 
-  /// Summary-tier hook: the innermost loop currently being iterated, when
-  /// the controller can describe it (active, self-looping task, computable
-  /// trip count). Default: no summary, so accelerators that do not opt in
-  /// simply never engage the fast path.
-  [[nodiscard]] virtual std::optional<LoopSummaryInfo> innermost_summary()
-      const {
-    return std::nullopt;
-  }
-
-  /// Summary-tier hook: applies `iterations` back-edges of the innermost
-  /// loop in one step -- index advance and continue-event accounting exactly
-  /// as if on_fetch had fired that many times without reaching `done`.
-  /// Precondition: innermost_summary() returned remaining >= iterations.
-  virtual void advance_innermost(std::uint64_t iterations) {
-    (void)iterations;
-  }
-
   /// Summary-tier hook: the programmed tables in executable form, or
-  /// nullptr when the accelerator cannot export them (then the summary tier
-  /// falls back to per-event chaining through on_fetch). The pointer stays
-  /// valid until the next table write, activation, or reset.
-  [[nodiscard]] virtual const NestProgram* nest_program() const {
-    return nullptr;
-  }
+  /// nullptr while the controller is inactive. The pointer stays valid until
+  /// the next table write, activation, or reset.
+  [[nodiscard]] virtual const NestProgram* nest_program() const = 0;
 
   /// Summary-tier hook: credits event counters for boundary events the
   /// summary tier resolved itself via nest_program() (their architectural
@@ -273,12 +261,7 @@ class LoopAccelerator {
   virtual void credit_summary_events(std::uint64_t continues,
                                      std::uint64_t dones,
                                      std::uint64_t cascades,
-                                     std::uint64_t max_cascade_depth) {
-    (void)continues;
-    (void)dones;
-    (void)cascades;
-    (void)max_cascade_depth;
-  }
+                                     std::uint64_t max_cascade_depth) = 0;
 
  protected:
   /// armed_pc_ value no 32-bit fetch PC can match.

@@ -1,16 +1,18 @@
 // Loop-summary fast path for the ISS (DESIGN.md section 7). When execution
 // lands inside a ZOLC-managed region, the LoopSummarizer takes over from
-// per-instruction stepping: it copies the decoded records of the
-// straight-line region between the current PC and the controller's latched
-// trigger, executes them in a tight loop, raises the boundary event
-// (on_fetch) itself, and follows the redirect into the next region. When
-// the current task self-loops (an innermost loop body repeating under pure
-// back-edge control), it goes further: it records the first iteration's
-// store pattern, validates it against the second, then replays all
-// remaining iterations with the index recurrence applied in closed form
-// (advance_innermost) -- no per-iteration controller event at all. Replay
-// is architecturally invisible: it reuses the exact alu_eval / mem_load /
-// mem_store semantics and every disqualifying event bails out to
+// per-instruction stepping. It reads the controller's tables once, as the
+// exported NestProgram (uZOLC's loop is a one-task program), then copies
+// the decoded records of the straight-line region between the current PC
+// and the current task's end, executes them in a tight loop, resolves the
+// boundary event against the program itself, and follows it into the next
+// region. When the current task self-loops (an innermost loop body
+// repeating under pure back-edge control), it goes further: it records the
+// first iteration's store pattern, validates it against the second, then
+// replays the remaining iterations with the index recurrence fused in --
+// no per-iteration event resolution at all. The controller's dynamic state
+// is written back once, through restore(), with the elided events credited.
+// Replay is architecturally invisible: it reuses the exact alu_eval /
+// mem_load / mem_store semantics and every disqualifying event bails out to
 // cycle-accurate mode at an exact instruction boundary with a typed
 // BailoutReason surfaced as a counter.
 #ifndef ZOLCSIM_CPU_SUMMARY_HPP
@@ -57,8 +59,8 @@ inline constexpr std::size_t kNumBailoutReasons = 9;
 struct FastPathStats {
   std::uint64_t attempts = 0;     ///< times the tier was offered a region
   std::uint64_t engagements = 0;  ///< attempts that replayed >=1 instruction
-  /// ZOLC events replayed (closed-form back-edges + chained boundary
-  /// events); mirrors the zolc_fetch_events the baseline would count.
+  /// ZOLC events replayed (bulk back-edges + boundary events resolved
+  /// inline); mirrors the zolc_fetch_events the baseline would count.
   std::uint64_t replayed_backedges = 0;
   std::uint64_t replayed_instructions = 0;
   std::array<std::uint64_t, kNumBailoutReasons> bailouts{};
@@ -96,13 +98,17 @@ class LoopSummarizer {
     bool engaged = false;
   };
 
-  /// Offers the fast path a chance to run at `pc`. Engages when `pc` opens
-  /// a qualifying straight-line region bounded by the controller's trigger;
-  /// then alternates closed-form replay of self-looping tasks with chained
-  /// region execution across boundary events, until a region disqualifies,
-  /// the controller disarms, or `max_instructions` is reached. Leaves
-  /// registers, memory, and accelerator state exactly as cycle-accurate
-  /// stepping would at resume_pc.
+  /// Offers the fast path a chance to run at `pc`. Engages when the
+  /// controller is active and `pc` opens a qualifying straight-line region
+  /// ending at the current task's end PC; then alternates bulk replay of
+  /// self-looping tasks with single region passes, resolving every boundary
+  /// event inline against accel.nest_program() on engagement-local copies
+  /// of the controller's dynamic state (no per-event virtual dispatch).
+  /// Stops when a region disqualifies, the controller deactivates or falls
+  /// through, or `max_instructions` is reached; then writes the final state
+  /// back through restore() and credits the elided event counters. Leaves
+  /// registers, memory, and accelerator state (ZolcStats included) exactly
+  /// as cycle-accurate stepping would at resume_pc.
   Replay try_engage(LoopAccelerator& accel, const DecodedImage* image,
                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
                     std::uint64_t max_instructions);
@@ -156,10 +162,6 @@ class LoopSummarizer {
     /// Region runs fine one pass at a time but cannot be replayed in
     /// closed form (a store base is neither invariant nor self-affine).
     std::optional<BailoutReason> bulk_rejected;
-    /// Cleared the first time this region is chained while the controller
-    /// is NOT self-looping over it, eliding the innermost_summary() query
-    /// on later visits (boundary regions never become loop bodies).
-    bool maybe_self_loop = true;
     BodyInfo body;  ///< valid iff !rejected
   };
 
@@ -193,15 +195,6 @@ class LoopSummarizer {
                         std::int32_t* idx_val,
                         std::vector<StoreRecord>* record,
                         std::optional<BailoutReason>* bail);
-
-  /// Summary execution against an exported NestProgram: runs regions and
-  /// resolves every boundary event inline on engagement-local copies of the
-  /// controller's dynamic state (no per-event virtual dispatch), then
-  /// writes the final state back through restore() and credits the elided
-  /// event counters. Architecturally exact, including ZolcStats.
-  Replay engage_nest(const NestProgram& np, LoopAccelerator& accel,
-                     const DecodedImage* image, mem::Memory& mem, RegFile& regs,
-                     std::uint32_t pc, std::uint64_t max_instructions);
 
   std::uint64_t min_backedges_ = 2;
   FastPathStats stats_;

@@ -20,6 +20,28 @@ using isa::Opcode;
 static_assert(kMaxGeometryLoops <= cpu::kMaxAccelLoops,
               "AccelSnapshot cannot carry the largest geometry");
 
+/// A valid loop-table entry or the uZOLC registers in exported form, with
+/// the trip count from `initial`.
+template <typename Loop>
+cpu::NestLoopDesc nest_loop(const Loop& l) {
+  static_assert(static_cast<int>(LoopCond::kLt) ==
+                        static_cast<int>(cpu::NestCond::kLt) &&
+                    static_cast<int>(LoopCond::kGe) ==
+                        static_cast<int>(cpu::NestCond::kGe),
+                "NestCond must mirror LoopCond");
+  cpu::NestLoopDesc d;
+  d.valid = true;
+  d.index_rf = l.index_rf;
+  d.cond = static_cast<cpu::NestCond>(l.cond);
+  d.step = l.step;
+  d.initial = l.initial;
+  d.final = l.final;
+  const std::int64_t edges =
+      cpu::nest_remaining_backedges(l.initial, l.step, l.final, d.cond);
+  d.trips = edges < 0 ? 0 : static_cast<std::uint64_t>(edges) + 1;
+  return d;
+}
+
 }  // namespace
 
 ZolcController::ZolcController(ZolcVariant variant,
@@ -355,128 +377,42 @@ std::optional<AccelEvent> ZolcController::on_taken_control(
 cpu::AccelSnapshot ZolcController::snapshot() const {
   cpu::AccelSnapshot s;
   s.loop_count = static_cast<std::uint8_t>(loops_.size());
-  for (unsigned i = 0; i < loops_.size(); ++i) {
-    s.loop_current[i] = loops_[i].current;
+  if (variant_ == ZolcVariant::kMicro) {
+    s.loop_current[0] = micro_.current;  // the one loop its geometry sizes
+  } else {
+    for (unsigned i = 0; i < loops_.size(); ++i) {
+      s.loop_current[i] = loops_[i].current;
+    }
   }
-  s.micro_current = micro_.current;
   s.current_task = current_task_;
   s.active = active_;
   return s;
 }
 
-namespace {
-
-/// Back-edges a loop in state `cur` will still take: the largest n >= 0 with
-/// cond_holds(cur + k*step, final) for every k in [1, n]. All conditions are
-/// monotone along the step direction, so the count is closed-form. Returns
-/// -1 when the recurrence does not terminate (step against the condition
-/// direction, or zero) -- the caller then declines to summarize.
-std::int64_t remaining_backedges(std::int64_t cur, std::int64_t step,
-                                 std::int64_t fin, LoopCond cond) {
-  switch (cond) {
-    case LoopCond::kLt:
-      if (step <= 0) return -1;
-      return cur >= fin ? 0 : (fin - cur - 1) / step;
-    case LoopCond::kLe:
-      if (step <= 0) return -1;
-      return cur > fin ? 0 : (fin - cur) / step;
-    case LoopCond::kGt:
-      if (step >= 0) return -1;
-      return cur <= fin ? 0 : (cur - fin - 1) / -step;
-    case LoopCond::kGe:
-      if (step >= 0) return -1;
-      return cur < fin ? 0 : (cur - fin) / -step;
-  }
-  return -1;
-}
-
-}  // namespace
-
-std::optional<cpu::LoopSummaryInfo> ZolcController::innermost_summary() const {
-  if (!active_) return std::nullopt;
-  cpu::LoopSummaryInfo info;
-  if (variant_ == ZolcVariant::kMicro) {
-    const std::int64_t remaining = remaining_backedges(
-        micro_.current, micro_.step, micro_.final, micro_.cond);
-    if (remaining < 0 || micro_.start_pc > micro_.end_pc) return std::nullopt;
-    info.body_start = micro_.start_pc;
-    info.body_end = micro_.end_pc;
-    info.index_rf = micro_.index_rf;
-    info.step = micro_.step;
-    info.current = micro_.current;
-    info.remaining = static_cast<std::uint64_t>(remaining);
-    return info;
-  }
-  // Summaries describe only a self-looping task: the continue successor
-  // re-enters the same task, so the whole body repeats under one back-edge
-  // comparator with no task switching in between.
-  const TaskEntry& t = tasks_[current_task_];
-  if (!t.valid || t.next_task_cont != current_task_) return std::nullopt;
-  const LoopEntry& loop = loops_[t.loop_id];
-  if (!loop.valid) return std::nullopt;
-  if (task_start_[current_task_] > t.end_pc_ofs) return std::nullopt;
-  const std::int64_t remaining =
-      remaining_backedges(loop.current, loop.step, loop.final, loop.cond);
-  if (remaining < 0) return std::nullopt;
-  info.body_start = ofs_to_pc(task_start_[current_task_]);
-  info.body_end = ofs_to_pc(t.end_pc_ofs);
-  info.index_rf = loop.index_rf;
-  info.step = loop.step;
-  info.current = loop.current;
-  info.remaining = static_cast<std::uint64_t>(remaining);
-  if (variant_ == ZolcVariant::kFull) {
-    const unsigned bank = t.loop_id * geom_.max_exits_per_loop;
-    for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
-      if (exits_[bank + slot].valid) {
-        info.has_exit_records = true;
-        break;
-      }
-    }
-  }
-  return info;
-}
-
-void ZolcController::advance_innermost(std::uint64_t iterations) {
-  ZS_EXPECTS(active_);
-  if (variant_ == ZolcVariant::kMicro) {
-    micro_.current = static_cast<std::int32_t>(
-        micro_.current +
-        static_cast<std::int64_t>(micro_.step) *
-            static_cast<std::int64_t>(iterations));
-  } else {
-    const TaskEntry& t = tasks_[current_task_];
-    ZS_EXPECTS(t.valid && t.next_task_cont == current_task_);
-    LoopEntry& loop = loops_[t.loop_id];
-    loop.current = static_cast<std::int32_t>(
-        loop.current + static_cast<std::int64_t>(loop.step) *
-                           static_cast<std::int64_t>(iterations));
-  }
-  stats_.continue_events += iterations;
-}
-
 const cpu::NestProgram* ZolcController::nest_program() const {
-  if (variant_ == ZolcVariant::kMicro || !active_) return nullptr;
+  if (!active_) return nullptr;
   if (!nest_dirty_) return &nest_prog_;
+  if (variant_ == ZolcVariant::kMicro) {
+    // One task over the micro registers' region. Its done event
+    // re-initializes the index and falls through, leaving the controller
+    // armed for a re-entry by an enclosing software loop.
+    cpu::NestTaskDesc task;
+    task.start_pc = micro_.start_pc;
+    task.end_pc = micro_.end_pc;
+    task.done_falls_through = true;
+    task.valid = true;
+    task.walk_safe = true;
+    nest_prog_.tasks.assign(1, task);
+    nest_prog_.loops.assign(1, nest_loop(micro_));
+    nest_dirty_ = false;
+    return &nest_prog_;
+  }
   nest_prog_.loops.assign(loops_.size(), cpu::NestLoopDesc{});
   nest_prog_.tasks.assign(tasks_.size(), cpu::NestTaskDesc{});
-  static_assert(static_cast<int>(LoopCond::kLt) ==
-                        static_cast<int>(cpu::NestCond::kLt) &&
-                    static_cast<int>(LoopCond::kGe) ==
-                        static_cast<int>(cpu::NestCond::kGe),
-                "NestCond must mirror LoopCond");
   for (unsigned i = 0; i < loops_.size(); ++i) {
-    const LoopEntry& l = loops_[i];
+    if (!loops_[i].valid) continue;
     cpu::NestLoopDesc& d = nest_prog_.loops[i];
-    d.valid = l.valid;
-    if (!l.valid) continue;
-    d.index_rf = l.index_rf;
-    d.cond = static_cast<cpu::NestCond>(l.cond);
-    d.step = l.step;
-    d.initial = l.initial;
-    d.final = l.final;
-    const std::int64_t edges =
-        remaining_backedges(l.initial, l.step, l.final, l.cond);
-    d.trips = edges < 0 ? 0 : static_cast<std::uint64_t>(edges) + 1;
+    d = nest_loop(loops_[i]);
     if (variant_ == ZolcVariant::kFull) {
       const unsigned bank = i * geom_.max_exits_per_loop;
       for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
@@ -550,10 +486,13 @@ Result<void> ZolcController::try_restore(const cpu::AccelSnapshot& snapshot) {
                      " loops, geometry " + geom_.label() + " has " +
                      std::to_string(loops_.size())};
   }
-  for (unsigned i = 0; i < loops_.size(); ++i) {
-    loops_[i].current = snapshot.loop_current[i];
+  if (variant_ == ZolcVariant::kMicro) {
+    micro_.current = snapshot.loop_current[0];
+  } else {
+    for (unsigned i = 0; i < loops_.size(); ++i) {
+      loops_[i].current = snapshot.loop_current[i];
+    }
   }
-  micro_.current = snapshot.micro_current;
   current_task_ = snapshot.current_task;
   active_ = snapshot.active;
   refresh_trigger();

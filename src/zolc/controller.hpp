@@ -89,9 +89,6 @@ class ZolcController final : public cpu::LoopAccelerator {
                                                   std::uint32_t target) override;
   [[nodiscard]] cpu::AccelSnapshot snapshot() const override;
   void restore(const cpu::AccelSnapshot& snapshot) override;
-  [[nodiscard]] std::optional<cpu::LoopSummaryInfo> innermost_summary()
-      const override;
-  void advance_innermost(std::uint64_t iterations) override;
   [[nodiscard]] const cpu::NestProgram* nest_program() const override;
   void credit_summary_events(std::uint64_t continues, std::uint64_t dones,
                              std::uint64_t cascades,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cpu/iss.hpp"
@@ -660,6 +661,35 @@ TEST(FastPathBailouts, OverlappingStoresInOneIterationDecline) {
     // The last iteration's second store wins, exactly as per-instruction
     // execution would have it.
     EXPECT_EQ(fast.regs.read(1), 0);  // reinit-on-exit
+  }
+}
+
+TEST(FastPathBailouts, UnbackedgedFinalPassIsNeverValidated) {
+  // Engaged after the first back-edge of a three-trip loop with
+  // min_backedges <= 1, the bulk path runs the last two passes singly, and
+  // the second is the final (done) pass. Its overlapping stores must not
+  // bail: a bail resumes at the body start and would run that pass again.
+  std::vector<Instruction> setup;
+  setup.push_back(b::addi(2, 0, 7));  // first store value
+  li32(setup, 7, 0x4000);             // output pointer (loop-invariant)
+  for (const ZolcVariant variant : kSingleLoopVariants) {
+    for (const std::uint64_t min_backedges : {0u, 1u}) {
+      SCOPED_TRACE(std::string(zolc::variant_name(variant)) +
+                   ", min_backedges " + std::to_string(min_backedges));
+      const auto prog = summing_loop_program(
+          variant, 3, {b::sw(2, 0, 7), b::sw(1, 0, 7), b::addi(3, 3, 1)},
+          setup);
+      const BailoutRun base =
+          run_iss_tier(prog, variant, /*fast=*/false, min_backedges);
+      const BailoutRun fast =
+          run_iss_tier(prog, variant, /*fast=*/true, min_backedges);
+      EXPECT_EQ(fast.regs.read(3), 3);  // one increment per pass
+      EXPECT_TRUE(fast.regs == base.regs);
+      EXPECT_EQ(fast.stats.instructions, base.stats.instructions);
+      EXPECT_TRUE(fast.zolc_stats == base.zolc_stats);
+      EXPECT_GE(fast.fastpath.engagements, 1u);
+      EXPECT_EQ(fast.fastpath.total_bailouts(), 0u);
+    }
   }
 }
 

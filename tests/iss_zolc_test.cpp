@@ -138,11 +138,7 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
         AccelSnapshot expected_snap = before;
         std::uint32_t expected_pc = pc_of(kTargetOfs);
         if (!tc.taken) {
-          if (variant == ZolcVariant::kMicro) {
-            expected_snap.micro_current = 1;
-          } else {
-            expected_snap.loop_current[0] = 1;
-          }
+          expected_snap.loop_current[0] = 1;
           expected_regs.write(kIndexReg, 1);
           expected_pc = pc_of(kStartOfs);
         }
