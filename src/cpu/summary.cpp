@@ -472,9 +472,9 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
             ival = wrap_add(ival, loop.step);
             if (reads_index) regs.write_raw(loop.index_rf, ival);
           }
-          // Validate only ahead of a fused remainder: the check guards the
-          // closed-form passes, and a bail after an unbackedged final pass
-          // would resume at start_pc and run that pass twice.
+          // Validate only a pass that took its back-edge: a bail resumes at
+          // start_pc, so bailing after the final (done) pass would run that
+          // pass twice.
           if (it == 1 && done_passes <= backedges_total) {
             if (auto check = check_recorded_iterations(
                     scratch_rec_[0], scratch_rec_[1], strides)) {
