@@ -71,10 +71,9 @@ expect_exit(0 run dotprod --machine=ZOLCfull --mode=iss-fast --tenants=2)
 expect_exit(2 run dotprod --engine=iss)
 expect_exit(2 run dotprod --fast-path)
 expect_exit(2 run dotprod --no-predecode)
+expect_exit(2 run dotprod --mode=iss --preempt-every=97 --preempt-serialize)
 
-# A suite file defines the whole grid: every grid flag, switches included,
-# conflicts with it.
-expect_exit(2 sweep --from-file=${SUITE} --preempt-serialize)
+# A suite file defines the whole grid: every grid flag conflicts with it.
 expect_exit(2 sweep --from-file=${SUITE} --preempt-every=97)
 
 # A removed suite member fails loudly: the strict schema rejects the retired

@@ -73,17 +73,6 @@ ExperimentResult unit_result(const CompiledUnit& unit, const RunPlan& plan) {
   return result;
 }
 
-/// Round-trips `context` through the JSON codec, throwing on any rejection:
-/// a context saved from a live controller must always serialize cleanly.
-zolc::ZolcContext serialized_copy(const zolc::ZolcContext& context) {
-  auto parsed = zolc::ZolcContext::from_json(context.to_json());
-  if (!parsed.ok()) {
-    throw cpu::SimError("context serialization round-trip failed: " +
-                        parsed.error().to_string());
-  }
-  return std::move(parsed).value();
-}
-
 void restore_or_throw(zolc::ZolcController& controller,
                       const zolc::ZolcContext& context) {
   if (auto restored = controller.restore_context(context); !restored.ok()) {
@@ -137,8 +126,7 @@ void run_iss(const CompiledUnit& unit, Workload& workload,
           std::min(plan.preempt_every, plan.max_cycles - executed));
       if (iss.halted()) break;
       if (controller != nullptr) {
-        result.context_switch_cycles +=
-            preempt_cycle(*controller, plan.preempt_serialize);
+        result.context_switch_cycles += preempt_cycle(*controller);
         ++result.context_switches;
       }
     }
@@ -207,9 +195,6 @@ Result<ExperimentResult> run_tenants(const CompiledUnit& unit,
           std::uint64_t cost = 0;
           if (resident != kNone) {
             contexts[resident] = controller->save_context();
-            if (plan.preempt_serialize) {
-              contexts[resident] = serialized_copy(contexts[resident]);
-            }
             cost += zolc::context_switch_cost(contexts[resident]).save_words;
             ++result.context_switches;
           }
@@ -252,9 +237,8 @@ std::string_view mode_name(const ExecMode& mode) {
   return mode.fast_path ? "iss-fast" : "iss";
 }
 
-std::uint64_t preempt_cycle(zolc::ZolcController& controller, bool serialize) {
-  zolc::ZolcContext context = controller.save_context();
-  if (serialize) context = serialized_copy(context);
+std::uint64_t preempt_cycle(zolc::ZolcController& controller) {
+  const zolc::ZolcContext context = controller.save_context();
   controller.reset();  // clobber: restore must rebuild everything
   restore_or_throw(controller, context);
   return zolc::context_switch_cost(context).total_cycles();

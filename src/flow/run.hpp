@@ -98,14 +98,12 @@ struct RunPlan {
   std::uint64_t timing_reps = 1;
   /// ISS-only preemption interval: every `preempt_every` executed
   /// instructions the controller's full context is saved, the controller is
-  /// clobbered with reset(), and the context restored (round-tripping
-  /// through the JSON codec when `preempt_serialize` is set) before
-  /// execution resumes. 0 disables. Architecturally invisible -- the
-  /// differential tests pin bit-identical results -- and rejected
-  /// (kBadConfig) under the pipeline engine. Doubles as the scheduling
-  /// quantum when `tenants` > 1 (4096 instructions when left at 0).
+  /// clobbered with reset(), and the context restored before execution
+  /// resumes. 0 disables. Architecturally invisible -- the differential
+  /// tests pin bit-identical results -- and rejected (kBadConfig) under the
+  /// pipeline engine. Doubles as the scheduling quantum when `tenants` > 1
+  /// (4096 instructions when left at 0).
   std::uint64_t preempt_every = 0;
-  bool preempt_serialize = false;
   /// Identical workloads time-sliced round-robin over one controller by
   /// the fresh-Workload run() overload, each verified against the golden
   /// reference; the result sums their statistics. ISS only; timing_reps
@@ -127,12 +125,11 @@ struct RunPlan {
                                            Workload& workload,
                                            const RunPlan& plan = {});
 
-/// One preemption event on `controller`: saves the full context, optionally
-/// round-trips it through the JSON codec, clobbers the controller with
-/// reset(), and restores the saved context. Returns the modeled switch cost
-/// in cycles. Throws cpu::SimError when the codec or restore fails (always
-/// a bug: the context came from this controller).
-std::uint64_t preempt_cycle(zolc::ZolcController& controller, bool serialize);
+/// One preemption event on `controller`: saves the full context, clobbers
+/// the controller with reset(), and restores the saved context. Returns the
+/// modeled switch cost in cycles. Throws cpu::SimError when the restore
+/// fails (always a bug: the context came from this controller).
+std::uint64_t preempt_cycle(zolc::ZolcController& controller);
 
 }  // namespace zolcsim::flow
 

@@ -360,7 +360,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
         plan.mode = report.modes[coord.mode];
         plan.timing_reps = spec.timing_reps;
         plan.preempt_every = spec.preempt_every;
-        plan.preempt_serialize = spec.preempt_serialize;
         plan.tenants = report.tenants[coord.tenant];
         auto result =
             unit.ok() ? flow::run(*unit.value(), plan)

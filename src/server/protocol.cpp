@@ -51,17 +51,6 @@ Result<std::optional<std::uint64_t>> positive_member(
   return std::optional<std::uint64_t>{*n};
 }
 
-/// Member as a bool with a default.
-Result<bool> bool_member(const json::Value& object, std::string_view key,
-                         bool fallback) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_bool()) {
-    return shape_error(member_error(key, "a boolean"));
-  }
-  return member->as_bool();
-}
-
 /// Strict schema: every member of `object` must appear in `allowed`.
 Result<void> reject_unknown_members(
     const json::Value& object, const std::vector<std::string_view>& allowed) {
@@ -138,9 +127,6 @@ Result<void> parse_plan_members(const json::Value& root,
   auto every = positive_member(root, "preempt_every");
   if (!every.ok()) return std::move(every).error();
   if (every.value()) plan.preempt_every = *every.value();
-  auto serialize = bool_member(root, "preempt_serialize", false);
-  if (!serialize.ok()) return std::move(serialize).error();
-  plan.preempt_serialize = serialize.value();
   return {};
 }
 
@@ -224,7 +210,7 @@ Result<Request> parse_request(std::string_view payload) {
       if (auto strict = reject_unknown_members(
               root, {"schema", "type", "kernel", "machine", "geometry",
                      "config", "mode", "max_cycles", "tenants",
-                     "preempt_every", "preempt_serialize"});
+                     "preempt_every"});
           !strict.ok()) {
         return std::move(strict).error();
       }

@@ -3,18 +3,15 @@
 // indices, task position, the armed uZOLC register file, the activation
 // base, and the event counters. A context is the unit of multi-tenant
 // scheduling: save_context()/restore_context() move a suspended nest off and
-// back onto one shared controller, and the JSON codec round-trips contexts
-// through the same key/format/integrity discipline as the on-disk unit
-// store (DESIGN.md section 9 is the normative layout).
+// back onto one shared controller. Contexts live only in memory; the modeled
+// cost of moving one over the init bus is context_switch_cost() (DESIGN.md
+// section 9).
 #ifndef ZOLCSIM_ZOLC_CONTEXT_HPP
 #define ZOLCSIM_ZOLC_CONTEXT_HPP
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.hpp"
 #include "zolc/config.hpp"
 #include "zolc/tables.hpp"
 
@@ -55,10 +52,6 @@ struct MicroLoopState {
 /// from. Restorable only onto a controller of the same variant and geometry
 /// (ErrorCode::kBadContext otherwise).
 struct ZolcContext {
-  /// Serialized-artifact format tag; bumped on any layout change so stale
-  /// artifacts are rejected, mirroring the unit store's version discipline.
-  static constexpr std::string_view kFormat = "zolcsim-context-v1";
-
   ZolcVariant variant = ZolcVariant::kFull;
   ZolcGeometry geometry;  ///< variant-restricted (for_variant applied)
   std::vector<TaskEntry> tasks;
@@ -73,22 +66,6 @@ struct ZolcContext {
   ZolcStats stats;
 
   friend bool operator==(const ZolcContext&, const ZolcContext&) = default;
-
-  /// Content-addressed identity key (FNV-1a 64 over variant, geometry, and
-  /// every state field) -- the unit-store key discipline applied to
-  /// contexts. Doubles as the serialized artifact's integrity digest.
-  [[nodiscard]] std::uint64_t key() const;
-
-  /// Deterministic field-wise JSON document (packed table words are wider
-  /// than a double's exact-integer range, so fields serialize individually).
-  /// from_json(to_json()).to_json() is byte-identical to to_json().
-  [[nodiscard]] std::string to_json() const;
-
-  /// Parses and validates a serialized context. Failure modes: kParse
-  /// (malformed JSON), kStoreStale (format tag from another build),
-  /// kStoreCorrupt (shape or digest violations), kBadContext (fields
-  /// inconsistent with the declared geometry).
-  [[nodiscard]] static Result<ZolcContext> from_json(std::string_view text);
 };
 
 /// Modeled cost of one full context switch in init-bus words (the bus moves

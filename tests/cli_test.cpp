@@ -116,7 +116,7 @@ TEST(CliParse, EveryAxisLabelParsesBackToItsPoint) {
 
 TEST(CliParse, ArgsSplitFlagsAndPositionals) {
   const char* argv[] = {"zolcsim", "run", "fir", "--machine=ZOLClite",
-                        "--preempt-serialize", "--max-cycles=1000",
+                        "--scan", "--max-cycles=1000",
                         "--kernels="};
   const Args args = Args::parse(7, const_cast<char**>(argv), 2);
   ASSERT_EQ(args.positional.size(), 1u);
@@ -128,13 +128,11 @@ TEST(CliParse, ArgsSplitFlagsAndPositionals) {
   EXPECT_FALSE(args.value_of("absent").has_value());
   ASSERT_TRUE(args.value_of("kernels").has_value());
   EXPECT_TRUE(args.value_of("kernels")->empty());
-  EXPECT_TRUE(args.has("preempt-serialize"));
+  EXPECT_TRUE(args.has("scan"));
   EXPECT_FALSE(args.has("machine"));  // value flag, not a switch
-  EXPECT_TRUE(args.unknown({"machine", "max-cycles", "kernels"},
-                           {"preempt-serialize"})
-                  .empty());
-  EXPECT_EQ(
-      args.unknown({"machine", "kernels"}, {"preempt-serialize"}).size(), 1u);
+  EXPECT_TRUE(
+      args.unknown({"machine", "max-cycles", "kernels"}, {"scan"}).empty());
+  EXPECT_EQ(args.unknown({"machine", "kernels"}, {"scan"}).size(), 1u);
 }
 
 TEST(CliParse, SplitListAndErrorRendering) {

@@ -231,7 +231,6 @@ TEST(FastPathCounters, PaperSuiteCountersArePinned) {
     flow::RunPlan plan;
     plan.mode = {flow::SimEngine::kIss, /*fast_path=*/true};
     plan.preempt_every = want.preempt_every;
-    plan.preempt_serialize = want.preempt_every != 0;
     const auto result = flow::run(unit.value(), plan);
     ASSERT_TRUE(result.ok()) << result.error().to_string();
     const FastPathStats& got = result.value().fastpath;
@@ -335,8 +334,8 @@ BailoutRun run_iss_tier(const std::vector<Instruction>& prog,
 
 /// The fast tier preempted every `quantum` instructions: the controller's
 /// full context is saved, the controller clobbered with reset(), and the
-/// context restored (alternating the JSON codec round-trip) before the next
-/// slice -- flow::preempt_cycle, DESIGN.md section 9.
+/// context restored before the next slice -- flow::preempt_cycle, DESIGN.md
+/// section 9.
 BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
                                    ZolcVariant variant,
                                    std::uint64_t min_backedges,
@@ -352,12 +351,10 @@ BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
   iss.set_fast_path(true);
   iss.summarizer().set_min_backedges(min_backedges);
   iss.set_pc(kBase);
-  bool serialize = false;
   while (!iss.halted()) {
     iss.run_slice(quantum);
     if (iss.halted()) break;
-    flow::preempt_cycle(controller, serialize);
-    serialize = !serialize;
+    flow::preempt_cycle(controller);
   }
   return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
                     controller.zolc_stats(), controller.active()};
@@ -586,14 +583,12 @@ TEST(FastPathBailouts, MisalignedAccessBailsThenTrapsPrecisely) {
       iss.set_fast_path(fast);
       iss.set_pc(kBase);
       if (preempt) {
-        bool serialize = false;
         EXPECT_THROW(
             {
               while (!iss.halted()) {
                 iss.run_slice(13);
                 if (iss.halted()) break;
-                flow::preempt_cycle(controller, serialize);
-                serialize = !serialize;
+                flow::preempt_cycle(controller);
               }
             },
             mem::MemoryFault);

@@ -1,9 +1,8 @@
 // Preempt-anywhere differential harness (DESIGN.md section 9): for every
 // registered kernel on every machine, execution is preempted at systematic
 // and fuzzed instruction points, the accelerator context saved, the
-// controller clobbered, and the context restored (optionally round-tripping
-// through the JSON codec) before resuming. Preemption must be
-// architecturally invisible: registers, memory, IssStats, ZolcStats, and
+// controller clobbered, and the context restored before resuming.
+// Preemption must be architecturally invisible: registers, memory, IssStats, ZolcStats, and
 // the rendered sweep CSVs are pinned bit-identical to uninterrupted runs,
 // and the modeled switch cost is reported alongside -- never folded into --
 // the cycle counts.
@@ -54,11 +53,10 @@ CompileSpec spec_for(std::string kernel, MachineKind machine) {
   return spec;
 }
 
-RunPlan iss_plan(std::uint64_t preempt_every = 0, bool serialize = false) {
+RunPlan iss_plan(std::uint64_t preempt_every = 0) {
   RunPlan plan;
   plan.mode = kIss;
   plan.preempt_every = preempt_every;
-  plan.preempt_serialize = serialize;
   return plan;
 }
 
@@ -135,21 +133,6 @@ TEST(PreemptDiff, QuantumOfOnePreemptsBetweenEveryInstruction) {
   }
 }
 
-TEST(PreemptDiff, SerializeRoundTripsThroughJsonCodec) {
-  for (const MachineKind machine :
-       {MachineKind::kUZolc, MachineKind::kZolcLite, MachineKind::kZolcFull}) {
-    const auto unit = CompiledUnit::compile(spec_for("matmul", machine));
-    ASSERT_TRUE(unit.ok());
-    const auto base = run(unit.value(), iss_plan());
-    const auto got = run(unit.value(), iss_plan(257, /*serialize=*/true));
-    ASSERT_TRUE(base.ok() && got.ok());
-    const std::string what = std::string("matmul serialize on ") +
-                             std::string(codegen::machine_name(machine));
-    expect_arch_identical(base.value(), got.value(), what);
-    EXPECT_GT(got.value().context_switches, 0u) << what;
-  }
-}
-
 // ---------------- fuzzed points: registers and memory ----------------
 
 struct ManualRun {
@@ -161,7 +144,7 @@ struct ManualRun {
 
 /// Runs `unit` on a hand-built ISS. With `fuzz`, execution is sliced at
 /// random instruction counts in [1, 512] and the controller context is
-/// clobbered/restored at every boundary, alternating the JSON round-trip.
+/// clobbered/restored at every boundary.
 ManualRun run_manual(const CompiledUnit& unit, Workload& workload,
                      Rng* fuzz) {
   std::unique_ptr<zolc::ZolcController> controller;
@@ -178,13 +161,11 @@ ManualRun run_manual(const CompiledUnit& unit, Workload& workload,
   if (fuzz == nullptr) {
     iss.run(200'000'000);
   } else {
-    bool serialize = false;
     while (!iss.halted()) {
       iss.run_slice(1 + fuzz->next() % 512);
       if (iss.halted()) break;
       if (controller != nullptr) {
-        preempt_cycle(*controller, serialize);
-        serialize = !serialize;
+        preempt_cycle(*controller);
         ++out.switches;
       }
     }
@@ -245,7 +226,7 @@ TEST(PreemptDiff, FastPathRevalidatesCleanlyAcrossRestores) {
   fast.mode = kIssFast;
   const auto base_fast = run(unit.value(), fast);
   const auto base_iss = run(unit.value(), iss_plan());
-  RunPlan preempted = iss_plan(97, /*serialize=*/true);
+  RunPlan preempted = iss_plan(97);
   preempted.mode = kIssFast;
   const auto got = run(unit.value(), preempted);
   ASSERT_TRUE(base_fast.ok() && base_iss.ok() && got.ok());
@@ -328,7 +309,6 @@ TEST(SweepPreempt, PreemptedSweepRendersByteIdenticalArtifacts) {
 
   harness::SweepSpec preempted = spec;
   preempted.preempt_every = 199;
-  preempted.preempt_serialize = true;
   const auto got = harness::run_sweep(preempted);
   ASSERT_TRUE(got.ok()) << got.error().to_string();
 

@@ -137,12 +137,20 @@ TEST_F(ServerProtoTest, UnknownMembersAreRejected) {
   EXPECT_EQ(reply.error().code, ErrorCode::kParse);
   EXPECT_NE(reply.error().message.find("unknown request member"),
             std::string::npos);
-  // Runs always fetch through the unit's code image: no predecode member.
-  auto run = client.call(
-      R"({"schema": "zolcsim-serve-v1", "type": "run", "kernel": "dotprod",)"
-      R"( "predecode": false})");
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.error().code, ErrorCode::kParse);
+  // Retired run members are unknown too: runs always fetch through the
+  // unit's code image, and contexts are never serialized.
+  for (const char* retired :
+       {R"( "predecode": false})", R"( "preempt_serialize": true})"}) {
+    auto run = client.call(
+        std::string(R"({"schema": "zolcsim-serve-v1", "type": "run",)"
+                    R"( "kernel": "dotprod",)") +
+        retired);
+    ASSERT_FALSE(run.ok()) << retired;
+    EXPECT_EQ(run.error().code, ErrorCode::kParse) << retired;
+    EXPECT_NE(run.error().message.find("unknown request member"),
+              std::string::npos)
+        << retired;
+  }
 }
 
 TEST_F(ServerProtoTest, BadAxisValuesAreBadConfig) {

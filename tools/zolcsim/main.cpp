@@ -67,7 +67,6 @@ commands:
       --max-cycles=N        cycle budget          (default 200000000)
       --preempt-every=N     ISS only: save/clobber/restore the full ZOLC
                             context every N instructions (differential knob)
-      --preempt-serialize   round-trip each saved context through JSON
       --tenants=N           time-slice N copies of the workload over one
                             controller (ISS only; reports switch cost)
   sweep                     grid over kernel/machine/config/geometry/mode/tenants
@@ -77,7 +76,7 @@ commands:
       --geometries=a,b,...  default: the paper prototype geometry
       --modes=a,b,...       pipeline|iss|iss-fast (default pipeline)
       --tenants=a,b,...     tenant-count axis     (default 1; ISS modes only)
-      --preempt-every=N --preempt-serialize
+      --preempt-every=N
       --baseline=NAME       reduction baseline    (default XRdefault)
       --max-cycles=N --threads=N
       --store-dir=DIR       on-disk unit store: reload compiled units from
@@ -113,7 +112,6 @@ commands:
         compile <kernel>    --machine=NAME --geometry=LABEL
         run <kernel>        ... plus --config=NAME --mode=NAME
                             --max-cycles=N --tenants=N --preempt-every=N
-                            --preempt-serialize
         sweep               --from-file=SUITE --format=csv|json --out=FILE
                             --expect-zero-compiles
                             (output is byte-identical to local
@@ -386,7 +384,7 @@ int cmd_run(const cli::Args& args) {
           args,
           {"machine", "geometry", "config", "mode", "max-cycles",
            "preempt-every", "tenants"},
-          {"preempt-serialize"})) {
+          {})) {
     return rc;
   }
   flow::CompileSpec spec;
@@ -415,7 +413,6 @@ int cmd_run(const cli::Args& args) {
     plan.tenants = *tenants;
   }
   if (rc != 0) return rc;
-  plan.preempt_serialize = args.has("preempt-serialize");
   if ((plan.preempt_every != 0 || plan.tenants != 1) &&
       plan.mode.engine != flow::SimEngine::kIss) {
     return usage_error(
@@ -486,17 +483,14 @@ int cmd_sweep(const cli::Args& args) {
   // The grid flags -- every axis flag plus these -- shape the experiment;
   // the rest select execution and output.
   std::vector<std::string_view> grid = {"preempt-every", "baseline",
-                                        "max-cycles", "preempt-serialize"};
+                                        "max-cycles"};
   for (const harness::SweepAxis& axis : harness::sweep_axes()) {
     grid.push_back(axis.flag);
   }
   std::vector<std::string_view> values = {"threads", "format", "out",
                                           "from-file", "store-dir"};
   values.insert(values.end(), grid.begin(), grid.end());
-  if (const int rc =
-          reject_unknown_flags(args, values, {"preempt-serialize"})) {
-    return rc;
-  }
+  if (const int rc = reject_unknown_flags(args, values, {})) return rc;
   if (!args.positional.empty()) {
     return usage_error("sweep takes no positional arguments");
   }
@@ -511,7 +505,7 @@ int cmd_sweep(const cli::Args& args) {
   if (suite_path) {
     // Suite mode: the file is the grid; only execution/output flags apply.
     for (const std::string_view flag : grid) {
-      if (args.value_of(flag) || args.has(flag)) {
+      if (args.value_of(flag)) {
         return usage_error("--" + std::string(flag) +
                            " conflicts with --from-file (the suite file "
                            "defines the grid)");
@@ -540,7 +534,6 @@ int cmd_sweep(const cli::Args& args) {
   if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
     spec.preempt_every = *every;
   }
-  spec.preempt_serialize = args.has("preempt-serialize");
   if (const auto baseline =
           parsed_flag(args, "baseline", rc, scenario::parse_machine)) {
     spec.baseline = *baseline;
@@ -951,9 +944,6 @@ int build_client_unit_request(const cli::Args& args, const char* type,
       out += ", \"preempt_every\": " + std::to_string(*every);
     }
     if (rc != 0) return rc;
-    if (args.has("preempt-serialize")) {
-      out += ", \"preempt_serialize\": true";
-    }
   }
   out += "}";
   payload = std::move(out);
@@ -1029,7 +1019,7 @@ int cmd_client(const cli::Args& args) {
           {"socket", "machine", "geometry", "config", "mode", "max-cycles",
            "tenants", "preempt-every", "from-file", "format", "out",
            "out-dir"},
-          {"preempt-serialize", "expect-zero-compiles"})) {
+          {"expect-zero-compiles"})) {
     return rc;
   }
   int rc = 0;
