@@ -558,10 +558,57 @@ TEST(FastPathBailouts, ZolcInstructionInRegionDeclines) {
   EXPECT_GE(fast.fastpath.engagements, 1u);  // loop 0 still replayed
 }
 
+/// Runs `prog` until it throws `Fault`: on the baseline tier, on the fast
+/// tier, or on the fast tier preempted every 13 instructions. All three must
+/// stop at the same retired instruction with the same registers and
+/// ZolcStats, and both fast runs must have declined with kTrap at least
+/// once, leaving the baseline to raise the fault. Returns the fast run.
+template <typename Fault>
+BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
+                              ZolcVariant variant,
+                              const std::vector<std::uint32_t>& data = {}) {
+  const auto run_to_fault = [&](bool fast, bool preempt) {
+    mem::Memory memory;
+    test::load_program(memory, kBase, prog);
+    if (!data.empty()) memory.load_words(0x4000, data);
+    ZolcController controller(variant);
+    cpu::Iss iss(memory);
+    iss.set_accelerator(&controller);
+    iss.set_fast_path(fast);
+    iss.set_pc(kBase);
+    if (preempt) {
+      EXPECT_THROW(
+          {
+            while (!iss.halted()) {
+              iss.run_slice(13);
+              if (iss.halted()) break;
+              flow::preempt_cycle(controller);
+            }
+          },
+          Fault);
+    } else {
+      EXPECT_THROW(iss.run(2'000'000), Fault);
+    }
+    return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
+                      controller.zolc_stats(), controller.active()};
+  };
+  const BailoutRun base = run_to_fault(false, false);
+  const BailoutRun fast = run_to_fault(true, false);
+  const BailoutRun preempted = run_to_fault(true, true);
+  for (const BailoutRun* run : {&fast, &preempted}) {
+    EXPECT_TRUE(run->regs == base.regs);
+    EXPECT_EQ(run->stats.instructions, base.stats.instructions);
+    EXPECT_TRUE(run->zolc_stats == base.zolc_stats);
+    EXPECT_GE(run->fastpath.bailout(BailoutReason::kTrap), 1u);
+  }
+  return fast;
+}
+
 TEST(FastPathBailouts, MisalignedAccessBailsThenTrapsPrecisely) {
   // The pointer advances by 2 each iteration: the first load is aligned,
   // the second traps. The fast path must bail at the exact instruction
-  // boundary so the baseline raises the same MemoryFault both ways.
+  // boundary so the baseline raises the same MemoryFault both ways, also
+  // under save/clobber/restore mid-replay.
   std::vector<Instruction> setup;
   li32(setup, 7, 0x4000);  // data pointer
   for (const ZolcVariant variant : kSingleLoopVariants) {
@@ -571,48 +618,69 @@ TEST(FastPathBailouts, MisalignedAccessBailsThenTrapsPrecisely) {
         {b::lw(6, 0, 7), b::addi(7, 7, 2) /* misaligns the next load */,
          b::nop()},
         setup);
-
-    const auto run_to_fault = [&](bool fast, bool preempt) {
-      mem::Memory memory;
-      test::load_program(memory, kBase, prog);
-      const std::vector<std::uint32_t> data = {11, 22, 33};
-      memory.load_words(0x4000, data);
-      ZolcController controller(variant);
-      cpu::Iss iss(memory);
-      iss.set_accelerator(&controller);
-      iss.set_fast_path(fast);
-      iss.set_pc(kBase);
-      if (preempt) {
-        EXPECT_THROW(
-            {
-              while (!iss.halted()) {
-                iss.run_slice(13);
-                if (iss.halted()) break;
-                flow::preempt_cycle(controller);
-              }
-            },
-            mem::MemoryFault);
-      } else {
-        EXPECT_THROW(iss.run(2'000'000), mem::MemoryFault);
-      }
-      return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
-                        controller.zolc_stats(), controller.active()};
-    };
-    const BailoutRun base = run_to_fault(false, false);
-    const BailoutRun fast = run_to_fault(true, false);
+    const BailoutRun fast =
+        expect_fault_cosim<mem::MemoryFault>(prog, variant, {11, 22, 33});
     // Both tiers stop at the same architectural point: r7 misaligned, the
     // first element still in r6, the fault instruction not retired.
-    EXPECT_TRUE(fast.regs == base.regs);
-    EXPECT_EQ(fast.stats.instructions, base.stats.instructions);
-    EXPECT_GE(fast.fastpath.bailout(BailoutReason::kTrap), 1u);
     EXPECT_EQ(fast.regs.read_u(7), 0x4002u);
     EXPECT_EQ(fast.regs.read(6), 11);
-    // Save/clobber/restore mid-replay must not move the fault point.
-    const BailoutRun preempted = run_to_fault(true, true);
-    EXPECT_TRUE(preempted.regs == base.regs);
-    EXPECT_EQ(preempted.stats.instructions, base.stats.instructions);
-    EXPECT_GE(preempted.fastpath.bailout(BailoutReason::kTrap), 1u);
   }
+}
+
+/// A ZOLClite program whose loop 0 (index r1, five trips) ends task 0 at a
+/// shared boundary; its done successor, task 1, shares that end PC and is
+/// programmed by `emit_task1`. Each iteration adds the index to r2.
+std::vector<Instruction> done_cascade_program(
+    void (*emit_task1)(std::vector<Instruction>&, std::uint16_t start,
+                       std::uint16_t end)) {
+  constexpr std::uint16_t kStart = 32;  // past every table write
+  constexpr std::uint16_t kEnd = kStart + 1;
+  std::vector<Instruction> prog;
+  prog.push_back(b::addi(2, 0, 0));  // acc
+  prog.push_back(b::addi(1, 0, 0));  // index
+  emit_loop(prog, 0, 0, 5, 1, /*index_rf=*/1);
+  emit_task(prog, 0, kStart, kEnd, /*loop=*/0, /*cont=*/0, /*done=*/1,
+            /*is_last=*/false);
+  emit_task1(prog, kStart, kEnd);
+  emit_activate(prog, 0);
+  EXPECT_LE(prog.size(), kStart);
+  while (prog.size() < kStart) prog.push_back(b::nop());
+  prog.push_back(b::add(2, 2, 1));  // body
+  prog.push_back(b::nop());         // shared end
+  prog.push_back(b::halt());
+  return prog;
+}
+
+TEST(FastPathBailouts, DoneCascadeIntoInvalidLoopTrapsPrecisely) {
+  // Task 1 names loop 3, which is never programmed: loop 0's done event
+  // cascades into it and the controller raises a SimError. Task 0 is not
+  // walk_safe, so the fast tier must decline every offer and leave the
+  // fault to the baseline.
+  const auto prog = done_cascade_program(
+      [](std::vector<Instruction>& p, std::uint16_t start, std::uint16_t end) {
+        emit_task(p, 1, start, end, /*loop=*/3, /*cont=*/1, /*done=*/1,
+                  /*is_last=*/true);
+      });
+  const BailoutRun fast =
+      expect_fault_cosim<cpu::SimError>(prog, ZolcVariant::kLite);
+  EXPECT_EQ(fast.regs.read(2), 5 * 4 / 2);  // every pass ran
+  EXPECT_EQ(fast.fastpath.engagements, 0u);
+}
+
+TEST(FastPathBailouts, CascadePastLoopTableDepthTrapsPrecisely) {
+  // Task 1 is its own done successor over an always-done loop at the same
+  // end PC, so loop 0's done event cascades until it passes the loop
+  // table's eight entries and the controller raises a SimError.
+  const auto prog = done_cascade_program(
+      [](std::vector<Instruction>& p, std::uint16_t start, std::uint16_t end) {
+        emit_loop(p, 1, 0, 0, 1, /*index_rf=*/3);  // 1 < 0 fails: always done
+        emit_task(p, 1, start, end, /*loop=*/1, /*cont=*/1, /*done=*/1,
+                  /*is_last=*/false);
+      });
+  const BailoutRun fast =
+      expect_fault_cosim<cpu::SimError>(prog, ZolcVariant::kLite);
+  EXPECT_EQ(fast.regs.read(2), 5 * 4 / 2);
+  EXPECT_EQ(fast.fastpath.engagements, 0u);
 }
 
 TEST(FastPathBailouts, StoreIntoSummarizedCodeDeclines) {
