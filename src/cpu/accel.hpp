@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "cpu/exec.hpp"
 #include "isa/opcodes.hpp"
 
 namespace zolcsim::cpu {
@@ -185,8 +186,8 @@ struct NestTaskDesc {
   bool done_falls_through = false;
   bool valid = false;
   /// A fetch event at end_pc is statically guaranteed to resolve without a
-  /// hardware fault (every task in the done-cascade from here references a
-  /// valid loop and the chain cannot exceed the cascade depth limit).
+  /// WalkFault: walk_fetch_event from this task with every loop forced onto
+  /// its done branch (the longest cascade it can take) does not fault.
   /// Tasks without it never enter summary execution, so the baseline raises
   /// any table-programming fault precisely.
   bool walk_safe = false;
@@ -202,6 +203,74 @@ struct NestProgram {
   std::vector<NestTaskDesc> tasks;
   std::vector<NestLoopDesc> loops;
 };
+
+/// A fetch event the tables cannot resolve; on_fetch raises it as a
+/// SimError.
+enum class WalkFault : std::uint8_t {
+  kNone,
+  kInvalidLoop,     ///< a task in the walk names an invalid loop
+  kCascadeTooDeep,  ///< the cascade passed loops.size() boundaries
+};
+
+/// Outcome of walk_fetch_event.
+struct WalkOutcome {
+  /// New fetch target; nullopt = fall through.
+  std::optional<std::uint32_t> redirect;
+  std::uint32_t continues = 0;
+  std::uint32_t dones = 0;
+  /// Boundaries resolved; above 1 is a cascade.
+  unsigned depth = 0;
+  WalkFault fault = WalkFault::kNone;
+};
+
+/// The ZOLC's fetch event at `pc` (DESIGN.md 4.2), shared by the controller,
+/// the summary tier and walk_safe. While `active` and `task` ends at `pc`,
+/// the loop's index takes a wrapping add of its step. A continue switches
+/// `task` to the continue successor and redirects to its start. A done
+/// re-initializes the index, then leaves the region (is_last clears
+/// `active`, done_falls_through keeps it armed) or switches to the done
+/// successor, which resolves in the same event if it also ends at `pc`.
+/// Index writes land in `current[loop]` and, in order, in `sink(reg,
+/// value)`. A fault stops the walk at the faulting task.
+template <typename Sink>
+WalkOutcome walk_fetch_event(const NestProgram& program, std::int32_t* current,
+                             std::uint8_t& task, bool& active, std::uint32_t pc,
+                             const Sink& sink) {
+  WalkOutcome out;
+  while (active) {
+    const NestTaskDesc& t = program.tasks[task];
+    if (!t.valid || t.end_pc != pc) break;
+    if (++out.depth > program.loops.size()) {
+      out.fault = WalkFault::kCascadeTooDeep;
+      break;
+    }
+    const NestLoopDesc& loop = program.loops[t.loop];
+    if (!loop.valid) {
+      out.fault = WalkFault::kInvalidLoop;
+      break;
+    }
+    const std::int32_t next = wrap_add(current[t.loop], loop.step);
+    if (nest_cond_holds(loop.cond, next, loop.final)) {
+      current[t.loop] = next;
+      sink(loop.index_rf, next);
+      task = t.cont;
+      out.redirect = program.tasks[t.cont].start_pc;
+      ++out.continues;
+      break;
+    }
+    current[t.loop] = loop.initial;
+    sink(loop.index_rf, loop.initial);
+    ++out.dones;
+    if (t.is_last || t.done_falls_through) {
+      active = !t.is_last;
+      out.redirect.reset();
+      break;
+    }
+    task = t.done;
+    out.redirect = program.tasks[t.done].start_pc;
+  }
+  return out;
+}
 
 class LoopAccelerator {
  public:

@@ -332,21 +332,22 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
   }
   ++stats_.attempts;
 
-  // Engagement-local copies of the controller's dynamic state. The entire
-  // run below -- region passes, back-edges, boundary events, cascades --
-  // operates on these; the final state is written back once via restore().
-  std::array<std::int32_t, kMaxAccelLoops> cur;
-  for (std::uint8_t i = 0; i < snap.loop_count; ++i) {
-    cur[i] = snap.loop_current[i];
-  }
-  std::uint8_t cur_task = snap.current_task;
-  bool active = true;
+  // The entire run below -- region passes, back-edges, boundary events,
+  // cascades -- operates on this engagement-local copy of the controller's
+  // dynamic state; the final state is written back once via restore().
+  std::int32_t* const cur = snap.loop_current.data();
+  std::uint8_t& cur_task = snap.current_task;
+  bool& active = snap.active;
   std::uint32_t cur_pc = pc;
   std::uint64_t continues = 0;
   std::uint64_t dones = 0;
   std::uint64_t cascades = 0;
   std::uint64_t max_depth = 0;
   std::optional<BailoutReason> bail;
+  // Boundary events write their indices straight into the register file.
+  const auto sink = [&regs](std::uint8_t reg, std::int32_t value) {
+    regs.write_raw(reg, value);
+  };
 
   // Engagement-local direct-mapped region cache: a nest cycles through a
   // handful of regions, and this keeps their CacheEntry pointers (stable
@@ -542,55 +543,23 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
       out.instructions += body_len;
     }
 
-    // Boundary event at trig, resolved inline: an exact mirror of the
-    // controller's on_fetch walk (continue / done / combinational cascade /
-    // deactivate / uZOLC's armed fall-through), on the engagement-local
-    // state.
+    // Boundary event at trig: the controller's own event walk on the
+    // engagement-local state. The task is walk_safe, so it cannot fault.
     ++out.fetch_events;  // mirrors the baseline's zolc_fetch_events count
-    unsigned depth = 0;
-    std::uint8_t t = cur_task;
-    std::optional<std::uint32_t> redirect;
-    while (active) {
-      const NestTaskDesc& td = tasks[t];
-      if (!td.valid || td.end_pc != trig) break;
-      ++depth;
-      const NestLoopDesc& ld = loops[td.loop];
-      const std::int32_t next = wrap_add(cur[td.loop], ld.step);
-      if (nest_cond_holds(ld.cond, next, ld.final)) {
-        cur[td.loop] = next;
-        regs.write_raw(ld.index_rf, next);
-        t = td.cont;
-        redirect = tasks[td.cont].start_pc;
-        ++continues;
-        break;
-      }
-      cur[td.loop] = ld.initial;
-      regs.write_raw(ld.index_rf, ld.initial);
-      ++dones;
-      if (td.is_last || td.done_falls_through) {
-        active = !td.is_last;
-        redirect.reset();  // fall through to the code after the region
-        break;
-      }
-      t = td.done;
-      redirect = tasks[td.done].start_pc;
-    }
-    if (depth > 1) {
+    const auto ev = walk_fetch_event(*np, cur, cur_task, active, trig, sink);
+    ZS_ASSERT(ev.fault == WalkFault::kNone);
+    continues += ev.continues;
+    dones += ev.dones;
+    if (ev.depth > 1) {
       ++cascades;
-      if (depth > max_depth) max_depth = depth;
+      if (ev.depth > max_depth) max_depth = ev.depth;
     }
-    cur_task = t;
-    cur_pc = redirect ? *redirect : trig + 4;
+    cur_pc = ev.redirect.value_or(trig + 4);
   }
 
   // One write-back covers every event resolved above; the credited counters
   // are exactly what the skipped on_fetch calls would have counted.
   if (continues + dones > 0) {
-    for (std::uint8_t i = 0; i < snap.loop_count; ++i) {
-      snap.loop_current[i] = cur[i];
-    }
-    snap.current_task = cur_task;
-    snap.active = active;
     accel.restore(snap);
     accel.credit_summary_events(continues, dones, cascades, max_depth);
   }

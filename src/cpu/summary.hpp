@@ -4,13 +4,14 @@
 // exported NestProgram (uZOLC's loop is a one-task program), then copies
 // the decoded records of the straight-line region between the current PC
 // and the current task's end, executes them in a tight loop, resolves the
-// boundary event against the program itself, and follows it into the next
-// region. When the current task self-loops (an innermost loop body
-// repeating under pure back-edge control), it goes further: it records the
-// first iteration's store pattern, validates it against the second, then
-// replays the remaining iterations with the index recurrence fused in --
-// no per-iteration event resolution at all. The controller's dynamic state
-// is written back once, through restore(), with the elided events credited.
+// boundary event with walk_fetch_event (the walk the controller's on_fetch
+// runs), and follows it into the next region. When the current task
+// self-loops (an innermost loop body repeating under pure back-edge
+// control), it goes further: it records the first iteration's store
+// pattern, validates it against the second, then replays the remaining
+// iterations with the index recurrence fused in -- no per-iteration event
+// resolution at all. The controller's dynamic state is written back once,
+// through restore(), with the elided events credited.
 // Replay is architecturally invisible: it reuses the exact alu_eval /
 // mem_load / mem_store semantics and every disqualifying event bails out to
 // cycle-accurate mode at an exact instruction boundary with a typed
@@ -102,8 +103,9 @@ class LoopSummarizer {
   /// controller is active and `pc` opens a qualifying straight-line region
   /// ending at the current task's end PC; then alternates bulk replay of
   /// self-looping tasks with single region passes, resolving every boundary
-  /// event inline against accel.nest_program() on engagement-local copies
-  /// of the controller's dynamic state (no per-event virtual dispatch).
+  /// event with walk_fetch_event over accel.nest_program() on
+  /// engagement-local copies of the controller's dynamic state (no
+  /// per-event virtual dispatch).
   /// Stops when a region disqualifies, the controller deactivates or falls
   /// through, or `max_instructions` is reached; then writes the final state
   /// back through restore() and credits the elided event counters. Leaves

@@ -32,13 +32,13 @@ struct ZolcStats {
   friend bool operator==(const ZolcStats&, const ZolcStats&) = default;
 };
 
-/// uZOLC register state (six 32-bit data registers plus control); shared by
-/// the controller's live state and the saved context.
+/// uZOLC register state (the 32-bit data registers plus control, less the
+/// live index, which sits with the loop indices); shared by the controller's
+/// live state and the saved context.
 struct MicroLoopState {
   std::int32_t initial = 0;
   std::int32_t final = 0;
   std::int32_t step = 0;
-  std::int32_t current = 0;
   std::uint32_t start_pc = 0;
   std::uint32_t end_pc = 0;
   std::uint8_t index_rf = 0;
@@ -56,7 +56,9 @@ struct ZolcContext {
   ZolcGeometry geometry;  ///< variant-restricted (for_variant applied)
   std::vector<TaskEntry> tasks;
   std::vector<std::uint16_t> task_start;
-  std::vector<LoopEntry> loops;  ///< includes the live `current` indices
+  std::vector<LoopEntry> loops;
+  /// Live loop indices, one per loop entry (uZOLC's index at [0]).
+  std::vector<std::int32_t> loop_current;
   std::vector<ExitRecord> exits;
   std::vector<EntryRecord> entries;
   MicroLoopState micro;

@@ -1,6 +1,7 @@
 #include "zolc/controller.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/bitutil.hpp"
@@ -53,6 +54,7 @@ ZolcController::ZolcController(ZolcVariant variant,
   tasks_.resize(geom_.max_tasks);
   task_start_.resize(geom_.max_tasks);
   loops_.resize(geom_.max_loops);
+  current_.resize(geom_.max_loops);
   exits_.resize(geom_.exit_record_count());
   entries_.resize(geom_.entry_record_count());
 }
@@ -86,6 +88,7 @@ void ZolcController::reset() {
   std::fill(tasks_.begin(), tasks_.end(), TaskEntry{});
   std::fill(task_start_.begin(), task_start_.end(), std::uint16_t{0});
   std::fill(loops_.begin(), loops_.end(), LoopEntry{});
+  std::fill(current_.begin(), current_.end(), 0);
   std::fill(exits_.begin(), exits_.end(), ExitRecord{});
   std::fill(entries_.begin(), entries_.end(), EntryRecord{});
   micro_ = {};
@@ -186,7 +189,7 @@ void ZolcController::init_write(Opcode op, std::uint8_t idx,
         case MicroReg::kInitial: micro_.initial = sv; break;
         case MicroReg::kFinal:   micro_.final = sv; break;
         case MicroReg::kStep:    micro_.step = sv; break;
-        case MicroReg::kCurrent: micro_.current = sv; break;
+        case MicroReg::kCurrent: current_[0] = sv; break;
         case MicroReg::kStartPc: micro_.start_pc = value; break;
         case MicroReg::kEndPc:   micro_.end_pc = value; break;
         case MicroReg::kCtrl:
@@ -209,7 +212,7 @@ void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
     throw SimError("zolon while the controller is already active");
   }
   if (variant_ == ZolcVariant::kMicro) {
-    micro_.current = micro_.initial;
+    current_[0] = micro_.initial;
     active_ = true;
     refresh_trigger();
     return;
@@ -225,8 +228,8 @@ void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
   base_ = base;
   nest_dirty_ = true;  // the export resolves table offsets against base_
   current_task_ = start_task;
-  for (LoopEntry& loop : loops_) {
-    if (loop.valid) loop.current = loop.initial;
+  for (unsigned i = 0; i < loops_.size(); ++i) {
+    if (loops_[i].valid) current_[i] = loops_[i].initial;
   }
   active_ = true;
   refresh_trigger();
@@ -255,65 +258,27 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
   if (!will_trigger(pc)) return out;
 
   AccelEvent& ev = out.emplace();
-  if (variant_ == ZolcVariant::kMicro) {
-    const std::int32_t next = micro_.current + micro_.step;
-    if (cond_holds(micro_.cond, next, micro_.final)) {
-      micro_.current = next;
-      ev.rf_writes.push_back(RfWrite{micro_.index_rf, next});
-      ev.redirect = micro_.start_pc;
-      ++stats_.continue_events;
-    } else {
-      // Reinit-on-exit: the controller stays armed so an enclosing software
-      // loop can re-enter the region with no reprogramming.
-      micro_.current = micro_.initial;
-      ev.rf_writes.push_back(RfWrite{micro_.index_rf, micro_.initial});
-      ++stats_.done_events;
-    }
-    return out;
+  const auto sink = [&ev](std::uint8_t reg, std::int32_t value) {
+    ev.rf_writes.push_back(RfWrite{reg, value});
+  };
+  const cpu::WalkOutcome walk = cpu::walk_fetch_event(
+      *nest_program(), current_.data(), current_task_, active_, pc, sink);
+  stats_.continue_events += walk.continues;
+  stats_.done_events += walk.dones;
+  if (walk.fault == cpu::WalkFault::kInvalidLoop) {
+    throw SimError("task " + std::to_string(current_task_) +
+                   " references invalid loop " +
+                   std::to_string(nest_prog_.tasks[current_task_].loop));
   }
-
-  std::uint16_t ofs = 0;
-  ZS_ASSERT(pc_to_ofs(pc, ofs));
-  unsigned depth = 0;
-  while (active_) {
-    const TaskEntry& t = tasks_[current_task_];
-    if (!t.valid || t.end_pc_ofs != ofs) break;
-    if (++depth > geom_.max_loops) {
-      throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
-    }
-    LoopEntry& loop = loops_[t.loop_id];
-    if (!loop.valid) {
-      throw SimError("task " + std::to_string(current_task_) +
-                     " references invalid loop " + std::to_string(t.loop_id));
-    }
-    const std::int32_t next = loop.current + loop.step;
-    if (cond_holds(loop.cond, next, loop.final)) {
-      // Loop back-edge: zero-overhead task switch to the body start.
-      loop.current = next;
-      ev.rf_writes.push_back(RfWrite{loop.index_rf, next});
-      current_task_ = t.next_task_cont;
-      ev.redirect = ofs_to_pc(task_start_[t.next_task_cont]);
-      ++stats_.continue_events;
-      break;
-    }
-    // Loop completion: reinit-on-exit, then hand over to the done successor
-    // (which may share this end_pc -- the combinational cascade).
-    loop.current = loop.initial;
-    ev.rf_writes.push_back(RfWrite{loop.index_rf, loop.initial});
-    ++stats_.done_events;
-    if (t.is_last) {
-      active_ = false;
-      ev.redirect.reset();  // fall through to the code after the region
-      break;
-    }
-    current_task_ = t.next_task_done;
-    ev.redirect = ofs_to_pc(task_start_[t.next_task_done]);
+  if (walk.fault == cpu::WalkFault::kCascadeTooDeep) {
+    throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
   }
-  if (depth > 1) {
+  if (walk.depth > 1) {
     ++stats_.cascade_chains;
     stats_.max_cascade_depth = std::max<std::uint64_t>(stats_.max_cascade_depth,
-                                                       depth);
+                                                       walk.depth);
   }
+  ev.redirect = walk.redirect;
   refresh_trigger();
   return out;
 }
@@ -321,12 +286,12 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
   for (unsigned i = 0; i < geom_.max_loops; ++i) {
     if ((mask & (1u << i)) == 0) continue;
-    LoopEntry& loop = loops_[i];
+    const LoopEntry& loop = loops_[i];
     if (!loop.valid) {
       throw SimError("reinit mask references invalid loop " +
                      std::to_string(i));
     }
-    loop.current = loop.initial;
+    current_[i] = loop.initial;
     ev.rf_writes.push_back(RfWrite{loop.index_rf, loop.initial});
   }
 }
@@ -376,14 +341,8 @@ std::optional<AccelEvent> ZolcController::on_taken_control(
 
 cpu::AccelSnapshot ZolcController::snapshot() const {
   cpu::AccelSnapshot s;
-  s.loop_count = static_cast<std::uint8_t>(loops_.size());
-  if (variant_ == ZolcVariant::kMicro) {
-    s.loop_current[0] = micro_.current;  // the one loop its geometry sizes
-  } else {
-    for (unsigned i = 0; i < loops_.size(); ++i) {
-      s.loop_current[i] = loops_[i].current;
-    }
-  }
+  s.loop_count = static_cast<std::uint8_t>(current_.size());
+  std::copy(current_.begin(), current_.end(), s.loop_current.begin());
   s.current_task = current_task_;
   s.active = active_;
   return s;
@@ -401,62 +360,57 @@ const cpu::NestProgram* ZolcController::nest_program() const {
     task.end_pc = micro_.end_pc;
     task.done_falls_through = true;
     task.valid = true;
-    task.walk_safe = true;
     nest_prog_.tasks.assign(1, task);
     nest_prog_.loops.assign(1, nest_loop(micro_));
-    nest_dirty_ = false;
-    return &nest_prog_;
-  }
-  nest_prog_.loops.assign(loops_.size(), cpu::NestLoopDesc{});
-  nest_prog_.tasks.assign(tasks_.size(), cpu::NestTaskDesc{});
-  for (unsigned i = 0; i < loops_.size(); ++i) {
-    if (!loops_[i].valid) continue;
-    cpu::NestLoopDesc& d = nest_prog_.loops[i];
-    d = nest_loop(loops_[i]);
-    if (variant_ == ZolcVariant::kFull) {
-      const unsigned bank = i * geom_.max_exits_per_loop;
-      for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
-        if (exits_[bank + slot].valid) {
-          d.has_exit_records = true;
-          break;
+  } else {
+    nest_prog_.loops.assign(loops_.size(), cpu::NestLoopDesc{});
+    nest_prog_.tasks.assign(tasks_.size(), cpu::NestTaskDesc{});
+    for (unsigned i = 0; i < loops_.size(); ++i) {
+      if (!loops_[i].valid) continue;
+      cpu::NestLoopDesc& d = nest_prog_.loops[i];
+      d = nest_loop(loops_[i]);
+      if (variant_ == ZolcVariant::kFull) {
+        const unsigned bank = i * geom_.max_exits_per_loop;
+        for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
+          if (exits_[bank + slot].valid) {
+            d.has_exit_records = true;
+            break;
+          }
         }
       }
     }
-  }
-  for (unsigned i = 0; i < tasks_.size(); ++i) {
-    const TaskEntry& t = tasks_[i];
-    cpu::NestTaskDesc& d = nest_prog_.tasks[i];
-    // start_pc resolves for every entry: on_fetch redirects through
-    // task_start_ without a validity check, and the export must mirror that.
-    d.start_pc = ofs_to_pc(task_start_[i]);
-    d.valid = t.valid;
-    if (!t.valid) continue;
-    d.end_pc = ofs_to_pc(t.end_pc_ofs);
-    d.loop = t.loop_id;
-    d.cont = t.next_task_cont;
-    d.done = t.next_task_done;
-    d.is_last = t.is_last;
-  }
-  // walk_safe: the worst-case done-cascade from each task (successors
-  // sharing its end PC) references only valid loops and stays within the
-  // hardware depth limit, so an inline event walk can never hit a condition
-  // on_fetch would report as a SimError.
-  for (cpu::NestTaskDesc& d : nest_prog_.tasks) {
-    if (!d.valid) continue;
-    bool safe = true;
-    unsigned cur = static_cast<unsigned>(&d - nest_prog_.tasks.data());
-    unsigned depth = 0;
-    while (true) {
-      const cpu::NestTaskDesc& t = nest_prog_.tasks[cur];
-      if (!t.valid || t.end_pc != d.end_pc) break;  // cascade stops cleanly
-      if (++depth > geom_.max_loops || !nest_prog_.loops[t.loop].valid) {
-        safe = false;
-        break;
-      }
-      if (t.is_last) break;  // done here deactivates
-      cur = t.done;
+    for (unsigned i = 0; i < tasks_.size(); ++i) {
+      const TaskEntry& t = tasks_[i];
+      cpu::NestTaskDesc& d = nest_prog_.tasks[i];
+      // start_pc resolves for every entry: the event walk redirects to a
+      // successor's start without a validity check.
+      d.start_pc = ofs_to_pc(task_start_[i]);
+      d.valid = t.valid;
+      if (!t.valid) continue;
+      d.end_pc = ofs_to_pc(t.end_pc_ofs);
+      d.loop = t.loop_id;
+      d.cont = t.next_task_cont;
+      d.done = t.next_task_done;
+      d.is_last = t.is_last;
     }
-    d.walk_safe = safe;
+  }
+  // walk_safe: with every loop forced onto its done branch, the walk from a
+  // task takes the longest cascade any event there can, so if that walk
+  // does not fault, no live event at the task can.
+  cpu::NestProgram forced = nest_prog_;
+  for (cpu::NestLoopDesc& l : forced.loops) {
+    l.cond = cpu::NestCond::kLt;
+    l.final = std::numeric_limits<std::int32_t>::min();
+  }
+  const auto no_sink = [](std::uint8_t, std::int32_t) {};
+  std::vector<std::int32_t> indices(forced.loops.size());
+  for (unsigned i = 0; i < forced.tasks.size(); ++i) {
+    if (!forced.tasks[i].valid) continue;
+    auto task = static_cast<std::uint8_t>(i);
+    bool active = true;
+    const cpu::WalkOutcome walk = cpu::walk_fetch_event(
+        forced, indices.data(), task, active, forced.tasks[i].end_pc, no_sink);
+    nest_prog_.tasks[i].walk_safe = walk.fault == cpu::WalkFault::kNone;
   }
   nest_dirty_ = false;
   return &nest_prog_;
@@ -480,19 +434,13 @@ void ZolcController::restore(const cpu::AccelSnapshot& snapshot) {
 }
 
 Result<void> ZolcController::try_restore(const cpu::AccelSnapshot& snapshot) {
-  if (snapshot.loop_count != loops_.size()) {
+  if (snapshot.loop_count != current_.size()) {
     return Error{ErrorCode::kBadContext,
                  "snapshot carries " + std::to_string(snapshot.loop_count) +
                      " loops, geometry " + geom_.label() + " has " +
-                     std::to_string(loops_.size())};
+                     std::to_string(current_.size())};
   }
-  if (variant_ == ZolcVariant::kMicro) {
-    micro_.current = snapshot.loop_current[0];
-  } else {
-    for (unsigned i = 0; i < loops_.size(); ++i) {
-      loops_[i].current = snapshot.loop_current[i];
-    }
-  }
+  std::copy_n(snapshot.loop_current.begin(), current_.size(), current_.begin());
   current_task_ = snapshot.current_task;
   active_ = snapshot.active;
   refresh_trigger();
@@ -506,6 +454,7 @@ ZolcContext ZolcController::save_context() const {
   ctx.tasks = tasks_;
   ctx.task_start = task_start_;
   ctx.loops = loops_;
+  ctx.loop_current = current_;
   ctx.exits = exits_;
   ctx.entries = entries_;
   ctx.micro = micro_;
@@ -526,6 +475,7 @@ Result<void> ZolcController::restore_context(const ZolcContext& context) {
   if (context.tasks.size() != tasks_.size() ||
       context.task_start.size() != task_start_.size() ||
       context.loops.size() != loops_.size() ||
+      context.loop_current.size() != current_.size() ||
       context.exits.size() != exits_.size() ||
       context.entries.size() != entries_.size()) {
     return Error{ErrorCode::kBadContext,
@@ -534,6 +484,7 @@ Result<void> ZolcController::restore_context(const ZolcContext& context) {
   tasks_ = context.tasks;
   task_start_ = context.task_start;
   loops_ = context.loops;
+  current_ = context.loop_current;
   exits_ = context.exits;
   entries_ = context.entries;
   micro_ = context.micro;
@@ -554,7 +505,7 @@ std::string ZolcController::describe() const {
      << '\n';
   if (variant_ == ZolcVariant::kMicro) {
     os << "  loop: initial=" << micro_.initial << " final=" << micro_.final
-       << " step=" << micro_.step << " current=" << micro_.current
+       << " step=" << micro_.step << " current=" << current_[0]
        << " index_rf=" << isa::reg_name(micro_.index_rf)
        << " start=" << hex32(micro_.start_pc) << " end=" << hex32(micro_.end_pc)
        << '\n';
@@ -576,7 +527,7 @@ std::string ZolcController::describe() const {
     os << "  loop " << i << ": init=" << l.initial << " final=" << l.final
        << " step=" << int(l.step) << " index_rf=" << isa::reg_name(l.index_rf)
        << " cond=" << unsigned(static_cast<std::uint8_t>(l.cond))
-       << " current=" << l.current << '\n';
+       << " current=" << current_[i] << '\n';
   }
   if (variant_ == ZolcVariant::kFull) {
     for (unsigned i = 0; i < exits_.size(); ++i) {

@@ -1,11 +1,13 @@
 // ZolcController: architectural model of the zero-overhead loop controller,
 // implementing the cpu::LoopAccelerator interface. One class models all
-// three hardware variants (table geometry differs; uZOLC additionally
-// bypasses the task machinery entirely and uses its private register file).
-// The geometry is a construction-time parameter: the default reproduces the
+// three hardware variants (table geometry differs; uZOLC keeps its loop in a
+// private register file and exports it as a one-task NestProgram). The
+// geometry is a construction-time parameter: the default reproduces the
 // paper's prototype, wider/deeper geometries size every table at runtime.
+// The live loop indices sit in one array sized by the geometry's loops.
 //
-// Event semantics (DESIGN.md 4.2):
+// Event semantics (DESIGN.md 4.2); on_fetch runs cpu::walk_fetch_event over
+// nest_program(), the same walk the ISS summary tier uses:
 //  * task end     -- fetch PC matches the current task's end_pc: update the
 //                    controlling loop's index, pick the continue/done
 //                    successor, redirect fetch; `done` re-initializes the
@@ -116,11 +118,13 @@ class ZolcController final : public cpu::LoopAccelerator {
   std::vector<TaskEntry> tasks_;
   std::vector<std::uint16_t> task_start_;
   std::vector<LoopEntry> loops_;
+  /// Live loop indices, one per loop entry (uZOLC's index at [0]).
+  std::vector<std::int32_t> current_;
   std::vector<ExitRecord> exits_;
   std::vector<EntryRecord> entries_;
   std::uint32_t base_ = 0;
 
-  // uZOLC storage (six 32-bit + control registers).
+  // uZOLC storage (data + control registers; the index is current_[0]).
   MicroLoopState micro_;
 
   std::uint8_t current_task_ = 0;

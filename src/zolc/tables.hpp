@@ -14,19 +14,9 @@
 namespace zolcsim::zolc {
 
 /// Loop-continuation condition: after the index update, the loop continues
-/// iff `cond_holds(cond, next_index, final)`.
+/// iff `cpu::nest_cond_holds(cond, next_index, final)` (the event walk's
+/// comparator; cpu::NestCond has the same encoding).
 enum class LoopCond : std::uint8_t { kLt = 0, kLe = 1, kGt = 2, kGe = 3 };
-
-[[nodiscard]] constexpr bool cond_holds(LoopCond cond, std::int32_t next,
-                                        std::int32_t final) noexcept {
-  switch (cond) {
-    case LoopCond::kLt: return next < final;
-    case LoopCond::kLe: return next <= final;
-    case LoopCond::kGt: return next > final;
-    case LoopCond::kGe: return next >= final;
-  }
-  return false;
-}
 
 /// Task selection LUT entry (one 32-bit init word). Generic layout, LSB
 /// first: end_pc_ofs (pc_ofs_bits), loop_id, next_task_cont, next_task_done,
@@ -68,8 +58,6 @@ struct LoopEntry {
   std::uint8_t index_rf = 0;
   LoopCond cond = LoopCond::kLt;
   bool valid = false;
-  /// Runtime state: live index value (mirrors the RF index register).
-  std::int32_t current = 0;
 
   [[nodiscard]] std::uint32_t pack_word0() const noexcept;
   [[nodiscard]] std::uint32_t pack_word1() const noexcept;

@@ -72,8 +72,8 @@ ZolcContext random_context(ZolcVariant variant, const ZolcGeometry& g,
     l.index_rf = static_cast<std::uint8_t>(rng.field(5));
     l.cond = static_cast<LoopCond>(rng.field(2));
     l.valid = rng.field(1) != 0;
-    l.current = static_cast<std::int32_t>(rng.next());
     ctx.loops.push_back(l);
+    ctx.loop_current.push_back(static_cast<std::int32_t>(rng.next()));
   }
   for (unsigned i = 0; i < geom.exit_record_count(); ++i) {
     ExitRecord r;
@@ -95,7 +95,6 @@ ZolcContext random_context(ZolcVariant variant, const ZolcGeometry& g,
   ctx.micro.initial = static_cast<std::int32_t>(rng.next());
   ctx.micro.final = static_cast<std::int32_t>(rng.next());
   ctx.micro.step = static_cast<std::int32_t>(rng.next());
-  ctx.micro.current = static_cast<std::int32_t>(rng.next());
   ctx.micro.start_pc = rng.next();
   ctx.micro.end_pc = rng.next();
   ctx.micro.index_rf = static_cast<std::uint8_t>(rng.field(5));
@@ -199,6 +198,13 @@ TEST(ControllerContext, RestoreRejectsWrongGeometryAndVariant) {
   auto cross = lite.restore_context(controller.save_context());
   ASSERT_FALSE(cross.ok());
   EXPECT_EQ(cross.error().code, ErrorCode::kBadContext);
+
+  // Live indices that do not match the loop table are rejected too.
+  ZolcContext short_indices = controller.save_context();
+  short_indices.loop_current.pop_back();
+  auto mismatched = controller.restore_context(short_indices);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.error().code, ErrorCode::kBadContext);
 
   // The rejected restore must leave the target untouched.
   EXPECT_EQ(controller.save_context(), ZolcController(ZolcVariant::kFull)

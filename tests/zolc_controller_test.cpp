@@ -3,6 +3,7 @@
 // capacity enforcement, and snapshot/rollback.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -86,14 +87,14 @@ TEST(Tables, EntryRecordRoundTrip) {
 }
 
 TEST(Tables, CondHolds) {
-  EXPECT_TRUE(cond_holds(LoopCond::kLt, 3, 4));
-  EXPECT_FALSE(cond_holds(LoopCond::kLt, 4, 4));
-  EXPECT_TRUE(cond_holds(LoopCond::kLe, 4, 4));
-  EXPECT_FALSE(cond_holds(LoopCond::kLe, 5, 4));
-  EXPECT_TRUE(cond_holds(LoopCond::kGt, 1, 0));
-  EXPECT_FALSE(cond_holds(LoopCond::kGt, 0, 0));
-  EXPECT_TRUE(cond_holds(LoopCond::kGe, 0, 0));
-  EXPECT_FALSE(cond_holds(LoopCond::kGe, -1, 0));
+  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kLt, 3, 4));
+  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kLt, 4, 4));
+  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kLe, 4, 4));
+  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kLe, 5, 4));
+  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kGt, 1, 0));
+  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kGt, 0, 0));
+  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kGe, 0, 0));
+  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kGe, -1, 0));
 }
 
 // ---------------- helpers ----------------
@@ -216,6 +217,22 @@ TEST_F(MicroTest, NegativeStepCountsDown) {
   }
   // 4, 3, 2, 1 continue; then 0 fails (kGt 0) -> reinit to 5.
   EXPECT_EQ(seen, (std::vector<std::int32_t>{4, 3, 2, 1, 5}));
+}
+
+TEST_F(MicroTest, IndexUpdateWrapsAtInt32Max) {
+  // The index adder wraps like the core's: INT32_MAX + 1 is INT32_MIN,
+  // which still satisfies kLe INT32_MAX, so both events continue.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  program(kMax - 1, kMax, 1, 7, pc_of(10), pc_of(12), LoopCond::kLe);
+  c.activate(0, kBase);
+  for (const std::int32_t expected :
+       {kMax, std::numeric_limits<std::int32_t>::min()}) {
+    auto ev = c.on_fetch(pc_of(12));
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->redirect, pc_of(10));
+    ASSERT_EQ(ev->rf_writes.size(), 1u);
+    EXPECT_EQ(ev->rf_writes[0].value, expected);
+  }
 }
 
 TEST_F(MicroTest, RejectsTaskWrites) {
@@ -377,13 +394,49 @@ TEST_F(LiteTest, SnapshotRestoreRoundTrip) {
   const auto snap = c.snapshot();
   (void)c.on_fetch(pc_of(105));
   (void)c.on_fetch(pc_of(105));
-  EXPECT_EQ(c.loop(0).current, 2);
+  EXPECT_EQ(c.snapshot().loop_current[0], 2);
   c.restore(snap);
-  EXPECT_EQ(c.loop(0).current, 0);
+  EXPECT_EQ(c.snapshot().loop_current[0], 0);
   EXPECT_TRUE(c.active());
   EXPECT_EQ(c.current_task(), 0);
   // Replay after restore produces the original sequence.
   auto ev = c.on_fetch(pc_of(105));
+  EXPECT_EQ(ev->rf_writes[0].value, 1);
+}
+
+TEST_F(LiteTest, IndexUpdateWrapsAtInt32Max) {
+  // A 16-bit loop entry reaches the top of the 32-bit index only through a
+  // restored snapshot. kGe 0 continues up to INT32_MAX; the wrapped
+  // INT32_MIN fails it, so the second event completes the loop.
+  write_loop(c, 0, 0, 0, 1, 9, LoopCond::kGe);
+  write_task(c, 0, 100, 105, 0, 0, 0, true);
+  c.activate(0, kBase);
+  cpu::AccelSnapshot snap = c.snapshot();
+  snap.loop_current[0] = std::numeric_limits<std::int32_t>::max() - 1;
+  c.restore(snap);
+  auto ev = c.on_fetch(pc_of(105));
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->redirect, pc_of(100));
+  EXPECT_EQ(ev->rf_writes[0].value, std::numeric_limits<std::int32_t>::max());
+  ev = c.on_fetch(pc_of(105));
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_FALSE(ev->redirect.has_value());
+  EXPECT_EQ(ev->rf_writes[0].value, 0);  // reinit-on-exit
+  EXPECT_FALSE(c.active());
+}
+
+TEST_F(LiteTest, TaskEndPastTopOfAddressSpaceWraps) {
+  // Table offsets resolve modulo 2^32, as the hardware's PC adder does: a
+  // region based just below the top of memory ends at a wrapped PC, and
+  // the event there resolves as armed.
+  write_loop(c, 0, 0, 4, 1, 9);
+  write_task(c, 0, /*start=*/0xF0, /*end=*/0x100, 0, 0, 0, true);
+  c.activate(0, 0xFFFFFF00u);
+  ASSERT_EQ(c.trigger_pc(), 0x300u);
+  auto ev = c.on_fetch(0x300);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->redirect, 0x2C0u);
+  ASSERT_EQ(ev->rf_writes.size(), 1u);
   EXPECT_EQ(ev->rf_writes[0].value, 1);
 }
 

@@ -85,7 +85,8 @@ TEST(GeometryController, TwelveLoopCascadeRunsAndSnapshots) {
   // Snapshot/restore carries all 12 live indices.
   c.restore(snap);
   EXPECT_TRUE(c.active());
-  for (unsigned l = 0; l < 12; ++l) EXPECT_EQ(c.loop(l).current, 0);
+  const cpu::AccelSnapshot restored = c.snapshot();
+  for (unsigned l = 0; l < 12; ++l) EXPECT_EQ(restored.loop_current[l], 0);
 }
 
 TEST(GeometryController, RejectsPackedIdsBeyondTheTables) {

@@ -120,8 +120,6 @@ TEST(TableRoundTrip, LoopEntryRandomized) {
     LoopEntry back;
     back.unpack_word0(e.pack_word0());
     back.unpack_word1(e.pack_word1());
-    // `current` is runtime state, not part of the packed image.
-    back.current = e.current;
     EXPECT_EQ(back, e);
   }
 }
