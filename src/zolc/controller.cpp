@@ -241,8 +241,7 @@ void ZolcController::deactivate() {
 }
 
 bool ZolcController::pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const {
-  if (pc < base_) return false;
-  const std::uint32_t delta = (pc - base_) >> 2;
+  const std::uint32_t delta = (pc - base_) >> 2;  // modulo 2^32, as ofs_to_pc
   if (delta > pc_mask_) return false;
   ofs = static_cast<std::uint16_t>(delta);
   return true;

@@ -98,7 +98,8 @@ class ZolcController final : public cpu::LoopAccelerator {
 
  private:
   /// Maps a byte PC to a word offset (pc_ofs_bits wide) from the activation
-  /// base; returns false when the PC lies outside the addressable window.
+  /// base, modulo 2^32; returns false when the PC lies outside the
+  /// addressable window.
   [[nodiscard]] bool pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const;
   [[nodiscard]] std::uint32_t ofs_to_pc(std::uint16_t ofs) const noexcept;
 

@@ -562,6 +562,21 @@ TEST_F(FullTest, ReinitMaskOverInvalidLoopTraps) {
   EXPECT_THROW(c.on_taken_control(pc_of(103), pc_of(300)), SimError);
 }
 
+TEST_F(FullTest, RecordsPastTopOfAddressSpaceWrap) {
+  // Twin of LiteTest.TaskEndPastTopOfAddressSpaceWraps for the record
+  // banks: the branch and entry offsets resolve modulo 2^32 as well.
+  write_exit(0, 0, /*branch at*/ 0x50, /*next*/ 0, /*reinit*/ 0x1, true);
+  write_entry(0, /*entry at*/ 0x60, /*task*/ 0, /*reinit*/ 0x1);
+  c.activate(0, 0xFFFFFF00u);
+  auto entry = c.on_taken_control(0x1000, 0x80);  // offset 0x60, wrapped
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(c.zolc_stats().entry_matches, 1u);
+  auto exit = c.on_taken_control(0x40, 0x1000);  // offset 0x50, wrapped
+  ASSERT_TRUE(exit.has_value());
+  EXPECT_EQ(c.zolc_stats().exit_matches, 1u);
+  EXPECT_FALSE(c.active());
+}
+
 TEST_F(FullTest, InactiveIgnoresRecords) {
   write_exit(0, 0, 103, 0, 0x1, true);
   EXPECT_FALSE(c.on_taken_control(pc_of(103), pc_of(300)).has_value());
