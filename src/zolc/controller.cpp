@@ -260,14 +260,17 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
   const auto sink = [&ev](std::uint8_t reg, std::int32_t value) {
     ev.rf_writes.push_back(RfWrite{reg, value});
   };
+  // An armed trigger implies active_, so the export exists; only a stale
+  // one takes the out-of-line rebuild.
+  const cpu::NestProgram& program = nest_dirty_ ? *nest_program() : nest_prog_;
   const cpu::WalkOutcome walk = cpu::walk_fetch_event(
-      *nest_program(), current_.data(), current_task_, active_, pc, sink);
+      program, current_.data(), current_task_, active_, pc, sink);
   stats_.continue_events += walk.continues;
   stats_.done_events += walk.dones;
   if (walk.fault == cpu::WalkFault::kInvalidLoop) {
     throw SimError("task " + std::to_string(current_task_) +
                    " references invalid loop " +
-                   std::to_string(nest_prog_.tasks[current_task_].loop));
+                   std::to_string(program.tasks[current_task_].loop));
   }
   if (walk.fault == cpu::WalkFault::kCascadeTooDeep) {
     throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
@@ -395,14 +398,18 @@ const cpu::NestProgram* ZolcController::nest_program() const {
   }
   // walk_safe: with every loop forced onto its done branch, the walk from a
   // task takes the longest cascade any event there can, so if that walk
-  // does not fault, no live event at the task can.
-  cpu::NestProgram forced = nest_prog_;
+  // does not fault, no live event at the task can. The forced copy and its
+  // indices live in members, so a rebuild (every zolon and context
+  // restore) allocates nothing once they have grown to the geometry.
+  cpu::NestProgram& forced = forced_prog_;
+  forced = nest_prog_;
   for (cpu::NestLoopDesc& l : forced.loops) {
     l.cond = cpu::NestCond::kLt;
     l.final = std::numeric_limits<std::int32_t>::min();
   }
   const auto no_sink = [](std::uint8_t, std::int32_t) {};
-  std::vector<std::int32_t> indices(forced.loops.size());
+  std::vector<std::int32_t>& indices = forced_current_;
+  indices.resize(forced.loops.size());
   for (unsigned i = 0; i < forced.tasks.size(); ++i) {
     if (!forced.tasks[i].valid) continue;
     auto task = static_cast<std::uint8_t>(i);

@@ -136,6 +136,9 @@ class ZolcController final : public cpu::LoopAccelerator {
   /// and reset, never by active-mode events.
   mutable cpu::NestProgram nest_prog_;
   mutable bool nest_dirty_ = true;
+  /// Scratch for the walk_safe derivation in nest_program().
+  mutable cpu::NestProgram forced_prog_;
+  mutable std::vector<std::int32_t> forced_current_;
 
   ZolcStats stats_;
 };
