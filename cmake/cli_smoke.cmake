@@ -110,3 +110,13 @@ foreach(artifact IN LISTS artifacts)
   file(WRITE ${bench_dir}/old/${name} "${text}")
 endforeach()
 expect_exit(1 bench --compare ${bench_dir}/old ${bench_dir}/new)
+
+# An engine/option mismatch is flow::run's bad-config (exit 1) on every
+# surface: the local run and a sweep cell alike.
+expect_exit(1 run dotprod --mode=pipeline --tenants=2)
+expect_exit(1 sweep --kernels=dotprod --modes=pipeline --tenants=2 --threads=1)
+
+# Each client action takes only its own flags, checked before it connects:
+# compile takes no run-only option, and ping takes nothing but --socket.
+expect_exit(2 client compile dotprod --socket=/nonexistent --tenants=2)
+expect_exit(2 client ping --socket=/nonexistent --mode=iss)

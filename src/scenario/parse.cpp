@@ -1,5 +1,6 @@
 #include "scenario/parse.hpp"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,54 @@ Result<unsigned> geometry_field(std::string_view seg, char suffix) {
   }
   return static_cast<unsigned>(*n);
 }
+
+/// A strictly positive integer (cycle budget, preemption interval).
+Result<std::uint64_t> parse_positive(std::string_view s) {
+  const auto n = parse_int(s);
+  if (!n || *n <= 0) {
+    return bad_config("bad count '" + std::string(s) +
+                      "' (want a positive integer)");
+  }
+  return static_cast<std::uint64_t>(*n);
+}
+
+/// Stores a parsed value into `field`.
+template <typename T>
+Result<void> assign(T& field, Result<T> parsed) {
+  if (!parsed.ok()) return std::move(parsed).error();
+  field = std::move(parsed).value();
+  return {};
+}
+
+/// RunOption::apply for an option parsed by `parse` into `spec.*field`.
+template <auto field, auto parse>
+Result<void> into_spec(std::string_view s, flow::CompileSpec& spec,
+                       flow::RunPlan&) {
+  return assign(spec.*field, parse(s));
+}
+
+/// RunOption::apply for an option parsed by `parse` into `plan.*field`.
+template <auto field, auto parse>
+Result<void> into_plan(std::string_view s, flow::CompileSpec&,
+                       flow::RunPlan& plan) {
+  return assign(plan.*field, parse(s));
+}
+
+constexpr RunOption kRunOptions[] = {
+    {"machine", "machine", false, false,
+     into_spec<&flow::CompileSpec::machine, parse_machine>},
+    {"geometry", "geometry", false, false,
+     into_spec<&flow::CompileSpec::geometry, parse_geometry>},
+    {"config", "config", true, false,
+     into_plan<&flow::RunPlan::config, parse_config>},
+    {"mode", "mode", true, false, into_plan<&flow::RunPlan::mode, parse_mode>},
+    {"max-cycles", "max_cycles", true, true,
+     into_plan<&flow::RunPlan::max_cycles, parse_positive>},
+    {"preempt-every", "preempt_every", true, true,
+     into_plan<&flow::RunPlan::preempt_every, parse_positive>},
+    {"tenants", "tenants", true, true,
+     into_plan<&flow::RunPlan::tenants, parse_tenants>},
+};
 
 }  // namespace
 
@@ -172,5 +221,7 @@ Result<void> append_axis_value(harness::SweepSpec& spec, harness::Axis axis,
   }
   return bad_config("unknown sweep axis");
 }
+
+std::span<const RunOption> run_options() { return kRunOptions; }
 
 }  // namespace zolcsim::scenario

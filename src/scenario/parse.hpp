@@ -1,11 +1,13 @@
 // String forms of the sweep axes (machine / ZOLC geometry / pipeline
 // config / execution mode / tenant count), matching the labels the sweep
 // emitters print (harness::sweep_axes()) so report output and declarative
-// input round-trip. Shared by the zolcsim CLI flags, the scenario-suite
-// parser and the serve protocol; every error is kBadConfig unless noted.
+// input round-trip, and the run-option table that names one unit and one
+// run. Shared by the zolcsim CLI flags, the scenario-suite parser and the
+// serve protocol; every error is kBadConfig unless noted.
 #ifndef ZOLCSIM_SCENARIO_PARSE_HPP
 #define ZOLCSIM_SCENARIO_PARSE_HPP
 
+#include <span>
 #include <string_view>
 
 #include "codegen/program.hpp"
@@ -45,6 +47,28 @@ inline constexpr unsigned kMaxTenants = 64;
 [[nodiscard]] Result<void> append_axis_value(harness::SweepSpec& spec,
                                              harness::Axis axis,
                                              std::string_view s);
+
+/// The machine a compile or run uses when no option names one.
+inline constexpr codegen::MachineKind kDefaultMachine =
+    codegen::MachineKind::kZolcFull;
+
+/// One option of a compile or run: the single definition behind the
+/// `zolcsim compile|run` flags, `zolcsim client compile|run` and the serve
+/// compile/run request members.
+struct RunOption {
+  std::string_view flag;    ///< CLI flag, "max-cycles"
+  std::string_view member;  ///< serve request member, "max_cycles"
+  bool run_only;            ///< compile takes machine and geometry only
+  bool integer;             ///< the member is a JSON integer, not a string
+  /// Parses `text` (the flag value, or the member as text) into its field
+  /// of `spec` or `plan`. 0 and other out-of-range values are kBadConfig.
+  Result<void> (*apply)(std::string_view text, flow::CompileSpec& spec,
+                        flow::RunPlan& plan);
+};
+
+/// The seven options: machine, geometry, config, mode, max-cycles,
+/// preempt-every, tenants.
+[[nodiscard]] std::span<const RunOption> run_options();
 
 }  // namespace zolcsim::scenario
 

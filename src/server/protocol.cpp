@@ -39,18 +39,6 @@ Result<std::optional<std::string>> string_member(const json::Value& object,
   return std::optional<std::string>{member->as_string()};
 }
 
-/// Member as a strictly positive integer; nullopt when absent.
-Result<std::optional<std::uint64_t>> positive_member(
-    const json::Value& object, std::string_view key) {
-  const json::Value* member = object.find(key);
-  if (member == nullptr) return std::optional<std::uint64_t>{};
-  const auto n = member->as_uint();
-  if (!n || *n == 0) {
-    return shape_error(member_error(key, "a positive integer"));
-  }
-  return std::optional<std::uint64_t>{*n};
-}
-
 /// Strict schema: every member of `object` must appear in `allowed`.
 Result<void> reject_unknown_members(
     const json::Value& object, const std::vector<std::string_view>& allowed) {
@@ -69,64 +57,47 @@ Result<void> reject_unknown_members(
   return {};
 }
 
-/// Optional string member through an axis parser (scenario::parse_*),
-/// stored into `out` when present.
-template <typename T, typename Parse>
-Result<void> axis_member(const json::Value& object, std::string_view key,
-                         Parse parse, T& out) {
-  auto text = string_member(object, key);
-  if (!text.ok()) return std::move(text).error();
-  if (!text.value()) return {};
-  auto parsed = parse(*text.value());
-  if (!parsed.ok()) {
-    return std::move(parsed).error().with_context("serve request");
+/// The kernel and the run_options() members of a compile (run = false) or
+/// run request. A member of the wrong JSON kind is a shape error; its text
+/// then goes through the option's parser (kBadConfig on a bad value).
+Result<void> read_unit_request(const json::Value& root, bool run,
+                               Request& request) {
+  std::vector<std::string_view> allowed = {"schema", "type", "kernel"};
+  for (const scenario::RunOption& option : scenario::run_options()) {
+    if (run || !option.run_only) allowed.push_back(option.member);
   }
-  out = std::move(parsed).value();
-  return {};
-}
-
-/// Fills spec.machine / spec.geometry from the optional request members
-/// (defaults: ZOLCfull on the paper geometry, matching the CLI verbs).
-Result<void> parse_unit_members(const json::Value& root,
-                                flow::CompileSpec& spec) {
+  if (auto strict = reject_unknown_members(root, allowed); !strict.ok()) {
+    return strict;
+  }
   auto kernel = string_member(root, "kernel");
   if (!kernel.ok()) return std::move(kernel).error();
   if (!kernel.value() || kernel.value()->empty()) {
     return shape_error("a 'kernel' member is required");
   }
-  spec.kernel = *kernel.value();
-  spec.machine = codegen::MachineKind::kZolcFull;
-  auto machine =
-      axis_member(root, "machine", scenario::parse_machine, spec.machine);
-  if (!machine.ok()) return machine;
-  return axis_member(root, "geometry", scenario::parse_geometry,
-                     spec.geometry);
-}
-
-/// The run-plan members of a "run" request (config / mode / budgets /
-/// preemption / tenants), validated with the shared axis parsers.
-Result<void> parse_plan_members(const json::Value& root,
-                                flow::RunPlan& plan) {
-  auto config =
-      axis_member(root, "config", scenario::parse_config, plan.config);
-  if (!config.ok()) return config;
-  auto mode = axis_member(root, "mode", scenario::parse_mode, plan.mode);
-  if (!mode.ok()) return mode;
-  auto cycles = positive_member(root, "max_cycles");
-  if (!cycles.ok()) return std::move(cycles).error();
-  if (cycles.value()) plan.max_cycles = *cycles.value();
-  auto tenants = positive_member(root, "tenants");
-  if (!tenants.ok()) return std::move(tenants).error();
-  if (tenants.value()) {
-    auto parsed = scenario::parse_tenants(std::to_string(*tenants.value()));
-    if (!parsed.ok()) {
-      return std::move(parsed).error().with_context("serve request");
+  request.spec.kernel = *kernel.value();
+  request.spec.machine = scenario::kDefaultMachine;
+  for (const scenario::RunOption& option : scenario::run_options()) {
+    const json::Value* member = root.find(option.member);
+    if (member == nullptr) continue;
+    std::string text;
+    if (option.integer) {
+      const auto n = member->as_uint();
+      if (!n) {
+        return shape_error(
+            member_error(option.member, "a non-negative integer"));
+      }
+      text = std::to_string(*n);
+    } else if (member->is_string()) {
+      text = member->as_string();
+    } else {
+      return shape_error(member_error(option.member, "a string"));
     }
-    plan.tenants = parsed.value();
+    auto applied = option.apply(text, request.spec, request.plan);
+    if (!applied.ok()) {
+      auto named = std::move(applied).with_context(std::string(option.member));
+      return std::move(named).with_context("serve request");
+    }
   }
-  auto every = positive_member(root, "preempt_every");
-  if (!every.ok()) return std::move(every).error();
-  if (every.value()) plan.preempt_every = *every.value();
   return {};
 }
 
@@ -195,30 +166,12 @@ Result<Request> parse_request(std::string_view payload) {
       }
       break;
     }
-    case RequestType::kCompile: {
-      if (auto strict = reject_unknown_members(
-              root, {"schema", "type", "kernel", "machine", "geometry"});
-          !strict.ok()) {
-        return std::move(strict).error();
-      }
-      if (auto unit = parse_unit_members(root, request.spec); !unit.ok()) {
-        return std::move(unit).error();
-      }
-      break;
-    }
+    case RequestType::kCompile:
     case RequestType::kRun: {
-      if (auto strict = reject_unknown_members(
-              root, {"schema", "type", "kernel", "machine", "geometry",
-                     "config", "mode", "max_cycles", "tenants",
-                     "preempt_every"});
-          !strict.ok()) {
-        return std::move(strict).error();
-      }
-      if (auto unit = parse_unit_members(root, request.spec); !unit.ok()) {
+      if (auto unit = read_unit_request(
+              root, request.type == RequestType::kRun, request);
+          !unit.ok()) {
         return std::move(unit).error();
-      }
-      if (auto plan = parse_plan_members(root, request.plan); !plan.ok()) {
-        return std::move(plan).error();
       }
       break;
     }

@@ -61,10 +61,10 @@ inline constexpr std::size_t kNumRequestTypes = 8;
 /// Wire name of a request type ("ping", "compile", ...).
 [[nodiscard]] std::string_view request_type_name(RequestType type);
 
-/// A parsed, validated request. Axis values (machine names, geometry
-/// labels, suite grids) are validated here with the same parsers the CLI
-/// and scenario layers use, so the daemon accepts exactly the strings
-/// `zolcsim` accepts locally.
+/// A parsed, validated request. Compile and run members are read through
+/// scenario::run_options() and suite grids through the suite parser, the
+/// definitions the CLI uses, so the daemon accepts exactly what `zolcsim`
+/// accepts locally.
 struct Request {
   RequestType type = RequestType::kPing;
   flow::CompileSpec spec;   ///< compile / run: kernel + machine + geometry
@@ -75,7 +75,8 @@ struct Request {
 
 /// Parses and validates one request payload. Errors: kParse (malformed
 /// JSON, missing/unsupported "schema", unknown members, wrong member
-/// types), kBadConfig (unknown request type, invalid axis values).
+/// kinds), kBadConfig (unknown request type, a member value its option
+/// rejects, such as a zero count or an unknown machine).
 [[nodiscard]] Result<Request> parse_request(std::string_view payload);
 
 /// Wraps `payload` in a frame (length prefix + bytes). Precondition:

@@ -1,11 +1,17 @@
 // zolcsim CLI argument parsing: the string forms of the sweep axes must
 // round-trip with the labels the sweep emitters print, bad input must fail
-// with kBadConfig (never crash), and argv splits into flags and positionals.
+// with kBadConfig (never crash), argv splits into flags and positionals,
+// and every run option reads the same from its flag as from its serve
+// request member.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "cli.hpp"
 #include "harness/sweep.hpp"
 #include "scenario/parse.hpp"
+#include "server/protocol.hpp"
 
 namespace zolcsim::cli {
 namespace {
@@ -133,6 +139,65 @@ TEST(CliParse, ArgsSplitFlagsAndPositionals) {
   EXPECT_TRUE(
       args.unknown({"machine", "max-cycles", "kernels"}, {"scan"}).empty());
   EXPECT_EQ(args.unknown({"machine", "kernels"}, {"scan"}).size(), 1u);
+}
+
+TEST(CliParse, EveryRunOptionReadsTheSameFromFlagAndMember) {
+  // A non-default value per option, so a flag or member wired to the wrong
+  // field shows up as a difference from the defaults.
+  const std::map<std::string, std::string> samples = {
+      {"machine", "ZOLClite"},
+      {"geometry", "64t-12l-4x-4e-p14"},
+      {"config", "ID-resolve/gate/nofwd"},
+      {"mode", "iss-fast"},
+      {"max-cycles", "12345"},
+      {"preempt-every", "7"},
+      {"tenants", "3"}};
+  // The fields a run option can set.
+  const auto fields = [](const flow::CompileSpec& spec,
+                         const flow::RunPlan& plan) {
+    return spec.key() + "|" + harness::config_name(plan.config) + "|" +
+           std::string(flow::mode_name(plan.mode)) + "|" +
+           std::to_string(plan.max_cycles) + "|" +
+           std::to_string(plan.preempt_every) + "|" +
+           std::to_string(plan.tenants);
+  };
+  ASSERT_EQ(scenario::run_options().size(), samples.size());
+  for (const scenario::RunOption& option : scenario::run_options()) {
+    const std::string flag(option.flag);
+    SCOPED_TRACE(flag);
+    ASSERT_EQ(samples.count(flag), 1u);
+    const std::string& text = samples.at(flag);
+
+    const std::string arg = "--" + flag + "=" + text;
+    const char* argv[] = {"zolcsim", "run", "dotprod", arg.c_str()};
+    const Args args = Args::parse(4, const_cast<char**>(argv), 2);
+    flow::CompileSpec spec;
+    spec.kernel = "dotprod";
+    flow::RunPlan plan;
+    ASSERT_TRUE(read_run_options(args, true, spec, plan).ok());
+
+    const std::string value = option.integer ? text : "\"" + text + "\"";
+    auto request = server::parse_request(
+        R"({"schema": "zolcsim-serve-v1", "type": "run",)"
+        R"( "kernel": "dotprod", ")" +
+        std::string(option.member) + "\": " + value + "}");
+    ASSERT_TRUE(request.ok()) << request.error().to_string();
+
+    EXPECT_EQ(fields(spec, plan),
+              fields(request.value().spec, request.value().plan));
+    flow::CompileSpec default_spec;
+    default_spec.kernel = "dotprod";
+    default_spec.machine = scenario::kDefaultMachine;
+    EXPECT_NE(fields(spec, plan), fields(default_spec, flow::RunPlan{}));
+    // compile reads exactly the options that are not run-only.
+    flow::CompileSpec compile_spec;
+    compile_spec.kernel = "dotprod";
+    flow::RunPlan compile_plan;
+    ASSERT_TRUE(read_run_options(args, false, compile_spec, compile_plan).ok());
+    EXPECT_EQ(fields(compile_spec, compile_plan),
+              option.run_only ? fields(default_spec, flow::RunPlan{})
+                              : fields(spec, plan));
+  }
 }
 
 TEST(CliParse, SplitListAndErrorRendering) {

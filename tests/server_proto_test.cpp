@@ -162,6 +162,37 @@ TEST_F(ServerProtoTest, BadAxisValuesAreBadConfig) {
   EXPECT_EQ(reply.error().code, ErrorCode::kBadConfig);
 }
 
+TEST_F(ServerProtoTest, RangeErrorsAreBadConfig) {
+  // DESIGN 10.3: a numeric member that is not a non-negative integer is a
+  // shape error; an integer the option rejects is bad content.
+  Client client = connect_ok();
+  const auto run_code = [&client](const std::string& member,
+                                  const std::string& value) {
+    auto reply = client.call(
+        R"({"schema": "zolcsim-serve-v1", "type": "run",)"
+        R"( "kernel": "dotprod", "mode": "iss", ")" +
+        member + "\": " + value + "}");
+    return reply.ok() ? ErrorCode::kUnknown : reply.error().code;
+  };
+  for (const char* member : {"max_cycles", "preempt_every", "tenants"}) {
+    SCOPED_TRACE(member);
+    for (const char* shape : {"-1", "1.5", "\"7\"", "true"}) {
+      EXPECT_EQ(run_code(member, shape), ErrorCode::kParse) << shape;
+    }
+    EXPECT_EQ(run_code(member, "0"), ErrorCode::kBadConfig);
+  }
+  EXPECT_EQ(run_code("tenants", "65"), ErrorCode::kBadConfig);
+  // compile takes machine and geometry only: a run option is unknown.
+  auto compile = client.call(
+      R"({"schema": "zolcsim-serve-v1", "type": "compile",)"
+      R"( "kernel": "dotprod", "mode": "iss"})");
+  ASSERT_FALSE(compile.ok());
+  EXPECT_EQ(compile.error().code, ErrorCode::kParse);
+  EXPECT_NE(compile.error().message.find("unknown request member"),
+            std::string::npos);
+  expect_daemon_alive();
+}
+
 TEST_F(ServerProtoTest, EmptyFrameIsAParseError) {
   Client client = connect_ok();
   auto reply = client.call("");

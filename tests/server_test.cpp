@@ -1,10 +1,10 @@
 // End-to-end serve daemon behaviour over a real Unix-domain socket: warm
 // second requests (zero compiles), byte-identity between the server's sweep
 // rendering and the local run_suite path for every checked-in scenario
-// suite, two concurrent clients compiling each
-// unit exactly once (the cache's singleflight guarantee), the stats
-// endpoint, idle timeouts, warm restarts off an on-disk store, and
-// graceful drain.
+// suite, a run reply against a local flow::run, two concurrent clients
+// compiling each unit exactly once (the cache's singleflight guarantee),
+// the stats endpoint, idle timeouts, warm restarts off an on-disk store,
+// and graceful drain.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "flow/cache.hpp"
+#include "flow/compiled_unit.hpp"
+#include "flow/run.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "server/client.hpp"
@@ -213,6 +215,47 @@ TEST_F(ServerTest, WarmRestartServesEntirelyFromTheStore) {
   EXPECT_EQ(nested_uint(reply, "cache", "compiles"), 0u);
   EXPECT_GT(nested_uint(reply, "cache", "store_hits"), 0u);
   EXPECT_EQ(nested_uint(reply, "prepares", "image_resets"), 0u);
+}
+
+TEST_F(ServerTest, RunReplyMatchesLocalRun) {
+  // Every run-only member is set, so each reaches the daemon's plan.
+  start();
+  Client client = connect_ok();
+  auto reply = client.call(
+      R"({"schema": "zolcsim-serve-v1", "type": "run", "kernel": "dotprod",)"
+      R"( "machine": "ZOLCfull", "config": "EX-resolve/rollback",)"
+      R"( "mode": "iss", "max_cycles": 1000000, "tenants": 2,)"
+      R"( "preempt_every": 7})");
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+
+  flow::CompileSpec spec;
+  spec.kernel = "dotprod";
+  spec.machine = codegen::MachineKind::kZolcFull;
+  auto unit = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+  flow::RunPlan plan;
+  plan.mode.engine = flow::SimEngine::kIss;
+  plan.max_cycles = 1'000'000;
+  plan.tenants = 2;
+  plan.preempt_every = 7;
+  auto local = flow::run(unit.value(), plan);
+  ASSERT_TRUE(local.ok()) << local.error().to_string();
+  const flow::ExperimentResult& r = local.value();
+  ASSERT_GT(r.context_switches, 1u);  // the 7-instruction quantum applied
+
+  const auto member = [&reply](std::string_view key) {
+    const json::Value* value = reply.value().find(key);
+    const auto n = value ? value->as_uint() : std::nullopt;
+    return n.value_or(~std::uint64_t{0});
+  };
+  EXPECT_EQ(member("cycles"), r.stats.cycles);
+  EXPECT_EQ(member("instructions"), r.stats.instructions);
+  EXPECT_EQ(member("continue_events"), r.zolc_stats.continue_events);
+  EXPECT_EQ(member("done_events"), r.zolc_stats.done_events);
+  EXPECT_EQ(member("table_writes"), r.zolc_stats.table_writes);
+  EXPECT_EQ(member("tenants"), 2u);
+  EXPECT_EQ(member("ctx_switches"), r.context_switches);
+  EXPECT_EQ(member("ctx_switch_cycles"), r.context_switch_cycles);
 }
 
 TEST_F(ServerTest, StatsEndpointCountsRequestsAndLatency) {

@@ -1,6 +1,7 @@
 #include "cli.hpp"
 
 #include "common/strings.hpp"
+#include "scenario/parse.hpp"
 
 namespace zolcsim::cli {
 
@@ -63,6 +64,24 @@ std::vector<std::string> split_list(std::string_view s) {
     out.emplace_back(item);
   }
   return out;
+}
+
+Result<void> read_run_options(const Args& args, bool run,
+                              flow::CompileSpec& spec, flow::RunPlan& plan) {
+  spec.machine = scenario::kDefaultMachine;
+  for (const scenario::RunOption& option : scenario::run_options()) {
+    if (option.run_only && !run) continue;
+    const auto text = args.value_of(option.flag);
+    if (!text) continue;
+    const std::string flag = "--" + std::string(option.flag);
+    if (text->empty()) {
+      return Error{ErrorCode::kBadConfig, "empty value for " + flag};
+    }
+    if (auto applied = option.apply(*text, spec, plan); !applied.ok()) {
+      return std::move(applied).error().with_context(flag);
+    }
+  }
+  return {};
 }
 
 std::string render_error(const Error& error) {

@@ -1,6 +1,7 @@
 // Argument handling for the zolcsim CLI driver: flag/positional splitting,
-// list values and error rendering. The axis values themselves parse with
-// scenario::parse_* (scenario/parse.hpp), the grammar suite files share.
+// list values, the run-option flags and error rendering. The values
+// themselves parse with scenario::parse_* and scenario::run_options()
+// (scenario/parse.hpp), the grammar suite files and serve requests share.
 #ifndef ZOLCSIM_TOOLS_ZOLCSIM_CLI_HPP
 #define ZOLCSIM_TOOLS_ZOLCSIM_CLI_HPP
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "flow/run.hpp"
 
 namespace zolcsim::cli {
 
@@ -35,6 +37,14 @@ struct Args {
 
 /// Splits "a,b,c" (empty input -> empty vector).
 [[nodiscard]] std::vector<std::string> split_list(std::string_view s);
+
+/// Reads the scenario::run_options() flags of `run` (all seven) or of
+/// `compile` (machine and geometry) into `spec` and `plan`, after setting
+/// the default machine; an absent flag leaves its field alone. An empty or
+/// unparsable value is an error (kBadConfig) naming the flag.
+[[nodiscard]] Result<void> read_run_options(const Args& args, bool run,
+                                            flow::CompileSpec& spec,
+                                            flow::RunPlan& plan);
 
 /// Renders an Error for the terminal: "error[code]: trail".
 [[nodiscard]] std::string render_error(const Error& error);

@@ -25,7 +25,6 @@
 #include <string>
 #include <system_error>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "cli.hpp"
@@ -107,16 +106,19 @@ commands:
                             both drain gracefully: in-flight requests
                             finish and their replies flush before exit
   client <action>           one request against a serve daemon
-      --socket=PATH         socket path (required)
-      actions: ping | stats | store-stat | shutdown
-        compile <kernel>    --machine=NAME --geometry=LABEL
-        run <kernel>        ... plus --config=NAME --mode=NAME
-                            --max-cycles=N --tenants=N --preempt-every=N
-        sweep               --from-file=SUITE --format=csv|json --out=FILE
+      --socket=PATH         socket path (required by every action); an
+                            action rejects any flag not listed for it
+      ping | stats | store-stat | shutdown
+                            no other flags
+      compile <kernel>      --machine --geometry, as for compile
+      run <kernel>          --machine --geometry --config --mode
+                            --max-cycles --preempt-every --tenants, as
+                            for run
+      sweep                 --from-file=SUITE --format=csv|json --out=FILE
                             --expect-zero-compiles
                             (output is byte-identical to local
                             `zolcsim sweep --from-file`)
-        bench-suite         --from-file=SUITE --out-dir=DIR
+      bench-suite           --from-file=SUITE --out-dir=DIR
 exit codes: 0 ok, 1 toolchain error / comparison failure, 2 usage error
 )";
 
@@ -173,23 +175,6 @@ std::optional<std::uint64_t> positive_int_flag(
     return std::nullopt;
   }
   return static_cast<std::uint64_t>(*n);
-}
-
-/// Fetches "--name=value" through an axis parser (scenario::parse_*).
-/// Returns nullopt when the flag is absent; sets `rc` non-zero on an empty
-/// or unparsable value (a usage error, like an unknown flag).
-template <typename Parse>
-auto parsed_flag(const cli::Args& args, std::string_view name, int& rc,
-                 Parse parse)
-    -> std::optional<std::decay_t<decltype(parse("").value())>> {
-  const auto value = nonempty_value(args, name, rc);
-  if (!value) return std::nullopt;
-  auto parsed = parse(*value);
-  if (!parsed.ok()) {
-    rc = bad_flag_value(parsed.error());
-    return std::nullopt;
-  }
-  return std::move(parsed).value();
 }
 
 int reject_unknown_flags(const cli::Args& args,
@@ -287,25 +272,25 @@ int cmd_list() {
 
 // ----------------------------------------------------- compile helpers ----
 
-/// Shared flag handling for `compile` and `run`: kernel name + machine +
-/// geometry. Returns 0 and fills `out` on success, an exit code otherwise.
-int parse_unit_request(const cli::Args& args, flow::CompileSpec& out) {
-  if (args.positional.size() != 1) {
+/// The flag reader of `compile`, `run` and `client compile|run`: rejects
+/// every flag that is neither one of the verb's run options nor in
+/// `values`/`switches`, takes the kernel name from positional `kernel_at`
+/// and reads the run options into `spec` and `plan`. Returns 0 or an exit
+/// code.
+int read_unit_flags(const cli::Args& args, bool run, std::size_t kernel_at,
+                    std::vector<std::string_view> values,
+                    const std::vector<std::string_view>& switches,
+                    flow::CompileSpec& spec, flow::RunPlan& plan) {
+  for (const scenario::RunOption& option : scenario::run_options()) {
+    if (run || !option.run_only) values.push_back(option.flag);
+  }
+  if (const int rc = reject_unknown_flags(args, values, switches)) return rc;
+  if (args.positional.size() != kernel_at + 1) {
     return usage_error("expected exactly one kernel name");
   }
-  out.kernel = args.positional.front();
-  out.machine = codegen::MachineKind::kZolcFull;
-  int rc = 0;
-  if (const auto machine =
-          parsed_flag(args, "machine", rc, scenario::parse_machine)) {
-    out.machine = *machine;
-  }
-  if (rc != 0) return rc;
-  if (const auto geometry =
-          parsed_flag(args, "geometry", rc, scenario::parse_geometry)) {
-    out.geometry = *geometry;
-  }
-  return rc;
+  spec.kernel = args.positional[kernel_at];
+  auto read = cli::read_run_options(args, run, spec, plan);
+  return read.ok() ? 0 : bad_flag_value(read.error());
 }
 
 void print_unit_summary(const flow::CompiledUnit& unit) {
@@ -341,13 +326,12 @@ void print_scan_report(const flow::CompiledUnit& unit) {
 }
 
 int cmd_compile(const cli::Args& args) {
-  if (const int rc = reject_unknown_flags(args,
-                                          {"machine", "geometry", "format"},
-                                          {"disasm", "scan"})) {
+  flow::CompileSpec spec;
+  flow::RunPlan unused;
+  if (const int rc = read_unit_flags(args, false, 0, {"format"},
+                                     {"disasm", "scan"}, spec, unused)) {
     return rc;
   }
-  flow::CompileSpec spec;
-  if (const int rc = parse_unit_request(args, spec)) return rc;
   int rc = 0;
   bool json_format = false;
   if (const auto format = nonempty_value(args, "format", rc)) {
@@ -380,45 +364,11 @@ int cmd_compile(const cli::Args& args) {
 // ----------------------------------------------------------------- run ----
 
 int cmd_run(const cli::Args& args) {
-  if (const int rc = reject_unknown_flags(
-          args,
-          {"machine", "geometry", "config", "mode", "max-cycles",
-           "preempt-every", "tenants"},
-          {})) {
+  flow::CompileSpec spec;
+  flow::RunPlan plan;
+  if (const int rc = read_unit_flags(args, true, 0, {}, {}, spec, plan)) {
     return rc;
   }
-  flow::CompileSpec spec;
-  if (const int rc = parse_unit_request(args, spec)) return rc;
-
-  flow::RunPlan plan;
-  int rc = 0;
-  if (const auto config =
-          parsed_flag(args, "config", rc, scenario::parse_config)) {
-    plan.config = *config;
-  }
-  if (rc != 0) return rc;
-  if (const auto mode = parsed_flag(args, "mode", rc, scenario::parse_mode)) {
-    plan.mode = *mode;
-  }
-  if (rc != 0) return rc;
-  if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
-    plan.max_cycles = *cycles;
-  }
-  if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
-    plan.preempt_every = *every;
-  }
-  if (rc != 0) return rc;
-  if (const auto tenants =
-          parsed_flag(args, "tenants", rc, scenario::parse_tenants)) {
-    plan.tenants = *tenants;
-  }
-  if (rc != 0) return rc;
-  if ((plan.preempt_every != 0 || plan.tenants != 1) &&
-      plan.mode.engine != flow::SimEngine::kIss) {
-    return usage_error(
-        "--preempt-every/--tenants require --mode=iss or --mode=iss-fast");
-  }
-
   auto unit = flow::CompiledUnit::compile(spec);
   if (!unit.ok()) return toolchain_error(unit.error());
   auto result = flow::run(unit.value(), plan);
@@ -534,9 +484,10 @@ int cmd_sweep(const cli::Args& args) {
   if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
     spec.preempt_every = *every;
   }
-  if (const auto baseline =
-          parsed_flag(args, "baseline", rc, scenario::parse_machine)) {
-    spec.baseline = *baseline;
+  if (const auto baseline = nonempty_value(args, "baseline", rc)) {
+    auto parsed = scenario::parse_machine(*baseline);
+    if (!parsed.ok()) return bad_flag_value(parsed.error());
+    spec.baseline = parsed.value();
   }
   if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
     spec.max_cycles = *cycles;
@@ -902,51 +853,30 @@ int cmd_serve(const cli::Args& args) {
 
 // -------------------------------------------------------------- client ----
 
-/// Builds the compile / run request JSON from the client flags. The axis
-/// values travel as strings and are validated daemon-side with the same
-/// parsers the local verbs use. Returns 0 and fills `payload`, or an exit
-/// code.
-int build_client_unit_request(const cli::Args& args, const char* type,
+/// Builds the compile / run request JSON from the client flags. They are
+/// read by the local verbs' reader, so the client rejects exactly what
+/// `zolcsim compile|run` rejects, then each present flag travels as its
+/// member (integers as bare JSON numbers). Returns 0 and fills `payload`,
+/// or an exit code.
+int build_client_unit_request(const cli::Args& args, bool run,
                               std::string& payload) {
-  if (args.positional.size() != 2) {
-    return usage_error(std::string("client ") + type +
-                       " takes exactly one kernel name");
+  flow::CompileSpec spec;
+  flow::RunPlan plan;
+  if (const int rc =
+          read_unit_flags(args, run, 1, {"socket"}, {}, spec, plan)) {
+    return rc;
   }
-  const bool run = std::string(type) == "run";
-  std::string out = "{\"schema\": \"";
-  out += server::kServeSchema;
-  out += "\", \"type\": \"";
-  out += type;
-  out += "\", \"kernel\": \"";
-  out += json::escape(args.positional[1]);
-  out += "\"";
-  int rc = 0;
-  const std::vector<const char*> string_flags =
-      run ? std::vector<const char*>{"machine", "geometry", "config", "mode"}
-          : std::vector<const char*>{"machine", "geometry"};
-  for (const char* flag : string_flags) {
-    if (const auto value = nonempty_value(args, flag, rc)) {
-      out += std::string(", \"") + flag + "\": \"" + json::escape(*value) +
-             "\"";
-    }
-    if (rc != 0) return rc;
+  payload = "{\"schema\": \"" + std::string(server::kServeSchema) +
+            "\", \"type\": \"" + (run ? "run" : "compile") +
+            "\", \"kernel\": \"" + json::escape(spec.kernel) + "\"";
+  for (const scenario::RunOption& option : scenario::run_options()) {
+    const auto text = args.value_of(option.flag);
+    if (!text) continue;  // run-only flags were rejected for compile
+    payload += ", \"" + std::string(option.member) + "\": ";
+    payload += option.integer ? std::to_string(*parse_int(*text))
+                              : "\"" + json::escape(*text) + "\"";
   }
-  if (run) {
-    if (const auto cycles = positive_int_flag(args, "max-cycles", rc)) {
-      out += ", \"max_cycles\": " + std::to_string(*cycles);
-    }
-    if (const auto tenants =
-            parsed_flag(args, "tenants", rc, scenario::parse_tenants)) {
-      out += ", \"tenants\": " + std::to_string(*tenants);
-    }
-    if (rc != 0) return rc;
-    if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
-      out += ", \"preempt_every\": " + std::to_string(*every);
-    }
-    if (rc != 0) return rc;
-  }
-  out += "}";
-  payload = std::move(out);
+  payload += "}";
   return 0;
 }
 
@@ -1014,34 +944,30 @@ int cmd_client(const cli::Args& args) {
         "bench-suite, store-stat, stats, shutdown)");
   }
   const std::string& action = args.positional.front();
-  if (const int rc = reject_unknown_flags(
-          args,
-          {"socket", "machine", "geometry", "config", "mode", "max-cycles",
-           "tenants", "preempt-every", "from-file", "format", "out",
-           "out-dir"},
-          {"expect-zero-compiles"})) {
-    return rc;
-  }
-  int rc = 0;
-  const auto socket = nonempty_value(args, "socket", rc);
-  if (rc != 0) return rc;
-  if (!socket) return usage_error("client requires --socket=PATH");
-
   std::string payload;
-  if (action == "ping") {
-    payload = server::simple_request(server::RequestType::kPing);
-  } else if (action == "stats") {
-    payload = server::simple_request(server::RequestType::kStats);
-  } else if (action == "store-stat") {
-    payload = server::simple_request(server::RequestType::kStoreStat);
-  } else if (action == "shutdown") {
-    payload = server::simple_request(server::RequestType::kShutdown);
-  } else if (action == "compile" || action == "run") {
-    if (const int unit_rc =
-            build_client_unit_request(args, action.c_str(), payload)) {
-      return unit_rc;
+  for (const server::RequestType type :
+       {server::RequestType::kPing, server::RequestType::kStats,
+        server::RequestType::kStoreStat, server::RequestType::kShutdown}) {
+    if (action == server::request_type_name(type)) {
+      payload = server::simple_request(type);
     }
-  } else if (action == "sweep" || action == "bench-suite") {
+  }
+  // Each action takes only its own flags, checked before connecting.
+  int rc = 0;
+  if (action == "compile" || action == "run") {
+    rc = build_client_unit_request(args, action == "run", payload);
+  } else if (action == "sweep") {
+    rc = reject_unknown_flags(args, {"socket", "from-file", "format", "out"},
+                              {"expect-zero-compiles"});
+  } else if (action == "bench-suite") {
+    rc = reject_unknown_flags(args, {"socket", "from-file", "out-dir"}, {});
+  } else if (!payload.empty()) {
+    rc = reject_unknown_flags(args, {"socket"}, {});
+  } else {
+    return usage_error("unknown client action '" + action + "'");
+  }
+  if (rc != 0) return rc;
+  if (action == "sweep" || action == "bench-suite") {
     const auto suite_path = nonempty_value(args, "from-file", rc);
     if (rc != 0) return rc;
     if (!suite_path) {
@@ -1049,20 +975,17 @@ int cmd_client(const cli::Args& args) {
     }
     auto text = read_text_file(*suite_path);
     if (!text.ok()) return toolchain_error(text.error());
-    if (action == "sweep") {
-      const bool json_format = json_format_flag(args, rc);
-      if (rc != 0) return rc;
-      auto request = server::sweep_request(text.value(), json_format);
-      if (!request.ok()) return toolchain_error(request.error());
-      payload = std::move(request).value();
-    } else {
-      auto request = server::bench_suite_request(text.value());
-      if (!request.ok()) return toolchain_error(request.error());
-      payload = std::move(request).value();
-    }
-  } else {
-    return usage_error("unknown client action '" + action + "'");
+    const bool json_format = json_format_flag(args, rc);
+    if (rc != 0) return rc;
+    auto request = action == "sweep"
+                       ? server::sweep_request(text.value(), json_format)
+                       : server::bench_suite_request(text.value());
+    if (!request.ok()) return toolchain_error(request.error());
+    payload = std::move(request).value();
   }
+  const auto socket = nonempty_value(args, "socket", rc);
+  if (rc != 0) return rc;
+  if (!socket) return usage_error("client requires --socket=PATH");
 
   auto client = server::Client::connect(*socket);
   if (!client.ok()) return toolchain_error(client.error());
