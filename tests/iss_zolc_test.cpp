@@ -3,11 +3,13 @@
 // not a taken control transfer, and rolled back (controller state, index
 // write-back and redirect) when it is. Every instruction kind is placed on
 // the trigger PC of every ZOLC variant, fetching through the code image and
-// through memory.
+// through memory. A kept event's index write lands after the instruction's
+// own write-back, and the instruction reads the pre-event index.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim_test_util.hpp"
@@ -42,7 +44,10 @@ struct Case {
   Instruction instr;
   bool taken = false;  ///< a taken control transfer (to pc_of(kTargetOfs))
   std::vector<RfWrite> writes;  ///< register effects of the instruction
-  std::optional<std::uint32_t> stored_at;  ///< a store of kStoreValue
+  /// A word store: its address and value.
+  std::optional<std::pair<std::uint32_t, std::int32_t>> stored;
+  bool halts = false;
+  bool deactivates = false;  ///< zoloff
 };
 
 std::vector<Case> cases() {
@@ -57,9 +62,29 @@ std::vector<Case> cases() {
       {"jal", b::jal(pc_of(kTargetOfs)), true, {{31, link}}, {}},
       {"jr", b::jr(8), true, {}, {}},
       {"jalr", b::jalr(11, 8), true, {{11, link}}, {}},
-      {"alu", b::add(12, 1, 3), false, {{12, 16}}, {}},
+      {"add", b::add(12, 1, 3), false, {{12, 16}}, {}},
+      {"sub", b::sub(12, 3, 1), false, {{12, 2}}, {}},
+      {"ori", b::ori(12, 1, 0x30), false, {{12, 0x37}}, {}},
+      {"addi", b::addi(12, 1, -3), false, {{12, 4}}, {}},
+      {"mac", b::mac(14, 1, 3), false, {{14, 5 + 7 * 9}}, {}},
+      {"max", b::max(12, 1, 3), false, {{12, 9}}, {}},
+      {"sll", b::sll(12, 3, 4), false, {{12, 9 << 4}}, {}},
+      {"mul", b::mul(12, 1, 3), false, {{12, 63}}, {}},
       {"load", b::lw(13, 0, 9), false, {{13, kLoadValue}}, {}},
-      {"store", b::sw(10, 4, 9), false, {}, kDataAddr + 4},
+      {"store", b::sw(10, 4, 9), false, {}, {{kDataAddr + 4, kStoreValue}}},
+      {"halt", b::halt(), false, {}, {}, true},
+      {"zoloff", b::zoloff(), false, {}, {}, false, true},
+      // The instruction writes the index register: the index write wins.
+      {"addi_to_index", b::addi(kIndexReg, 1, 90), false, {{kIndexReg, 97}},
+       {}},
+      {"load_to_index", b::lw(kIndexReg, 0, 9), false,
+       {{kIndexReg, kLoadValue}}, {}},
+      {"mac_on_index", b::mac(kIndexReg, 1, 3), false, {{kIndexReg, 63}}, {}},
+      {"jalr_to_index", b::jalr(kIndexReg, 8), true, {{kIndexReg, link}}, {}},
+      // The instruction reads the index register: it sees the pre-event 0.
+      {"addi_from_index", b::addi(12, kIndexReg, 5), false, {{12, 5}}, {}},
+      {"store_index", b::sw(kIndexReg, 4, 9), false, {}, {{kDataAddr + 4, 0}}},
+      {"beq_on_index_taken", b::beq(kIndexReg, 0, target_ofs), true, {}, {}},
   };
 }
 
@@ -103,6 +128,7 @@ void seed_registers(RegFile& regs) {
   regs.write(8, static_cast<std::int32_t>(pc_of(kTargetOfs)));
   regs.write(9, static_cast<std::int32_t>(kDataAddr));
   regs.write(10, kStoreValue);
+  regs.write(14, 5);  // mac accumulator
 }
 
 TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
@@ -133,8 +159,10 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
         RegFile expected_regs = iss.regs();
         iss.step();
 
-        // A kept continue event advances the index to 1, writes it back and
-        // redirects to the body start; a taken transfer discards it.
+        // A kept continue event advances the index to 1, writes it back
+        // after the instruction's own write-back and redirects to the body
+        // start; a taken transfer discards it.
+        for (const RfWrite& w : tc.writes) expected_regs.write(w.reg, w.value);
         AccelSnapshot expected_snap = before;
         std::uint32_t expected_pc = pc_of(kTargetOfs);
         if (!tc.taken) {
@@ -142,22 +170,68 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
           expected_regs.write(kIndexReg, 1);
           expected_pc = pc_of(kStartOfs);
         }
-        for (const RfWrite& w : tc.writes) expected_regs.write(w.reg, w.value);
+        if (tc.deactivates) expected_snap.active = false;
 
         EXPECT_EQ(iss.pc(), expected_pc) << what;
+        EXPECT_EQ(iss.halted(), tc.halts) << what;
         EXPECT_TRUE(iss.regs() == expected_regs) << what;
         EXPECT_TRUE(ctrl.snapshot() == expected_snap) << what;
-        EXPECT_EQ(ctrl.trigger_pc(), pc_of(kTriggerOfs)) << what;
+        if (tc.deactivates) {
+          EXPECT_EQ(ctrl.trigger_pc(), std::nullopt) << what;
+        } else {
+          EXPECT_EQ(ctrl.trigger_pc(), pc_of(kTriggerOfs)) << what;
+        }
         IssStats expected_stats;
         expected_stats.instructions = 1;
         expected_stats.taken_control = tc.taken ? 1 : 0;
         expected_stats.zolc_fetch_events = 1;  // counted even when discarded
         EXPECT_TRUE(iss.stats() == expected_stats) << what;
-        if (tc.stored_at) {
-          EXPECT_EQ(memory.read32(*tc.stored_at),
-                    static_cast<std::uint32_t>(kStoreValue))
+        if (tc.stored) {
+          EXPECT_EQ(memory.read32(tc.stored->first),
+                    static_cast<std::uint32_t>(tc.stored->second))
               << what;
         }
+      }
+    }
+  }
+}
+
+TEST(IssFetchEvent, ZolcInstructionAtTheTriggerResolvesTheEventFirst) {
+  // zolon and a table write trap while the controller is active. The event
+  // at their fetch has already resolved when they trap.
+  for (const ZolcVariant variant :
+       {ZolcVariant::kMicro, ZolcVariant::kLite, ZolcVariant::kFull}) {
+    for (const Instruction& instr :
+         {b::zolon(0, 9), b::zolc_write(isa::Opcode::kZolwU, 0, 9),
+          b::zolc_write(isa::Opcode::kZolwLp0, 0, 9)}) {
+      for (const bool use_image : {true, false}) {
+        const std::string what =
+            std::string(isa::opcode_info(instr.op).mnemonic) + " on " +
+            std::string(zolc::variant_name(variant)) +
+            (use_image ? " (image)" : " (memory)");
+        std::vector<Instruction> program(kProgramWords, b::nop());
+        program[kTriggerOfs] = instr;
+        program.back() = b::halt();
+        mem::Memory memory;
+        test::load_program(memory, kBase, program);
+
+        ZolcController ctrl(variant);
+        program_loop(ctrl);
+        AccelSnapshot expected_snap = ctrl.snapshot();
+        expected_snap.loop_current[0] = 1;
+
+        const DecodedImage image(kBase, program);
+        Iss iss(memory);
+        iss.set_accelerator(&ctrl);
+        if (use_image) iss.set_code_image(image);
+        seed_registers(iss.regs());
+        iss.set_pc(pc_of(kTriggerOfs));
+        EXPECT_THROW(iss.step(), SimError) << what;
+
+        EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
+        EXPECT_TRUE(ctrl.snapshot() == expected_snap) << what;
+        EXPECT_EQ(iss.stats().instructions, 0u) << what;
+        EXPECT_EQ(iss.stats().zolc_fetch_events, 1u) << what;
       }
     }
   }
