@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cpu/exec.hpp"
+#include "cpu/regfile.hpp"
 #include "isa/opcodes.hpp"
 
 namespace zolcsim::cpu {
@@ -27,9 +28,11 @@ struct RfWrite {
   friend bool operator==(const RfWrite&, const RfWrite&) = default;
 };
 
-/// Small-vector of RfWrites. Events sit on both simulators' hot paths and
-/// almost always carry one or two writes (a continue event's index update,
-/// a done event's reinit), so the common case stays inline and
+/// Small-vector of RfWrites for the events whose writes wait: the
+/// pipeline's fetch events (applied at resolution), fetch events the ISS
+/// may still discard (at a control transfer) and resolution-time events.
+/// They almost always carry one or two writes (a continue event's index
+/// update, a done event's reinit), so the common case stays inline and
 /// allocation-free; deep cascade reinits spill to the heap.
 class RfWriteList {
  public:
@@ -299,6 +302,13 @@ class LoopAccelerator {
   /// performs the task switch (including combinational cascades across
   /// shared nest boundaries) and returns the redirect + index write-backs.
   virtual std::optional<AccelEvent> on_fetch(std::uint32_t pc) = 0;
+
+  /// on_fetch for an event nothing can discard any more: the same task
+  /// switch, with the index write-backs written straight into `regs` (the
+  /// dedicated write port of Fig. 1) instead of returned. Returns the
+  /// redirect, nullopt to fall through or when `pc` raises no event.
+  virtual std::optional<std::uint32_t> on_fetch_into(std::uint32_t pc,
+                                                     RegFile& regs) = 0;
 
   /// Resolution-time hook: a taken branch/jump at `pc` targeting `target`.
   /// Matches candidate exit records (loop break-outs) and entry records

@@ -53,8 +53,8 @@ inline std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
 
 /// Evaluates the ALU/DSP result of `op`. Precondition: `op` decodes to an
 /// ALU kind (DecodedOp::kAlu .. kAddi). Inline with its helpers: it sits on
-/// the hot paths of the ISS step, the pipeline's EX stage and the summary
-/// tier's replay.
+/// the pipeline's EX stage and, for the generic kinds, under
+/// alu_kind_eval.
 [[nodiscard]] inline std::int32_t alu_eval(isa::Opcode op,
                                            const AluInputs& in) {
   using O = isa::Opcode;
@@ -119,6 +119,53 @@ inline std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
       return static_cast<std::int32_t>(std::countl_zero(ua));
     default:
       ZS_UNREACHABLE("alu_eval: opcode has no ALU result");
+  }
+}
+
+/// The result of the ALU-kind record `op` (kAlu .. kAddi), reading source
+/// registers through `read(reg)` only for the operands its kind uses. The
+/// hot kinds evaluate in place; only the generic kAlu and kAluImm dispatch
+/// again on the opcode, through alu_eval. The ISS step and the summary
+/// tier's replay both evaluate ALU records here, with one case label per
+/// kind: always inlined, the helper's switch then folds into the caller's.
+template <typename ReadReg>
+[[nodiscard, gnu::always_inline]] inline std::int32_t alu_kind_eval(
+    const DecodedOp& op, const ReadReg& read) {
+  using Kind = DecodedOp::Kind;
+  const isa::Instruction& ins = op.instr;
+  switch (op.kind) {
+    case Kind::kAddi:
+      return wrap_add(read(ins.rs), ins.imm);
+    case Kind::kAdd:
+      return wrap_add(read(ins.rs), read(ins.rt));
+    case Kind::kMac:
+      return wrap_add(read(op.dest), wrap_mul(read(ins.rs), read(ins.rt)));
+    case Kind::kMax: {
+      const std::int32_t a = read(ins.rs);
+      const std::int32_t b = read(ins.rt);
+      return a > b ? a : b;
+    }
+    case Kind::kSll:
+      return static_cast<std::int32_t>(static_cast<std::uint32_t>(read(ins.rt))
+                                       << ins.shamt);
+    case Kind::kMul:
+      return wrap_mul(read(ins.rs), read(ins.rt));
+    case Kind::kAlu: {
+      AluInputs in;
+      in.a = read(ins.rs);
+      in.b = read(ins.rt);
+      in.acc = read(op.dest);
+      in.shamt = ins.shamt;
+      return alu_eval(ins.op, in);
+    }
+    case Kind::kAluImm: {
+      AluInputs in;
+      in.a = read(ins.rs);
+      in.b = ins.imm;
+      return alu_eval(ins.op, in);
+    }
+    default:
+      ZS_UNREACHABLE("alu_kind_eval: not an ALU kind");
   }
 }
 

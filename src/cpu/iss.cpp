@@ -31,124 +31,149 @@ void Iss::step() {
     throw SimError("illegal instruction " + hex32(mem_.fetch32(pc_)) +
                    " at " + hex32(pc_));
   }
-  const Instruction& instr = op.instr;
 
-  // Fetch-time ZOLC event (speculative: discarded if this instruction is a
-  // taken control transfer, mirroring the pipeline's rollback). Only a
-  // control transfer can discard it, so only those take the snapshot.
+  // Fetch-time ZOLC event (DESIGN.md 4.2). Only a taken control transfer
+  // discards it, so only those resolve it speculatively (step_control).
+  // A ZOLC instruction resolves it before it executes (step_zolc); any
+  // other instruction after its own write-back, below, so that its index
+  // writes land last and a trapping access leaves the controller as it
+  // was.
   const bool fetch_triggers = accel_ != nullptr && accel_->will_trigger(pc_);
-  if (fetch_triggers && op.is_control()) {
-    pre_fetch_ = accel_->snapshot();
-  }
-  const std::optional<AccelEvent> fetch_event =
-      fetch_triggers ? accel_->on_fetch(pc_) : std::nullopt;
-  if (fetch_triggers) {
-    ZS_ASSERT(fetch_event.has_value());
-    ++stats_.zolc_fetch_events;
-  }
-
-  // Operand reads (before any write-backs of this step).
-  const std::int32_t rs_val = regs_.read(instr.rs);
-  const std::int32_t rt_val = regs_.read(instr.rt);
-  const std::int32_t rd_val = regs_.read(instr.rd);
-
-  bool taken_control = false;
-  std::uint32_t control_target = 0;
-
+  const Instruction& instr = op.instr;
+  const auto read = [this](unsigned reg) { return regs_.read(reg); };
+  // One label per ALU kind: the kind is then known in each case, and
+  // alu_kind_eval's own switch folds away.
   switch (op.kind) {
     case Kind::kAlu:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kAdd:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kMac:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kMax:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kSll:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kMul:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kAluImm:
-    case Kind::kAddi: {
-      AluInputs in;
-      in.a = rs_val;
-      in.b = op.imm_operand() ? instr.imm : rt_val;
-      in.acc = rd_val;
-      in.shamt = instr.shamt;
-      regs_.write(op.dest, alu_eval(instr.op, in));
+      regs_.write(op.dest, alu_kind_eval(op, read));
       break;
-    }
+    case Kind::kAddi:
+      regs_.write(op.dest, alu_kind_eval(op, read));
+      break;
     case Kind::kLoad:
-    case Kind::kStore: {
-      const std::uint32_t addr = static_cast<std::uint32_t>(rs_val) +
-                                 static_cast<std::uint32_t>(instr.imm);
-      if (op.kind == Kind::kLoad) {
-        regs_.write(op.dest, mem_load(instr.op, mem_, addr));
-      } else {
-        mem_store(instr.op, mem_, addr, rt_val);
-      }
+      regs_.write(op.dest, mem_load(instr.op, mem_, effective_address(instr)));
       break;
-    }
+    case Kind::kStore:
+      mem_store(instr.op, mem_, effective_address(instr), regs_.read(instr.rt));
+      break;
     case Kind::kBranch:
     case Kind::kJump:
-    case Kind::kJumpReg: {
-      const ControlOutcome control = resolve_control(op, pc_, rs_val, rt_val);
-      taken_control = control.taken;
-      control_target = control.target;
-      // dbne writes back its decremented counter, jal and jalr their link;
-      // the other transfers have no destination.
-      const std::int32_t written = op.kind == Kind::kBranch
-                                       ? wrap_sub(rs_val, 1)
-                                       : static_cast<std::int32_t>(pc_ + 4);
-      regs_.write(op.dest, written);
-      break;
-    }
-    case Kind::kZolc: {
-      if (accel_ == nullptr) {
-        throw SimError("ZOLC instruction at " + hex32(pc_) +
-                       " with no loop accelerator attached");
-      }
-      if (instr.op == Opcode::kZolOn) {
-        accel_->activate(instr.zidx, static_cast<std::uint32_t>(rs_val));
-      } else if (instr.op == Opcode::kZolOff) {
-        accel_->deactivate();
-      } else {
-        accel_->init_write(instr.op, instr.zidx,
-                           static_cast<std::uint32_t>(rs_val));
-      }
-      break;
-    }
+    case Kind::kJumpReg:
+      step_control(op, fetch_triggers);
+      return;
+    case Kind::kZolc:
+      step_zolc(instr, fetch_triggers);
+      return;
     case Kind::kHalt:
       halted_ = true;
       break;
     case Kind::kInvalid:
       ZS_UNREACHABLE("invalid instructions trap at fetch");
   }
+  retire(instr, fetch_triggers ? resolve_fetch_event() : std::nullopt);
+}
+
+std::uint32_t Iss::effective_address(const Instruction& instr) const {
+  return regs_.read_u(instr.rs) + static_cast<std::uint32_t>(instr.imm);
+}
+
+std::optional<std::uint32_t> Iss::resolve_fetch_event() {
+  ++stats_.zolc_fetch_events;
+  return accel_->on_fetch_into(pc_, regs_);
+}
+
+void Iss::retire(const Instruction& instr,
+                 std::optional<std::uint32_t> redirect) {
+  ++stats_.instructions;
+  if (retire_hook_) retire_hook_(pc_, instr);
+  fetch_redirected_ = redirect.has_value();
+  pc_ = redirect.value_or(pc_ + 4);
+}
+
+void Iss::step_control(const DecodedOp& op, bool fetch_triggers) {
+  const Instruction& instr = op.instr;
+  // The fetch event is speculative here: it resolves into an AccelEvent
+  // over a snapshot, and a taken transfer discards both, mirroring the
+  // pipeline's rollback.
+  std::optional<AccelEvent> fetch_event;
+  if (fetch_triggers) {
+    pre_fetch_ = accel_->snapshot();
+    fetch_event = accel_->on_fetch(pc_);
+    ZS_ASSERT(fetch_event.has_value());
+    ++stats_.zolc_fetch_events;
+  }
+  const std::int32_t rs_val = regs_.read(instr.rs);
+  const ControlOutcome control =
+      resolve_control(op, pc_, rs_val, regs_.read(instr.rt));
+  // dbne writes back its decremented counter, jal and jalr their link;
+  // the other transfers have no destination.
+  const std::int32_t written = op.kind == Kind::kBranch
+                                   ? wrap_sub(rs_val, 1)
+                                   : static_cast<std::int32_t>(pc_ + 4);
+  regs_.write(op.dest, written);
+
+  if (!control.taken) {
+    std::optional<std::uint32_t> redirect;
+    if (fetch_event) {
+      for (const RfWrite& w : fetch_event->rf_writes) {
+        regs_.write(w.reg, w.value);
+      }
+      redirect = fetch_event->redirect;
+    }
+    retire(instr, redirect);
+    return;
+  }
 
   ++stats_.instructions;
   if (retire_hook_) retire_hook_(pc_, instr);
-
-  if (taken_control) {
-    ++stats_.taken_control;
-    // The fetch-time speculation assumed fall-through; discard it.
-    if (fetch_event) {
-      accel_->restore(pre_fetch_);
-    }
-    if (accel_ != nullptr) {
-      if (auto resolution = accel_->on_taken_control(pc_, control_target)) {
-        ++stats_.zolc_resolution_events;
-        for (const RfWrite& w : resolution->rf_writes) {
-          regs_.write(w.reg, w.value);
-        }
+  ++stats_.taken_control;
+  if (fetch_event) accel_->restore(pre_fetch_);
+  if (accel_ != nullptr) {
+    if (auto resolution = accel_->on_taken_control(pc_, control.target)) {
+      ++stats_.zolc_resolution_events;
+      for (const RfWrite& w : resolution->rf_writes) {
+        regs_.write(w.reg, w.value);
       }
     }
-    pc_ = control_target;
-    return;
   }
+  pc_ = control.target;
+}
 
-  if (fetch_event) {
-    for (const RfWrite& w : fetch_event->rf_writes) {
-      regs_.write(w.reg, w.value);
-    }
-    fetch_redirected_ = fetch_event->redirect.has_value();
-    pc_ = fetch_event->redirect.value_or(pc_ + 4);
-    return;
+void Iss::step_zolc(const Instruction& instr, bool fetch_triggers) {
+  if (accel_ == nullptr) {
+    throw SimError("ZOLC instruction at " + hex32(pc_) +
+                   " with no loop accelerator attached");
   }
-  pc_ += 4;
+  // The operand is read before the fetch event's index writes land.
+  const std::uint32_t value = regs_.read_u(instr.rs);
+  const std::optional<std::uint32_t> redirect =
+      fetch_triggers ? resolve_fetch_event() : std::nullopt;
+  if (instr.op == Opcode::kZolOn) {
+    accel_->activate(instr.zidx, value);
+  } else if (instr.op == Opcode::kZolOff) {
+    accel_->deactivate();
+  } else {
+    accel_->init_write(instr.op, instr.zidx, value);
+  }
+  retire(instr, redirect);
 }
 
 std::uint64_t Iss::run(std::uint64_t max_steps) {

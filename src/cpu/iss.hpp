@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "cpu/accel.hpp"
 #include "cpu/decoded.hpp"
@@ -91,6 +92,21 @@ class Iss {
   std::uint64_t run_slice(std::uint64_t max_steps);
 
  private:
+  /// Executes a branch or jump, whose fetch event is speculative.
+  void step_control(const DecodedOp& op, bool fetch_triggers);
+  /// Executes a ZOLC instruction, after its fetch event.
+  void step_zolc(const isa::Instruction& instr, bool fetch_triggers);
+  /// The byte address a load or store at rs + imm accesses.
+  [[nodiscard]] std::uint32_t effective_address(
+      const isa::Instruction& instr) const;
+  /// Counts this step's fetch event and resolves it straight into the
+  /// register file; returns its redirect.
+  std::optional<std::uint32_t> resolve_fetch_event();
+  /// Counts and reports the executed instruction, then moves to `redirect`
+  /// or falls through.
+  void retire(const isa::Instruction& instr,
+              std::optional<std::uint32_t> redirect);
+
   mem::Memory& mem_;
   RegFile regs_;
   const DecodedImage* image_ = nullptr;

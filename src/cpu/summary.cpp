@@ -171,56 +171,38 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
   RunOutcome out;
   const DecodedOp* const ops = body.ops.data();
   const std::size_t n = body.ops.size();
+  const auto read = [&regs](unsigned reg) { return regs.read_raw(reg); };
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
   for (std::size_t j = 0; j < n; ++j) {
     const DecodedOp& u = ops[j];
     const Instruction& ins = u.instr;
+    // One label per ALU kind: the kind is then known in each case, and
+    // alu_kind_eval's own switch folds away.
     switch (u.kind) {
-      case Kind::kAddi:
-        regs.write_raw(u.dest, wrap_add(regs.read_raw(ins.rs), ins.imm));
+      case Kind::kAlu:
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
       case Kind::kAdd:
-        regs.write_raw(u.dest,
-                       wrap_add(regs.read_raw(ins.rs), regs.read_raw(ins.rt)));
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
-      case Kind::kMac: {
-        const std::int32_t prod =
-            wrap_mul(regs.read_raw(ins.rs), regs.read_raw(ins.rt));
-        regs.write_raw(u.dest, wrap_add(regs.read_raw(u.dest), prod));
+      case Kind::kMac:
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
-      }
-      case Kind::kMax: {
-        const std::int32_t a = regs.read_raw(ins.rs);
-        const std::int32_t b = regs.read_raw(ins.rt);
-        regs.write_raw(u.dest, a > b ? a : b);
+      case Kind::kMax:
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
-      }
       case Kind::kSll:
-        regs.write_raw(u.dest,
-                       static_cast<std::int32_t>(
-                           static_cast<std::uint32_t>(regs.read_raw(ins.rt))
-                           << ins.shamt));
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
       case Kind::kMul:
-        regs.write_raw(u.dest,
-                       wrap_mul(regs.read_raw(ins.rs), regs.read_raw(ins.rt)));
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
-      case Kind::kAlu: {
-        AluInputs in;
-        in.a = regs.read_raw(ins.rs);
-        in.b = regs.read_raw(ins.rt);
-        in.acc = regs.read_raw(u.dest);
-        in.shamt = ins.shamt;
-        regs.write_raw(u.dest, alu_eval(ins.op, in));
+      case Kind::kAluImm:
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
-      }
-      case Kind::kAluImm: {
-        AluInputs in;
-        in.a = regs.read_raw(ins.rs);
-        in.b = ins.imm;
-        regs.write_raw(u.dest, alu_eval(ins.op, in));
+      case Kind::kAddi:
+        regs.write_raw(u.dest, alu_kind_eval(u, read));
         break;
-      }
       case Kind::kLoad: {
         const auto addr =
             static_cast<std::uint32_t>(regs.read_raw(ins.rs) + ins.imm);
@@ -270,7 +252,9 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
         // Bail before a store lands inside any summarized region: the
         // cached records must never go stale. Conservative (the bounds
         // cover the whole cached span), costs two compares per store.
-        if (addr <= cache_hi_ + 3 && addr + u.width > cache_lo_) {
+        // 64-bit sums: a store to the last word must not wrap to 0.
+        if (std::uint64_t{addr} <= std::uint64_t{cache_hi_} + 3 &&
+            std::uint64_t{addr} + u.width > cache_lo_) {
           *bail = BailoutReason::kSelfModifyingStore;
           out.partial = j;
           return out;

@@ -9,14 +9,10 @@
 
 namespace zolcsim::mem {
 
-namespace {
-
-[[noreturn]] void misaligned(std::uint32_t addr, unsigned size) {
+void Memory::misaligned(std::uint32_t addr, unsigned size) {
   throw MemoryFault("misaligned " + std::to_string(size) +
                     "-byte access at " + hex32(addr));
 }
-
-}  // namespace
 
 std::uint8_t* Memory::add_page(std::uint32_t addr) {
   const std::uint32_t leaf = addr >> (kPageBits + kLeafBits);
@@ -72,52 +68,6 @@ bool operator==(const Memory& a, const Memory& b) {
     return true;
   };
   return covered_by(a, b) && covered_by(b, a);
-}
-
-std::uint8_t Memory::read8(std::uint32_t addr) const {
-  const std::uint8_t* page = peek_page(addr);
-  return page ? page[addr & (kPageSize - 1)] : 0;
-}
-
-std::uint16_t Memory::read16(std::uint32_t addr) const {
-  if (!is_aligned(addr, 2)) misaligned(addr, 2);
-  const std::uint8_t* page = peek_page(addr);
-  if (!page) return 0;
-  const std::uint32_t ofs = addr & (kPageSize - 1);
-  return static_cast<std::uint16_t>(
-      page[ofs] | (static_cast<std::uint16_t>(page[ofs + 1]) << 8));
-}
-
-std::uint32_t Memory::read32(std::uint32_t addr) const {
-  if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  const std::uint8_t* page = peek_page(addr);
-  if (!page) return 0;
-  const std::uint32_t ofs = addr & (kPageSize - 1);
-  std::uint32_t value = 0;
-  std::memcpy(&value, page + ofs, 4);  // host is little-endian (x86/ARM64)
-  return value;
-}
-
-std::uint32_t Memory::fetch32(std::uint32_t addr) const {
-  return read32(addr);
-}
-
-void Memory::write8(std::uint32_t addr, std::uint8_t value) {
-  touch_page(addr)[addr & (kPageSize - 1)] = value;
-}
-
-void Memory::write16(std::uint32_t addr, std::uint16_t value) {
-  if (!is_aligned(addr, 2)) misaligned(addr, 2);
-  std::uint8_t* page = touch_page(addr);
-  const std::uint32_t ofs = addr & (kPageSize - 1);
-  page[ofs] = static_cast<std::uint8_t>(value & 0xFF);
-  page[ofs + 1] = static_cast<std::uint8_t>(value >> 8);
-}
-
-void Memory::write32(std::uint32_t addr, std::uint32_t value) {
-  if (!is_aligned(addr, 4)) misaligned(addr, 4);
-  std::uint8_t* page = touch_page(addr);
-  std::memcpy(page + (addr & (kPageSize - 1)), &value, 4);
 }
 
 void Memory::load_bytes(std::uint32_t addr,

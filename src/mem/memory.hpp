@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -42,18 +43,51 @@ class Memory {
 
   Memory() = default;
 
-  // Reads. Unwritten memory reads as zero.
-  [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const;
-  [[nodiscard]] std::uint16_t read16(std::uint32_t addr) const;
-  [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const;
+  // Reads and writes, inline over peek_page/touch_page: they sit on the
+  // ISS's per-instruction path. Unwritten memory reads as zero.
 
-  // Writes.
-  void write8(std::uint32_t addr, std::uint8_t value);
-  void write16(std::uint32_t addr, std::uint16_t value);
-  void write32(std::uint32_t addr, std::uint32_t value);
+  [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const {
+    const std::uint8_t* page = peek_page(addr);
+    return page ? page[addr & (kPageSize - 1)] : 0;
+  }
+
+  [[nodiscard]] std::uint16_t read16(std::uint32_t addr) const {
+    if ((addr & 1u) != 0) misaligned(addr, 2);
+    const std::uint8_t* page = peek_page(addr);
+    if (!page) return 0;
+    std::uint16_t value = 0;
+    std::memcpy(&value, page + (addr & (kPageSize - 1)), 2);
+    return value;
+  }
+
+  [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const {
+    if ((addr & 3u) != 0) misaligned(addr, 4);
+    const std::uint8_t* page = peek_page(addr);
+    if (!page) return 0;
+    std::uint32_t value = 0;
+    // The host is little-endian (x86/ARM64), like the modelled core.
+    std::memcpy(&value, page + (addr & (kPageSize - 1)), 4);
+    return value;
+  }
+
+  void write8(std::uint32_t addr, std::uint8_t value) {
+    touch_page(addr)[addr & (kPageSize - 1)] = value;
+  }
+
+  void write16(std::uint32_t addr, std::uint16_t value) {
+    if ((addr & 1u) != 0) misaligned(addr, 2);
+    std::memcpy(touch_page(addr) + (addr & (kPageSize - 1)), &value, 2);
+  }
+
+  void write32(std::uint32_t addr, std::uint32_t value) {
+    if ((addr & 3u) != 0) misaligned(addr, 4);
+    std::memcpy(touch_page(addr) + (addr & (kPageSize - 1)), &value, 4);
+  }
 
   /// Instruction fetch: same as read32.
-  [[nodiscard]] std::uint32_t fetch32(std::uint32_t addr) const;
+  [[nodiscard]] std::uint32_t fetch32(std::uint32_t addr) const {
+    return read32(addr);
+  }
 
   /// Copies a block of bytes into memory starting at `addr`.
   void load_bytes(std::uint32_t addr, std::span<const std::uint8_t> bytes);
@@ -119,6 +153,11 @@ class Memory {
  private:
   using Page = std::unique_ptr<std::uint8_t[]>;
   using Leaf = std::array<Page, kLeafPages>;
+
+  /// Raises the MemoryFault for a misaligned `size`-byte access at `addr`.
+  /// Out of line and cold, so the inline accessors stay small.
+  [[noreturn, gnu::cold]] static void misaligned(std::uint32_t addr,
+                                                 unsigned size);
 
   /// This memory's own page containing `addr`, ignoring the baseline.
   [[nodiscard]] std::uint8_t* own_page(std::uint32_t addr) const {

@@ -251,15 +251,9 @@ std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
   return base_ + (static_cast<std::uint32_t>(ofs) << 2);
 }
 
-std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
-  // Every path returns `out`, so the event is built in the caller's slot.
-  std::optional<AccelEvent> out;
-  if (!will_trigger(pc)) return out;
-
-  AccelEvent& ev = out.emplace();
-  const auto sink = [&ev](std::uint8_t reg, std::int32_t value) {
-    ev.rf_writes.push_back(RfWrite{reg, value});
-  };
+template <typename Sink>
+std::optional<std::uint32_t> ZolcController::fetch_event(std::uint32_t pc,
+                                                         const Sink& sink) {
   // An armed trigger implies active_, so the export exists; only a stale
   // one takes the out-of-line rebuild.
   const cpu::NestProgram& program = nest_dirty_ ? *nest_program() : nest_prog_;
@@ -280,9 +274,27 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
     stats_.max_cascade_depth = std::max<std::uint64_t>(stats_.max_cascade_depth,
                                                        walk.depth);
   }
-  ev.redirect = walk.redirect;
   refresh_trigger();
+  return walk.redirect;
+}
+
+std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
+  // Every path returns `out`, so the event is built in the caller's slot.
+  std::optional<AccelEvent> out;
+  if (!will_trigger(pc)) return out;
+  AccelEvent& ev = out.emplace();
+  ev.redirect = fetch_event(pc, [&ev](std::uint8_t reg, std::int32_t value) {
+    ev.rf_writes.push_back(RfWrite{reg, value});
+  });
   return out;
+}
+
+std::optional<std::uint32_t> ZolcController::on_fetch_into(
+    std::uint32_t pc, cpu::RegFile& regs) {
+  if (!will_trigger(pc)) return std::nullopt;
+  return fetch_event(pc, [&regs](std::uint8_t reg, std::int32_t value) {
+    regs.write(reg, value);
+  });
 }
 
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {

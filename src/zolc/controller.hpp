@@ -6,8 +6,9 @@
 // paper's prototype, wider/deeper geometries size every table at runtime.
 // The live loop indices sit in one array sized by the geometry's loops.
 //
-// Event semantics (DESIGN.md 4.2); on_fetch runs cpu::walk_fetch_event over
-// nest_program(), the same walk the ISS summary tier uses:
+// Event semantics (DESIGN.md 4.2); on_fetch and on_fetch_into run
+// cpu::walk_fetch_event over nest_program(), the same walk the ISS summary
+// tier uses:
 //  * task end     -- fetch PC matches the current task's end_pc: update the
 //                    controlling loop's index, pick the continue/done
 //                    successor, redirect fetch; `done` re-initializes the
@@ -87,6 +88,8 @@ class ZolcController final : public cpu::LoopAccelerator {
   void activate(std::uint8_t start_task, std::uint32_t base) override;
   void deactivate() override;
   std::optional<cpu::AccelEvent> on_fetch(std::uint32_t pc) override;
+  std::optional<std::uint32_t> on_fetch_into(std::uint32_t pc,
+                                             cpu::RegFile& regs) override;
   std::optional<cpu::AccelEvent> on_taken_control(std::uint32_t pc,
                                                   std::uint32_t target) override;
   [[nodiscard]] cpu::AccelSnapshot snapshot() const override;
@@ -102,6 +105,13 @@ class ZolcController final : public cpu::LoopAccelerator {
   /// addressable window.
   [[nodiscard]] bool pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const;
   [[nodiscard]] std::uint32_t ofs_to_pc(std::uint16_t ofs) const noexcept;
+
+  /// The fetch event at the armed `pc`, shared by on_fetch and
+  /// on_fetch_into: walks the tables, sending index writes to `sink`,
+  /// counts the events, raises a WalkFault as SimError and re-arms the
+  /// trigger. Returns the redirect.
+  template <typename Sink>
+  std::optional<std::uint32_t> fetch_event(std::uint32_t pc, const Sink& sink);
 
   /// Re-initializes every loop in `mask`, appending RF write-backs to `ev`.
   void apply_reinit_mask(std::uint32_t mask, cpu::AccelEvent& ev);

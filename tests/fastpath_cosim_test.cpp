@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "cpu/iss.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
@@ -309,6 +310,7 @@ struct BailoutRun {
   cpu::RegFile regs;
   FastPathStats fastpath;
   zolc::ZolcStats zolc_stats;
+  cpu::AccelSnapshot snapshot;
   bool controller_active = false;
 };
 
@@ -328,8 +330,12 @@ BailoutRun run_iss_tier(const std::vector<Instruction>& prog,
   iss.set_pc(kBase);
   iss.run(2'000'000);
   EXPECT_TRUE(iss.halted());
-  return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
-                    controller.zolc_stats(), controller.active()};
+  return BailoutRun{iss.stats(),
+                    iss.regs(),
+                    iss.fastpath_stats(),
+                    controller.zolc_stats(),
+                    controller.snapshot(),
+                    controller.active()};
 }
 
 /// The fast tier preempted every `quantum` instructions: the controller's
@@ -356,8 +362,12 @@ BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
     if (iss.halted()) break;
     flow::preempt_cycle(controller);
   }
-  return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
-                    controller.zolc_stats(), controller.active()};
+  return BailoutRun{iss.stats(),
+                    iss.regs(),
+                    iss.fastpath_stats(),
+                    controller.zolc_stats(),
+                    controller.snapshot(),
+                    controller.active()};
 }
 
 /// Runs `prog` under both tiers, requires architectural equality, and
@@ -368,29 +378,32 @@ BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
 BailoutRun expect_bailout_cosim(const std::vector<Instruction>& prog,
                                 ZolcVariant variant, BailoutReason reason,
                                 std::uint64_t min_backedges = 2,
-                                const std::vector<std::uint32_t>& data = {}) {
-  const BailoutRun base =
-      run_iss_tier(prog, variant, /*fast=*/false, min_backedges, data);
-  const BailoutRun fast =
-      run_iss_tier(prog, variant, /*fast=*/true, min_backedges, data);
+                                const std::vector<std::uint32_t>& data = {},
+                                std::uint32_t data_base = 0x4000) {
+  const BailoutRun base = run_iss_tier(prog, variant, /*fast=*/false,
+                                       min_backedges, data, data_base);
+  const BailoutRun fast = run_iss_tier(prog, variant, /*fast=*/true,
+                                       min_backedges, data, data_base);
   EXPECT_TRUE(fast.regs == base.regs)
       << "bailout " << cpu::bailout_reason_name(reason)
       << " is not architecturally invisible";
   EXPECT_EQ(fast.stats.instructions, base.stats.instructions);
   EXPECT_EQ(fast.stats.zolc_fetch_events, base.stats.zolc_fetch_events);
   EXPECT_TRUE(fast.zolc_stats == base.zolc_stats);
+  EXPECT_TRUE(fast.snapshot == base.snapshot);
   EXPECT_EQ(fast.controller_active, base.controller_active);
   EXPECT_GE(fast.fastpath.bailout(reason), 1u)
       << "expected at least one " << cpu::bailout_reason_name(reason);
 
   const BailoutRun preempted = run_fast_tier_preempted(
-      prog, variant, min_backedges, /*quantum=*/13, data);
+      prog, variant, min_backedges, /*quantum=*/13, data, data_base);
   EXPECT_TRUE(preempted.regs == base.regs)
       << "bailout " << cpu::bailout_reason_name(reason)
       << " diverged under mid-replay save/restore";
   EXPECT_EQ(preempted.stats.instructions, base.stats.instructions);
   EXPECT_EQ(preempted.stats.zolc_fetch_events, base.stats.zolc_fetch_events);
   EXPECT_TRUE(preempted.zolc_stats == base.zolc_stats);
+  EXPECT_TRUE(preempted.snapshot == base.snapshot);
   EXPECT_EQ(preempted.controller_active, base.controller_active);
   EXPECT_GE(preempted.fastpath.bailout(reason), 1u)
       << "expected " << cpu::bailout_reason_name(reason)
@@ -560,8 +573,8 @@ TEST(FastPathBailouts, ZolcInstructionInRegionDeclines) {
 
 /// Runs `prog` until it throws `Fault`: on the baseline tier, on the fast
 /// tier, or on the fast tier preempted every 13 instructions. All three must
-/// stop at the same retired instruction with the same registers and
-/// ZolcStats, and both fast runs must have declined with kTrap at least
+/// stop at the same retired instruction with the same registers, ZolcStats
+/// and controller snapshot, and both fast runs must have declined with kTrap at least
 /// once, leaving the baseline to raise the fault. Returns the fast run.
 template <typename Fault>
 BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
@@ -589,8 +602,12 @@ BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
     } else {
       EXPECT_THROW(iss.run(2'000'000), Fault);
     }
-    return BailoutRun{iss.stats(), iss.regs(), iss.fastpath_stats(),
-                      controller.zolc_stats(), controller.active()};
+    return BailoutRun{iss.stats(),
+                      iss.regs(),
+                      iss.fastpath_stats(),
+                      controller.zolc_stats(),
+                      controller.snapshot(),
+                      controller.active()};
   };
   const BailoutRun base = run_to_fault(false, false);
   const BailoutRun fast = run_to_fault(true, false);
@@ -599,6 +616,7 @@ BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
     EXPECT_TRUE(run->regs == base.regs);
     EXPECT_EQ(run->stats.instructions, base.stats.instructions);
     EXPECT_TRUE(run->zolc_stats == base.zolc_stats);
+    EXPECT_TRUE(run->snapshot == base.snapshot);
     EXPECT_GE(run->fastpath.bailout(BailoutReason::kTrap), 1u);
   }
   return fast;
@@ -624,6 +642,34 @@ TEST(FastPathBailouts, MisalignedAccessBailsThenTrapsPrecisely) {
     // first element still in r6, the fault instruction not retired.
     EXPECT_EQ(fast.regs.read_u(7), 0x4002u);
     EXPECT_EQ(fast.regs.read(6), 11);
+  }
+}
+
+TEST(FastPathBailouts, MisalignedLoadAtTheTriggerTrapsBeforeItsEvent) {
+  // The load at the task's end PC reads r7 + (i >> 2): aligned for the
+  // first four passes, which the fast tier replays, misaligned on the
+  // fifth. The event at the trigger resolves only after the load, so both
+  // tiers trap with the controller and the index register still at 4 and
+  // that event uncounted.
+  std::vector<Instruction> setup;
+  li32(setup, 7, 0x4000);  // data pointer
+  for (const ZolcVariant variant : kSingleLoopVariants) {
+    SCOPED_TRACE(zolc::variant_name(variant));
+    const auto prog = summing_loop_program(
+        variant, 50,
+        {b::add(2, 2, 1), b::srl(5, 1, 2), b::add(6, 7, 5), b::lw(6, 0, 6)},
+        setup);
+    const BailoutRun fast =
+        expect_fault_cosim<mem::MemoryFault>(prog, variant, {11, 22, 33});
+    EXPECT_EQ(fast.regs.read(1), 4);
+    EXPECT_EQ(fast.regs.read(2), 4 * 5 / 2);
+    EXPECT_EQ(fast.regs.read_u(6), 0x4001u);
+    EXPECT_EQ(fast.snapshot.loop_current[0], 4);
+    EXPECT_EQ(fast.snapshot.current_task, 0u);
+    EXPECT_TRUE(fast.snapshot.active);
+    EXPECT_EQ(fast.stats.zolc_fetch_events, 4u);
+    EXPECT_EQ(fast.zolc_stats.continue_events, 4u);
+    EXPECT_GE(fast.fastpath.engagements, 1u);
   }
 }
 
@@ -703,6 +749,51 @@ TEST(FastPathBailouts, StoreIntoSummarizedCodeDeclines) {
   const BailoutRun fast = expect_bailout_cosim(
       prog, ZolcVariant::kLite, BailoutReason::kSelfModifyingStore);
   EXPECT_EQ(fast.regs.read(2), 30 * 29 / 2);
+}
+
+TEST(FastPathBailouts, StoreIntoSummarizedCodeAtTheTopOfMemoryDeclines) {
+  // An image-less uZOLC body that rewrites its own last word on alternate
+  // passes, toggling it between two increments of r3. At 0xFFFFFFF0 the
+  // last word ends the address space, so its store's end address wraps to
+  // 0; the fast tier must still see the store landing in summarized code.
+  // The done event falls through to end_pc + 4, the halt past the body.
+  const std::uint32_t inc1 = isa::encode(b::addi(3, 3, 1));
+  const std::uint32_t inc2 = isa::encode(b::addi(3, 3, 2));
+  for (const std::uint32_t body : {0x8000u, 0xFFFFFFF0u}) {
+    SCOPED_TRACE(hex32(body));
+    const std::uint32_t last = body + 12;
+    std::vector<Instruction> prog;
+    prog.push_back(b::addi(1, 0, 0));  // index register
+    prog.push_back(b::addi(3, 0, 0));  // sum of the executed increments
+    li32(prog, 6, inc1);               // the last word as loaded
+    li32(prog, 7, inc1 ^ inc2);        // toggle mask
+    li32(prog, 11, last);              // store address
+    li32(prog, 10, body);              // jump target
+    using zolc::MicroReg;
+    const auto write = [&prog](MicroReg reg, std::uint32_t value) {
+      emit_table_write(prog, Opcode::kZolwU, static_cast<std::uint8_t>(reg),
+                       value);
+    };
+    write(MicroReg::kInitial, 0);
+    write(MicroReg::kFinal, 30);
+    write(MicroReg::kStep, 1);
+    write(MicroReg::kStartPc, body);
+    write(MicroReg::kEndPc, last);
+    write(MicroReg::kCtrl, zolc::pack_micro_ctrl(1, LoopCond::kLt));
+    emit_activate(prog, 0);
+    prog.push_back(b::jr(10));
+    const std::vector<std::uint32_t> code = {
+        isa::encode(b::xor_(6, 6, 7)),   // the other increment
+        isa::encode(b::sw(6, 0, 11)),    // rewrite the last word
+        isa::encode(b::nop()),
+        inc1,                            // task end: the rewritten word
+        isa::encode(b::halt()),          // end_pc + 4 (wraps to 0)
+    };
+    const BailoutRun fast =
+        expect_bailout_cosim(prog, ZolcVariant::kMicro,
+                             BailoutReason::kSelfModifyingStore, 2, code, body);
+    EXPECT_EQ(fast.regs.read(3), 15 * 2 + 15 * 1);
+  }
 }
 
 TEST(FastPathBailouts, OverlappingStoresInOneIterationDecline) {

@@ -198,7 +198,8 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
 
 TEST(IssFetchEvent, ZolcInstructionAtTheTriggerResolvesTheEventFirst) {
   // zolon and a table write trap while the controller is active. The event
-  // at their fetch has already resolved when they trap.
+  // at their fetch has already resolved in full when they trap: the
+  // controller has advanced and the index write has landed.
   for (const ZolcVariant variant :
        {ZolcVariant::kMicro, ZolcVariant::kLite, ZolcVariant::kFull}) {
     for (const Instruction& instr :
@@ -226,12 +227,58 @@ TEST(IssFetchEvent, ZolcInstructionAtTheTriggerResolvesTheEventFirst) {
         if (use_image) iss.set_code_image(image);
         seed_registers(iss.regs());
         iss.set_pc(pc_of(kTriggerOfs));
+        RegFile expected_regs = iss.regs();
+        expected_regs.write(kIndexReg, 1);
         EXPECT_THROW(iss.step(), SimError) << what;
 
         EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
+        EXPECT_TRUE(iss.regs() == expected_regs) << what;
         EXPECT_TRUE(ctrl.snapshot() == expected_snap) << what;
         EXPECT_EQ(iss.stats().instructions, 0u) << what;
         EXPECT_EQ(iss.stats().zolc_fetch_events, 1u) << what;
+      }
+    }
+  }
+}
+
+TEST(IssFetchEvent, TrappingAccessAtTheTriggerLeavesTheEventUnresolved) {
+  // The event resolves after the instruction's write-back, so a misaligned
+  // access traps first: controller, registers and counters stay as they
+  // were before the step.
+  for (const ZolcVariant variant :
+       {ZolcVariant::kMicro, ZolcVariant::kLite, ZolcVariant::kFull}) {
+    for (const Instruction& instr :
+         {b::lw(13, 2, 9), b::lh(13, 1, 9), b::sw(10, 2, 9)}) {
+      for (const bool use_image : {true, false}) {
+        const std::string what =
+            std::string(isa::opcode_info(instr.op).mnemonic) + " on " +
+            std::string(zolc::variant_name(variant)) +
+            (use_image ? " (image)" : " (memory)");
+        std::vector<Instruction> program(kProgramWords, b::nop());
+        program[kTriggerOfs] = instr;
+        program.back() = b::halt();
+        mem::Memory memory;
+        test::load_program(memory, kBase, program);
+
+        ZolcController ctrl(variant);
+        program_loop(ctrl);
+        const AccelSnapshot before = ctrl.snapshot();
+
+        const DecodedImage image(kBase, program);
+        Iss iss(memory);
+        iss.set_accelerator(&ctrl);
+        if (use_image) iss.set_code_image(image);
+        seed_registers(iss.regs());
+        iss.set_pc(pc_of(kTriggerOfs));
+        const RegFile regs_before = iss.regs();
+        EXPECT_THROW(iss.step(), mem::MemoryFault) << what;
+
+        EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
+        EXPECT_TRUE(iss.regs() == regs_before) << what;
+        EXPECT_TRUE(ctrl.snapshot() == before) << what;
+        EXPECT_EQ(ctrl.trigger_pc(), pc_of(kTriggerOfs)) << what;
+        EXPECT_EQ(ctrl.zolc_stats().continue_events, 0u) << what;
+        EXPECT_TRUE(iss.stats() == IssStats{}) << what;
       }
     }
   }
