@@ -96,8 +96,10 @@ std::uint32_t Iss::effective_address(const Instruction& instr) const {
 }
 
 std::optional<std::uint32_t> Iss::resolve_fetch_event() {
+  const std::optional<std::uint32_t> redirect =
+      accel_->on_fetch_into(pc_, regs_);
   ++stats_.zolc_fetch_events;
-  return accel_->on_fetch_into(pc_, regs_);
+  return redirect;
 }
 
 void Iss::retire(const Instruction& instr,

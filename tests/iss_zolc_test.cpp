@@ -284,5 +284,41 @@ TEST(IssFetchEvent, TrappingAccessAtTheTriggerLeavesTheEventUnresolved) {
   }
 }
 
+TEST(IssFetchEvent, WalkFaultAtTheTriggerRaisesAfterTheWriteBack) {
+  // Task 0 names loop 1, which is never programmed: the event at its end PC
+  // faults. The instruction there has already written back, is not
+  // retired, and the faulting event is not counted.
+  for (const ZolcVariant variant : {ZolcVariant::kLite, ZolcVariant::kFull}) {
+    const std::string what(zolc::variant_name(variant));
+    std::vector<Instruction> program(kProgramWords, b::nop());
+    program[kTriggerOfs] = b::addi(12, 1, -3);
+    program.back() = b::halt();
+    mem::Memory memory;
+    test::load_program(memory, kBase, program);
+
+    ZolcController ctrl(variant);
+    zolc::TaskEntry task;
+    task.end_pc_ofs = kTriggerOfs;
+    task.loop_id = 1;
+    task.is_last = true;
+    task.valid = true;
+    ctrl.init_write(isa::Opcode::kZolwTe, 0, task.pack(ctrl.geometry()));
+    ctrl.init_write(isa::Opcode::kZolwTs, 0, kStartOfs);
+    ctrl.activate(0, kBase);
+
+    Iss iss(memory);
+    iss.set_accelerator(&ctrl);
+    seed_registers(iss.regs());
+    iss.set_pc(pc_of(kTriggerOfs));
+    RegFile expected_regs = iss.regs();
+    expected_regs.write(12, 4);
+    EXPECT_THROW(iss.step(), SimError) << what;
+
+    EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
+    EXPECT_TRUE(iss.regs() == expected_regs) << what;
+    EXPECT_TRUE(iss.stats() == IssStats{}) << what;
+  }
+}
+
 }  // namespace
 }  // namespace zolcsim::cpu
