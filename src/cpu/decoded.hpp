@@ -26,8 +26,8 @@ namespace zolcsim::cpu {
 struct DecodedOp {
   /// How the word executes. The register-form (kAlu .. kMul) and
   /// immediate-form (kAluImm, kAddi) ALU kinds all evaluate through
-  /// alu_eval; the hottest opcodes get their own kinds so the summary
-  /// tier's replay can inline them.
+  /// alu_kind_eval; the hottest opcodes get their own kinds so that the
+  /// ISS and the summary tier's replay evaluate them in place.
   enum class Kind : std::uint8_t {
     kInvalid,  ///< the word does not decode
     kAlu,      ///< generic register-form op via alu_eval

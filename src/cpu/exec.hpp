@@ -145,9 +145,10 @@ template <typename ReadReg>
       const std::int32_t b = read(ins.rt);
       return a > b ? a : b;
     }
-    case Kind::kSll:
-      return static_cast<std::int32_t>(static_cast<std::uint32_t>(read(ins.rt))
-                                       << ins.shamt);
+    case Kind::kSll: {
+      const auto b = static_cast<std::uint32_t>(read(ins.rt));
+      return static_cast<std::int32_t>(b << ins.shamt);
+    }
     case Kind::kMul:
       return wrap_mul(read(ins.rs), read(ins.rt));
     case Kind::kAlu: {

@@ -12,8 +12,9 @@
 // iterations with the index recurrence fused in -- no per-iteration event
 // resolution at all. The controller's dynamic state is written back once,
 // through restore(), with the elided events credited.
-// Replay is architecturally invisible: it reuses the exact alu_eval /
-// mem_load / mem_store semantics and every disqualifying event bails out to
+// Replay is architecturally invisible: it evaluates ALU records with the
+// ISS's own alu_kind_eval, accesses memory with the ISS's widths, extension
+// and alignment rules, and every disqualifying event bails out to
 // cycle-accurate mode at an exact instruction boundary with a typed
 // BailoutReason surfaced as a counter.
 #ifndef ZOLCSIM_CPU_SUMMARY_HPP

@@ -574,8 +574,9 @@ TEST(FastPathBailouts, ZolcInstructionInRegionDeclines) {
 /// Runs `prog` until it throws `Fault`: on the baseline tier, on the fast
 /// tier, or on the fast tier preempted every 13 instructions. All three must
 /// stop at the same retired instruction with the same registers, ZolcStats
-/// and controller snapshot, and both fast runs must have declined with kTrap at least
-/// once, leaving the baseline to raise the fault. Returns the fast run.
+/// and controller snapshot, and both fast runs must have declined with kTrap
+/// at least once, leaving the baseline to raise the fault. Returns the fast
+/// run.
 template <typename Fault>
 BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
                               ZolcVariant variant,
