@@ -12,7 +12,7 @@ using Kind = DecodedOp::Kind;
 
 }  // namespace
 
-void Iss::step() {
+[[gnu::always_inline]] inline void Iss::step_body() {
   if (halted_) return;
   fetch_redirected_ = false;
 
@@ -178,6 +178,8 @@ void Iss::step_zolc(const Instruction& instr, bool fetch_triggers) {
   retire(instr, redirect);
 }
 
+void Iss::step() { step_body(); }
+
 std::uint64_t Iss::run(std::uint64_t max_steps) {
   stats_ = IssStats{};
   summarizer_.reset_stats();
@@ -192,7 +194,7 @@ std::uint64_t Iss::run(std::uint64_t max_steps) {
 std::uint64_t Iss::run_slice(std::uint64_t max_steps) {
   std::uint64_t executed = 0;
   while (!halted_ && executed < max_steps) {
-    step();
+    step_body();
     ++executed;
     // A fetch-event redirect is the only way execution (re-)enters a
     // ZOLC-managed body's first instruction mid-region; that is where the

@@ -92,6 +92,9 @@ class Iss {
   std::uint64_t run_slice(std::uint64_t max_steps);
 
  private:
+  /// step()'s body. Always inlined (defined in iss.cpp), also into
+  /// run_slice's loop, so that stepping makes no call per instruction.
+  inline void step_body();
   /// Executes a branch or jump, whose fetch event is speculative.
   void step_control(const DecodedOp& op, bool fetch_triggers);
   /// Executes a ZOLC instruction, after its fetch event.
