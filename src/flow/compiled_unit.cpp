@@ -154,9 +154,16 @@ std::shared_ptr<const mem::Memory> CompiledUnit::prepared_image() const {
     auto image = std::make_shared<mem::Memory>();
     program_.load_into(*image);
     kernel_->setup(spec_.env, *image);
+    image_slot_->pages.store(image->resident_pages());
     image_slot_->image = std::move(image);
   }
   return image_slot_->image;
+}
+
+std::size_t CompiledUnit::resident_bytes() const noexcept {
+  return decoded_->ops.size() * sizeof(cpu::DecodedOp) +
+         program_.code.size() * sizeof(isa::Instruction) +
+         image_slot_->pages.load() * mem::Memory::kPageSize;
 }
 
 std::string CompiledUnit::disassembly() const {

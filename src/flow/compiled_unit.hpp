@@ -14,6 +14,8 @@
 #ifndef ZOLCSIM_FLOW_COMPILED_UNIT_HPP
 #define ZOLCSIM_FLOW_COMPILED_UNIT_HPP
 
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,6 +98,11 @@ class CompiledUnit {
   /// write through it. Thread-safe; copies of the unit share the image.
   [[nodiscard]] std::shared_ptr<const mem::Memory> prepared_image() const;
 
+  /// The bytes this unit keeps resident, as CompileCache charges them: its
+  /// decoded records and code vector, plus the prepared image's pages once
+  /// prepared_image() has built it. Thread-safe.
+  [[nodiscard]] std::size_t resident_bytes() const noexcept;
+
   /// Full disassembly listing of the lowered program (one line per word).
   [[nodiscard]] std::string disassembly() const;
 
@@ -120,8 +127,8 @@ class CompiledUnit {
                                                            program_.code)),
         scan_(std::move(scan)),
         image_slot_(std::make_shared<ImageSlot>()) {
-    // Caches keep units for the process lifetime; the lowering leaves
-    // about a quarter of the code vector as spare capacity.
+    // Caches keep units resident until they are evicted; the lowering
+    // leaves about a quarter of the code vector as spare capacity.
     program_.code.shrink_to_fit();
   }
 
@@ -130,6 +137,8 @@ class CompiledUnit {
   struct ImageSlot {
     std::mutex mutex;
     std::shared_ptr<const mem::Memory> image;
+    /// The image's pages once built, readable without the mutex.
+    std::atomic<std::size_t> pages{0};
   };
 
   const kernels::Kernel* kernel_;  ///< non-owning; registry or caller-owned

@@ -4,7 +4,8 @@
 // CLI across subcommand invocations within a process, and the serve daemon
 // across client requests) hold exactly one of these; every request after
 // the first then resolves units from memory (cache hits), then disk (store
-// hits), and compiles only what neither has seen.
+// hits), and compiles only what neither holds (the cache keeps a bounded
+// number of bytes; see flow/cache.hpp).
 #ifndef ZOLCSIM_FLOW_WARM_STATE_HPP
 #define ZOLCSIM_FLOW_WARM_STATE_HPP
 

@@ -325,8 +325,8 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
   //
   // The pipeline-config axis repeats the same (kernel, machine, geometry)
   // compile, so all workers draw units from the shared CompileCache: each
-  // unit is compiled at most once per cache lifetime and every further cell
-  // is a cache hit (per-sweep deltas surface in the report).
+  // unit is compiled at most once while it stays resident and every further
+  // cell is a cache hit (per-sweep deltas surface in the report).
   const flow::CompileCache::Stats stats_before = cache.stats();
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};

@@ -6,7 +6,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -44,21 +43,11 @@ bool send_reply(int fd, std::string_view payload) {
   return write_all(fd, encode_frame(payload));
 }
 
-/// q-th percentile of `samples` (copied and sorted); 0 when empty.
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size()));
-  return samples[std::min(rank, samples.size() - 1)];
-}
-
-std::string percentile_object(const std::vector<double>& samples,
-                              int digits) {
-  return "{\"p50\": " + format_fixed(percentile(samples, 0.50), digits) +
-         ", \"p90\": " + format_fixed(percentile(samples, 0.90), digits) +
-         ", \"p99\": " + format_fixed(percentile(samples, 0.99), digits) +
-         ", \"samples\": " + std::to_string(samples.size()) + "}";
+std::string percentile_object(const LogHistogram& histogram, int digits) {
+  return "{\"p50\": " + format_fixed(histogram.percentile(0.50), digits) +
+         ", \"p90\": " + format_fixed(histogram.percentile(0.90), digits) +
+         ", \"p99\": " + format_fixed(histogram.percentile(0.99), digits) +
+         ", \"samples\": " + std::to_string(histogram.samples()) + "}";
 }
 
 std::string reply_head(std::string_view reply) {
@@ -236,7 +225,7 @@ void Server::serve_connection(int fd) {
       if (!send_reply(fd, error_reply(reply.error()))) break;
       continue;
     }
-    record_request(request.value().type, wall_ms, /*mips=*/0.0);
+    record_request(request.value().type, wall_ms);
     const bool sent = send_reply(fd, reply.value());
     if (drain_after_reply) {
       begin_drain();
@@ -399,7 +388,7 @@ Result<std::string> Server::handle_suite(const Request& request) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.image_resets += done.report.image_resets;
-    if (done.mips > 0.0) mips_samples_.push_back(done.mips);
+    if (done.mips > 0.0) mips_.record(done.mips);
   }
 
   const bool bench = request.type == RequestType::kBenchSuite;
@@ -460,13 +449,13 @@ std::string Server::handle_store_stat() {
 
 std::string Server::handle_stats() {
   ServerStats snapshot;
-  std::vector<double> wall_ms;
-  std::vector<double> mips;
+  LogHistogram wall_ms;
+  LogHistogram mips;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     snapshot = stats_;
-    wall_ms = wall_ms_samples_;
-    mips = mips_samples_;
+    wall_ms = wall_ms_;
+    mips = mips_;
   }
   const flow::CompileCache::Stats cache = warm_.cache().stats();
   const std::size_t lookups = cache.hits + cache.misses;
@@ -493,7 +482,10 @@ std::string Server::handle_stats() {
          ", \"misses\": " + std::to_string(cache.misses) +
          ", \"store_hits\": " + std::to_string(cache.store_hits) +
          ", \"compiles\": " + std::to_string(cache.compiles) +
-         ", \"hit_rate\": " + format_fixed(hit_rate, 3) + "}";
+         ", \"hit_rate\": " + format_fixed(hit_rate, 3) +
+         ", \"evictions\": " + std::to_string(cache.evictions) +
+         ", \"resident_bytes\": " + std::to_string(cache.resident_bytes) +
+         "}";
   out += ", \"prepares\": {\"image_resets\": " +
          std::to_string(snapshot.image_resets) + "}";
   out += ", \"wall_ms\": " + percentile_object(wall_ms, 3);
@@ -505,12 +497,11 @@ std::string Server::handle_stats() {
   return out;
 }
 
-void Server::record_request(RequestType type, double wall_ms, double mips) {
+void Server::record_request(RequestType type, double wall_ms) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.requests;
   ++stats_.by_type[static_cast<std::size_t>(type)];
-  wall_ms_samples_.push_back(wall_ms);
-  if (mips > 0.0) mips_samples_.push_back(mips);
+  wall_ms_.record(wall_ms);
 }
 
 }  // namespace zolcsim::server

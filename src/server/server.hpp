@@ -8,9 +8,9 @@
 // Every request resolves units through the shared cache, so two clients
 // racing on the same sweep still compile each unit exactly once (the
 // striped cache's singleflight guarantee), and every request after the
-// first runs against warm units and prepared images -- the per-request
-// reply counters (compiles / store hits / full prepares) make that
-// measurable from the client side.
+// first runs against warm units and prepared images while they stay within
+// the cache's byte bound -- the per-request reply counters (compiles /
+// store hits / full prepares) make that measurable from the client side.
 //
 // Drain semantics (normative; DESIGN.md section 10): a "shutdown" request
 // or begin_drain() stops the accept loop, lets every in-flight request
@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "common/result.hpp"
 #include "flow/warm_state.hpp"
 #include "server/protocol.hpp"
@@ -45,8 +46,9 @@ struct ServeOptions {
   unsigned idle_timeout_ms = 30'000;  ///< close silent connections after this
 };
 
-/// Aggregate counters, snapshotted under the stats lock. Latency/MIPS
-/// percentiles are rendered by the "stats" reply from the same samples.
+/// Aggregate counters, snapshotted under the stats lock. The "stats" reply
+/// renders them beside latency/MIPS percentiles read from fixed-size
+/// histograms snapshotted under the same lock.
 struct ServerStats {
   std::uint64_t connections = 0;  ///< connections accepted
   std::uint64_t requests = 0;     ///< well-formed requests dispatched
@@ -112,7 +114,7 @@ class Server {
   [[nodiscard]] std::string handle_store_stat();
   [[nodiscard]] std::string handle_stats();
 
-  void record_request(RequestType type, double wall_ms, double mips);
+  void record_request(RequestType type, double wall_ms);
 
   ServeOptions options_;
   flow::WarmState warm_;
@@ -129,8 +131,8 @@ class Server {
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
-  std::vector<double> wall_ms_samples_;
-  std::vector<double> mips_samples_;
+  LogHistogram wall_ms_;  ///< per-request handling time
+  LogHistogram mips_;     ///< per-sweep simulated MIPS
 };
 
 }  // namespace zolcsim::server

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
+#include <type_traits>
+#include <vector>
+
 #include "common/bitutil.hpp"
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
+#include "common/histogram.hpp"
 #include "common/result.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -273,6 +280,69 @@ TEST(Csv, HeaderFirst) {
   CsvWriter w({"x"});
   w.add_row({"1"});
   EXPECT_EQ(w.render(), "x\n1\n");
+}
+
+// ---------------- histogram ----------------
+
+TEST(LogHistogram, PercentilesLieWithinOneBucketOfTheOrderStatistic) {
+  // Latency-like samples spanning six decades, plus the underflow and
+  // overflow buckets.
+  std::mt19937_64 rng(20050307);
+  std::lognormal_distribution<double> spread(-1.0, 2.5);
+  std::vector<double> samples;
+  for (int i = 0; i < 5000; ++i) samples.push_back(spread(rng));
+  samples.push_back(0.0);
+  samples.push_back(5e6);
+  LogHistogram histogram;
+  for (double v : samples) histogram.record(v);
+  std::sort(samples.begin(), samples.end());
+
+  for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const auto rank = std::min(
+        static_cast<std::size_t>(q * static_cast<double>(samples.size())),
+        samples.size() - 1);
+    const double exact = samples[rank];
+    const double read = histogram.percentile(q);
+    const std::size_t exact_bucket = LogHistogram::bucket_of(exact);
+    const std::size_t read_bucket = LogHistogram::bucket_of(read);
+    EXPECT_GE(read_bucket, exact_bucket) << "q=" << q;
+    EXPECT_LE(read_bucket, exact_bucket + 1) << "q=" << q;
+    if (exact_bucket < LogHistogram::kBuckets - 1) {
+      EXPECT_GT(read, exact) << "q=" << q;  // the bucket's upper bound
+    }
+  }
+}
+
+TEST(LogHistogram, BucketsAreContiguousAndNarrow) {
+  for (std::size_t b = 1; b + 1 < LogHistogram::kBuckets; ++b) {
+    const double lower = LogHistogram::upper_bound(b - 1);
+    const double upper = LogHistogram::upper_bound(b);
+    EXPECT_EQ(LogHistogram::bucket_of(lower), b);
+    EXPECT_EQ(LogHistogram::bucket_of(std::nextafter(upper, 0.0)), b);
+    EXPECT_LE(upper - lower, lower / LogHistogram::kSubBuckets);
+  }
+}
+
+TEST(LogHistogram, CountsSamplesExactlyAndReadsZeroWhenEmpty) {
+  LogHistogram histogram;
+  EXPECT_EQ(histogram.samples(), 0u);
+  EXPECT_EQ(histogram.percentile(0.5), 0.0);
+  EXPECT_EQ(histogram.percentile(0.99), 0.0);
+  for (int i = 0; i < 1234; ++i) histogram.record(0.25 * i);
+  EXPECT_EQ(histogram.samples(), 1234u);
+}
+
+TEST(LogHistogram, SizeDoesNotDependOnTheSampleCount) {
+  static_assert(std::is_trivially_copyable_v<LogHistogram>);
+  LogHistogram few;
+  LogHistogram many;
+  few.record(1.0);
+  for (int i = 0; i < 200'000; ++i) many.record(1e-3 * (i % 977 + 1));
+  EXPECT_EQ(sizeof(few), sizeof(many));
+  EXPECT_LE(sizeof(LogHistogram), 8 * (LogHistogram::kBuckets + 1));
+  const LogHistogram copy = many;  // what the stats reply snapshots
+  EXPECT_EQ(copy.samples(), 200'000u);
+  EXPECT_EQ(copy.percentile(0.5), many.percentile(0.5));
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flow/cache.hpp"
@@ -414,6 +416,188 @@ TEST(CompileCache, FailedCompilesAreNotCached) {
   EXPECT_EQ(cache.stats().misses, 0u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// ---------------- compile cache: the resident-byte bound ----------------
+
+/// `count` distinct dotprod units, one env seed each, whose keys land in
+/// cache shard `shard`.
+std::vector<CompileSpec> same_shard_specs(std::size_t shard,
+                                          std::size_t count) {
+  std::vector<CompileSpec> specs;
+  for (std::uint32_t seed = 1; specs.size() < count; ++seed) {
+    CompileSpec spec = spec_for("dotprod", MachineKind::kZolcFull);
+    spec.env.seed = seed;
+    if (CompileCache::shard_index(spec.key()) == shard) specs.push_back(spec);
+  }
+  return specs;
+}
+
+/// Resolves `spec` and builds its prepared image, as a run does, then
+/// looks it up again so the cache charges the image.
+std::shared_ptr<const CompiledUnit> use(CompileCache& cache,
+                                        const CompileSpec& spec) {
+  const auto unit = cache.get_or_compile(spec);
+  EXPECT_TRUE(unit.ok()) << unit.error().to_string();
+  (void)unit.value()->prepared_image();
+  (void)cache.get_or_compile(spec);
+  return unit.value();
+}
+
+/// Uses specs[next], specs[next + 1], ... until the cache evicts; returns
+/// the index of the first spec not used.
+std::size_t use_until_eviction(CompileCache& cache,
+                               const std::vector<CompileSpec>& specs,
+                               std::size_t next) {
+  const std::size_t evictions = cache.stats().evictions;
+  while (cache.stats().evictions == evictions) {
+    if (next == specs.size()) {
+      ADD_FAILURE() << "no eviction after " << next << " units";
+      break;
+    }
+    (void)use(cache, specs[next++]);
+  }
+  return next;
+}
+
+/// True when `spec` is resident: the lookup neither compiles nor loads.
+bool resident(CompileCache& cache, const CompileSpec& spec) {
+  const std::size_t misses = cache.stats().misses;
+  EXPECT_TRUE(cache.get_or_compile(spec).ok());
+  return cache.stats().misses == misses;
+}
+
+TEST(CompileCache, ChargesThePreparedImageOnceItIsBuilt) {
+  CompileCache cache;
+  const std::vector<CompileSpec> specs = same_shard_specs(3, 2);
+  const auto unit = cache.get_or_compile(specs[0]);
+  ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+  const CompiledUnit& u = *unit.value();
+  const std::size_t bare =
+      u.decoded().ops.size() * sizeof(cpu::DecodedOp) +
+      u.program().code.size() * sizeof(isa::Instruction);
+  EXPECT_EQ(u.resident_bytes(), bare);
+  EXPECT_EQ(cache.stats().resident_bytes, bare);
+
+  const auto image = u.prepared_image();
+  ASSERT_GT(image->resident_pages(), 0u);
+  EXPECT_EQ(u.resident_bytes(),
+            bare + image->resident_pages() * mem::Memory::kPageSize);
+  // Not charged until the cache looks at the unit again: a hit re-charges
+  // it, and so does the next lookup in its shard while it is the shard's
+  // most recently used unit.
+  EXPECT_EQ(cache.stats().resident_bytes, bare);
+  const auto other = cache.get_or_compile(specs[1]);
+  ASSERT_TRUE(other.ok()) << other.error().to_string();
+  EXPECT_EQ(cache.stats().resident_bytes,
+            u.resident_bytes() + other.value()->resident_bytes());
+
+  (void)other.value()->prepared_image();
+  ASSERT_TRUE(cache.get_or_compile(specs[1]).ok());
+  EXPECT_EQ(cache.stats().resident_bytes,
+            u.resident_bytes() + other.value()->resident_bytes());
+  EXPECT_GT(other.value()->resident_bytes(), bare);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(CompileCache, EvictsTheLeastRecentlyHitUnit) {
+  CompileCache cache;
+  const std::vector<CompileSpec> specs = same_shard_specs(5, 256);
+  (void)use(cache, specs[0]);
+  (void)use(cache, specs[1]);
+  ASSERT_TRUE(cache.get_or_compile(specs[0]).ok());  // specs[1] is now LRU
+
+  const std::size_t used = use_until_eviction(cache, specs, 2);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_LE(cache.stats().resident_bytes,
+            CompileCache::kMaxResidentBytes / CompileCache::kShardCount);
+  EXPECT_EQ(cache.size(), used - 1);
+  EXPECT_TRUE(resident(cache, specs[0]));
+  EXPECT_TRUE(resident(cache, specs[used - 1]));
+  EXPECT_FALSE(resident(cache, specs[1]));
+}
+
+TEST(CompileCache, AUnitHandedOutBeforeItsEvictionStaysUsable) {
+  CompileCache cache;
+  const std::vector<CompileSpec> specs = same_shard_specs(7, 256);
+  const std::shared_ptr<const CompiledUnit> held = use(cache, specs[0]);
+  const auto before = run(*held, RunPlan{});
+  ASSERT_TRUE(before.ok()) << before.error().to_string();
+
+  (void)use_until_eviction(cache, specs, 1);
+  EXPECT_FALSE(resident(cache, specs[0]));
+  // The cache dropped its reference, not the unit.
+  const auto after = run(*held, RunPlan{});
+  ASSERT_TRUE(after.ok()) << after.error().to_string();
+  EXPECT_EQ(after.value().stats, before.value().stats);
+}
+
+TEST(CompileCache, AnEvictedUnitRecompilesIdentically) {
+  CompileCache cache;
+  const std::vector<CompileSpec> specs = same_shard_specs(9, 256);
+  const std::shared_ptr<const CompiledUnit> first = use(cache, specs[0]);
+  (void)use_until_eviction(cache, specs, 1);
+
+  const std::size_t compiles = cache.stats().compiles;
+  const auto again = cache.get_or_compile(specs[0]);
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(cache.stats().compiles, compiles + 1);
+  EXPECT_NE(again.value().get(), first.get());
+  EXPECT_EQ(again.value()->decoded().base, first->decoded().base);
+  EXPECT_EQ(again.value()->decoded().ops, first->decoded().ops);
+
+  for (const SimEngine engine : {SimEngine::kPipeline, SimEngine::kIss}) {
+    RunPlan plan;
+    plan.mode.engine = engine;
+    const auto was = run(*first, plan);
+    const auto now = run(*again.value(), plan);
+    ASSERT_TRUE(was.ok() && now.ok());
+    EXPECT_EQ(now.value().stats.cycles, was.value().stats.cycles);
+    EXPECT_EQ(now.value().stats, was.value().stats);
+  }
+}
+
+TEST(CompileCache, ConcurrentLookupsCompileOnceWhileUnitsAreEvicted) {
+  CompileCache cache;
+  // Shard 0 starts full, so every unit the flood adds there evicts; shard
+  // 1 fills and evicts during the race.
+  const std::vector<CompileSpec> shard0 = same_shard_specs(0, 256);
+  const std::vector<CompileSpec> shard1 = same_shard_specs(1, 64);
+  std::size_t next = use_until_eviction(cache, shard0, 0);
+  const std::size_t full = cache.size();
+  constexpr std::size_t kFlood = 8;
+  ASSERT_GT(full, kFlood + 1);  // the contested unit cannot age out
+  const CompileSpec& contested = shard0[next++];
+  const std::vector<CompileSpec> flood(shard0.begin() + next,
+                                       shard0.begin() + next + kFlood);
+  const CompileCache::Stats before = cache.stats();
+
+  constexpr std::size_t kRacers = 8;
+  std::vector<std::shared_ptr<const CompiledUnit>> got(kRacers);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kRacers; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      got[i] = cache.get_or_compile(contested).value();
+    });
+  }
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (const CompileSpec& spec : flood) (void)use(cache, spec);
+  });
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (const CompileSpec& spec : shard1) (void)use(cache, spec);
+  });
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+
+  const CompileCache::Stats after = cache.stats();
+  for (const auto& unit : got) EXPECT_EQ(unit.get(), got.front().get());
+  EXPECT_EQ(after.compiles - before.compiles, 1 + kFlood + shard1.size());
+  EXPECT_GE(after.evictions - before.evictions, kFlood);
+  EXPECT_LE(after.resident_bytes, CompileCache::kMaxResidentBytes);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
+#include "scenario/parse.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "server/client.hpp"
@@ -274,6 +275,116 @@ TEST_F(ServerTest, StatsEndpointCountsRequestsAndLatency) {
   EXPECT_EQ(v.find("requests")->as_uint(), 3u);
   EXPECT_EQ(nested_uint(v, "wall_ms", "samples"), 3u);
   EXPECT_EQ(nested_uint(v, "mips", "samples"), 1u);
+}
+
+/// "name:kind" for every member of `value`, depth first, nested names
+/// joined with dots.
+void member_kinds(const json::Value& value, const std::string& prefix,
+                  std::vector<std::string>& out) {
+  for (const auto& [name, member] : value.members()) {
+    const std::string path = prefix.empty() ? name : prefix + "." + name;
+    if (member.is_object()) {
+      out.push_back(path + ":object");
+      member_kinds(member, path, out);
+      continue;
+    }
+    out.push_back(path + (member.is_string()   ? ":string"
+                          : member.is_number() ? ":number"
+                          : member.is_bool()   ? ":bool"
+                                               : ":other"));
+  }
+}
+
+TEST_F(ServerTest, StatsReplyKeepsEveryMemberAndReportsTheCacheBound) {
+  start();
+  Client client = connect_ok();
+  auto stats = client.call(simple_request(RequestType::kStats));
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  std::vector<std::string> kinds;
+  member_kinds(stats.value(), "", kinds);
+  std::vector<std::string> expected = {
+      "schema:string", "reply:string", "requests:number",
+      "connections:number", "errors:number", "by_type:object"};
+  for (std::size_t i = 0; i < kNumRequestTypes; ++i) {
+    expected.push_back("by_type." +
+                       std::string(request_type_name(
+                           static_cast<RequestType>(i))) +
+                       ":number");
+  }
+  for (const char* member :
+       {"cache:object", "cache.hits:number", "cache.misses:number",
+        "cache.store_hits:number", "cache.compiles:number",
+        "cache.hit_rate:number", "cache.evictions:number",
+        "cache.resident_bytes:number", "prepares:object",
+        "prepares.image_resets:number", "wall_ms:object",
+        "wall_ms.p50:number", "wall_ms.p90:number", "wall_ms.p99:number",
+        "wall_ms.samples:number", "mips:object", "mips.p50:number",
+        "mips.p90:number", "mips.p99:number", "mips.samples:number",
+        "workers:number", "draining:bool"}) {
+    expected.emplace_back(member);
+  }
+  EXPECT_EQ(kinds, expected);
+}
+
+TEST_F(ServerTest, FirstSeenUnitsPastTheBoundAreEvictedAndRecompileIdentically) {
+  start();
+  Client client = connect_ok();
+  // Distinct dotprod units, one ZOLC geometry each.
+  std::vector<std::string> geometries;
+  for (unsigned tasks = 16; tasks <= 32; ++tasks) {
+    for (unsigned loops = 8; loops <= 16; ++loops) {
+      for (unsigned exits = 2; exits <= 8; ++exits) {
+        geometries.push_back(std::to_string(tasks) + "t-" +
+                             std::to_string(loops) + "l-" +
+                             std::to_string(exits) + "x-4e");
+      }
+    }
+  }
+  const auto run_cycles = [&client](const std::string& geometry) {
+    auto reply = client.call(
+        R"({"schema": "zolcsim-serve-v1", "type": "run", "kernel": "dotprod",)"
+        R"( "machine": "ZOLCfull", "mode": "iss-fast", "geometry": ")" +
+        geometry + "\"}");
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    const json::Value* cycles = reply.ok() ? reply.value().find("cycles")
+                                           : nullptr;
+    return cycles ? cycles->as_uint().value_or(0) : 0;
+  };
+  const auto cache_member = [&client](std::string_view member) {
+    auto reply = client.call(simple_request(RequestType::kStats));
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    return reply.ok() ? nested_uint(reply.value(), "cache", member)
+                      : ~std::uint64_t{0};
+  };
+
+  const std::uint64_t first_cycles = run_cycles(geometries.front());
+  ASSERT_GT(first_cycles, 0u);
+  // Three bounds' worth of units, each charged about as much as the first
+  // (its decoded records, code and prepared image).
+  flow::CompileSpec spec;
+  spec.kernel = "dotprod";
+  spec.machine = codegen::MachineKind::kZolcFull;
+  auto geometry = scenario::parse_geometry(geometries.front());
+  ASSERT_TRUE(geometry.ok());
+  spec.geometry = geometry.value();
+  auto unit = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+  (void)unit.value().prepared_image();
+  const std::size_t flood =
+      3 * flow::CompileCache::kMaxResidentBytes / unit.value().resident_bytes();
+  ASSERT_LT(flood, geometries.size());
+  for (std::size_t i = 1; i <= flood; ++i) {
+    ASSERT_GT(run_cycles(geometries[i]), 0u) << geometries[i];
+  }
+
+  EXPECT_LE(cache_member("resident_bytes"),
+            flow::CompileCache::kMaxResidentBytes);
+  EXPECT_GT(cache_member("evictions"), 0u);
+  // The first unit was evicted: running it again compiles it once more and
+  // returns the same cycles.
+  const std::uint64_t compiles = cache_member("compiles");
+  EXPECT_EQ(run_cycles(geometries.front()), first_cycles);
+  EXPECT_EQ(cache_member("compiles"), compiles + 1);
 }
 
 TEST_F(ServerTest, IdleConnectionsAreClosedButTheDaemonSurvives) {
