@@ -83,6 +83,23 @@ constexpr std::uint32_t align_up(std::uint32_t value,
   return (value + align - 1u) & ~(align - 1u);
 }
 
+// Two's-complement arithmetic via unsigned math (defined overflow), as the
+// hardware does; the core has no overflow traps.
+constexpr std::int32_t wrap_add(std::int32_t a, std::int32_t b) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                   static_cast<std::uint32_t>(b));
+}
+
+constexpr std::int32_t wrap_sub(std::int32_t a, std::int32_t b) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) -
+                                   static_cast<std::uint32_t>(b));
+}
+
+constexpr std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) *
+                                   static_cast<std::uint32_t>(b));
+}
+
 /// Number of bits needed to represent `n` distinct values (ceil(log2(n))),
 /// with bits_for_values(1) == 0.
 constexpr unsigned bits_for_values(std::uint64_t n) noexcept {

@@ -12,6 +12,7 @@
 #ifndef ZOLCSIM_COMMON_RESULT_HPP
 #define ZOLCSIM_COMMON_RESULT_HPP
 
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -22,6 +23,14 @@
 #include "common/contracts.hpp"
 
 namespace zolcsim {
+
+/// Thrown on simulator traps: illegal instruction, disabled ISA extension,
+/// a ZOLC table fault, runaway execution.
+class SimError : public std::runtime_error {
+ public:
+  explicit SimError(const std::string& what_arg)
+      : std::runtime_error(what_arg) {}
+};
 
 /// Machine-checkable failure classes. Tests and tools branch on these, never
 /// on message text.

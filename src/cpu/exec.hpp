@@ -7,23 +7,14 @@
 
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
+#include "common/bitutil.hpp"
 #include "common/contracts.hpp"
 #include "cpu/decoded.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 
 namespace zolcsim::cpu {
-
-/// Thrown on simulator traps: illegal instruction, disabled ISA extension,
-/// runaway execution.
-class SimError : public std::runtime_error {
- public:
-  explicit SimError(const std::string& what_arg)
-      : std::runtime_error(what_arg) {}
-};
 
 /// Operand bundle for alu_eval. `a` = rs value, `b` = rt value or extended
 /// immediate (per format), `acc` = rd value for accumulating ops (mac).
@@ -33,23 +24,6 @@ struct AluInputs {
   std::int32_t acc = 0;
   std::uint8_t shamt = 0;
 };
-
-// Two's-complement arithmetic via unsigned math (defined overflow), as the
-// hardware does; the core has no overflow traps.
-inline std::int32_t wrap_add(std::int32_t a, std::int32_t b) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
-                                   static_cast<std::uint32_t>(b));
-}
-
-inline std::int32_t wrap_sub(std::int32_t a, std::int32_t b) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) -
-                                   static_cast<std::uint32_t>(b));
-}
-
-inline std::int32_t wrap_mul(std::int32_t a, std::int32_t b) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) *
-                                   static_cast<std::uint32_t>(b));
-}
 
 /// Evaluates the ALU/DSP result of `op`. Precondition: `op` decodes to an
 /// ALU kind (DecodedOp::kAlu .. kAddi). Inline with its helpers: it sits on

@@ -33,8 +33,8 @@ using Kind = DecodedOp::Kind;
   }
 
   // Fetch-time ZOLC event (DESIGN.md 4.2). Only a taken control transfer
-  // discards it, so only those resolve it speculatively (step_control).
-  // A ZOLC instruction resolves it before it executes (step_zolc); any
+  // discards it; step_control decides the transfer before it resolves the
+  // event. A ZOLC instruction resolves it before it executes (step_zolc); any
   // other instruction after its own write-back, below, so that its index
   // writes land last and a trapping access leaves the controller as it
   // was.
@@ -96,8 +96,10 @@ std::uint32_t Iss::effective_address(const Instruction& instr) const {
 }
 
 std::optional<std::uint32_t> Iss::resolve_fetch_event() {
-  const std::optional<std::uint32_t> redirect =
-      accel_->on_fetch_into(pc_, regs_);
+  const std::optional<std::uint32_t> redirect = accel_->fetch_event(
+      pc_, [this](std::uint8_t reg, std::int32_t value) {
+        regs_.write(reg, value);
+      });
   ++stats_.zolc_fetch_events;
   return redirect;
 }
@@ -112,16 +114,6 @@ void Iss::retire(const Instruction& instr,
 
 void Iss::step_control(const DecodedOp& op, bool fetch_triggers) {
   const Instruction& instr = op.instr;
-  // The fetch event is speculative here: it resolves into an AccelEvent
-  // over a snapshot, and a taken transfer discards both, mirroring the
-  // pipeline's rollback.
-  std::optional<AccelEvent> fetch_event;
-  if (fetch_triggers) {
-    pre_fetch_ = accel_->snapshot();
-    fetch_event = accel_->on_fetch(pc_);
-    ZS_ASSERT(fetch_event.has_value());
-    ++stats_.zolc_fetch_events;
-  }
   const std::int32_t rs_val = regs_.read(instr.rs);
   const ControlOutcome control =
       resolve_control(op, pc_, rs_val, regs_.read(instr.rt));
@@ -130,28 +122,44 @@ void Iss::step_control(const DecodedOp& op, bool fetch_triggers) {
   const std::int32_t written = op.kind == Kind::kBranch
                                    ? wrap_sub(rs_val, 1)
                                    : static_cast<std::int32_t>(pc_ + 4);
-  regs_.write(op.dest, written);
+  // The outcome is known before the fetch event resolves, and the event
+  // resolves before that write-back, so a walk fault leaves it undone.
 
   if (!control.taken) {
+    // A fall-through keeps the event. Its index writes land after the
+    // write-back, so one to the same register takes its place.
     std::optional<std::uint32_t> redirect;
-    if (fetch_event) {
-      for (const RfWrite& w : fetch_event->rf_writes) {
-        regs_.write(w.reg, w.value);
-      }
-      redirect = fetch_event->redirect;
+    bool overwritten = false;
+    if (fetch_triggers) {
+      redirect = accel_->fetch_event(
+          pc_, [this, &op, &overwritten](std::uint8_t reg, std::int32_t value) {
+            regs_.write(reg, value);
+            overwritten |= reg == op.dest;
+          });
+      ++stats_.zolc_fetch_events;
     }
+    if (!overwritten) regs_.write(op.dest, written);
     retire(instr, redirect);
     return;
   }
 
+  // A taken transfer discards the event, as the pipeline rolls it back. It
+  // still resolves, from a snapshot restored after, so that its fault
+  // raises and the controller counts it.
+  if (fetch_triggers) {
+    const zolc::AccelSnapshot before = accel_->snapshot();
+    accel_->fetch_event(pc_, [](std::uint8_t, std::int32_t) {});
+    accel_->restore(before);
+    ++stats_.zolc_fetch_events;
+  }
+  regs_.write(op.dest, written);
   ++stats_.instructions;
   if (retire_hook_) retire_hook_(pc_, instr);
   ++stats_.taken_control;
-  if (fetch_event) accel_->restore(pre_fetch_);
   if (accel_ != nullptr) {
     if (auto resolution = accel_->on_taken_control(pc_, control.target)) {
       ++stats_.zolc_resolution_events;
-      for (const RfWrite& w : resolution->rf_writes) {
+      for (const zolc::RfWrite& w : resolution->rf_writes) {
         regs_.write(w.reg, w.value);
       }
     }

@@ -1,9 +1,10 @@
 // Instruction-set simulator (functional golden model). Executes one
-// instruction per step with ZOLC semantics identical to the pipeline's:
-// fetch-time task-end events are speculated and rolled back if the
-// triggering instruction turns out to be a taken control transfer. Used for
-// co-simulation tests against the cycle-accurate pipeline and for fast
-// functional verification of kernels.
+// instruction per step with ZOLC semantics identical to the pipeline's: a
+// fetch-time task-end event takes effect unless the triggering instruction
+// is a taken control transfer. The ISS knows the transfer's outcome before
+// it resolves the event, so it speculates nothing. Used for co-simulation
+// tests against the cycle-accurate pipeline and for fast functional
+// verification of kernels.
 #ifndef ZOLCSIM_CPU_ISS_HPP
 #define ZOLCSIM_CPU_ISS_HPP
 
@@ -11,12 +12,12 @@
 #include <functional>
 #include <optional>
 
-#include "cpu/accel.hpp"
 #include "cpu/decoded.hpp"
 #include "cpu/exec.hpp"
 #include "cpu/regfile.hpp"
 #include "cpu/summary.hpp"
 #include "mem/memory.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 
@@ -39,8 +40,10 @@ class Iss {
  public:
   explicit Iss(mem::Memory& memory) : mem_(memory) {}
 
-  /// Attaches a loop accelerator (non-owning; may be nullptr).
-  void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
+  /// Attaches a loop controller (non-owning; may be nullptr).
+  void set_accelerator(zolc::ZolcController* accel) noexcept {
+    accel_ = accel;
+  }
 
   /// Attaches a decoded code image (non-owning; must outlive the ISS).
   /// Fetches inside the image read its records; fetches outside it decode
@@ -95,7 +98,8 @@ class Iss {
   /// step()'s body. Always inlined (defined in iss.cpp), also into
   /// run_slice's loop, so that stepping makes no call per instruction.
   inline void step_body();
-  /// Executes a branch or jump, whose fetch event is speculative.
+  /// Executes a branch or jump, whose fetch event a taken transfer
+  /// discards.
   void step_control(const DecodedOp& op, bool fetch_triggers);
   /// Executes a ZOLC instruction, after its fetch event.
   void step_zolc(const isa::Instruction& instr, bool fetch_triggers);
@@ -113,7 +117,7 @@ class Iss {
   mem::Memory& mem_;
   RegFile regs_;
   const DecodedImage* image_ = nullptr;
-  LoopAccelerator* accel_ = nullptr;
+  zolc::ZolcController* accel_ = nullptr;
   RetireHook retire_hook_;
   LoopSummarizer summarizer_;
   std::uint32_t pc_ = 0;
@@ -121,10 +125,6 @@ class Iss {
   bool fast_path_ = false;
   bool fetch_redirected_ = false;  ///< last step applied a fetch-event redirect
   IssStats stats_;
-  /// Controller state before this step's fetch event, taken only when the
-  /// triggering instruction is a control transfer. A member rather than a
-  /// local so the common step constructs no snapshot.
-  AccelSnapshot pre_fetch_;
 };
 
 }  // namespace zolcsim::cpu

@@ -92,7 +92,7 @@ void Pipeline::cycle() {
   std::uint32_t resolved_pc = 0;
   bool redirect_from_ex = false;
   // Oldest accel snapshot to restore on a wrong-path rollback.
-  const AccelSnapshot* rollback_to = nullptr;
+  const zolc::AccelSnapshot* rollback_to = nullptr;
 
   // ---------------- WB ----------------
   if (cur.mem_wb.valid) {
@@ -155,7 +155,7 @@ void Pipeline::cycle() {
       if (control.taken) {
         rollback_to = &fi.before;
       } else {
-        for (const RfWrite& w : fi.event.rf_writes) {
+        for (const zolc::RfWrite& w : fi.event.rf_writes) {
           regs_.write(w.reg, w.value);
         }
       }
@@ -348,7 +348,7 @@ void Pipeline::cycle() {
       if (auto resolution = accel_->on_taken_control(resolved_pc,
                                                      redirect_target)) {
         ++stats_.zolc_resolution_events;
-        for (const RfWrite& w : resolution->rf_writes) {
+        for (const zolc::RfWrite& w : resolution->rf_writes) {
           regs_.write(w.reg, w.value);
         }
       }

@@ -2,7 +2,7 @@
 // in-order pipeline (IF/ID/EX/MEM/WB) with full forwarding, a load-use
 // interlock, configurable branch resolution stage, and the ZOLC hookup of
 // Fig. 1 of the paper:
-//   * IF consults the loop accelerator each fetch ("PC decode" task-end
+//   * IF consults the loop controller each fetch ("PC decode" task-end
 //     detection); a task end redirects the *next* fetch in the same cycle,
 //     so hardware-managed loop back-edges cost zero cycles;
 //   * index write-backs ride with the triggering instruction and commit when
@@ -18,12 +18,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "cpu/accel.hpp"
 #include "cpu/decoded.hpp"
 #include "cpu/exec.hpp"
 #include "cpu/iss.hpp"
 #include "cpu/regfile.hpp"
 #include "mem/memory.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 
@@ -65,8 +65,10 @@ class Pipeline {
  public:
   explicit Pipeline(mem::Memory& memory, PipelineConfig config = {});
 
-  /// Attaches a loop accelerator (non-owning; may be nullptr).
-  void set_accelerator(LoopAccelerator* accel) noexcept { accel_ = accel; }
+  /// Attaches a loop controller (non-owning; may be nullptr).
+  void set_accelerator(zolc::ZolcController* accel) noexcept {
+    accel_ = accel;
+  }
 
   /// Attaches a decoded code image (non-owning; must outlive the
   /// pipeline). Fetches inside the image copy its records into IF/ID;
@@ -97,8 +99,8 @@ class Pipeline {
  private:
   /// Fetch-time ZOLC event riding with the triggering instruction.
   struct FetchInfo {
-    AccelEvent event;
-    AccelSnapshot before;  ///< accelerator state before the event fired
+    zolc::AccelEvent event;
+    zolc::AccelSnapshot before;  ///< controller state before the event fired
   };
 
   /// Fetch events live in a ring the latches index by slot, so latches stay
@@ -170,7 +172,7 @@ class Pipeline {
   PipelineConfig config_;
   RegFile regs_;
   const DecodedImage* image_ = nullptr;
-  LoopAccelerator* accel_ = nullptr;
+  zolc::ZolcController* accel_ = nullptr;
   RetireHook retire_hook_;
   /// Double-buffered latches: each cycle reads latches_[cur_] and writes
   /// latches_[cur_ ^ 1] in place, then flips cur_.

@@ -300,16 +300,16 @@ LoopSummarizer::RunOutcome LoopSummarizer::run_region(
 }
 
 LoopSummarizer::Replay LoopSummarizer::try_engage(
-    LoopAccelerator& accel, const DecodedImage* image, mem::Memory& mem,
+    zolc::ZolcController& accel, const DecodedImage* image, mem::Memory& mem,
     RegFile& regs, std::uint32_t pc, std::uint64_t max_instructions) {
   Replay out;
   out.resume_pc = pc;
-  const NestProgram* const np = accel.nest_program();
+  const zolc::NestProgram* const np = accel.nest_program();
   if (np == nullptr) return out;  // inactive
-  AccelSnapshot snap = accel.snapshot();
+  zolc::AccelSnapshot snap = accel.snapshot();
   if (snap.current_task >= np->tasks.size()) return out;
-  const NestTaskDesc* const tasks = np->tasks.data();
-  const NestLoopDesc* const loops = np->loops.data();
+  const zolc::NestTaskDesc* const tasks = np->tasks.data();
+  const zolc::NestLoopDesc* const loops = np->loops.data();
   if (!tasks[snap.current_task].valid ||
       pc > tasks[snap.current_task].end_pc) {
     return out;
@@ -340,7 +340,7 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
   CacheEntry* rent[4] = {nullptr, nullptr, nullptr, nullptr};
 
   while (out.instructions < max_instructions && active) {
-    const NestTaskDesc& task = tasks[cur_task];
+    const zolc::NestTaskDesc& task = tasks[cur_task];
     // An invalid current task never raises an event; nothing bounds a
     // summarizable region, so hand back to cycle-accurate stepping.
     if (!task.valid) break;
@@ -378,13 +378,13 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
     bool body_done = false;  // final pass already executed by the bulk path
     bool self = task.cont == cur_task && cur_pc == task.start_pc;
     if (!self && cur_pc == task.start_pc) {
-      const NestTaskDesc& ct = tasks[task.cont];
+      const zolc::NestTaskDesc& ct = tasks[task.cont];
       self = ct.valid && ct.walk_safe && ct.cont == task.cont &&
              ct.loop == task.loop && ct.start_pc == task.start_pc &&
              ct.end_pc == task.end_pc;
     }
     if (self) {
-      const NestLoopDesc& loop = loops[task.loop];
+      const zolc::NestLoopDesc& loop = loops[task.loop];
       if (loop.has_exit_records) {
         bail = BailoutReason::kExitRecord;
         break;
@@ -397,8 +397,8 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
       const std::int64_t remaining =
           cur[task.loop] == loop.initial && loop.trips > 0
               ? static_cast<std::int64_t>(loop.trips) - 1
-              : nest_remaining_backedges(cur[task.loop], loop.step, loop.final,
-                                         loop.cond);
+              : zolc::nest_remaining_backedges(cur[task.loop], loop.step,
+                                               loop.final, loop.cond);
       if (remaining > 0 &&
           static_cast<std::uint64_t>(remaining) >= min_backedges_) {
         const bool reads_index =
@@ -530,8 +530,9 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
     // Boundary event at trig: the controller's own event walk on the
     // engagement-local state. The task is walk_safe, so it cannot fault.
     ++out.fetch_events;  // mirrors the baseline's zolc_fetch_events count
-    const auto ev = walk_fetch_event(*np, cur, cur_task, active, trig, sink);
-    ZS_ASSERT(ev.fault == WalkFault::kNone);
+    const auto ev =
+        zolc::walk_fetch_event(*np, cur, cur_task, active, trig, sink);
+    ZS_ASSERT(ev.fault == zolc::WalkFault::kNone);
     continues += ev.continues;
     dones += ev.dones;
     if (ev.depth > 1) {
@@ -542,7 +543,7 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
   }
 
   // One write-back covers every event resolved above; the credited counters
-  // are exactly what the skipped on_fetch calls would have counted.
+  // are exactly what the skipped fetch events would have counted.
   if (continues + dones > 0) {
     accel.restore(snap);
     accel.credit_summary_events(continues, dones, cascades, max_depth);

@@ -4,8 +4,8 @@
 // exported NestProgram (uZOLC's loop is a one-task program), then copies
 // the decoded records of the straight-line region between the current PC
 // and the current task's end, executes them in a tight loop, resolves the
-// boundary event with walk_fetch_event (the walk the controller's on_fetch
-// runs), and follows it into the next region. When the current task
+// boundary event with walk_fetch_event (the walk the controller's
+// fetch_event runs), and follows it into the next region. When the current task
 // self-loops (an innermost loop body repeating under pure back-edge
 // control), it goes further: it records the first iteration's store
 // pattern, validates it against the second, then replays the remaining
@@ -26,10 +26,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cpu/accel.hpp"
 #include "cpu/decoded.hpp"
 #include "cpu/regfile.hpp"
 #include "mem/memory.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::cpu {
 
@@ -105,14 +105,14 @@ class LoopSummarizer {
   /// ending at the current task's end PC; then alternates bulk replay of
   /// self-looping tasks with single region passes, resolving every boundary
   /// event with walk_fetch_event over accel.nest_program() on
-  /// engagement-local copies of the controller's dynamic state (no
-  /// per-event virtual dispatch).
+  /// engagement-local copies of the controller's dynamic state (no call
+  /// into the controller per event).
   /// Stops when a region disqualifies, the controller deactivates or falls
   /// through, or `max_instructions` is reached; then writes the final state
   /// back through restore() and credits the elided event counters. Leaves
   /// registers, memory, and accelerator state (ZolcStats included) exactly
   /// as cycle-accurate stepping would at resume_pc.
-  Replay try_engage(LoopAccelerator& accel, const DecodedImage* image,
+  Replay try_engage(zolc::ZolcController& accel, const DecodedImage* image,
                     mem::Memory& mem, RegFile& regs, std::uint32_t pc,
                     std::uint64_t max_instructions);
 

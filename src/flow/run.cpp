@@ -76,8 +76,8 @@ ExperimentResult unit_result(const CompiledUnit& unit, const RunPlan& plan) {
 void restore_or_throw(zolc::ZolcController& controller,
                       const zolc::ZolcContext& context) {
   if (auto restored = controller.restore_context(context); !restored.ok()) {
-    throw cpu::SimError("context restore failed: " +
-                        restored.error().to_string());
+    throw SimError("context restore failed: " +
+                   restored.error().to_string());
   }
 }
 
@@ -118,9 +118,8 @@ void run_iss(const CompiledUnit& unit, Workload& workload,
     std::uint64_t executed = 0;
     while (!iss.halted()) {
       if (executed >= plan.max_cycles) {
-        throw cpu::SimError("ISS step limit (" +
-                            std::to_string(plan.max_cycles) +
-                            ") exceeded at pc " + hex32(iss.pc()));
+        throw SimError("ISS step limit (" + std::to_string(plan.max_cycles) +
+                       ") exceeded at pc " + hex32(iss.pc()));
       }
       executed += iss.run_slice(
           std::min(plan.preempt_every, plan.max_cycles - executed));
@@ -187,9 +186,9 @@ Result<ExperimentResult> run_tenants(const CompiledUnit& unit,
         if (cpus[i]->halted()) continue;
         any_ran = true;
         if (executed[i] >= plan.max_cycles) {
-          throw cpu::SimError("tenant " + std::to_string(i) +
-                              " exceeded the step limit (" +
-                              std::to_string(plan.max_cycles) + ")");
+          throw SimError("tenant " + std::to_string(i) +
+                         " exceeded the step limit (" +
+                         std::to_string(plan.max_cycles) + ")");
         }
         if (controller && resident != i) {
           std::uint64_t cost = 0;
@@ -211,7 +210,7 @@ Result<ExperimentResult> run_tenants(const CompiledUnit& unit,
     if (controller && resident != kNone) {
       contexts[resident] = controller->save_context();
     }
-  } catch (const cpu::SimError& e) {
+  } catch (const SimError& e) {
     return Error{ErrorCode::kSimulation, e.what()}.with_context(
         unit_label(unit.kernel().name(), unit.machine()) +
         ": tenant schedule failed");
@@ -290,7 +289,7 @@ Result<ExperimentResult> run(const CompiledUnit& unit, Workload& workload,
       pipe.run(plan.max_cycles);
       result.stats = pipe.stats();
     }
-  } catch (const cpu::SimError& e) {
+  } catch (const SimError& e) {
     return Error{ErrorCode::kSimulation, e.what()}.with_context(
         unit_label(unit.kernel().name(), unit.machine()) +
         ": simulation failed");

@@ -127,7 +127,7 @@ struct RunPlan {
 
 /// One preemption event on `controller`: saves the full context, clobbers
 /// the controller with reset(), and restores the saved context. Returns the
-/// modeled switch cost in cycles. Throws cpu::SimError when the restore
+/// modeled switch cost in cycles. Throws SimError when the restore
 /// fails (always a bug: the context came from this controller).
 std::uint64_t preempt_cycle(zolc::ZolcController& controller);
 

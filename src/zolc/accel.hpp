@@ -1,23 +1,22 @@
-// LoopAccelerator: the interface between the processor model and a
-// zero-overhead loop controller. The CPU module depends only on this
-// interface; src/zolc provides the implementations (uZOLC / ZOLClite /
-// ZOLCfull). The interface mirrors the hardware hookup in Fig. 1 of the
-// paper: the instruction decoder drives init-mode writes, the PC decoding
-// unit exchanges task-end / redirect / candidate-exit information, and the
-// register file receives index write-backs.
-#ifndef ZOLCSIM_CPU_ACCEL_HPP
-#define ZOLCSIM_CPU_ACCEL_HPP
+// The ZOLC's event vocabulary, shared by the controller and the processor
+// models that hold it: index write-backs (RfWrite), fetch- and
+// resolution-time events (AccelEvent), the snapshot that rolls a
+// speculative event back (AccelSnapshot), the programmed tables in
+// executable form (NestProgram) and the one fetch-event walk over them
+// (walk_fetch_event). The controller runs the walk at every task-end fetch;
+// the ISS summary tier runs it itself while it replays a loop.
+#ifndef ZOLCSIM_ZOLC_ACCEL_HPP
+#define ZOLCSIM_ZOLC_ACCEL_HPP
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "cpu/exec.hpp"
-#include "cpu/regfile.hpp"
-#include "isa/opcodes.hpp"
+#include "common/bitutil.hpp"
+#include "zolc/config.hpp"
 
-namespace zolcsim::cpu {
+namespace zolcsim::zolc {
 
 /// An index write-back destined for the integer register file through the
 /// ZOLC's dedicated write port.
@@ -29,8 +28,8 @@ struct RfWrite {
 };
 
 /// Small-vector of RfWrites for the events whose writes wait: the
-/// pipeline's fetch events (applied at resolution), fetch events the ISS
-/// may still discard (at a control transfer) and resolution-time events.
+/// pipeline's fetch events (applied at resolution) and resolution-time
+/// events.
 /// They almost always carry one or two writes (a continue event's index
 /// update, a done event's reinit), so the common case stays inline and
 /// allocation-free; deep cascade reinits spill to the heap.
@@ -76,19 +75,16 @@ struct AccelEvent {
   RfWriteList rf_writes;
 };
 
-/// Capacity of the per-loop snapshot state. Matches the largest loop table
-/// any ZolcGeometry may declare (zolc::kMaxGeometryLoops).
-inline constexpr unsigned kMaxAccelLoops = 32;
-
 /// Architectural controller state that changes in active mode; saved before
 /// each speculative fetch-time event and restored on wrong-path flushes.
+/// Sized for the largest loop table any geometry may declare.
 /// Snapshots sit on the simulators' hot paths (they ride the pipeline
 /// latches while a fetch event is in flight), so copies touch only the
 /// `loop_count` live entries, not the full worst-case array; entries at
 /// index >= loop_count are uninitialized and must never be read. uZOLC's
 /// one loop index lives in loop_current[0] (its geometry sizes one loop).
 struct AccelSnapshot {
-  std::array<std::int32_t, kMaxAccelLoops> loop_current;
+  std::array<std::int32_t, kMaxGeometryLoops> loop_current;
   std::uint8_t loop_count = 0;  ///< live prefix of loop_current
   std::uint8_t current_task = 0;
   bool active = false;
@@ -207,7 +203,7 @@ struct NestProgram {
   std::vector<NestLoopDesc> loops;
 };
 
-/// A fetch event the tables cannot resolve; on_fetch raises it as a
+/// A fetch event the tables cannot resolve; the controller raises it as a
 /// SimError.
 enum class WalkFault : std::uint8_t {
   kNone,
@@ -275,83 +271,6 @@ WalkOutcome walk_fetch_event(const NestProgram& program, std::int32_t* current,
   return out;
 }
 
-class LoopAccelerator {
- public:
-  virtual ~LoopAccelerator() = default;
+}  // namespace zolcsim::zolc
 
-  /// Initialization-mode table write (zolw.* instructions). `op` selects the
-  /// table, `idx` the entry, `value` the payload (from GPR rs).
-  virtual void init_write(isa::Opcode op, std::uint8_t idx,
-                          std::uint32_t value) = 0;
-
-  /// zolon: switch to active mode starting at `start_task`, with table PC
-  /// offsets relative to byte address `base`.
-  virtual void activate(std::uint8_t start_task, std::uint32_t base) = 0;
-
-  /// zoloff: leave active mode.
-  virtual void deactivate() = 0;
-
-  /// Cheap check: would on_fetch(pc) produce an event? One compare against
-  /// the armed task-end comparator, inline on both simulators' per-fetch
-  /// path; also drives the pipeline's fetch-gating policy.
-  [[nodiscard]] bool will_trigger(std::uint32_t pc) const noexcept {
-    return armed_pc_ == pc;
-  }
-
-  /// Fetch-time hook ("PC decode" side): if `pc` ends the current task,
-  /// performs the task switch (including combinational cascades across
-  /// shared nest boundaries) and returns the redirect + index write-backs.
-  virtual std::optional<AccelEvent> on_fetch(std::uint32_t pc) = 0;
-
-  /// on_fetch for an event nothing can discard any more: the same task
-  /// switch, with the index write-backs written straight into `regs` (the
-  /// dedicated write port of Fig. 1) instead of returned. Returns the
-  /// redirect, nullopt to fall through or when `pc` raises no event.
-  virtual std::optional<std::uint32_t> on_fetch_into(std::uint32_t pc,
-                                                     RegFile& regs) = 0;
-
-  /// Resolution-time hook: a taken branch/jump at `pc` targeting `target`.
-  /// Matches candidate exit records (loop break-outs) and entry records
-  /// (multi-entry loops); returns reinit write-backs when one matches.
-  virtual std::optional<AccelEvent> on_taken_control(std::uint32_t pc,
-                                                     std::uint32_t target) = 0;
-
-  [[nodiscard]] virtual AccelSnapshot snapshot() const = 0;
-  virtual void restore(const AccelSnapshot& snapshot) = 0;
-
-  /// The latched task-end comparator value: the PC whose fetch will raise
-  /// the next event, when the controller is active and armed. Equivalent
-  /// to the will_trigger() predicate, exposed as a value (the controller
-  /// tests check it against the tables after every operation).
-  [[nodiscard]] std::optional<std::uint32_t> trigger_pc() const noexcept {
-    if (armed_pc_ == kDisarmed) return std::nullopt;
-    return static_cast<std::uint32_t>(armed_pc_);
-  }
-
-  /// Summary-tier hook: the programmed tables in executable form, or
-  /// nullptr while the controller is inactive. The pointer stays valid until
-  /// the next table write, activation, or reset.
-  [[nodiscard]] virtual const NestProgram* nest_program() const = 0;
-
-  /// Summary-tier hook: credits event counters for boundary events the
-  /// summary tier resolved itself via nest_program() (their architectural
-  /// effects were applied through restore() and direct register writes).
-  /// Mirrors exactly what the skipped on_fetch calls would have counted.
-  virtual void credit_summary_events(std::uint64_t continues,
-                                     std::uint64_t dones,
-                                     std::uint64_t cascades,
-                                     std::uint64_t max_cascade_depth) = 0;
-
- protected:
-  /// armed_pc_ value no 32-bit fetch PC can match.
-  static constexpr std::uint64_t kDisarmed = std::uint64_t{1} << 32;
-
-  /// The task-end comparator: the fetch PC that raises the next on_fetch
-  /// event, or kDisarmed. Implementations must keep it equal to that PC
-  /// after every call that changes it (activation, events, restores).
-  std::uint64_t armed_pc_ = kDisarmed;
-};
-
-}  // namespace zolcsim::cpu
-
-#endif  // ZOLCSIM_CPU_ACCEL_HPP
+#endif  // ZOLCSIM_ZOLC_ACCEL_HPP

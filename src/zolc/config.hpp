@@ -31,9 +31,9 @@ constexpr std::string_view variant_name(ZolcVariant variant) noexcept {
   return "?";
 }
 
-/// Upper bound on `max_loops` for any geometry: the loop-index snapshot the
-/// CPU keeps for speculative fetch events (cpu::AccelSnapshot) and the
-/// reinit masks in exit/entry records are sized for it.
+/// Upper bound on `max_loops` for any geometry: the loop-index snapshot
+/// that rolls back a speculative fetch event (AccelSnapshot) and the reinit
+/// masks in exit/entry records are sized for it.
 inline constexpr unsigned kMaxGeometryLoops = 32;
 
 /// Runtime ZOLC table geometry. Counts size the tables; the id/offset field

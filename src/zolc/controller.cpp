@@ -7,38 +7,31 @@
 #include "common/bitutil.hpp"
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
-#include "cpu/exec.hpp"
 
 namespace zolcsim::zolc {
 
 namespace {
 
-using cpu::AccelEvent;
-using cpu::RfWrite;
-using cpu::SimError;
 using isa::Opcode;
-
-static_assert(kMaxGeometryLoops <= cpu::kMaxAccelLoops,
-              "AccelSnapshot cannot carry the largest geometry");
 
 /// A valid loop-table entry or the uZOLC registers in exported form, with
 /// the trip count from `initial`.
 template <typename Loop>
-cpu::NestLoopDesc nest_loop(const Loop& l) {
+NestLoopDesc nest_loop(const Loop& l) {
   static_assert(static_cast<int>(LoopCond::kLt) ==
-                        static_cast<int>(cpu::NestCond::kLt) &&
+                        static_cast<int>(NestCond::kLt) &&
                     static_cast<int>(LoopCond::kGe) ==
-                        static_cast<int>(cpu::NestCond::kGe),
+                        static_cast<int>(NestCond::kGe),
                 "NestCond must mirror LoopCond");
-  cpu::NestLoopDesc d;
+  NestLoopDesc d;
   d.valid = true;
   d.index_rf = l.index_rf;
-  d.cond = static_cast<cpu::NestCond>(l.cond);
+  d.cond = static_cast<NestCond>(l.cond);
   d.step = l.step;
   d.initial = l.initial;
   d.final = l.final;
   const std::int64_t edges =
-      cpu::nest_remaining_backedges(l.initial, l.step, l.final, d.cond);
+      nest_remaining_backedges(l.initial, l.step, l.final, d.cond);
   d.trips = edges < 0 ? 0 : static_cast<std::uint64_t>(edges) + 1;
   return d;
 }
@@ -251,31 +244,15 @@ std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
   return base_ + (static_cast<std::uint32_t>(ofs) << 2);
 }
 
-template <typename Sink>
-std::optional<std::uint32_t> ZolcController::fetch_event(std::uint32_t pc,
-                                                         const Sink& sink) {
-  // An armed trigger implies active_, so the export exists; only a stale
-  // one takes the out-of-line rebuild.
-  const cpu::NestProgram& program = nest_dirty_ ? *nest_program() : nest_prog_;
-  const cpu::WalkOutcome walk = cpu::walk_fetch_event(
-      program, current_.data(), current_task_, active_, pc, sink);
-  stats_.continue_events += walk.continues;
-  stats_.done_events += walk.dones;
-  if (walk.fault == cpu::WalkFault::kInvalidLoop) {
+void ZolcController::raise_walk_fault(WalkFault fault,
+                                      std::uint32_t pc) const {
+  if (fault == WalkFault::kInvalidLoop) {
     throw SimError("task " + std::to_string(current_task_) +
                    " references invalid loop " +
-                   std::to_string(program.tasks[current_task_].loop));
+                   std::to_string(nest_prog_.tasks[current_task_].loop));
   }
-  if (walk.fault == cpu::WalkFault::kCascadeTooDeep) {
-    throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
-  }
-  if (walk.depth > 1) {
-    ++stats_.cascade_chains;
-    stats_.max_cascade_depth = std::max<std::uint64_t>(stats_.max_cascade_depth,
-                                                       walk.depth);
-  }
-  refresh_trigger();
-  return walk.redirect;
+  ZS_ASSERT(fault == WalkFault::kCascadeTooDeep);
+  throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
 }
 
 std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
@@ -287,14 +264,6 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
     ev.rf_writes.push_back(RfWrite{reg, value});
   });
   return out;
-}
-
-std::optional<std::uint32_t> ZolcController::on_fetch_into(
-    std::uint32_t pc, cpu::RegFile& regs) {
-  if (!will_trigger(pc)) return std::nullopt;
-  return fetch_event(pc, [&regs](std::uint8_t reg, std::int32_t value) {
-    regs.write(reg, value);
-  });
 }
 
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
@@ -353,8 +322,8 @@ std::optional<AccelEvent> ZolcController::on_taken_control(
   return ev;
 }
 
-cpu::AccelSnapshot ZolcController::snapshot() const {
-  cpu::AccelSnapshot s;
+AccelSnapshot ZolcController::snapshot() const {
+  AccelSnapshot s;
   s.loop_count = static_cast<std::uint8_t>(current_.size());
   std::copy(current_.begin(), current_.end(), s.loop_current.begin());
   s.current_task = current_task_;
@@ -362,14 +331,14 @@ cpu::AccelSnapshot ZolcController::snapshot() const {
   return s;
 }
 
-const cpu::NestProgram* ZolcController::nest_program() const {
+const NestProgram* ZolcController::nest_program() const {
   if (!active_) return nullptr;
   if (!nest_dirty_) return &nest_prog_;
   if (variant_ == ZolcVariant::kMicro) {
     // One task over the micro registers' region. Its done event
     // re-initializes the index and falls through, leaving the controller
     // armed for a re-entry by an enclosing software loop.
-    cpu::NestTaskDesc task;
+    NestTaskDesc task;
     task.start_pc = micro_.start_pc;
     task.end_pc = micro_.end_pc;
     task.done_falls_through = true;
@@ -377,11 +346,11 @@ const cpu::NestProgram* ZolcController::nest_program() const {
     nest_prog_.tasks.assign(1, task);
     nest_prog_.loops.assign(1, nest_loop(micro_));
   } else {
-    nest_prog_.loops.assign(loops_.size(), cpu::NestLoopDesc{});
-    nest_prog_.tasks.assign(tasks_.size(), cpu::NestTaskDesc{});
+    nest_prog_.loops.assign(loops_.size(), NestLoopDesc{});
+    nest_prog_.tasks.assign(tasks_.size(), NestTaskDesc{});
     for (unsigned i = 0; i < loops_.size(); ++i) {
       if (!loops_[i].valid) continue;
-      cpu::NestLoopDesc& d = nest_prog_.loops[i];
+      NestLoopDesc& d = nest_prog_.loops[i];
       d = nest_loop(loops_[i]);
       if (variant_ == ZolcVariant::kFull) {
         const unsigned bank = i * geom_.max_exits_per_loop;
@@ -395,7 +364,7 @@ const cpu::NestProgram* ZolcController::nest_program() const {
     }
     for (unsigned i = 0; i < tasks_.size(); ++i) {
       const TaskEntry& t = tasks_[i];
-      cpu::NestTaskDesc& d = nest_prog_.tasks[i];
+      NestTaskDesc& d = nest_prog_.tasks[i];
       // start_pc resolves for every entry: the event walk redirects to a
       // successor's start without a validity check.
       d.start_pc = ofs_to_pc(task_start_[i]);
@@ -413,10 +382,10 @@ const cpu::NestProgram* ZolcController::nest_program() const {
   // does not fault, no live event at the task can. The forced copy and its
   // indices live in members, so a rebuild (every zolon and context
   // restore) allocates nothing once they have grown to the geometry.
-  cpu::NestProgram& forced = forced_prog_;
+  NestProgram& forced = forced_prog_;
   forced = nest_prog_;
-  for (cpu::NestLoopDesc& l : forced.loops) {
-    l.cond = cpu::NestCond::kLt;
+  for (NestLoopDesc& l : forced.loops) {
+    l.cond = NestCond::kLt;
     l.final = std::numeric_limits<std::int32_t>::min();
   }
   const auto no_sink = [](std::uint8_t, std::int32_t) {};
@@ -426,9 +395,9 @@ const cpu::NestProgram* ZolcController::nest_program() const {
     if (!forced.tasks[i].valid) continue;
     auto task = static_cast<std::uint8_t>(i);
     bool active = true;
-    const cpu::WalkOutcome walk = cpu::walk_fetch_event(
+    const WalkOutcome walk = walk_fetch_event(
         forced, indices.data(), task, active, forced.tasks[i].end_pc, no_sink);
-    nest_prog_.tasks[i].walk_safe = walk.fault == cpu::WalkFault::kNone;
+    nest_prog_.tasks[i].walk_safe = walk.fault == WalkFault::kNone;
   }
   nest_dirty_ = false;
   return &nest_prog_;
@@ -445,13 +414,13 @@ void ZolcController::credit_summary_events(std::uint64_t continues,
       std::max(stats_.max_cascade_depth, max_cascade_depth);
 }
 
-void ZolcController::restore(const cpu::AccelSnapshot& snapshot) {
+void ZolcController::restore(const AccelSnapshot& snapshot) {
   if (auto restored = try_restore(snapshot); !restored.ok()) {
     throw SimError(restored.error().to_string());
   }
 }
 
-Result<void> ZolcController::try_restore(const cpu::AccelSnapshot& snapshot) {
+Result<void> ZolcController::try_restore(const AccelSnapshot& snapshot) {
   if (snapshot.loop_count != current_.size()) {
     return Error{ErrorCode::kBadContext,
                  "snapshot carries " + std::to_string(snapshot.loop_count) +

@@ -14,8 +14,8 @@
 namespace zolcsim::zolc {
 
 /// Loop-continuation condition: after the index update, the loop continues
-/// iff `cpu::nest_cond_holds(cond, next_index, final)` (the event walk's
-/// comparator; cpu::NestCond has the same encoding).
+/// iff `nest_cond_holds(cond, next_index, final)` (the event walk's
+/// comparator; NestCond has the same encoding).
 enum class LoopCond : std::uint8_t { kLt = 0, kLe = 1, kGt = 2, kGe = 3 };
 
 /// Task selection LUT entry (one 32-bit init word). Generic layout, LSB

@@ -52,7 +52,7 @@ struct TierRun {
   FastPathStats fastpath;
   cpu::RegFile regs;
   zolc::ZolcStats zolc_stats;
-  cpu::AccelSnapshot snapshot;
+  zolc::AccelSnapshot snapshot;
 };
 
 TierRun run_tier(const flow::CompiledUnit& unit, bool fast, bool warm) {
@@ -310,7 +310,7 @@ struct BailoutRun {
   cpu::RegFile regs;
   FastPathStats fastpath;
   zolc::ZolcStats zolc_stats;
-  cpu::AccelSnapshot snapshot;
+  zolc::AccelSnapshot snapshot;
   bool controller_active = false;
 };
 
@@ -709,7 +709,7 @@ TEST(FastPathBailouts, DoneCascadeIntoInvalidLoopTrapsPrecisely) {
                   /*is_last=*/true);
       });
   const BailoutRun fast =
-      expect_fault_cosim<cpu::SimError>(prog, ZolcVariant::kLite);
+      expect_fault_cosim<SimError>(prog, ZolcVariant::kLite);
   EXPECT_EQ(fast.regs.read(2), 5 * 4 / 2);  // every pass ran
   EXPECT_EQ(fast.fastpath.engagements, 0u);
 }
@@ -725,7 +725,7 @@ TEST(FastPathBailouts, CascadePastLoopTableDepthTrapsPrecisely) {
                   /*is_last=*/false);
       });
   const BailoutRun fast =
-      expect_fault_cosim<cpu::SimError>(prog, ZolcVariant::kLite);
+      expect_fault_cosim<SimError>(prog, ZolcVariant::kLite);
   EXPECT_EQ(fast.regs.read(2), 5 * 4 / 2);
   EXPECT_EQ(fast.fastpath.engagements, 0u);
 }

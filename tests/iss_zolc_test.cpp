@@ -20,6 +20,8 @@ namespace {
 
 namespace b = isa::build;
 using isa::Instruction;
+using zolc::AccelSnapshot;
+using zolc::RfWrite;
 using zolc::ZolcController;
 using zolc::ZolcVariant;
 

@@ -18,6 +18,7 @@
 #include "isa/build.hpp"
 #include "isa/encoding.hpp"
 #include "mem/memory.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::test {
 
@@ -142,7 +143,7 @@ struct RunResult {
 /// Runs `program` (already terminated by halt) on a fresh pipeline.
 inline RunResult run_pipeline(std::span<const isa::Instruction> program,
                               cpu::PipelineConfig config = {},
-                              cpu::LoopAccelerator* accel = nullptr,
+                              zolc::ZolcController* accel = nullptr,
                               std::uint32_t base = 0x1000,
                               std::uint64_t max_cycles = 2'000'000) {
   mem::Memory memory;
@@ -160,7 +161,7 @@ struct IssResult {
 };
 
 inline IssResult run_iss(std::span<const isa::Instruction> program,
-                         cpu::LoopAccelerator* accel = nullptr,
+                         zolc::ZolcController* accel = nullptr,
                          std::uint32_t base = 0x1000,
                          std::uint64_t max_steps = 2'000'000) {
   mem::Memory memory;

@@ -213,14 +213,14 @@ TEST(ControllerContext, RestoreRejectsWrongGeometryAndVariant) {
 
 TEST(ControllerContext, TryRestoreRejectsBadSnapshotLoopCount) {
   ZolcController controller(ZolcVariant::kFull);  // 8-loop geometry
-  cpu::AccelSnapshot snapshot = controller.snapshot();
+  AccelSnapshot snapshot = controller.snapshot();
   ASSERT_EQ(snapshot.loop_count, 8u);
   snapshot.loop_count = 3;  // saved from a different geometry
   auto restored = controller.try_restore(snapshot);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.error().code, ErrorCode::kBadContext);
   // The untyped virtual surface turns the same mismatch into a SimError.
-  EXPECT_THROW(controller.restore(snapshot), cpu::SimError);
+  EXPECT_THROW(controller.restore(snapshot), SimError);
   // A matching snapshot restores cleanly.
   EXPECT_TRUE(controller.try_restore(controller.snapshot()).ok());
 }

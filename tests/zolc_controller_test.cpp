@@ -14,8 +14,6 @@
 namespace zolcsim::zolc {
 namespace {
 
-using cpu::AccelEvent;
-using cpu::SimError;
 using isa::Opcode;
 
 // ---------------- table pack/unpack ----------------
@@ -87,14 +85,14 @@ TEST(Tables, EntryRecordRoundTrip) {
 }
 
 TEST(Tables, CondHolds) {
-  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kLt, 3, 4));
-  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kLt, 4, 4));
-  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kLe, 4, 4));
-  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kLe, 5, 4));
-  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kGt, 1, 0));
-  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kGt, 0, 0));
-  EXPECT_TRUE(cpu::nest_cond_holds(cpu::NestCond::kGe, 0, 0));
-  EXPECT_FALSE(cpu::nest_cond_holds(cpu::NestCond::kGe, -1, 0));
+  EXPECT_TRUE(nest_cond_holds(NestCond::kLt, 3, 4));
+  EXPECT_FALSE(nest_cond_holds(NestCond::kLt, 4, 4));
+  EXPECT_TRUE(nest_cond_holds(NestCond::kLe, 4, 4));
+  EXPECT_FALSE(nest_cond_holds(NestCond::kLe, 5, 4));
+  EXPECT_TRUE(nest_cond_holds(NestCond::kGt, 1, 0));
+  EXPECT_FALSE(nest_cond_holds(NestCond::kGt, 0, 0));
+  EXPECT_TRUE(nest_cond_holds(NestCond::kGe, 0, 0));
+  EXPECT_FALSE(nest_cond_holds(NestCond::kGe, -1, 0));
 }
 
 // ---------------- helpers ----------------
@@ -411,7 +409,7 @@ TEST_F(LiteTest, IndexUpdateWrapsAtInt32Max) {
   write_loop(c, 0, 0, 0, 1, 9, LoopCond::kGe);
   write_task(c, 0, 100, 105, 0, 0, 0, true);
   c.activate(0, kBase);
-  cpu::AccelSnapshot snap = c.snapshot();
+  AccelSnapshot snap = c.snapshot();
   snap.loop_current[0] = std::numeric_limits<std::int32_t>::max() - 1;
   c.restore(snap);
   auto ev = c.on_fetch(pc_of(105));
@@ -727,7 +725,7 @@ class TriggerFuzzer {
           coherent_ = true;
           return "reset";
       }
-    } catch (const cpu::SimError&) {
+    } catch (const SimError&) {
       coherent_ = false;
       return "trap";
     }
@@ -747,7 +745,7 @@ class TriggerFuzzer {
   ZolcController c_;
   std::mt19937 rng_;
   std::uint32_t base_ = 0x1000;
-  cpu::AccelSnapshot snap_ = c_.snapshot();
+  AccelSnapshot snap_ = c_.snapshot();
   ZolcContext ctx_ = c_.save_context();
   bool coherent_ = true;
 };

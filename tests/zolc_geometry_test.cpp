@@ -34,11 +34,11 @@ TEST(GeometryController, TablesAreSizedByTheGeometry) {
   c.init_write(isa::Opcode::kZolwLp0, 12, e.pack_word0());
   c.init_write(isa::Opcode::kZolwLp1, 12, e.pack_word1());
   EXPECT_TRUE(c.loop(12).valid);
-  EXPECT_THROW(c.init_write(isa::Opcode::kZolwLp0, 16, 0), cpu::SimError);
+  EXPECT_THROW(c.init_write(isa::Opcode::kZolwLp0, 16, 0), SimError);
 
   ZolcController paper(ZolcVariant::kFull);
   EXPECT_THROW(paper.init_write(isa::Opcode::kZolwLp0, 12, e.pack_word0()),
-               cpu::SimError);
+               SimError);
 }
 
 TEST(GeometryController, TwelveLoopCascadeRunsAndSnapshots) {
@@ -85,7 +85,7 @@ TEST(GeometryController, TwelveLoopCascadeRunsAndSnapshots) {
   // Snapshot/restore carries all 12 live indices.
   c.restore(snap);
   EXPECT_TRUE(c.active());
-  const cpu::AccelSnapshot restored = c.snapshot();
+  const zolc::AccelSnapshot restored = c.snapshot();
   for (unsigned l = 0; l < 12; ++l) EXPECT_EQ(restored.loop_current[l], 0);
 }
 
@@ -100,7 +100,7 @@ TEST(GeometryController, RejectsPackedIdsBeyondTheTables) {
   t.loop_id = 15;
   t.valid = true;
   EXPECT_THROW(c.init_write(isa::Opcode::kZolwTe, 0, t.pack(g)),
-               cpu::SimError);
+               SimError);
   t.loop_id = 11;
   c.init_write(isa::Opcode::kZolwTe, 0, t.pack(g));  // in range: accepted
   EXPECT_EQ(c.task(0).loop_id, 11u);
@@ -114,7 +114,7 @@ TEST(GeometryController, RejectsPackedIdsBeyondTheTables) {
   r.next_task = 25;  // 5 id bits admit it; table has 20 entries
   r.valid = true;
   EXPECT_THROW(full.init_write(isa::Opcode::kZolwEx0, 0, r.pack_lo(g20)),
-               cpu::SimError);
+               SimError);
 }
 
 // ---------------- lowering against geometries ----------------
