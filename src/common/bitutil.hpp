@@ -1,6 +1,8 @@
 // Bit-manipulation helpers used by the ISA encoder/decoder and the ZOLC
-// storage model. All operations are on unsigned types (ES.101) with explicit
-// widths; sign extension is the single place signedness is reintroduced.
+// storage model, plus the wrapping 32-bit arithmetic the core and the ZOLC
+// index update share. All operations are on unsigned types (ES.101) with
+// explicit widths; sign extension and the wrapping results are the places
+// signedness is reintroduced.
 #ifndef ZOLCSIM_COMMON_BITUTIL_HPP
 #define ZOLCSIM_COMMON_BITUTIL_HPP
 

@@ -5,8 +5,8 @@
 // the decoded records of the straight-line region between the current PC
 // and the current task's end, executes them in a tight loop, resolves the
 // boundary event with walk_fetch_event (the walk the controller's
-// fetch_event runs), and follows it into the next region. When the current task
-// self-loops (an innermost loop body repeating under pure back-edge
+// fetch_event runs), and follows it into the next region. When the current
+// task self-loops (an innermost loop body repeating under pure back-edge
 // control), it goes further: it records the first iteration's store
 // pattern, validates it against the second, then replays the remaining
 // iterations with the index recurrence fused in -- no per-iteration event

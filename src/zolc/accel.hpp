@@ -29,10 +29,9 @@ struct RfWrite {
 
 /// Small-vector of RfWrites for the events whose writes wait: the
 /// pipeline's fetch events (applied at resolution) and resolution-time
-/// events.
-/// They almost always carry one or two writes (a continue event's index
-/// update, a done event's reinit), so the common case stays inline and
-/// allocation-free; deep cascade reinits spill to the heap.
+/// events. They almost always carry one or two writes (a continue event's
+/// index update, a done event's reinit), so the common case stays inline
+/// and allocation-free; deep cascade reinits spill to the heap.
 class RfWriteList {
  public:
   void push_back(const RfWrite& w) {
@@ -76,8 +75,8 @@ struct AccelEvent {
 };
 
 /// Architectural controller state that changes in active mode; saved before
-/// each speculative fetch-time event and restored on wrong-path flushes.
-/// Sized for the largest loop table any geometry may declare.
+/// each speculative fetch-time event and restored on wrong-path flushes,
+/// and sized for the largest loop table any geometry may declare.
 /// Snapshots sit on the simulators' hot paths (they ride the pipeline
 /// latches while a fetch event is in flight), so copies touch only the
 /// `loop_count` live entries, not the full worst-case array; entries at

@@ -1,6 +1,6 @@
-// Directed ISS tests of fetch-time ZOLC speculation: a task-end event raised
-// at the fetch of an instruction is kept exactly when that instruction is
-// not a taken control transfer, and rolled back (controller state, index
+// Directed ISS tests of fetch-time ZOLC events: a task-end event raised at
+// the fetch of an instruction is kept exactly when that instruction is not
+// a taken control transfer, and discarded (controller state, index
 // write-back and redirect) when it is. Every instruction kind is placed on
 // the trigger PC of every ZOLC variant, fetching through the code image and
 // through memory. A kept event's index write lands after the instruction's
