@@ -1,8 +1,8 @@
 # CLI smoke test: run `zolcsim sweep` on one kernel and validate the CSV
 # schema against the checked-in golden header, then run one checked-in
 # scenario suite through `sweep --from-file`, exercise `run --mode`, and
-# pin the exit codes of rejected flags, of a removed suite member and of
-# `bench --compare`. Invoked by
+# pin the exit codes of rejected flags and commands, of a removed suite
+# member and of `bench --compare`. Invoked by
 # CTest as
 #   cmake -DCLI=<zolcsim> -DGOLDEN=<sweep_header.csv> -DOUT=<scratch.csv>
 #        -DSUITE=<scenarios/fig2_cycles.json> -P cli_smoke.cmake
@@ -72,6 +72,16 @@ expect_exit(2 run dotprod --engine=iss)
 expect_exit(2 run dotprod --fast-path)
 expect_exit(2 run dotprod --no-predecode)
 expect_exit(2 run dotprod --mode=iss --preempt-every=97 --preempt-serialize)
+
+# The on-disk unit store has no CLI surface: its command, its directory
+# flag on every verb, the zero-compile gate of `bench` and the daemon's
+# store request are all unknown.
+expect_exit(2 store stat --store-dir=x)
+expect_exit(2 sweep --kernels=dotprod --store-dir=x)
+expect_exit(2 bench --suite-dir=x --store-dir=x)
+expect_exit(2 serve --socket=/nonexistent/zolcsim.sock --store-dir=x)
+expect_exit(2 bench --suite-dir=x --expect-zero-compiles)
+expect_exit(2 client store-stat --socket=/nonexistent)
 
 # A suite file defines the whole grid: every grid flag conflicts with it.
 expect_exit(2 sweep --from-file=${SUITE} --preempt-every=97)

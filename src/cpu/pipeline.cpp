@@ -149,9 +149,14 @@ void Pipeline::cycle() {
 
     // Commit this instruction's fetch-time ZOLC write-backs now that it is
     // entering EX (non-speculative) -- unless it is itself a taken control
-    // transfer, in which case the fetch-time speculation was wrong-path.
+    // transfer, in which case the fetch-time speculation was wrong-path. A
+    // walk fault raises here, taken or not, as it does on the ISS.
     if (cur.id_ex.event != kNoEvent) {
       const FetchInfo& fi = event_at(cur.id_ex.event);
+      if (fi.event.fault != zolc::WalkFault::kNone) {
+        accel_->raise_walk_fault(fi.event.fault, fi.event.fault_task,
+                                 cur.id_ex.pc);
+      }
       if (control.taken) {
         rollback_to = &fi.before;
       } else {
@@ -299,11 +304,14 @@ void Pipeline::cycle() {
           ++stats_.taken_control;
           // This branch's own fetch-time event was fall-through speculation:
           // cancel it (write-backs never applied) and remember the rollback.
+          // A faulting event stays with the branch, which raises it in EX.
           if (id.event != kNoEvent) {
             if (rollback_to == nullptr) {
               rollback_to = &event_at(id.event).before;
             }
-            id.event = kNoEvent;
+            if (event_at(id.event).event.fault == zolc::WalkFault::kNone) {
+              id.event = kNoEvent;
+            }
           }
         }
       }

@@ -7,18 +7,18 @@
 // spec's FNV-1a hash, so parallel sweep workers resolving different units
 // no longer convoy on a single lock; within a shard, resolution happens
 // under the lock, so a unit is still resolved exactly once no matter how
-// many workers race for it. The miss counter counts in-memory misses; with
-// an attached UnitStore a miss is first served from disk (store_hits), so
-// the number of compiles actually performed is the separate `compiles`
-// counter (== misses when no store is attached), which SweepReport exposes
-// (and tests assert).
+// many workers race for it. The miss counter counts in-memory misses and
+// `compiles` the compiles performed; every front (CLI, serve daemon, sweep)
+// runs the cache without a store, so the two are equal there, and
+// SweepReport exposes them (and tests assert). Only the benchmark's replay
+// attaches a UnitStore, whose loads then count as store_hits.
 //
 // Each shard keeps its units in least-recently-used order and holds at
 // most kMaxResidentBytes / kShardCount of CompiledUnit::resident_bytes().
 // Past that it drops its least recently used units. A dropped unit stays
 // alive for whoever still holds it; the next lookup of its spec resolves
-// it again (store load or compile), so the counters can only rise past the
-// bound, which holds every unit of the checked-in scenarios/ set.
+// it again, so the counters can only rise past the bound, which holds
+// every unit of the checked-in scenarios/ set.
 #ifndef ZOLCSIM_FLOW_CACHE_HPP
 #define ZOLCSIM_FLOW_CACHE_HPP
 
@@ -47,8 +47,8 @@ class CompileCache {
 
   struct Stats {
     std::size_t hits = 0;        ///< served from memory
-    std::size_t misses = 0;      ///< not in memory (store or compile)
-    std::size_t store_hits = 0;  ///< misses served by the attached store
+    std::size_t misses = 0;      ///< not in memory
+    std::size_t store_hits = 0;  ///< misses served by an attached store
     std::size_t compiles = 0;    ///< compiles performed (misses - store_hits)
     std::size_t evictions = 0;   ///< units dropped to stay within the bound
     /// Bytes charged to the units held now.
@@ -59,13 +59,12 @@ class CompileCache {
   /// misses try store.load() before compiling, and fresh compiles are
   /// written back with store.save(). Store failures never fail a lookup --
   /// a bad artifact is recompiled and overwritten. Attach before sharing
-  /// the cache across threads.
+  /// the cache across threads. The benchmark's replay is the only caller.
   void attach_store(UnitStore* store) noexcept { store_ = store; }
-  [[nodiscard]] UnitStore* store() const noexcept { return store_; }
 
-  /// Returns the unit for `spec`, resolving it when it is not resident
-  /// (store load or compile). A failed compile is not cached (every caller
-  /// for that spec gets the error).
+  /// Returns the unit for `spec`, compiling it (or, with a store attached,
+  /// loading it) when it is not resident. A failed compile is not cached
+  /// (every caller for that spec gets the error).
   ///
   /// A unit is charged its resident_bytes() when it is inserted and again
   /// whenever it is hit, so its prepared image, built after insertion,

@@ -386,86 +386,4 @@ UnitStore::Stats UnitStore::stats() const {
   return stats_;
 }
 
-UnitStore::ArtifactInfo::State UnitStore::classify_artifact(
-    const json::Value& root, const std::string& filename) {
-  using State = ArtifactInfo::State;
-  const json::Value* format = root.find("format");
-  const json::Value* tag = root.find("tag");
-  const json::Value* spec_v = root.find("spec");
-  const json::Value* digest = root.find("payload_fnv1a64");
-  const json::Value* unit_v = root.find("unit");
-  if (format == nullptr || !format->is_string() || tag == nullptr ||
-      !tag->is_string() || spec_v == nullptr || digest == nullptr ||
-      !digest->is_string() || unit_v == nullptr) {
-    return State::kCorrupt;
-  }
-  if (format->as_string() != kFormat) return State::kCorrupt;
-  if (tag->as_string() != toolchain_tag()) return State::kStale;
-  const auto spec = parse_spec(*spec_v);
-  if (!spec) return State::kCorrupt;
-  if (filename != "unit-" + hex64(key_of(*spec)) + ".json") {
-    return State::kCorrupt;  // artifact filed under a key it does not own
-  }
-  const auto stored_digest = parse_hex64(digest->as_string());
-  if (!stored_digest) return State::kCorrupt;
-  const kernels::Kernel* kernel = kernels::find_kernel(spec->kernel);
-  // An unregistered kernel is unusable by this build but not damaged.
-  if (kernel == nullptr) return State::kStale;
-  try {
-    auto parts = parse_unit_payload(*unit_v, spec->machine);
-    if (!parts) return State::kCorrupt;
-    const CompiledUnit unit(*kernel, *spec, std::move(parts->program),
-                            std::move(parts->scan));
-    if (fnv1a64(unit.to_json()) != *stored_digest) return State::kCorrupt;
-  } catch (const std::exception&) {
-    return State::kCorrupt;
-  }
-  return State::kCurrent;
-}
-
-Result<std::vector<UnitStore::ArtifactInfo>> UnitStore::scan_artifacts()
-    const {
-  std::vector<ArtifactInfo> out;
-  std::error_code ec;
-  if (!fs::exists(dir_, ec) || ec) return out;
-  fs::directory_iterator it(dir_, ec);
-  if (ec) return io_error("cannot scan store directory", dir_);
-  for (const fs::directory_entry& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (!starts_with(name, "unit-") || !name.ends_with(".json")) continue;
-    ArtifactInfo info;
-    info.file = name;
-    info.bytes = entry.file_size(ec);
-    if (ec) info.bytes = 0;
-
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = json::parse(buffer.str());
-    if (in && parsed.ok()) {
-      info.state = classify_artifact(parsed.value(), name);
-    }
-    out.push_back(std::move(info));
-  }
-  return out;
-}
-
-Result<UnitStore::GcOutcome> UnitStore::gc() {
-  auto scanned = scan_artifacts();
-  if (!scanned.ok()) return std::move(scanned).error();
-  GcOutcome outcome;
-  for (const ArtifactInfo& info : scanned.value()) {
-    if (info.state == ArtifactInfo::State::kCurrent) {
-      ++outcome.kept;
-      continue;
-    }
-    std::error_code ec;
-    fs::remove(fs::path(dir_) / info.file, ec);
-    if (ec) return io_error("cannot remove", fs::path(dir_) / info.file);
-    ++outcome.removed;
-    outcome.bytes_freed += info.bytes;
-  }
-  return outcome;
-}
-
 }  // namespace zolcsim::flow

@@ -1,6 +1,8 @@
-// UnitStore: an on-disk, content-addressed cache of CompiledUnits, so a
-// fresh process can skip the compile stage entirely for units any earlier
-// process already compiled (ROADMAP: "zolcsim as a service").
+// UnitStore: an on-disk, content-addressed cache of CompiledUnits. Its
+// last caller is the benchmark's replay (perfbench/zolcbench.cpp), which
+// attaches one to a CompileCache and times its loads and saves; no CLI
+// verb, daemon option or request reaches it. Compiling a unit is faster
+// than loading it, so nothing else attaches one.
 //
 // Artifacts are one JSON file per unit under a caller-chosen directory,
 // named unit-<key>.json where key = FNV-1a 64 over the full CompileSpec key
@@ -17,7 +19,7 @@
 //
 // A UnitStore never fails a compile pipeline: CompileCache treats every
 // load() error as a plain miss (and recompiles over the bad artifact); the
-// typed errors surface to direct callers, `zolcsim store stat`, and tests.
+// typed errors surface to direct callers and tests.
 #ifndef ZOLCSIM_FLOW_UNIT_STORE_HPP
 #define ZOLCSIM_FLOW_UNIT_STORE_HPP
 
@@ -25,21 +27,16 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/result.hpp"
 #include "flow/compiled_unit.hpp"
-
-namespace zolcsim::json {
-class Value;
-}
 
 namespace zolcsim::flow {
 
 class UnitStore {
  public:
   /// Artifact format version; part of every artifact's envelope (but not of
-  /// the key: a format bump makes old artifacts collectable, not aliased).
+  /// the key: after a format bump old artifacts are rejected, not aliased).
   static constexpr std::string_view kFormat = "zolcsim-unit-v1";
 
   /// The directory is created lazily on first save(); a missing directory
@@ -76,36 +73,8 @@ class UnitStore {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// One artifact as seen by stat()/gc(), classified with the same full
-  /// validation load() applies (envelope, spec/filename key, payload
-  /// digest), so `store stat` reports exactly what load() would do.
-  struct ArtifactInfo {
-    std::string file;  ///< filename within dir()
-    std::uint64_t bytes = 0;
-    enum class State : std::uint8_t {
-      kCurrent,  ///< load() would return this unit
-      kStale,    ///< foreign toolchain tag or unregistered kernel
-      kCorrupt,  ///< unparsable, wrong shape, or failed integrity check
-    } state = State::kCorrupt;
-  };
-
-  /// Scans the store directory (unit-*.json). A missing directory is an
-  /// empty store; kIo only for real filesystem failures.
-  [[nodiscard]] Result<std::vector<ArtifactInfo>> scan_artifacts() const;
-
-  struct GcOutcome {
-    std::size_t removed = 0;
-    std::uint64_t bytes_freed = 0;
-    std::size_t kept = 0;
-  };
-  /// Deletes stale and corrupt artifacts, keeps current ones.
-  [[nodiscard]] Result<GcOutcome> gc();
-
  private:
   [[nodiscard]] std::string path_for(const CompileSpec& spec) const;
-  /// Full-load classification of one parsed artifact for scan_artifacts().
-  [[nodiscard]] static ArtifactInfo::State classify_artifact(
-      const json::Value& root, const std::string& filename);
 
   std::string dir_;
   mutable std::mutex mutex_;  ///< guards stats_ only; files are per-key

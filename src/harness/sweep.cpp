@@ -406,8 +406,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
   const flow::CompileCache::Stats cache_stats = cache.stats();
   report.compile_cache_hits = cache_stats.hits - stats_before.hits;
   report.compile_cache_misses = cache_stats.misses - stats_before.misses;
-  report.compile_cache_store_hits =
-      cache_stats.store_hits - stats_before.store_hits;
   report.compile_cache_compiles =
       cache_stats.compiles - stats_before.compiles;
   report.cells.reserve(n_cells);

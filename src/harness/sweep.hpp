@@ -131,13 +131,11 @@ struct SweepReport {
   /// Compile-cache counters for the sweep: `compile_cache_misses` is the
   /// number of units not already in memory (exactly one per distinct
   /// (kernel, machine, geometry) point that ran), `compile_cache_hits` the
-  /// number of cells that reused one. With an attached UnitStore, misses
-  /// split into `compile_cache_store_hits` (reloaded from disk) and
-  /// `compile_cache_compiles` (actually compiled); without one, compiles ==
-  /// misses. Not part of the CSV/JSON emitters.
+  /// number of cells that reused one, and `compile_cache_compiles` the
+  /// compiles performed, which equals the misses. Not part of the CSV/JSON
+  /// emitters.
   std::size_t compile_cache_hits = 0;
   std::size_t compile_cache_misses = 0;
-  std::size_t compile_cache_store_hits = 0;
   std::size_t compile_cache_compiles = 0;
 
   /// Copy-on-write image resets summed over all cells (see

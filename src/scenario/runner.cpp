@@ -167,8 +167,6 @@ std::string bench_artifact_json(const SuiteOutcome& outcome) {
   out += "  \"compile_cache\": {\"hits\": " +
          std::to_string(report.compile_cache_hits) +
          ", \"misses\": " + std::to_string(report.compile_cache_misses) +
-         ", \"store_hits\": " +
-         std::to_string(report.compile_cache_store_hits) +
          ", \"compiles\": " + std::to_string(report.compile_cache_compiles) +
          ", \"hit_rate\": " + format_fixed(hit_rate, 3) + "},\n";
   out += "  \"prepares\": {\"image_resets\": " +

@@ -110,7 +110,6 @@ std::string_view request_type_name(RequestType type) {
     case RequestType::kRun: return "run";
     case RequestType::kSweep: return "sweep";
     case RequestType::kBenchSuite: return "bench-suite";
-    case RequestType::kStoreStat: return "store-stat";
     case RequestType::kStats: return "stats";
     case RequestType::kShutdown: return "shutdown";
   }
@@ -157,7 +156,6 @@ Result<Request> parse_request(std::string_view payload) {
 
   switch (request.type) {
     case RequestType::kPing:
-    case RequestType::kStoreStat:
     case RequestType::kStats:
     case RequestType::kShutdown: {
       if (auto strict = reject_unknown_members(root, {"schema", "type"});

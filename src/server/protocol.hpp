@@ -11,7 +11,7 @@
 //
 // Requests are strict JSON objects (unknown members rejected, exactly like
 // the scenario-suite schema): a "schema" member pinning the protocol
-// version, a "type" member naming one of the eight request types, and
+// version, a "type" member naming one of the request types, and
 // type-specific members. Replies carry the same "schema" plus a "reply"
 // member that either echoes the request type or is "error" with the
 // Error{code, message, context} triple, so clients branch on
@@ -44,19 +44,19 @@ inline constexpr std::size_t kMaxFrameBytes = std::size_t{8} << 20;
 /// Bytes of the frame length prefix (big-endian).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
-/// The eight request types of zolcsim-serve-v1.
+/// The request types of zolcsim-serve-v1; kShutdown stays last.
 enum class RequestType : std::uint8_t {
   kPing,        ///< liveness probe; replies "pong"
   kCompile,     ///< resolve one unit through the warm cache; summary reply
   kRun,         ///< compile + execute one experiment; statistics reply
   kSweep,       ///< run an inline scenario suite; rendered CSV/JSON reply
   kBenchSuite,  ///< run an inline suite; BENCH_<suite>.json artifact reply
-  kStoreStat,   ///< inventory of the attached on-disk unit store
   kStats,       ///< aggregate server statistics (requests, cache, latency)
   kShutdown,    ///< begin graceful drain; the daemon exits once idle
 };
 
-inline constexpr std::size_t kNumRequestTypes = 8;
+inline constexpr std::size_t kNumRequestTypes =
+    static_cast<std::size_t>(RequestType::kShutdown) + 1;
 
 /// Wire name of a request type ("ping", "compile", ...).
 [[nodiscard]] std::string_view request_type_name(RequestType type);

@@ -66,8 +66,6 @@ std::string counters_members(const harness::SweepReport& report) {
   return ", \"cache\": {\"hits\": " +
          std::to_string(report.compile_cache_hits) +
          ", \"misses\": " + std::to_string(report.compile_cache_misses) +
-         ", \"store_hits\": " +
-         std::to_string(report.compile_cache_store_hits) +
          ", \"compiles\": " + std::to_string(report.compile_cache_compiles) +
          "}, \"prepares\": {\"image_resets\": " +
          std::to_string(report.image_resets) + "}";
@@ -76,7 +74,7 @@ std::string counters_members(const harness::SweepReport& report) {
 }  // namespace
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)), warm_(options_.store_dir) {}
+    : options_(std::move(options)) {}
 
 Server::~Server() {
   begin_drain();
@@ -319,8 +317,6 @@ Result<std::string> Server::handle(const Request& request,
     case RequestType::kSweep:
     case RequestType::kBenchSuite:
       return handle_suite(request);
-    case RequestType::kStoreStat:
-      return handle_store_stat();
     case RequestType::kStats:
       return handle_stats();
     case RequestType::kShutdown:
@@ -331,7 +327,7 @@ Result<std::string> Server::handle(const Request& request,
 }
 
 Result<std::string> Server::handle_compile(const Request& request) {
-  auto unit = warm_.cache().get_or_compile(request.spec);
+  auto unit = cache_.get_or_compile(request.spec);
   if (!unit.ok()) return std::move(unit).error();
   const flow::CompiledUnit& u = *unit.value();
   std::string out = reply_head("compile");
@@ -350,7 +346,7 @@ Result<std::string> Server::handle_compile(const Request& request) {
 }
 
 Result<std::string> Server::handle_run(const Request& request) {
-  auto unit = warm_.cache().get_or_compile(request.spec);
+  auto unit = cache_.get_or_compile(request.spec);
   if (!unit.ok()) return std::move(unit).error();
   auto result = flow::run(*unit.value(), request.plan);
   if (!result.ok()) return std::move(result).error();
@@ -382,7 +378,7 @@ Result<std::string> Server::handle_suite(const Request& request) {
   if (!suite.ok()) return std::move(suite).error();
   scenario::RunOptions options;
   options.threads = options_.sweep_threads;
-  auto outcome = scenario::run_suite(suite.value(), warm_.cache(), options);
+  auto outcome = scenario::run_suite(suite.value(), cache_, options);
   if (!outcome.ok()) return std::move(outcome).error();
   const scenario::SuiteOutcome& done = outcome.value();
   {
@@ -417,36 +413,6 @@ Result<std::string> Server::handle_suite(const Request& request) {
   return out;
 }
 
-std::string Server::handle_store_stat() {
-  std::string out = reply_head("store-stat");
-  flow::UnitStore* store = warm_.store();
-  if (store == nullptr) {
-    out += ", \"attached\": false}";
-    return out;
-  }
-  out += ", \"attached\": true";
-  out += ", \"dir\": \"" + json::escape(options_.store_dir) + "\"";
-  std::size_t current = 0, stale = 0, corrupt = 0;
-  std::uintmax_t bytes = 0;
-  if (auto artifacts = store->scan_artifacts(); artifacts.ok()) {
-    for (const flow::UnitStore::ArtifactInfo& info : artifacts.value()) {
-      switch (info.state) {
-        case flow::UnitStore::ArtifactInfo::State::kCurrent: ++current; break;
-        case flow::UnitStore::ArtifactInfo::State::kStale: ++stale; break;
-        case flow::UnitStore::ArtifactInfo::State::kCorrupt: ++corrupt; break;
-      }
-      bytes += info.bytes;
-    }
-  }
-  out += ", \"current\": " + std::to_string(current);
-  out += ", \"stale\": " + std::to_string(stale);
-  out += ", \"corrupt\": " + std::to_string(corrupt);
-  out += ", \"bytes\": " + std::to_string(bytes);
-  out += ", \"toolchain_tag\": \"" +
-         json::escape(flow::UnitStore::toolchain_tag()) + "\"}";
-  return out;
-}
-
 std::string Server::handle_stats() {
   ServerStats snapshot;
   LogHistogram wall_ms;
@@ -457,7 +423,7 @@ std::string Server::handle_stats() {
     wall_ms = wall_ms_;
     mips = mips_;
   }
-  const flow::CompileCache::Stats cache = warm_.cache().stats();
+  const flow::CompileCache::Stats cache = cache_.stats();
   const std::size_t lookups = cache.hits + cache.misses;
   const double hit_rate =
       lookups == 0 ? 0.0
@@ -480,7 +446,6 @@ std::string Server::handle_stats() {
   out += "}";
   out += ", \"cache\": {\"hits\": " + std::to_string(cache.hits) +
          ", \"misses\": " + std::to_string(cache.misses) +
-         ", \"store_hits\": " + std::to_string(cache.store_hits) +
          ", \"compiles\": " + std::to_string(cache.compiles) +
          ", \"hit_rate\": " + format_fixed(hit_rate, 3) +
          ", \"evictions\": " + std::to_string(cache.evictions) +

@@ -1,6 +1,6 @@
-// The serve daemon: a long-running front over the warm flow state
-// (flow::WarmState = process-wide CompileCache + optional on-disk
-// UnitStore), accepting zolcsim-serve-v1 frames over a Unix-domain socket.
+// The serve daemon: a long-running front over one process-wide
+// flow::CompileCache, accepting zolcsim-serve-v1 frames over a Unix-domain
+// socket.
 //
 // Concurrency model: one accept thread hands connections to a fixed worker
 // pool; each worker owns one connection at a time and serves frames off it
@@ -9,8 +9,8 @@
 // racing on the same sweep still compile each unit exactly once (the
 // striped cache's singleflight guarantee), and every request after the
 // first runs against warm units and prepared images while they stay within
-// the cache's byte bound -- the per-request reply counters (compiles /
-// store hits / full prepares) make that measurable from the client side.
+// the cache's byte bound -- the per-request reply counters (hits / misses
+// / compiles / image resets) make that measurable from the client side.
 //
 // Drain semantics (normative; DESIGN.md section 10): a "shutdown" request
 // or begin_drain() stops the accept loop, lets every in-flight request
@@ -33,14 +33,13 @@
 
 #include "common/histogram.hpp"
 #include "common/result.hpp"
-#include "flow/warm_state.hpp"
+#include "flow/cache.hpp"
 #include "server/protocol.hpp"
 
 namespace zolcsim::server {
 
 struct ServeOptions {
   std::string socket_path;       ///< Unix-domain socket to bind (required)
-  std::string store_dir;         ///< on-disk unit store; empty = memory only
   unsigned workers = 4;          ///< connection-serving worker threads
   unsigned sweep_threads = 0;    ///< sweep workers per request; 0 = hardware
   unsigned idle_timeout_ms = 30'000;  ///< close silent connections after this
@@ -88,7 +87,6 @@ class Server {
   [[nodiscard]] const ServeOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] flow::WarmState& warm() noexcept { return warm_; }
   [[nodiscard]] ServerStats stats() const;
 
  private:
@@ -111,13 +109,12 @@ class Server {
   [[nodiscard]] Result<std::string> handle_compile(const Request& request);
   [[nodiscard]] Result<std::string> handle_run(const Request& request);
   [[nodiscard]] Result<std::string> handle_suite(const Request& request);
-  [[nodiscard]] std::string handle_store_stat();
   [[nodiscard]] std::string handle_stats();
 
   void record_request(RequestType type, double wall_ms);
 
   ServeOptions options_;
-  flow::WarmState warm_;
+  flow::CompileCache cache_;
 
   int listen_fd_ = -1;
   std::atomic<bool> started_{false};

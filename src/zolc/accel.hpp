@@ -65,6 +65,14 @@ class RfWriteList {
   std::vector<RfWrite> spill_;
 };
 
+/// A fetch event the tables cannot resolve; the controller raises it as a
+/// SimError.
+enum class WalkFault : std::uint8_t {
+  kNone,
+  kInvalidLoop,     ///< a task in the walk names an invalid loop
+  kCascadeTooDeep,  ///< the cascade passed loops.size() boundaries
+};
+
 /// Result of a fetch-time or resolution-time ZOLC event.
 struct AccelEvent {
   /// New fetch target (task switching); nullopt = fall through.
@@ -72,6 +80,12 @@ struct AccelEvent {
   /// Index write-backs. The pipeline applies them when the triggering
   /// instruction becomes non-speculative (entering its resolution stage).
   RfWriteList rf_writes;
+  /// A fetch-time walk fault (ZolcController::on_fetch only) and the task
+  /// the walk stopped at. The pipeline raises it through
+  /// ZolcController::raise_walk_fault when the triggering instruction
+  /// enters EX, which is on the correct path; a squash drops it.
+  WalkFault fault = WalkFault::kNone;
+  std::uint8_t fault_task = 0;
 };
 
 /// Architectural controller state that changes in active mode; saved before
@@ -200,14 +214,6 @@ struct NestTaskDesc {
 struct NestProgram {
   std::vector<NestTaskDesc> tasks;
   std::vector<NestLoopDesc> loops;
-};
-
-/// A fetch event the tables cannot resolve; the controller raises it as a
-/// SimError.
-enum class WalkFault : std::uint8_t {
-  kNone,
-  kInvalidLoop,     ///< a task in the walk names an invalid loop
-  kCascadeTooDeep,  ///< the cascade passed loops.size() boundaries
 };
 
 /// Outcome of walk_fetch_event.

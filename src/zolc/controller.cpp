@@ -244,12 +244,14 @@ std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
   return base_ + (static_cast<std::uint32_t>(ofs) << 2);
 }
 
-void ZolcController::raise_walk_fault(WalkFault fault,
+void ZolcController::raise_walk_fault(WalkFault fault, std::uint8_t task,
                                       std::uint32_t pc) const {
+  // The tables cannot change while the controller is active, so the export
+  // still names the loop the walk found invalid.
   if (fault == WalkFault::kInvalidLoop) {
-    throw SimError("task " + std::to_string(current_task_) +
+    throw SimError("task " + std::to_string(task) +
                    " references invalid loop " +
-                   std::to_string(nest_prog_.tasks[current_task_].loop));
+                   std::to_string(nest_prog_.tasks[task].loop));
   }
   ZS_ASSERT(fault == WalkFault::kCascadeTooDeep);
   throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
@@ -260,9 +262,13 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
   std::optional<AccelEvent> out;
   if (!will_trigger(pc)) return out;
   AccelEvent& ev = out.emplace();
-  ev.redirect = fetch_event(pc, [&ev](std::uint8_t reg, std::int32_t value) {
-    ev.rf_writes.push_back(RfWrite{reg, value});
-  });
+  const WalkOutcome walk =
+      walk_event(pc, [&ev](std::uint8_t reg, std::int32_t value) {
+        ev.rf_writes.push_back(RfWrite{reg, value});
+      });
+  ev.redirect = walk.redirect;
+  ev.fault = walk.fault;
+  ev.fault_task = current_task_;
   return out;
 }
 

@@ -127,8 +127,15 @@ class ZolcController {
 
   /// fetch_event with the write-backs collected into an AccelEvent, for the
   /// pipeline, which applies them at resolution; nullopt when `pc` raises
-  /// no event.
+  /// no event. A WalkFault does not raise here: it rides in the event, as
+  /// the pipeline may be fetching `pc` on a wrong path.
   std::optional<AccelEvent> on_fetch(std::uint32_t pc);
+
+  /// Raises `fault`, which the walk hit at `pc` and stopped at `task`, as a
+  /// SimError.
+  [[noreturn, gnu::cold]] void raise_walk_fault(WalkFault fault,
+                                                std::uint8_t task,
+                                                std::uint32_t pc) const;
 
   /// Resolution-time hook: a taken branch/jump at `pc` targeting `target`.
   /// Matches candidate exit records (loop break-outs) and entry records
@@ -160,9 +167,10 @@ class ZolcController {
   [[nodiscard]] bool pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const;
   [[nodiscard]] std::uint32_t ofs_to_pc(std::uint16_t ofs) const noexcept;
 
-  /// Raises `fault`, which the walk hit at `pc`, as a SimError.
-  [[noreturn, gnu::cold]] void raise_walk_fault(WalkFault fault,
-                                                std::uint32_t pc) const;
+  /// The walk behind fetch_event and on_fetch: runs it, counts it and, if
+  /// it did not fault, re-arms the trigger.
+  template <typename Sink>
+  WalkOutcome walk_event(std::uint32_t pc, const Sink& sink);
 
   /// Re-initializes every loop in `mask`, appending RF write-backs to `ev`.
   void apply_reinit_mask(std::uint32_t mask, AccelEvent& ev);
@@ -214,6 +222,15 @@ class ZolcController {
 template <typename Sink>
 std::optional<std::uint32_t> ZolcController::fetch_event(std::uint32_t pc,
                                                          const Sink& sink) {
+  const WalkOutcome walk = walk_event(pc, sink);
+  if (walk.fault != WalkFault::kNone) {
+    raise_walk_fault(walk.fault, current_task_, pc);
+  }
+  return walk.redirect;
+}
+
+template <typename Sink>
+WalkOutcome ZolcController::walk_event(std::uint32_t pc, const Sink& sink) {
   // An armed trigger implies active_, so the export exists; only a stale
   // one takes the out-of-line rebuild.
   const NestProgram& program = nest_dirty_ ? *nest_program() : nest_prog_;
@@ -221,14 +238,14 @@ std::optional<std::uint32_t> ZolcController::fetch_event(std::uint32_t pc,
                                             current_task_, active_, pc, sink);
   stats_.continue_events += walk.continues;
   stats_.done_events += walk.dones;
-  if (walk.fault != WalkFault::kNone) raise_walk_fault(walk.fault, pc);
+  if (walk.fault != WalkFault::kNone) return walk;
   if (walk.depth > 1) {
     ++stats_.cascade_chains;
     stats_.max_cascade_depth =
         std::max<std::uint64_t>(stats_.max_cascade_depth, walk.depth);
   }
   refresh_trigger();
-  return walk.redirect;
+  return walk;
 }
 
 }  // namespace zolcsim::zolc

@@ -305,7 +305,7 @@ TEST(IssFetchEvent, WalkFaultAtTheTriggerRaisesAfterTheWriteBack) {
   // when it raises. At a control transfer, taken or falling through, the
   // fault raises before the link or dbne write: pc, registers, controller
   // and counters are as they were. iss, iss-fast and the pipeline (every
-  // configuration, which fetches the trigger first) all raise it.
+  // configuration, as the trigger enters EX) all raise it.
   const std::int32_t target_ofs = kTargetOfs - kTriggerOfs - 1;
   const std::vector<Case> fault_cases = {
       {"addi", b::addi(12, 1, -3), false, {{12, 4}}, {}},
@@ -361,18 +361,19 @@ TEST(IssFetchEvent, WalkFaultAtTheTriggerRaisesAfterTheWriteBack) {
   }
 }
 
-TEST(IssFetchEvent, PipelineRaisesAWrongPathFetchOfAFaultingTrigger) {
+TEST(IssFetchEvent, PipelineDropsAWrongPathFetchOfAFaultingTrigger) {
   // A taken beq just before the trigger skips it, so the ISS never raises
   // the faulting event. The pipeline's kRollback policy still fetches the
-  // trigger on the wrong path and raises the fault there, before the beq
-  // resolves; kGate holds that fetch until the beq resolves and runs clean.
-  // Pinned as found, not as intended: a wrong-path fetch should not trap.
+  // trigger on the wrong path; its fault rides with the fetch and would
+  // raise only in EX, so the squash drops it and the run completes as the
+  // ISS's does. kGate holds that fetch until the beq resolves.
   const std::int32_t target_ofs = kTargetOfs - kTriggerOfs;
   std::vector<Instruction> program(kProgramWords, b::nop());
   program[kTriggerOfs - 1] = b::beq(1, 2, target_ofs);
   program.back() = b::halt();
   for (const ZolcVariant variant : {ZolcVariant::kLite, ZolcVariant::kFull}) {
     const std::string what(zolc::variant_name(variant));
+    std::uint64_t iss_instructions = 0;
     for (const bool fast : {false, true}) {
       mem::Memory memory;
       test::load_program(memory, kBase, program);
@@ -385,21 +386,25 @@ TEST(IssFetchEvent, PipelineRaisesAWrongPathFetchOfAFaultingTrigger) {
       iss.set_pc(pc_of(kTriggerOfs - 1));
       EXPECT_NO_THROW(iss.run(100)) << what;
       EXPECT_EQ(iss.stats().zolc_fetch_events, 0u) << what;
+      iss_instructions = iss.stats().instructions;
     }
     for (const PipelineConfig& config : test::all_pipeline_configs()) {
+      const bool rollback = config.speculation == SpeculationPolicy::kRollback;
       mem::Memory memory;
       test::load_program(memory, kBase, program);
       ZolcController ctrl(variant);
       program_faulting_task(ctrl);
+      const AccelSnapshot before = ctrl.snapshot();
       Pipeline pipe(memory, config);
       pipe.set_accelerator(&ctrl);
       seed_registers(pipe.regs());
       pipe.set_pc(pc_of(kTriggerOfs - 1));
-      if (config.speculation == SpeculationPolicy::kRollback) {
-        EXPECT_THROW(pipe.run(1000), SimError) << what;
-      } else {
-        EXPECT_NO_THROW(pipe.run(1000)) << what;
-      }
+      EXPECT_NO_THROW(pipe.run(1000)) << what;
+      EXPECT_EQ(pipe.stats().instructions, iss_instructions) << what;
+      // kRollback fetched the trigger once and rolled its event back.
+      EXPECT_EQ(pipe.stats().zolc_fetch_events, rollback ? 1u : 0u) << what;
+      EXPECT_EQ(pipe.stats().zolc_rollbacks, rollback ? 1u : 0u) << what;
+      EXPECT_TRUE(ctrl.snapshot() == before) << what;
     }
   }
 }

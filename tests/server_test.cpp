@@ -3,8 +3,8 @@
 // rendering and the local run_suite path for every checked-in scenario
 // suite, a run reply against a local flow::run, two concurrent clients
 // compiling each unit exactly once (the cache's singleflight guarantee),
-// the stats endpoint, idle timeouts, warm restarts off an on-disk store,
-// and graceful drain.
+// the stats endpoint, the retired store-stat request, idle timeouts, and
+// graceful drain.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -192,32 +192,6 @@ TEST_F(ServerTest, ConcurrentIdenticalSweepsCompileEachUnitOnce) {
   EXPECT_EQ(nested_uint(stats.value(), "cache", "compiles"), distinct_units);
 }
 
-TEST_F(ServerTest, WarmRestartServesEntirelyFromTheStore) {
-  const fs::path store_dir =
-      fs::path(testing::TempDir()) / "zolcsim_serve_store";
-  fs::remove_all(store_dir);
-  {
-    ServeOptions options;
-    options.store_dir = store_dir.string();
-    start(std::move(options));
-    Client client = connect_ok();
-    (void)sweep_ok(client, kTinySuite);
-    daemon_->begin_drain();
-    daemon_->wait();
-    daemon_.reset();
-  }
-  // A fresh daemon over the same store: every unit comes off disk, nothing
-  // recompiles.
-  ServeOptions options;
-  options.store_dir = store_dir.string();
-  start(std::move(options));
-  Client client = connect_ok();
-  const json::Value reply = sweep_ok(client, kTinySuite);
-  EXPECT_EQ(nested_uint(reply, "cache", "compiles"), 0u);
-  EXPECT_GT(nested_uint(reply, "cache", "store_hits"), 0u);
-  EXPECT_EQ(nested_uint(reply, "prepares", "image_resets"), 0u);
-}
-
 TEST_F(ServerTest, RunReplyMatchesLocalRun) {
   // Every run-only member is set, so each reaches the daemon's plan.
   start();
@@ -313,8 +287,8 @@ TEST_F(ServerTest, StatsReplyKeepsEveryMemberAndReportsTheCacheBound) {
   }
   for (const char* member :
        {"cache:object", "cache.hits:number", "cache.misses:number",
-        "cache.store_hits:number", "cache.compiles:number",
-        "cache.hit_rate:number", "cache.evictions:number",
+        "cache.compiles:number", "cache.hit_rate:number",
+        "cache.evictions:number",
         "cache.resident_bytes:number", "prepares:object",
         "prepares.image_resets:number", "wall_ms:object",
         "wall_ms.p50:number", "wall_ms.p90:number", "wall_ms.p99:number",
@@ -324,6 +298,18 @@ TEST_F(ServerTest, StatsReplyKeepsEveryMemberAndReportsTheCacheBound) {
     expected.emplace_back(member);
   }
   EXPECT_EQ(kinds, expected);
+}
+
+TEST_F(ServerTest, StoreStatIsAnUnknownRequestType) {
+  // "store-stat" names no request type: it is refused with the typed
+  // unknown-type error, and the connection survives.
+  start();
+  Client client = connect_ok();
+  auto reply =
+      client.call(R"({"schema": "zolcsim-serve-v1", "type": "store-stat"})");
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, ErrorCode::kBadConfig);
+  EXPECT_TRUE(client.call(simple_request(RequestType::kPing)).ok());
 }
 
 TEST_F(ServerTest, FirstSeenUnitsPastTheBoundAreEvictedAndRecompileIdentically) {

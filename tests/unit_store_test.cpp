@@ -1,15 +1,14 @@
-// On-disk unit store behaviour: round-trip fidelity (serialize -> reload ->
-// co-simulate against a fresh compile) over every registered kernel, typed
-// rejection of corrupt and stale artifacts, stat/gc classification, and the
-// CompileCache integration that lets a second process skip every compile.
+// On-disk unit store behaviour, as the benchmark's replay uses it:
+// round-trip fidelity (serialize -> reload -> co-simulate against a fresh
+// compile) over every registered kernel, typed rejection of corrupt and
+// stale artifacts, and the CompileCache integration that lets a second
+// cache skip every compile.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
@@ -182,50 +181,6 @@ TEST(UnitStore, StaleToolchainTagRejectsTyped) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.error().code, ErrorCode::kStoreStale);
   EXPECT_EQ(store.stats().rejects, 1u);
-}
-
-TEST(UnitStore, ScanAndGcClassifyArtifacts) {
-  const std::string dir = fresh_store_dir("unit_store_gc");
-  UnitStore store(dir);
-  for (const char* kernel : {"dotprod", "fir", "crc32"}) {
-    const auto unit = CompiledUnit::compile(spec_for(kernel));
-    ASSERT_TRUE(unit.ok());
-    ASSERT_TRUE(store.save(unit.value()).ok());
-  }
-  // Doctor one artifact stale and one corrupt.
-  std::vector<fs::path> files;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    files.push_back(entry.path());
-  }
-  ASSERT_EQ(files.size(), 3u);
-  std::sort(files.begin(), files.end());
-  const std::string tag = UnitStore::toolchain_tag();
-  std::string stale = slurp(files[0]);
-  stale.replace(stale.find(tag), tag.size(), "zolcsim-unit-v1|gcc 999.0.0");
-  spill(files[0], stale);
-  spill(files[1], "{ not json");
-
-  const auto scanned = store.scan_artifacts();
-  ASSERT_TRUE(scanned.ok());
-  ASSERT_EQ(scanned.value().size(), 3u);
-  std::size_t current = 0, stale_n = 0, corrupt_n = 0;
-  for (const UnitStore::ArtifactInfo& info : scanned.value()) {
-    current += info.state == UnitStore::ArtifactInfo::State::kCurrent;
-    stale_n += info.state == UnitStore::ArtifactInfo::State::kStale;
-    corrupt_n += info.state == UnitStore::ArtifactInfo::State::kCorrupt;
-  }
-  EXPECT_EQ(current, 1u);
-  EXPECT_EQ(stale_n, 1u);
-  EXPECT_EQ(corrupt_n, 1u);
-
-  const auto gc = store.gc();
-  ASSERT_TRUE(gc.ok());
-  EXPECT_EQ(gc.value().removed, 2u);
-  EXPECT_EQ(gc.value().kept, 1u);
-  EXPECT_GT(gc.value().bytes_freed, 0u);
-  const auto after = store.scan_artifacts();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().size(), 1u);
 }
 
 TEST(CompileCacheStore, SecondCacheSkipsEveryCompile) {

@@ -129,14 +129,28 @@ void write_task(ZolcController& c, unsigned id, std::uint16_t start_ofs,
 constexpr std::uint32_t kBase = 0x1000;
 constexpr std::uint32_t pc_of(std::uint16_t ofs) { return kBase + ofs * 4; }
 
-/// The SimError text on_fetch(pc) raises, or "" when it does not throw.
+/// The SimError text the fetch event at `pc` raises, or "" when it does
+/// not throw. Also checks that on_fetch, which does not raise, records the
+/// same fault in its event, and that raising that reproduces the text.
 std::string fetch_error(ZolcController& c, std::uint32_t pc) {
-  try {
-    (void)c.on_fetch(pc);
-  } catch (const SimError& e) {
-    return e.what();
+  const AccelSnapshot before = c.snapshot();
+  std::string deferred;
+  if (const auto ev = c.on_fetch(pc); ev && ev->fault != WalkFault::kNone) {
+    try {
+      c.raise_walk_fault(ev->fault, ev->fault_task, pc);
+    } catch (const SimError& e) {
+      deferred = e.what();
+    }
   }
-  return "";
+  c.restore(before);
+  std::string raised;
+  try {
+    (void)c.fetch_event(pc, [](std::uint8_t, std::int32_t) {});
+  } catch (const SimError& e) {
+    raised = e.what();
+  }
+  EXPECT_EQ(deferred, raised);
+  return raised;
 }
 
 // ---------------- uZOLC ----------------

@@ -6,7 +6,6 @@
 //   zolcsim run <kernel> [...]         compile + run one experiment
 //   zolcsim sweep [...]                grid sweep, CSV/JSON to stdout/file
 //   zolcsim bench [...]                run scenario suites, emit BENCH_*.json
-//   zolcsim store stat|gc [...]        inspect / clean an on-disk unit store
 //   zolcsim serve [...]                long-running daemon on a Unix socket
 //   zolcsim client <action> [...]      talk to a serve daemon
 //
@@ -34,7 +33,6 @@
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
-#include "flow/unit_store.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
 #include "scenario/parse.hpp"
@@ -78,8 +76,6 @@ commands:
       --preempt-every=N
       --baseline=NAME       reduction baseline    (default XRdefault)
       --max-cycles=N --threads=N
-      --store-dir=DIR       on-disk unit store: reload compiled units from
-                            DIR and write fresh compiles back
       --format=csv|json     default csv
       --out=FILE            default stdout
       --from-file=SUITE     run a scenario suite file instead of grid flags
@@ -87,18 +83,12 @@ commands:
   bench                     run scenario suites, write BENCH_<suite>.json
       --suite-dir=DIR       directory of *.json suite files
       --out-dir=DIR         artifact directory    (default .)
-      --threads=N --store-dir=DIR
-      --expect-zero-compiles  fail (exit 1) if any unit was compiled rather
-                            than served from memory or the store
+      --threads=N
   bench --compare OLD NEW   diff two BENCH artifact directories per point
       --tolerance=PCT       allowed MIPS regression (default 10)
-  store stat                inventory a unit store directory
-  store gc                  drop stale/corrupt artifacts from a store
-      --store-dir=DIR       (required for both store subcommands)
   serve                     daemon: zolcsim-serve-v1 over a Unix socket,
                             one warm compile cache shared by every request
       --socket=PATH         socket path (required)
-      --store-dir=DIR       attach an on-disk unit store
       --workers=N           connection workers     (default 4)
       --sweep-threads=N     sweep threads per request (default hardware)
       --idle-timeout-ms=N   close silent connections (default 30000)
@@ -108,7 +98,7 @@ commands:
   client <action>           one request against a serve daemon
       --socket=PATH         socket path (required by every action); an
                             action rejects any flag not listed for it
-      ping | stats | store-stat | shutdown
+      ping | stats | shutdown
                             no other flags
       compile <kernel>      --machine --geometry, as for compile
       run <kernel>          --machine --geometry --config --mode
@@ -183,21 +173,6 @@ int reject_unknown_flags(const cli::Args& args,
   const std::vector<std::string> unknown = args.unknown(values, switches);
   if (unknown.empty()) return 0;
   return usage_error("unknown flag '" + unknown.front() + "'");
-}
-
-/// Attaches the on-disk unit store named by --store-dir (if present) to the
-/// process cache. The store must outlive the cache, hence the static.
-/// Returns 0, or a usage-error exit code for an empty flag value.
-int attach_store_flag(const cli::Args& args) {
-  int rc = 0;
-  const auto dir = nonempty_value(args, "store-dir", rc);
-  if (rc != 0) return rc;
-  if (dir) {
-    static std::optional<flow::UnitStore> store;
-    store.emplace(*dir);
-    process_cache().attach_store(&*store);
-  }
-  return 0;
 }
 
 /// --format=csv|json (default csv); true for json. Sets `rc` non-zero on
@@ -418,11 +393,9 @@ int emit_sweep_report(const harness::SweepReport& report, bool json_format,
   if (out_path) {
     if (const int rc = write_text_file(*out_path, rendered)) return rc;
     std::fprintf(stderr,
-                 "wrote %zu cells to %s (%zu compiles, %zu store hits, "
-                 "%zu cache hits)\n",
+                 "wrote %zu cells to %s (%zu compiles, %zu cache hits)\n",
                  report.cells.size(), out_path->c_str(),
-                 report.compile_cache_compiles,
-                 report.compile_cache_store_hits, report.compile_cache_hits);
+                 report.compile_cache_compiles, report.compile_cache_hits);
   } else {
     std::fputs(rendered.c_str(), stdout);
   }
@@ -438,13 +411,12 @@ int cmd_sweep(const cli::Args& args) {
     grid.push_back(axis.flag);
   }
   std::vector<std::string_view> values = {"threads", "format", "out",
-                                          "from-file", "store-dir"};
+                                          "from-file"};
   values.insert(values.end(), grid.begin(), grid.end());
   if (const int rc = reject_unknown_flags(args, values, {})) return rc;
   if (!args.positional.empty()) {
     return usage_error("sweep takes no positional arguments");
   }
-  if (const int rc = attach_store_flag(args)) return rc;
   int rc = 0;
   const auto suite_path = nonempty_value(args, "from-file", rc);
   const auto threads = positive_int_flag(args, "threads", rc, 4096);
@@ -661,14 +633,12 @@ int cmd_bench_compare(const cli::Args& args) {
 int cmd_bench(const cli::Args& args) {
   if (args.has("compare")) return cmd_bench_compare(args);
   if (const int rc = reject_unknown_flags(
-          args, {"suite-dir", "out-dir", "threads", "store-dir"},
-          {"expect-zero-compiles"})) {
+          args, {"suite-dir", "out-dir", "threads"}, {})) {
     return rc;
   }
   if (!args.positional.empty()) {
     return usage_error("bench takes no positional arguments");
   }
-  if (const int rc = attach_store_flag(args)) return rc;
   int rc = 0;
   const auto suite_dir = nonempty_value(args, "suite-dir", rc);
   if (rc != 0) return rc;
@@ -708,71 +678,9 @@ int cmd_bench(const cli::Args& args) {
                 done.wall_seconds, done.mips);
   }
   const flow::CompileCache::Stats cache = process_cache().stats();
-  std::printf(
-      "compile cache: %zu compiles, %zu store hits, %zu memory hits "
-      "across %zu suites\n",
-      cache.compiles, cache.store_hits, cache.hits, files.value().size());
-  if (args.has("expect-zero-compiles") && cache.compiles > 0) {
-    return toolchain_error(
-        Error{ErrorCode::kVerifyMismatch,
-              std::to_string(cache.compiles) +
-                  " unit(s) compiled despite --expect-zero-compiles (the "
-                  "unit store should have served them)"});
-  }
-  return 0;
-}
-
-// --------------------------------------------------------------- store ----
-
-/// `store stat` / `store gc`: offline inventory and maintenance of an
-/// on-disk unit store directory.
-int cmd_store(const cli::Args& args) {
-  if (const int rc = reject_unknown_flags(args, {"store-dir"}, {})) return rc;
-  if (args.positional.size() != 1 ||
-      (args.positional.front() != "stat" && args.positional.front() != "gc")) {
-    return usage_error("store takes exactly one action: stat or gc");
-  }
-  int rc = 0;
-  const auto dir = nonempty_value(args, "store-dir", rc);
-  if (rc != 0) return rc;
-  if (!dir) return usage_error("store requires --store-dir=DIR");
-
-  flow::UnitStore store(*dir);
-  if (args.positional.front() == "gc") {
-    auto outcome = store.gc();
-    if (!outcome.ok()) return toolchain_error(outcome.error());
-    std::printf("store gc: removed %zu artifact(s) (%llu bytes), kept %zu\n",
-                outcome.value().removed,
-                static_cast<unsigned long long>(outcome.value().bytes_freed),
-                outcome.value().kept);
-    return 0;
-  }
-
-  auto artifacts = store.scan_artifacts();
-  if (!artifacts.ok()) return toolchain_error(artifacts.error());
-  std::size_t current = 0, stale = 0, corrupt = 0;
-  std::uintmax_t bytes = 0;
-  for (const flow::UnitStore::ArtifactInfo& info : artifacts.value()) {
-    switch (info.state) {
-      case flow::UnitStore::ArtifactInfo::State::kCurrent:
-        ++current;
-        break;
-      case flow::UnitStore::ArtifactInfo::State::kStale:
-        ++stale;
-        break;
-      case flow::UnitStore::ArtifactInfo::State::kCorrupt:
-        ++corrupt;
-        break;
-    }
-    bytes += info.bytes;
-  }
-  std::printf("store %s: %zu artifact(s), %llu bytes\n", dir->c_str(),
-              artifacts.value().size(),
-              static_cast<unsigned long long>(bytes));
-  std::printf("  current %zu, stale %zu, corrupt %zu\n", current, stale,
-              corrupt);
-  std::printf("  toolchain tag: %s\n",
-              flow::UnitStore::toolchain_tag().c_str());
+  std::printf("compile cache: %zu compiles, %zu memory hits across %zu "
+              "suites\n",
+              cache.compiles, cache.hits, files.value().size());
   return 0;
 }
 
@@ -787,8 +695,7 @@ void on_serve_terminate(int) { g_serve_terminate = 1; }
 int cmd_serve(const cli::Args& args) {
   if (const int rc = reject_unknown_flags(
           args,
-          {"socket", "store-dir", "workers", "sweep-threads",
-           "idle-timeout-ms"},
+          {"socket", "workers", "sweep-threads", "idle-timeout-ms"},
           {})) {
     return rc;
   }
@@ -801,9 +708,6 @@ int cmd_serve(const cli::Args& args) {
   if (rc != 0) return rc;
   if (!socket) return usage_error("serve requires --socket=PATH");
   options.socket_path = *socket;
-  if (const auto dir = nonempty_value(args, "store-dir", rc)) {
-    options.store_dir = *dir;
-  }
   if (const auto workers = positive_int_flag(args, "workers", rc, 256)) {
     options.workers = static_cast<unsigned>(*workers);
   }
@@ -823,12 +727,10 @@ int cmd_serve(const cli::Args& args) {
   }
   std::signal(SIGTERM, on_serve_terminate);
   std::signal(SIGINT, on_serve_terminate);
-  std::fprintf(stderr, "serving %s on %s (%u workers%s%s)\n",
+  std::fprintf(stderr, "serving %s on %s (%u workers)\n",
                std::string(server::kServeSchema).c_str(),
                daemon.options().socket_path.c_str(),
-               daemon.options().workers,
-               daemon.options().store_dir.empty() ? "" : ", store ",
-               daemon.options().store_dir.c_str());
+               daemon.options().workers);
 
   // Runs until a client "shutdown" request drains the daemon or a signal
   // asks us to. Either way in-flight requests finish first.
@@ -941,13 +843,13 @@ int cmd_client(const cli::Args& args) {
   if (args.positional.empty()) {
     return usage_error(
         "client requires an action (ping, compile, run, sweep, "
-        "bench-suite, store-stat, stats, shutdown)");
+        "bench-suite, stats, shutdown)");
   }
   const std::string& action = args.positional.front();
   std::string payload;
   for (const server::RequestType type :
        {server::RequestType::kPing, server::RequestType::kStats,
-        server::RequestType::kStoreStat, server::RequestType::kShutdown}) {
+        server::RequestType::kShutdown}) {
     if (action == server::request_type_name(type)) {
       payload = server::simple_request(type);
     }
@@ -1011,7 +913,6 @@ int main(int argc, char** argv) {
   if (command == "run") return cmd_run(args);
   if (command == "sweep") return cmd_sweep(args);
   if (command == "bench") return cmd_bench(args);
-  if (command == "store") return cmd_store(args);
   if (command == "serve") return cmd_serve(args);
   if (command == "client") return cmd_client(args);
   if (command == "help" || command == "--help" || command == "-h") {
