@@ -25,18 +25,22 @@ int main() {
                    "patched+uZOLC", "reduction", "verified"});
   for (const auto& kernel : kernels::kernel_registry()) {
     const kernels::KernelEnv env;
-    // The compile-stage artifact already carries the zolcscan analysis
-    // (geometry-derived init window, a superset of the old fixed-8 scan;
-    // identical plans for this suite -- verified against the seed output).
     flow::CompileSpec spec;
     spec.kernel = std::string(kernel->name());
     spec.machine = codegen::MachineKind::kXrDefault;
     spec.env = env;
     const auto unit = flow::CompiledUnit::compile(spec);
-    if (!unit.ok()) continue;
+    if (!unit.ok()) {
+      std::fprintf(stderr, "COMPILE FAILED for %s: %s\n",
+                   std::string(kernel->name()).c_str(),
+                   unit.error().to_string().c_str());
+      return 1;
+    }
     const codegen::Program& prog = unit.value().program();
 
-    const cfg::ScanReport& report = unit.value().scan();
+    // Scan the compiled binary as a post-link tool would see it, with the
+    // init window the unit's geometry implies.
+    const cfg::ScanReport report = unit.value().scan();
     const cfg::MicroPlan* plan = report.best();
 
     flow::Workload baseline_load = flow::Workload::prepare(unit.value());

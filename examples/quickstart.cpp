@@ -1,8 +1,8 @@
 // Quickstart: the staged zolcsim toolchain in one file.
 //
 //   1. Compile stage -- flow::CompiledUnit::compile() turns a (kernel,
-//      machine, geometry, env) point into an immutable artifact: lowered
-//      program, decoded image, zolcscan metadata.
+//      machine, geometry, env) point into an immutable artifact: the
+//      lowered program and its decoded image.
 //   2. Runtime stage -- flow::run() executes that unit under any number of
 //      pipeline configurations without recompiling.
 //   3. Comparison -- a second unit for the unmodified core gives the

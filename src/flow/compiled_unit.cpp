@@ -97,16 +97,14 @@ Result<CompiledUnit> CompiledUnit::compile(const kernels::Kernel& kernel,
         .with_context(frame());
   }
 
-  // Post-link analysis metadata rides with the unit: which counted loops a
-  // binary-level scan would still recover from the lowered code.
-  cfg::ScanReport scan = cfg::scan_for_micro_loops(
-      program.code, program.base,
-      cfg::ScanOptions::for_geometry(spec.geometry));
-
   CompileSpec stored = spec;
   stored.kernel = std::string(kernel.name());
-  return CompiledUnit(kernel, std::move(stored), std::move(program),
-                      std::move(scan));
+  return CompiledUnit(kernel, std::move(stored), std::move(program));
+}
+
+cfg::ScanReport CompiledUnit::scan() const {
+  return cfg::scan_for_micro_loops(program_.code, program_.base,
+                                   cfg::ScanOptions::for_geometry(geometry()));
 }
 
 namespace {
@@ -223,9 +221,10 @@ std::string CompiledUnit::to_json() const {
   }
   out += writes.empty() ? "],\n" : "\n  ],\n";
 
+  const cfg::ScanReport report = scan();
   out += "  \"scan\": {\n    \"candidates\": [";
-  for (std::size_t i = 0; i < scan_.candidates.size(); ++i) {
-    const cfg::MicroPlan& plan = scan_.candidates[i];
+  for (std::size_t i = 0; i < report.candidates.size(); ++i) {
+    const cfg::MicroPlan& plan = report.candidates[i];
     if (i != 0) out += ",";
     out += "\n      {\"depth\": " + std::to_string(plan.depth) +
            ", \"start_pc\": \"" + hex32(plan.start_pc) +
@@ -239,16 +238,16 @@ std::string CompiledUnit::to_json() const {
            ", \"update_index\": " + std::to_string(plan.update_index) +
            ", \"branch_index\": " + std::to_string(plan.branch_index) + "}";
   }
-  out += scan_.candidates.empty() ? "],\n" : "\n    ],\n";
+  out += report.candidates.empty() ? "],\n" : "\n    ],\n";
   out += "    \"rejected\": [";
-  for (std::size_t i = 0; i < scan_.rejected.size(); ++i) {
-    const Error& reason = scan_.rejected[i];
+  for (std::size_t i = 0; i < report.rejected.size(); ++i) {
+    const Error& reason = report.rejected[i];
     if (i != 0) out += ",";
     out += "\n      {\"code\": \"";
     out += error_code_name(reason.code);
     out += "\", \"message\": \"" + json::escape(reason.message) + "\"}";
   }
-  out += scan_.rejected.empty() ? "]\n  }\n" : "\n    ]\n  }\n";
+  out += report.rejected.empty() ? "]\n  }\n" : "\n    ]\n  }\n";
   out += "}\n";
   return out;
 }

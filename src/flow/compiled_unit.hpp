@@ -2,15 +2,17 @@
 //
 // The evaluation flow of the paper is inherently staged -- lower a kernel
 // for a machine/geometry, install the ZOLC tables, then run and measure.
-// CompiledUnit captures everything the compile stage produces for one
+// CompiledUnit captures what the compile stage produces for one
 // (kernel, machine, geometry, env) point:
 //
-//   KIR build -> lower() -> Program -> DecodedImage -> zolcscan
+//   KIR build -> lower() -> Program -> DecodedImage
 //
 // and is immutable thereafter, so sweeps (and any other caller) can run the
 // same unit against many pipeline configurations without paying the
-// lowering/encoding/decode cost again. See flow/run.hpp for the runtime
-// stage and flow/cache.hpp for keyed sharing across sweep cells.
+// lowering/encoding/decode cost again. The zolcscan post-link analysis is
+// not part of the unit: scan() derives it for the readers that ask. See
+// flow/run.hpp for the runtime stage and flow/cache.hpp for keyed sharing
+// across sweep cells.
 #ifndef ZOLCSIM_FLOW_COMPILED_UNIT_HPP
 #define ZOLCSIM_FLOW_COMPILED_UNIT_HPP
 
@@ -86,9 +88,10 @@ class CompiledUnit {
   [[nodiscard]] const cpu::DecodedImage& decoded() const noexcept {
     return *decoded_;
   }
-  /// Post-link loop-acceleration metadata: the zolcscan analysis of the
-  /// lowered code (candidate counted loops + rejection reasons).
-  [[nodiscard]] const cfg::ScanReport& scan() const noexcept { return scan_; }
+  /// The zolcscan post-link analysis of the lowered code (candidate counted
+  /// loops + rejection reasons) at this unit's geometry. Runs the scan on
+  /// every call; no run or sweep needs it, so compile() does not.
+  [[nodiscard]] cfg::ScanReport scan() const;
 
   /// The prepared memory image for this unit -- program words at
   /// env.code_base plus the kernel's deterministic input data
@@ -108,9 +111,9 @@ class CompiledUnit {
 
   /// The whole compile artifact as JSON: unit identity, program summary and
   /// encoded words, the ZOLC table image recovered from the init prologue
-  /// (one {op, index, payload} record per zolw write), and the zolcscan
-  /// metadata with typed rejection codes. `zolcsim compile --format=json`
-  /// prints exactly this.
+  /// (one {op, index, payload} record per zolw write), and scan() with
+  /// typed rejection codes. `zolcsim compile --format=json` prints exactly
+  /// this.
   [[nodiscard]] std::string to_json() const;
 
  private:
@@ -119,13 +122,12 @@ class CompiledUnit {
   friend class UnitStore;
 
   CompiledUnit(const kernels::Kernel& kernel, CompileSpec spec,
-               codegen::Program program, cfg::ScanReport scan)
+               codegen::Program program)
       : kernel_(&kernel),
         spec_(std::move(spec)),
         program_(std::move(program)),
         decoded_(std::make_shared<const cpu::DecodedImage>(program_.base,
                                                            program_.code)),
-        scan_(std::move(scan)),
         image_slot_(std::make_shared<ImageSlot>()) {
     // Caches keep units resident until they are evicted; the lowering
     // leaves about a quarter of the code vector as spare capacity.
@@ -145,7 +147,6 @@ class CompiledUnit {
   CompileSpec spec_;
   codegen::Program program_;
   std::shared_ptr<const cpu::DecodedImage> decoded_;
-  cfg::ScanReport scan_;
   std::shared_ptr<ImageSlot> image_slot_;
 };
 

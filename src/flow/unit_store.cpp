@@ -49,16 +49,6 @@ namespace fs = std::filesystem;
   return std::nullopt;
 }
 
-/// Number member as a signed integral (json::Value::as_uint rejects
-/// negatives, which MicroPlan bounds and steps can be).
-[[nodiscard]] std::optional<std::int64_t> as_int(const json::Value& v) {
-  if (!v.is_number()) return std::nullopt;
-  const double d = v.as_number();
-  const auto i = static_cast<std::int64_t>(d);
-  if (static_cast<double>(i) != d) return std::nullopt;
-  return i;
-}
-
 /// String member holding a hex32 ("0x%08X") value.
 [[nodiscard]] std::optional<std::uint32_t> as_hex32(const json::Value* v) {
   if (v == nullptr || !v->is_string()) return std::nullopt;
@@ -138,23 +128,19 @@ namespace fs = std::filesystem;
   return out;
 }
 
-/// Rebuilds the Program and ScanReport from the payload ("unit") object,
-/// the inverse of CompiledUnit::to_json(). Returns nullopt on any shape
-/// violation; numeric garbage that survives shape checks is caught by the
-/// caller's payload-digest comparison.
-struct ReloadedParts {
-  codegen::Program program;
-  cfg::ScanReport scan;
-};
-
-[[nodiscard]] std::optional<ReloadedParts> parse_unit_payload(
+/// Rebuilds the Program from the payload ("unit") object's "program"
+/// member, the inverse of that part of CompiledUnit::to_json(). The payload's
+/// "scan" object is not read: the loaded unit re-derives it, and the
+/// caller's payload-digest comparison covers it like every other byte.
+/// Returns nullopt on any shape violation; numeric garbage that survives
+/// shape checks is caught by that comparison too.
+[[nodiscard]] std::optional<codegen::Program> parse_unit_payload(
     const json::Value& unit, codegen::MachineKind machine) {
   const json::Value* program = unit.find("program");
-  const json::Value* scan = unit.find("scan");
-  if (program == nullptr || scan == nullptr) return std::nullopt;
+  if (program == nullptr) return std::nullopt;
 
-  ReloadedParts out;
-  out.program.machine = machine;
+  codegen::Program out;
+  out.machine = machine;
   const auto base = as_hex32(program->find("base"));
   const auto init = as_u64(program->find("init_instructions"));
   const auto hw = as_u64(program->find("hw_loops"));
@@ -165,71 +151,20 @@ struct ReloadedParts {
       !notes->is_array() || words == nullptr || !words->is_array()) {
     return std::nullopt;
   }
-  out.program.base = *base;
-  out.program.init_instructions = static_cast<unsigned>(*init);
-  out.program.hw_loop_count = static_cast<unsigned>(*hw);
-  out.program.sw_loop_count = static_cast<unsigned>(*sw);
+  out.base = *base;
+  out.init_instructions = static_cast<unsigned>(*init);
+  out.hw_loop_count = static_cast<unsigned>(*hw);
+  out.sw_loop_count = static_cast<unsigned>(*sw);
   for (const json::Value& note : notes->items()) {
     if (!note.is_string()) return std::nullopt;
-    out.program.notes.push_back(note.as_string());
+    out.notes.push_back(note.as_string());
   }
-  out.program.code.reserve(words->items().size());
+  out.code.reserve(words->items().size());
   for (const json::Value& word : words->items()) {
     if (!word.is_string()) return std::nullopt;
     const auto parsed = parse_int(word.as_string());
     if (!parsed || *parsed < 0 || *parsed > 0xFFFF'FFFFll) return std::nullopt;
-    out.program.code.push_back(
-        isa::decode(static_cast<std::uint32_t>(*parsed)));
-  }
-
-  const json::Value* candidates = scan->find("candidates");
-  const json::Value* rejected = scan->find("rejected");
-  if (candidates == nullptr || !candidates->is_array() || rejected == nullptr ||
-      !rejected->is_array()) {
-    return std::nullopt;
-  }
-  for (const json::Value& c : candidates->items()) {
-    cfg::MicroPlan plan;
-    const auto depth = as_u64(c.find("depth"));
-    const auto start_pc = as_hex32(c.find("start_pc"));
-    const auto end_pc = as_hex32(c.find("end_pc"));
-    const auto index_reg = as_u64(c.find("index_reg"));
-    const json::Value* initial = c.find("initial");
-    const json::Value* final_v = c.find("final");
-    const json::Value* step = c.find("step");
-    const auto cond = as_u64(c.find("cond"));
-    const auto update_index = as_u64(c.find("update_index"));
-    const auto branch_index = as_u64(c.find("branch_index"));
-    if (!depth || !start_pc || !end_pc || !index_reg || initial == nullptr ||
-        final_v == nullptr || step == nullptr || !cond || *cond > 3 ||
-        !update_index || !branch_index) {
-      return std::nullopt;
-    }
-    const auto initial_i = as_int(*initial);
-    const auto final_i = as_int(*final_v);
-    const auto step_i = as_int(*step);
-    if (!initial_i || !final_i || !step_i) return std::nullopt;
-    plan.depth = static_cast<unsigned>(*depth);
-    plan.start_pc = *start_pc;
-    plan.end_pc = *end_pc;
-    plan.index_reg = static_cast<std::uint8_t>(*index_reg);
-    plan.initial = static_cast<std::int32_t>(*initial_i);
-    plan.final = static_cast<std::int32_t>(*final_i);
-    plan.step = static_cast<std::int32_t>(*step_i);
-    plan.cond = static_cast<zolc::LoopCond>(*cond);
-    plan.update_index = static_cast<unsigned>(*update_index);
-    plan.branch_index = static_cast<unsigned>(*branch_index);
-    out.scan.candidates.push_back(plan);
-  }
-  for (const json::Value& r : rejected->items()) {
-    const json::Value* code = r.find("code");
-    const json::Value* message = r.find("message");
-    if (code == nullptr || !code->is_string() || message == nullptr ||
-        !message->is_string()) {
-      return std::nullopt;
-    }
-    out.scan.rejected.emplace_back(parse_error_code(code->as_string()),
-                                   message->as_string());
+    out.code.push_back(isa::decode(static_cast<std::uint32_t>(*parsed)));
   }
   return out;
 }
@@ -319,10 +254,9 @@ Result<std::shared_ptr<const CompiledUnit>> UnitStore::load(
   // save time. decode/encode of hostile words can trip contract checks;
   // that is corruption too, not a crash.
   try {
-    auto parts = parse_unit_payload(*unit_v, stored_spec->machine);
-    if (!parts) return reject(corrupt("malformed unit payload"));
-    CompiledUnit unit(*kernel, *stored_spec, std::move(parts->program),
-                      std::move(parts->scan));
+    auto program = parse_unit_payload(*unit_v, stored_spec->machine);
+    if (!program) return reject(corrupt("malformed unit payload"));
+    CompiledUnit unit(*kernel, *stored_spec, std::move(*program));
     if (fnv1a64(unit.to_json()) != *stored_digest) {
       return reject(corrupt("payload digest mismatch"));
     }

@@ -9,12 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
 #include "flow/workload.hpp"
 #include "isa/build.hpp"
 #include "isa/encoding.hpp"
+#include "kernels/kernels.hpp"
 
 namespace zolcsim::flow {
 namespace {
@@ -104,6 +106,36 @@ TEST(CompiledUnit, ScanMetadataFindsSoftwareCountedLoops) {
       CompiledUnit::compile(spec_for("dotprod", MachineKind::kZolcLite));
   ASSERT_TRUE(hw.ok());
   EXPECT_TRUE(hw.value().scan().candidates.empty());
+}
+
+TEST(CompiledUnit, CompileArtifactBytesArePinned) {
+  // One digest over `zolcsim compile --format=json` of every registered
+  // kernel on every machine (default geometry and env): program words,
+  // table image and zolcscan report. An intended codegen or scan change
+  // updates kDigest; anything else that moves it is a regression.
+  constexpr std::string_view kDigest = "3e8d9d424313582a";
+  std::string folded;
+  std::size_t units = 0;
+  std::size_t scanned = 0;  // units with any scan candidate or rejection
+  const auto fold = [&](const kernels::Kernel& kernel) {
+    for (const MachineKind machine : codegen::kAllMachines) {
+      const auto unit =
+          CompiledUnit::compile(spec_for(std::string(kernel.name()), machine));
+      ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+      folded += hex64(fnv1a64(unit.value().to_json()));
+      folded += '\n';
+      ++units;
+      const cfg::ScanReport scan = unit.value().scan();
+      if (!scan.candidates.empty() || !scan.rejected.empty()) ++scanned;
+    }
+  };
+  for (const auto& kernel : kernels::kernel_registry()) fold(*kernel);
+  for (const auto& kernel : kernels::extended_kernel_registry()) {
+    fold(*kernel);
+  }
+  EXPECT_EQ(units, 75u);
+  EXPECT_EQ(scanned, 46u);
+  EXPECT_EQ(hex64(fnv1a64(folded)), kDigest);
 }
 
 TEST(CompiledUnit, UnknownKernelNameReportsCode) {

@@ -1,10 +1,11 @@
 // End-to-end serve daemon behaviour over a real Unix-domain socket: warm
 // second requests (zero compiles), byte-identity between the server's sweep
 // rendering and the local run_suite path for every checked-in scenario
-// suite, a run reply against a local flow::run, two concurrent clients
-// compiling each unit exactly once (the cache's singleflight guarantee),
-// the stats endpoint, the retired store-stat request, idle timeouts, and
-// graceful drain.
+// suite, a run reply against a local flow::run, the compile reply's scan
+// count against a local zolcscan, two concurrent clients compiling each
+// unit exactly once (the cache's singleflight guarantee), the stats
+// endpoint, the retired store-stat request, idle timeouts, and graceful
+// drain.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,8 +16,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "cfg/zolcscan.hpp"
 #include "flow/cache.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/run.hpp"
@@ -231,6 +234,38 @@ TEST_F(ServerTest, RunReplyMatchesLocalRun) {
   EXPECT_EQ(member("tenants"), 2u);
   EXPECT_EQ(member("ctx_switches"), r.context_switches);
   EXPECT_EQ(member("ctx_switch_cycles"), r.context_switch_cycles);
+}
+
+TEST_F(ServerTest, CompileReplyCountsTheUnitsScanCandidates) {
+  // The software lowering keeps dotprod's counted-loop idiom; the ZOLC
+  // lowering hands the loop to the tables, leaving nothing to scan for.
+  start();
+  Client client = connect_ok();
+  for (const auto& [machine, expected] :
+       {std::pair{codegen::MachineKind::kXrDefault, 1u},
+        std::pair{codegen::MachineKind::kZolcLite, 0u}}) {
+    const std::string name(codegen::machine_name(machine));
+    SCOPED_TRACE(name);
+    auto reply = client.call(
+        R"({"schema": "zolcsim-serve-v1", "type": "compile",)"
+        R"( "kernel": "dotprod", "machine": ")" +
+        name + "\"}");
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    const json::Value* count = reply.value().find("scan_candidates");
+    ASSERT_NE(count, nullptr);
+    EXPECT_EQ(count->as_uint(), expected);
+
+    flow::CompileSpec spec;
+    spec.kernel = "dotprod";
+    spec.machine = machine;
+    auto unit = flow::CompiledUnit::compile(spec);
+    ASSERT_TRUE(unit.ok()) << unit.error().to_string();
+    const codegen::Program& program = unit.value().program();
+    const cfg::ScanReport scan = cfg::scan_for_micro_loops(
+        program.code, program.base,
+        cfg::ScanOptions::for_geometry(unit.value().geometry()));
+    EXPECT_EQ(count->as_uint(), scan.candidates.size());
+  }
 }
 
 TEST_F(ServerTest, StatsEndpointCountsRequestsAndLatency) {

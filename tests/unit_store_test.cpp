@@ -158,6 +158,34 @@ TEST(UnitStore, CorruptArtifactsRejectTyped) {
   EXPECT_NE(loaded.value(), nullptr);
 }
 
+TEST(UnitStore, ADoctoredScanSectionIsReDerivedOnLoad) {
+  // load() reads only the payload's program: the unit derives its zolcscan
+  // report from the words, so a doctored "scan" section neither loads nor
+  // trips the payload digest.
+  const std::string dir = fresh_store_dir("unit_store_scan");
+  UnitStore store(dir);
+  const CompileSpec spec = spec_for("dotprod", MachineKind::kXrDefault);
+  const auto unit = CompiledUnit::compile(spec);
+  ASSERT_TRUE(unit.ok());
+  ASSERT_FALSE(unit.value().scan().candidates.empty());
+  ASSERT_TRUE(store.save(unit.value()).ok());
+  const fs::path artifact = only_artifact(dir);
+
+  std::string doctored = slurp(artifact);
+  const std::string depth = "\"depth\": ";
+  const auto at = doctored.find(depth);
+  ASSERT_NE(at, std::string::npos);
+  char& digit = doctored[at + depth.size()];
+  digit = digit == '7' ? '8' : '7';
+  spill(artifact, doctored);
+
+  const auto loaded = store.load(spec);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  ASSERT_NE(loaded.value(), nullptr);
+  EXPECT_EQ(loaded.value()->to_json(), unit.value().to_json());
+  EXPECT_EQ(store.stats().rejects, 0u);
+}
+
 TEST(UnitStore, StaleToolchainTagRejectsTyped) {
   const std::string dir = fresh_store_dir("unit_store_stale");
   UnitStore store(dir);

@@ -284,7 +284,7 @@ void print_unit_summary(const flow::CompiledUnit& unit) {
 }
 
 void print_scan_report(const flow::CompiledUnit& unit) {
-  const cfg::ScanReport& scan = unit.scan();
+  const cfg::ScanReport scan = unit.scan();
   std::printf("zolcscan: %zu accelerable counted loop(s)\n",
               scan.candidates.size());
   for (const cfg::MicroPlan& plan : scan.candidates) {
