@@ -1,6 +1,5 @@
 #include "common/csv.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/contracts.hpp"
@@ -46,13 +45,6 @@ std::string CsvWriter::render() const {
   emit(headers_);
   for (const auto& row : rows_) emit(row);
   return os.str();
-}
-
-bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << render();
-  return static_cast<bool>(out);
 }
 
 }  // namespace zolcsim

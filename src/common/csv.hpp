@@ -19,9 +19,6 @@ class CsvWriter {
   /// Renders the full document including the header row.
   [[nodiscard]] std::string render() const;
 
-  /// Writes render() to `path`. Returns false on I/O failure.
-  bool write_file(const std::string& path) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

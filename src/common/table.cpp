@@ -10,13 +10,6 @@ namespace zolcsim {
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   ZS_EXPECTS(!headers_.empty());
-  aligns_.assign(headers_.size(), Align::kRight);
-  aligns_[0] = Align::kLeft;
-}
-
-void TextTable::set_align(std::size_t column, Align align) {
-  ZS_EXPECTS(column < aligns_.size());
-  aligns_[column] = align;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
@@ -38,7 +31,7 @@ std::string TextTable::render() const {
   const auto emit_cell = [&](std::ostringstream& os, const std::string& text,
                              std::size_t c) {
     const std::size_t pad = widths[c] - text.size();
-    if (aligns_[c] == Align::kRight) os << std::string(pad, ' ') << text;
+    if (c > 0) os << std::string(pad, ' ') << text;
     else os << text << std::string(pad, ' ');
   };
 

@@ -8,18 +8,12 @@
 
 namespace zolcsim {
 
-/// Column alignment inside a TextTable.
-enum class Align { kLeft, kRight };
-
-/// Accumulates rows of strings and renders them with aligned columns,
-/// a header separator, and optional per-column alignment.
+/// Accumulates rows of strings and renders them with aligned columns and a
+/// header separator: column 0 left-aligned, every other column right-aligned.
 class TextTable {
  public:
-  /// Creates a table with the given column headers (left-aligned header row).
+  /// Creates a table with the given column headers.
   explicit TextTable(std::vector<std::string> headers);
-
-  /// Sets alignment for a column (default kRight for all but column 0).
-  void set_align(std::size_t column, Align align);
 
   /// Appends a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
@@ -29,7 +23,6 @@ class TextTable {
 
  private:
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
 };
 

@@ -27,10 +27,6 @@ class RegFile {
     if (reg != 0) regs_[reg] = value;
   }
 
-  void write_u(unsigned reg, std::uint32_t value) {
-    write(reg, static_cast<std::int32_t>(value));
-  }
-
   // Unchecked accessors for the ISS summary tier's replay loop: its
   // decoded records and exported loop descriptors carry 5-bit register
   // fields, so the precondition holds by construction.

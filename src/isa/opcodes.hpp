@@ -53,11 +53,6 @@ enum class Opcode : std::uint8_t {
   kOpcodeCount_,  // sentinel
 };
 
-/// Number of real opcodes (excluding kInvalid and the sentinel).
-constexpr std::size_t opcode_count() noexcept {
-  return static_cast<std::size_t>(Opcode::kOpcodeCount_) - 1;
-}
-
 /// Operand/encoding format classes.
 enum class Format : std::uint8_t {
   kR3,          ///< rd, rs, rt

@@ -36,158 +36,135 @@ NestLoopDesc nest_loop(const Loop& l) {
   return d;
 }
 
+/// The power-on image: every table entry invalid, every index and counter
+/// zero, the vectors sized by the variant-restricted geometry.
+ZolcContext power_on_context(ZolcVariant variant,
+                             const ZolcGeometry& geometry) {
+  ZS_EXPECTS(geometry.valid());
+  ZolcContext ctx;
+  ctx.variant = variant;
+  ctx.geometry = geometry.for_variant(variant);
+  const ZolcGeometry& g = ctx.geometry;
+  ctx.tasks.resize(g.max_tasks);
+  ctx.task_start.resize(g.max_tasks);
+  ctx.loops.resize(g.max_loops);
+  ctx.loop_current.resize(g.max_loops);
+  ctx.exits.resize(g.exit_record_count());
+  ctx.entries.resize(g.entry_record_count());
+  return ctx;
+}
+
 }  // namespace
 
 ZolcController::ZolcController(ZolcVariant variant,
                                const ZolcGeometry& geometry)
-    : variant_(variant),
-      geom_(geometry.for_variant(variant)),
-      pc_mask_(mask32(geom_.pc_ofs_bits)) {
-  ZS_EXPECTS(geometry.valid());
-  tasks_.resize(geom_.max_tasks);
-  task_start_.resize(geom_.max_tasks);
-  loops_.resize(geom_.max_loops);
-  current_.resize(geom_.max_loops);
-  exits_.resize(geom_.exit_record_count());
-  entries_.resize(geom_.entry_record_count());
-}
-
-const TaskEntry& ZolcController::task(unsigned idx) const {
-  ZS_EXPECTS(idx < tasks_.size());
-  return tasks_[idx];
-}
-
-std::uint16_t ZolcController::task_start(unsigned idx) const {
-  ZS_EXPECTS(idx < task_start_.size());
-  return task_start_[idx];
-}
-
-const LoopEntry& ZolcController::loop(unsigned idx) const {
-  ZS_EXPECTS(variant_ != ZolcVariant::kMicro && idx < loops_.size());
-  return loops_[idx];
-}
-
-const ExitRecord& ZolcController::exit_record(unsigned idx) const {
-  ZS_EXPECTS(variant_ == ZolcVariant::kFull && idx < exits_.size());
-  return exits_[idx];
-}
-
-const EntryRecord& ZolcController::entry_record(unsigned idx) const {
-  ZS_EXPECTS(variant_ == ZolcVariant::kFull && idx < entries_.size());
-  return entries_[idx];
-}
+    : ctx_(power_on_context(variant, geometry)),
+      pc_mask_(mask32(ctx_.geometry.pc_ofs_bits)),
+      power_on_(ctx_) {}
 
 void ZolcController::reset() {
-  std::fill(tasks_.begin(), tasks_.end(), TaskEntry{});
-  std::fill(task_start_.begin(), task_start_.end(), std::uint16_t{0});
-  std::fill(loops_.begin(), loops_.end(), LoopEntry{});
-  std::fill(current_.begin(), current_.end(), 0);
-  std::fill(exits_.begin(), exits_.end(), ExitRecord{});
-  std::fill(entries_.begin(), entries_.end(), EntryRecord{});
-  micro_ = {};
-  base_ = 0;
-  current_task_ = 0;
-  active_ = false;
-  stats_ = {};
+  ctx_ = power_on_;  // equal vector sizes: copies in place, allocates nothing
   nest_dirty_ = true;
   refresh_trigger();
 }
 
 void ZolcController::refresh_trigger() noexcept {
   armed_pc_ = kDisarmed;
-  if (!active_) return;
-  if (variant_ == ZolcVariant::kMicro) {
-    armed_pc_ = micro_.end_pc;
-  } else if (!tasks_.empty() && tasks_[current_task_].valid) {
-    armed_pc_ = ofs_to_pc(tasks_[current_task_].end_pc_ofs);
+  if (!ctx_.active) return;
+  if (ctx_.variant == ZolcVariant::kMicro) {
+    armed_pc_ = ctx_.micro.end_pc;
+  } else if (!ctx_.tasks.empty() && ctx_.tasks[ctx_.current_task].valid) {
+    armed_pc_ = ofs_to_pc(ctx_.tasks[ctx_.current_task].end_pc_ofs);
   }
 }
 
 void ZolcController::init_write(Opcode op, std::uint8_t idx,
                                 std::uint32_t value) {
-  if (active_) {
+  if (ctx_.active) {
     throw SimError("ZOLC table write while the controller is active");
   }
-  ++stats_.table_writes;
+  ++ctx_.stats.table_writes;
   nest_dirty_ = true;
+  const ZolcVariant variant = ctx_.variant;
+  const ZolcGeometry& geom = ctx_.geometry;
+  MicroLoopState& micro = ctx_.micro;
   switch (op) {
     case Opcode::kZolwTe: {
-      if (variant_ == ZolcVariant::kMicro || idx >= tasks_.size()) {
+      if (variant == ZolcVariant::kMicro || idx >= ctx_.tasks.size()) {
         throw SimError("zolw.te: no task entry " + std::to_string(idx) +
-                       " on " + std::string(variant_name(variant_)));
+                       " on " + std::string(variant_name(variant)));
       }
       // Range-check the packed ids: the field widths are rounded up to
       // whole bits, so non-power-of-two geometries admit encodings beyond
       // the table sizes (the hardware write decoder traps them).
-      const TaskEntry entry = TaskEntry::unpack(value, geom_);
-      if (entry.loop_id >= geom_.max_loops ||
-          entry.next_task_cont >= geom_.max_tasks ||
-          entry.next_task_done >= geom_.max_tasks) {
+      const TaskEntry entry = TaskEntry::unpack(value, geom);
+      if (entry.loop_id >= geom.max_loops ||
+          entry.next_task_cont >= geom.max_tasks ||
+          entry.next_task_done >= geom.max_tasks) {
         throw SimError("zolw.te: packed id out of range for geometry " +
-                       geom_.label());
+                       geom.label());
       }
-      tasks_[idx] = entry;
+      ctx_.tasks[idx] = entry;
       break;
     }
     case Opcode::kZolwTs:
-      if (variant_ == ZolcVariant::kMicro || idx >= tasks_.size()) {
+      if (variant == ZolcVariant::kMicro || idx >= ctx_.tasks.size()) {
         throw SimError("zolw.ts: no task entry " + std::to_string(idx) +
-                       " on " + std::string(variant_name(variant_)));
+                       " on " + std::string(variant_name(variant)));
       }
-      task_start_[idx] =
-          static_cast<std::uint16_t>(value & mask32(geom_.pc_ofs_bits));
+      ctx_.task_start[idx] = static_cast<std::uint16_t>(value & pc_mask_);
       break;
     case Opcode::kZolwLp0:
     case Opcode::kZolwLp1:
-      if (variant_ == ZolcVariant::kMicro || idx >= loops_.size()) {
+      if (variant == ZolcVariant::kMicro || idx >= ctx_.loops.size()) {
         throw SimError("zolw.lp: no loop entry " + std::to_string(idx) +
-                       " on " + std::string(variant_name(variant_)));
+                       " on " + std::string(variant_name(variant)));
       }
-      if (op == Opcode::kZolwLp0) loops_[idx].unpack_word0(value);
-      else loops_[idx].unpack_word1(value);
+      if (op == Opcode::kZolwLp0) ctx_.loops[idx].unpack_word0(value);
+      else ctx_.loops[idx].unpack_word1(value);
       break;
     case Opcode::kZolwEx0:
     case Opcode::kZolwEx1:
-      if (variant_ != ZolcVariant::kFull || idx >= exits_.size()) {
+      if (variant != ZolcVariant::kFull || idx >= ctx_.exits.size()) {
         throw SimError("zolw.ex: no exit record " + std::to_string(idx) +
-                       " on " + std::string(variant_name(variant_)));
+                       " on " + std::string(variant_name(variant)));
       }
-      if (op == Opcode::kZolwEx0) exits_[idx].unpack_lo(value, geom_);
-      else exits_[idx].unpack_hi(value, geom_);
-      if (exits_[idx].next_task >= geom_.max_tasks) {
+      if (op == Opcode::kZolwEx0) ctx_.exits[idx].unpack_lo(value, geom);
+      else ctx_.exits[idx].unpack_hi(value, geom);
+      if (ctx_.exits[idx].next_task >= geom.max_tasks) {
         throw SimError("zolw.ex: packed next_task out of range for geometry " +
-                       geom_.label());
+                       geom.label());
       }
       break;
     case Opcode::kZolwEn0:
     case Opcode::kZolwEn1:
-      if (variant_ != ZolcVariant::kFull || idx >= entries_.size()) {
+      if (variant != ZolcVariant::kFull || idx >= ctx_.entries.size()) {
         throw SimError("zolw.en: no entry record " + std::to_string(idx) +
-                       " on " + std::string(variant_name(variant_)));
+                       " on " + std::string(variant_name(variant)));
       }
-      if (op == Opcode::kZolwEn0) entries_[idx].unpack_lo(value, geom_);
-      else entries_[idx].unpack_hi(value, geom_);
-      if (entries_[idx].next_task >= geom_.max_tasks) {
+      if (op == Opcode::kZolwEn0) ctx_.entries[idx].unpack_lo(value, geom);
+      else ctx_.entries[idx].unpack_hi(value, geom);
+      if (ctx_.entries[idx].next_task >= geom.max_tasks) {
         throw SimError("zolw.en: packed next_task out of range for geometry " +
-                       geom_.label());
+                       geom.label());
       }
       break;
     case Opcode::kZolwU: {
-      if (variant_ != ZolcVariant::kMicro || idx >= kMicroRegCount) {
+      if (variant != ZolcVariant::kMicro || idx >= kMicroRegCount) {
         throw SimError("zolw.u: no uZOLC register " + std::to_string(idx) +
-                       " on " + std::string(variant_name(variant_)));
+                       " on " + std::string(variant_name(variant)));
       }
       const auto sv = static_cast<std::int32_t>(value);
       switch (static_cast<MicroReg>(idx)) {
-        case MicroReg::kInitial: micro_.initial = sv; break;
-        case MicroReg::kFinal:   micro_.final = sv; break;
-        case MicroReg::kStep:    micro_.step = sv; break;
-        case MicroReg::kCurrent: current_[0] = sv; break;
-        case MicroReg::kStartPc: micro_.start_pc = value; break;
-        case MicroReg::kEndPc:   micro_.end_pc = value; break;
+        case MicroReg::kInitial: micro.initial = sv; break;
+        case MicroReg::kFinal:   micro.final = sv; break;
+        case MicroReg::kStep:    micro.step = sv; break;
+        case MicroReg::kCurrent: ctx_.loop_current[0] = sv; break;
+        case MicroReg::kStartPc: micro.start_pc = value; break;
+        case MicroReg::kEndPc:   micro.end_pc = value; break;
         case MicroReg::kCtrl:
-          micro_.index_rf = static_cast<std::uint8_t>(extract_bits(value, 0, 5));
-          micro_.cond = static_cast<LoopCond>(extract_bits(value, 5, 2));
+          micro.index_rf = static_cast<std::uint8_t>(extract_bits(value, 0, 5));
+          micro.cond = static_cast<LoopCond>(extract_bits(value, 5, 2));
           break;
         case MicroReg::kCount:
         case MicroReg::kStatus:
@@ -201,16 +178,16 @@ void ZolcController::init_write(Opcode op, std::uint8_t idx,
 }
 
 void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
-  if (active_) {
+  if (ctx_.active) {
     throw SimError("zolon while the controller is already active");
   }
-  if (variant_ == ZolcVariant::kMicro) {
-    current_[0] = micro_.initial;
-    active_ = true;
+  if (ctx_.variant == ZolcVariant::kMicro) {
+    ctx_.loop_current[0] = ctx_.micro.initial;
+    ctx_.active = true;
     refresh_trigger();
     return;
   }
-  if (start_task >= tasks_.size()) {
+  if (start_task >= ctx_.tasks.size()) {
     throw SimError("zolon: start task " + std::to_string(start_task) +
                    " out of range");
   }
@@ -218,30 +195,31 @@ void ZolcController::activate(std::uint8_t start_task, std::uint32_t base) {
     throw SimError("zolon: base address " + hex32(base) +
                    " is not word-aligned");
   }
-  base_ = base;
-  nest_dirty_ = true;  // the export resolves table offsets against base_
-  current_task_ = start_task;
-  for (unsigned i = 0; i < loops_.size(); ++i) {
-    if (loops_[i].valid) current_[i] = loops_[i].initial;
+  ctx_.base = base;
+  nest_dirty_ = true;  // the export resolves table offsets against the base
+  ctx_.current_task = start_task;
+  for (unsigned i = 0; i < ctx_.loops.size(); ++i) {
+    if (ctx_.loops[i].valid) ctx_.loop_current[i] = ctx_.loops[i].initial;
   }
-  active_ = true;
+  ctx_.active = true;
   refresh_trigger();
 }
 
 void ZolcController::deactivate() {
-  active_ = false;
+  ctx_.active = false;
   refresh_trigger();
 }
 
 bool ZolcController::pc_to_ofs(std::uint32_t pc, std::uint16_t& ofs) const {
-  const std::uint32_t delta = (pc - base_) >> 2;  // modulo 2^32, as ofs_to_pc
+  // Modulo 2^32, as ofs_to_pc.
+  const std::uint32_t delta = (pc - ctx_.base) >> 2;
   if (delta > pc_mask_) return false;
   ofs = static_cast<std::uint16_t>(delta);
   return true;
 }
 
 std::uint32_t ZolcController::ofs_to_pc(std::uint16_t ofs) const noexcept {
-  return base_ + (static_cast<std::uint32_t>(ofs) << 2);
+  return ctx_.base + (static_cast<std::uint32_t>(ofs) << 2);
 }
 
 void ZolcController::raise_walk_fault(WalkFault fault, std::uint8_t task,
@@ -268,57 +246,57 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
       });
   ev.redirect = walk.redirect;
   ev.fault = walk.fault;
-  ev.fault_task = current_task_;
+  ev.fault_task = ctx_.current_task;
   return out;
 }
 
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
-  for (unsigned i = 0; i < geom_.max_loops; ++i) {
+  for (unsigned i = 0; i < ctx_.geometry.max_loops; ++i) {
     if ((mask & (1u << i)) == 0) continue;
-    const LoopEntry& loop = loops_[i];
+    const LoopEntry& loop = ctx_.loops[i];
     if (!loop.valid) {
       throw SimError("reinit mask references invalid loop " +
                      std::to_string(i));
     }
-    current_[i] = loop.initial;
+    ctx_.loop_current[i] = loop.initial;
     ev.rf_writes.push_back(RfWrite{loop.index_rf, loop.initial});
   }
 }
 
 std::optional<AccelEvent> ZolcController::on_taken_control(
     std::uint32_t pc, std::uint32_t target) {
-  if (!active_ || variant_ != ZolcVariant::kFull) return std::nullopt;
+  if (!ctx_.active || ctx_.variant != ZolcVariant::kFull) return std::nullopt;
 
   AccelEvent ev;
   bool matched = false;
 
   // Candidate exits, scoped to the current task's controlling loop (the
   // hardware compares only that loop's bank of records).
-  const TaskEntry& t = tasks_[current_task_];
+  const TaskEntry& t = ctx_.tasks[ctx_.current_task];
   std::uint16_t ofs = 0;
   if (t.valid && pc_to_ofs(pc, ofs)) {
-    const unsigned bank = t.loop_id * geom_.max_exits_per_loop;
-    for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
-      const ExitRecord& r = exits_[bank + slot];
+    const unsigned bank = t.loop_id * ctx_.geometry.max_exits_per_loop;
+    for (unsigned slot = 0; slot < ctx_.geometry.max_exits_per_loop; ++slot) {
+      const ExitRecord& r = ctx_.exits[bank + slot];
       if (!r.valid || r.branch_pc_ofs != ofs) continue;
       matched = true;
-      ++stats_.exit_matches;
+      ++ctx_.stats.exit_matches;
       apply_reinit_mask(r.reinit_mask, ev);
-      current_task_ = r.next_task;
-      if (r.deactivate) active_ = false;
+      ctx_.current_task = r.next_task;
+      if (r.deactivate) ctx_.active = false;
       break;
     }
   }
 
   // Multi-entry records, matched on the transfer target.
   std::uint16_t tofs = 0;
-  if (active_ && pc_to_ofs(target, tofs)) {
-    for (const EntryRecord& r : entries_) {
+  if (ctx_.active && pc_to_ofs(target, tofs)) {
+    for (const EntryRecord& r : ctx_.entries) {
       if (!r.valid || r.entry_pc_ofs != tofs) continue;
       matched = true;
-      ++stats_.entry_matches;
+      ++ctx_.stats.entry_matches;
       apply_reinit_mask(r.reinit_mask, ev);
-      current_task_ = r.next_task;
+      ctx_.current_task = r.next_task;
       break;
     }
   }
@@ -329,51 +307,52 @@ std::optional<AccelEvent> ZolcController::on_taken_control(
 }
 
 AccelSnapshot ZolcController::snapshot() const {
+  const std::vector<std::int32_t>& current = ctx_.loop_current;
   AccelSnapshot s;
-  s.loop_count = static_cast<std::uint8_t>(current_.size());
-  std::copy(current_.begin(), current_.end(), s.loop_current.begin());
-  s.current_task = current_task_;
-  s.active = active_;
+  s.loop_count = static_cast<std::uint8_t>(current.size());
+  std::copy(current.begin(), current.end(), s.loop_current.begin());
+  s.current_task = ctx_.current_task;
+  s.active = ctx_.active;
   return s;
 }
 
 const NestProgram* ZolcController::nest_program() const {
-  if (!active_) return nullptr;
+  if (!ctx_.active) return nullptr;
   if (!nest_dirty_) return &nest_prog_;
-  if (variant_ == ZolcVariant::kMicro) {
+  if (ctx_.variant == ZolcVariant::kMicro) {
     // One task over the micro registers' region. Its done event
     // re-initializes the index and falls through, leaving the controller
     // armed for a re-entry by an enclosing software loop.
     NestTaskDesc task;
-    task.start_pc = micro_.start_pc;
-    task.end_pc = micro_.end_pc;
+    task.start_pc = ctx_.micro.start_pc;
+    task.end_pc = ctx_.micro.end_pc;
     task.done_falls_through = true;
     task.valid = true;
     nest_prog_.tasks.assign(1, task);
-    nest_prog_.loops.assign(1, nest_loop(micro_));
+    nest_prog_.loops.assign(1, nest_loop(ctx_.micro));
   } else {
-    nest_prog_.loops.assign(loops_.size(), NestLoopDesc{});
-    nest_prog_.tasks.assign(tasks_.size(), NestTaskDesc{});
-    for (unsigned i = 0; i < loops_.size(); ++i) {
-      if (!loops_[i].valid) continue;
+    nest_prog_.loops.assign(ctx_.loops.size(), NestLoopDesc{});
+    nest_prog_.tasks.assign(ctx_.tasks.size(), NestTaskDesc{});
+    for (unsigned i = 0; i < ctx_.loops.size(); ++i) {
+      if (!ctx_.loops[i].valid) continue;
       NestLoopDesc& d = nest_prog_.loops[i];
-      d = nest_loop(loops_[i]);
-      if (variant_ == ZolcVariant::kFull) {
-        const unsigned bank = i * geom_.max_exits_per_loop;
-        for (unsigned slot = 0; slot < geom_.max_exits_per_loop; ++slot) {
-          if (exits_[bank + slot].valid) {
+      d = nest_loop(ctx_.loops[i]);
+      if (ctx_.variant == ZolcVariant::kFull) {
+        const unsigned per_loop = ctx_.geometry.max_exits_per_loop;
+        for (unsigned slot = 0; slot < per_loop; ++slot) {
+          if (ctx_.exits[i * per_loop + slot].valid) {
             d.has_exit_records = true;
             break;
           }
         }
       }
     }
-    for (unsigned i = 0; i < tasks_.size(); ++i) {
-      const TaskEntry& t = tasks_[i];
+    for (unsigned i = 0; i < ctx_.tasks.size(); ++i) {
+      const TaskEntry& t = ctx_.tasks[i];
       NestTaskDesc& d = nest_prog_.tasks[i];
       // start_pc resolves for every entry: the event walk redirects to a
       // successor's start without a validity check.
-      d.start_pc = ofs_to_pc(task_start_[i]);
+      d.start_pc = ofs_to_pc(ctx_.task_start[i]);
       d.valid = t.valid;
       if (!t.valid) continue;
       d.end_pc = ofs_to_pc(t.end_pc_ofs);
@@ -413,130 +392,100 @@ void ZolcController::credit_summary_events(std::uint64_t continues,
                                            std::uint64_t dones,
                                            std::uint64_t cascades,
                                            std::uint64_t max_cascade_depth) {
-  stats_.continue_events += continues;
-  stats_.done_events += dones;
-  stats_.cascade_chains += cascades;
-  stats_.max_cascade_depth =
-      std::max(stats_.max_cascade_depth, max_cascade_depth);
+  ctx_.stats.continue_events += continues;
+  ctx_.stats.done_events += dones;
+  ctx_.stats.cascade_chains += cascades;
+  ctx_.stats.max_cascade_depth =
+      std::max(ctx_.stats.max_cascade_depth, max_cascade_depth);
 }
 
 void ZolcController::restore(const AccelSnapshot& snapshot) {
-  if (auto restored = try_restore(snapshot); !restored.ok()) {
-    throw SimError(restored.error().to_string());
+  std::vector<std::int32_t>& current = ctx_.loop_current;
+  if (snapshot.loop_count != current.size()) {
+    throw SimError("snapshot carries " + std::to_string(snapshot.loop_count) +
+                   " loops, geometry " + ctx_.geometry.label() + " has " +
+                   std::to_string(current.size()));
   }
-}
-
-Result<void> ZolcController::try_restore(const AccelSnapshot& snapshot) {
-  if (snapshot.loop_count != current_.size()) {
-    return Error{ErrorCode::kBadContext,
-                 "snapshot carries " + std::to_string(snapshot.loop_count) +
-                     " loops, geometry " + geom_.label() + " has " +
-                     std::to_string(current_.size())};
-  }
-  std::copy_n(snapshot.loop_current.begin(), current_.size(), current_.begin());
-  current_task_ = snapshot.current_task;
-  active_ = snapshot.active;
+  std::copy_n(snapshot.loop_current.begin(), current.size(), current.begin());
+  ctx_.current_task = snapshot.current_task;
+  ctx_.active = snapshot.active;
   refresh_trigger();
-  return {};
-}
-
-ZolcContext ZolcController::save_context() const {
-  ZolcContext ctx;
-  ctx.variant = variant_;
-  ctx.geometry = geom_;
-  ctx.tasks = tasks_;
-  ctx.task_start = task_start_;
-  ctx.loops = loops_;
-  ctx.loop_current = current_;
-  ctx.exits = exits_;
-  ctx.entries = entries_;
-  ctx.micro = micro_;
-  ctx.base = base_;
-  ctx.current_task = current_task_;
-  ctx.active = active_;
-  ctx.stats = stats_;
-  return ctx;
 }
 
 Result<void> ZolcController::restore_context(const ZolcContext& context) {
-  if (context.variant != variant_ || !(context.geometry == geom_)) {
+  const ZolcGeometry& geom = ctx_.geometry;
+  if (context.variant != ctx_.variant || !(context.geometry == geom)) {
     return Error{ErrorCode::kBadContext,
                  "context for " + std::string(variant_name(context.variant)) +
                      "/" + context.geometry.label() + " cannot restore onto " +
-                     std::string(variant_name(variant_)) + "/" + geom_.label()};
+                     std::string(variant_name(ctx_.variant)) + "/" +
+                     geom.label()};
   }
-  if (context.tasks.size() != tasks_.size() ||
-      context.task_start.size() != task_start_.size() ||
-      context.loops.size() != loops_.size() ||
-      context.loop_current.size() != current_.size() ||
-      context.exits.size() != exits_.size() ||
-      context.entries.size() != entries_.size()) {
+  if (context.tasks.size() != ctx_.tasks.size() ||
+      context.task_start.size() != ctx_.task_start.size() ||
+      context.loops.size() != ctx_.loops.size() ||
+      context.loop_current.size() != ctx_.loop_current.size() ||
+      context.exits.size() != ctx_.exits.size() ||
+      context.entries.size() != ctx_.entries.size()) {
     return Error{ErrorCode::kBadContext,
-                 "context table sizes do not match geometry " + geom_.label()};
+                 "context table sizes do not match geometry " + geom.label()};
   }
-  tasks_ = context.tasks;
-  task_start_ = context.task_start;
-  loops_ = context.loops;
-  current_ = context.loop_current;
-  exits_ = context.exits;
-  entries_ = context.entries;
-  micro_ = context.micro;
-  base_ = context.base;
-  current_task_ = context.current_task;
-  active_ = context.active;
-  stats_ = context.stats;
-  nest_dirty_ = true;  // the export resolves table offsets against base_
+  ctx_ = context;      // equal vector sizes: copies in place
+  nest_dirty_ = true;  // the export resolves table offsets against the base
   refresh_trigger();
   return {};
 }
 
 std::string ZolcController::describe() const {
+  const MicroLoopState& micro = ctx_.micro;
+  const ZolcGeometry& geom = ctx_.geometry;
   std::ostringstream os;
-  os << "ZOLC variant: " << variant_name(variant_)
-     << (active_ ? " [active, task " + std::to_string(current_task_) + "]"
-                 : " [inactive]")
+  os << "ZOLC variant: " << variant_name(ctx_.variant)
+     << (ctx_.active
+             ? " [active, task " + std::to_string(ctx_.current_task) + "]"
+             : " [inactive]")
      << '\n';
-  if (variant_ == ZolcVariant::kMicro) {
-    os << "  loop: initial=" << micro_.initial << " final=" << micro_.final
-       << " step=" << micro_.step << " current=" << current_[0]
-       << " index_rf=" << isa::reg_name(micro_.index_rf)
-       << " start=" << hex32(micro_.start_pc) << " end=" << hex32(micro_.end_pc)
+  if (ctx_.variant == ZolcVariant::kMicro) {
+    os << "  loop: initial=" << micro.initial << " final=" << micro.final
+       << " step=" << micro.step << " current=" << ctx_.loop_current[0]
+       << " index_rf=" << isa::reg_name(micro.index_rf)
+       << " start=" << hex32(micro.start_pc) << " end=" << hex32(micro.end_pc)
        << '\n';
     return os.str();
   }
-  os << "  geometry: " << geom_.label() << '\n';
-  os << "  base: " << hex32(base_) << '\n';
-  for (unsigned i = 0; i < tasks_.size(); ++i) {
-    const TaskEntry& t = tasks_[i];
+  os << "  geometry: " << geom.label() << '\n';
+  os << "  base: " << hex32(ctx_.base) << '\n';
+  for (unsigned i = 0; i < ctx_.tasks.size(); ++i) {
+    const TaskEntry& t = ctx_.tasks[i];
     if (!t.valid) continue;
-    os << "  task " << i << ": start_ofs=" << task_start_[i]
+    os << "  task " << i << ": start_ofs=" << ctx_.task_start[i]
        << " end_ofs=" << t.end_pc_ofs << " loop=" << unsigned(t.loop_id)
        << " cont->" << unsigned(t.next_task_cont) << " done->"
        << unsigned(t.next_task_done) << (t.is_last ? " [last]" : "") << '\n';
   }
-  for (unsigned i = 0; i < loops_.size(); ++i) {
-    const LoopEntry& l = loops_[i];
+  for (unsigned i = 0; i < ctx_.loops.size(); ++i) {
+    const LoopEntry& l = ctx_.loops[i];
     if (!l.valid) continue;
     os << "  loop " << i << ": init=" << l.initial << " final=" << l.final
        << " step=" << int(l.step) << " index_rf=" << isa::reg_name(l.index_rf)
        << " cond=" << unsigned(static_cast<std::uint8_t>(l.cond))
-       << " current=" << current_[i] << '\n';
+       << " current=" << ctx_.loop_current[i] << '\n';
   }
-  if (variant_ == ZolcVariant::kFull) {
-    for (unsigned i = 0; i < exits_.size(); ++i) {
-      const ExitRecord& r = exits_[i];
+  if (ctx_.variant == ZolcVariant::kFull) {
+    for (unsigned i = 0; i < ctx_.exits.size(); ++i) {
+      const ExitRecord& r = ctx_.exits[i];
       if (!r.valid) continue;
-      os << "  exit[" << i / geom_.max_exits_per_loop << '.'
-         << i % geom_.max_exits_per_loop << "]: branch_ofs=" << r.branch_pc_ofs
+      os << "  exit[" << i / geom.max_exits_per_loop << '.'
+         << i % geom.max_exits_per_loop << "]: branch_ofs=" << r.branch_pc_ofs
          << " next_task=" << unsigned(r.next_task) << " reinit=0x" << std::hex
          << r.reinit_mask << std::dec
          << (r.deactivate ? " [deactivate]" : "") << '\n';
     }
-    for (unsigned i = 0; i < entries_.size(); ++i) {
-      const EntryRecord& r = entries_[i];
+    for (unsigned i = 0; i < ctx_.entries.size(); ++i) {
+      const EntryRecord& r = ctx_.entries[i];
       if (!r.valid) continue;
-      os << "  entry[" << i / geom_.max_entries_per_loop << '.'
-         << i % geom_.max_entries_per_loop << "]: entry_ofs=" << r.entry_pc_ofs
+      os << "  entry[" << i / geom.max_entries_per_loop << '.'
+         << i % geom.max_entries_per_loop << "]: entry_ofs=" << r.entry_pc_ofs
          << " next_task=" << unsigned(r.next_task) << " reinit=0x" << std::hex
          << r.reinit_mask << std::dec << '\n';
     }

@@ -8,7 +8,8 @@
 // private register file and exports it as a one-task NestProgram). The
 // geometry is a construction-time parameter: the default reproduces the
 // paper's prototype, wider/deeper geometries size every table at runtime.
-// The live loop indices sit in one array sized by the geometry's loops.
+// All architectural state lives in one ZolcContext: context switches copy it
+// whole, and reset() copies a power-on image over it.
 //
 // Event semantics (DESIGN.md 4.2); fetch_event runs walk_fetch_event over
 // nest_program(), the same walk the ISS summary tier uses:
@@ -49,25 +50,22 @@ class ZolcController {
   explicit ZolcController(ZolcVariant variant,
                           const ZolcGeometry& geometry = ZolcGeometry{});
 
-  [[nodiscard]] ZolcVariant variant() const noexcept { return variant_; }
-  [[nodiscard]] const ZolcGeometry& geometry() const noexcept { return geom_; }
-  [[nodiscard]] bool active() const noexcept { return active_; }
-  [[nodiscard]] std::uint8_t current_task() const noexcept {
-    return current_task_;
+  [[nodiscard]] ZolcVariant variant() const noexcept { return ctx_.variant; }
+  [[nodiscard]] const ZolcGeometry& geometry() const noexcept {
+    return ctx_.geometry;
   }
-  [[nodiscard]] const ZolcStats& zolc_stats() const noexcept { return stats_; }
-
-  /// Direct table access for tests and the loop-structure explorer example.
-  [[nodiscard]] const TaskEntry& task(unsigned idx) const;
-  [[nodiscard]] std::uint16_t task_start(unsigned idx) const;
-  [[nodiscard]] const LoopEntry& loop(unsigned idx) const;
-  [[nodiscard]] const ExitRecord& exit_record(unsigned idx) const;
-  [[nodiscard]] const EntryRecord& entry_record(unsigned idx) const;
+  [[nodiscard]] bool active() const noexcept { return ctx_.active; }
+  [[nodiscard]] std::uint8_t current_task() const noexcept {
+    return ctx_.current_task;
+  }
+  [[nodiscard]] const ZolcStats& zolc_stats() const noexcept {
+    return ctx_.stats;
+  }
 
   /// Human-readable dump of the programmed tables.
   [[nodiscard]] std::string describe() const;
 
-  /// Clears all tables and state back to power-on.
+  /// Clears all tables and state back to power-on. Allocates nothing.
   void reset();
 
   // ---- full context switching (DESIGN.md section 9) ----
@@ -75,17 +73,13 @@ class ZolcController {
   /// Captures the complete controller state: table images, live loop
   /// indices, task position, uZOLC registers, activation base, and event
   /// counters. The counters travel with the context so a resumed run
-  /// reports the same final statistics as an uninterrupted one.
-  [[nodiscard]] ZolcContext save_context() const;
+  /// reports the same final statistics as an uninterrupted one. Tests read
+  /// the tables through it.
+  [[nodiscard]] ZolcContext save_context() const { return ctx_; }
 
   /// Restores a context captured from a controller of the same variant and
   /// geometry; kBadContext otherwise, with this controller untouched.
   [[nodiscard]] Result<void> restore_context(const ZolcContext& context);
-
-  /// Typed restore of the CPU-side loop-index snapshot: kBadContext when
-  /// the snapshot's loop count does not match the active geometry (this
-  /// controller untouched), where restore() traps with a SimError.
-  [[nodiscard]] Result<void> try_restore(const AccelSnapshot& snapshot);
 
   // ---- the processor hookup (Fig. 1) ----
 
@@ -144,7 +138,8 @@ class ZolcController {
                                              std::uint32_t target);
 
   [[nodiscard]] AccelSnapshot snapshot() const;
-  /// Restores a snapshot; a loop-count mismatch traps with a SimError.
+  /// Restores a snapshot; a loop-count mismatch traps with a SimError, with
+  /// this controller untouched.
   void restore(const AccelSnapshot& snapshot);
 
   /// Summary-tier hook: the programmed tables in executable form, or
@@ -183,25 +178,13 @@ class ZolcController {
   /// armed_pc_ value no 32-bit fetch PC can match.
   static constexpr std::uint64_t kDisarmed = std::uint64_t{1} << 32;
 
-  ZolcVariant variant_;
-  ZolcGeometry geom_;
-  std::uint32_t pc_mask_ = 0;      ///< mask32(geom_.pc_ofs_bits), cached
+  /// The architectural state: variant, geometry, the tables sized by it,
+  /// live loop indices (uZOLC's index at [0]), uZOLC registers, activation
+  /// base, task position, active flag and event counters. The members
+  /// after it, but for power_on_, are caches derived from it.
+  ZolcContext ctx_;
+  std::uint32_t pc_mask_ = 0;  ///< mask32(ctx_.geometry.pc_ofs_bits)
 
-  // ZOLClite / ZOLCfull storage, sized by geom_.
-  std::vector<TaskEntry> tasks_;
-  std::vector<std::uint16_t> task_start_;
-  std::vector<LoopEntry> loops_;
-  /// Live loop indices, one per loop entry (uZOLC's index at [0]).
-  std::vector<std::int32_t> current_;
-  std::vector<ExitRecord> exits_;
-  std::vector<EntryRecord> entries_;
-  std::uint32_t base_ = 0;
-
-  // uZOLC storage (data + control registers; the index is current_[0]).
-  MicroLoopState micro_;
-
-  std::uint8_t current_task_ = 0;
-  bool active_ = false;
   /// The task-end comparator: the fetch PC that raises the next event, or
   /// kDisarmed. refresh_trigger() keeps it equal to that PC after every
   /// call that changes it (activation, events, restores).
@@ -216,7 +199,9 @@ class ZolcController {
   mutable NestProgram forced_prog_;
   mutable std::vector<std::int32_t> forced_current_;
 
-  ZolcStats stats_;
+  /// The power-on image, built once by the constructor; reset() copies it
+  /// over ctx_ in place. Last, so the hot members keep short offsets.
+  const ZolcContext power_on_;
 };
 
 template <typename Sink>
@@ -224,25 +209,27 @@ std::optional<std::uint32_t> ZolcController::fetch_event(std::uint32_t pc,
                                                          const Sink& sink) {
   const WalkOutcome walk = walk_event(pc, sink);
   if (walk.fault != WalkFault::kNone) {
-    raise_walk_fault(walk.fault, current_task_, pc);
+    raise_walk_fault(walk.fault, ctx_.current_task, pc);
   }
   return walk.redirect;
 }
 
 template <typename Sink>
 WalkOutcome ZolcController::walk_event(std::uint32_t pc, const Sink& sink) {
-  // An armed trigger implies active_, so the export exists; only a stale
-  // one takes the out-of-line rebuild.
+  // An armed trigger implies an active controller, so the export exists;
+  // only a stale one takes the out-of-line rebuild.
   const NestProgram& program = nest_dirty_ ? *nest_program() : nest_prog_;
-  const WalkOutcome walk = walk_fetch_event(program, current_.data(),
-                                            current_task_, active_, pc, sink);
-  stats_.continue_events += walk.continues;
-  stats_.done_events += walk.dones;
+  const WalkOutcome walk =
+      walk_fetch_event(program, ctx_.loop_current.data(), ctx_.current_task,
+                       ctx_.active, pc, sink);
+  ZolcStats& stats = ctx_.stats;
+  stats.continue_events += walk.continues;
+  stats.done_events += walk.dones;
   if (walk.fault != WalkFault::kNone) return walk;
   if (walk.depth > 1) {
-    ++stats_.cascade_chains;
-    stats_.max_cascade_depth =
-        std::max<std::uint64_t>(stats_.max_cascade_depth, walk.depth);
+    ++stats.cascade_chains;
+    stats.max_cascade_depth =
+        std::max<std::uint64_t>(stats.max_cascade_depth, walk.depth);
   }
   refresh_trigger();
   return walk;

@@ -1,7 +1,8 @@
 // ZolcContext tests: randomized restore/save round-trips on the controller
 // across the same geometry set as the table-codec tests (including the wide
-// geometry whose exit records spill into a hi word), the typed restore
-// surfaces (kBadContext), and the modeled context-switch cost.
+// geometry whose exit records spill into a hi word), the restore surfaces
+// (kBadContext contexts, trapping snapshots), and the modeled context-switch
+// cost.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -211,18 +212,35 @@ TEST(ControllerContext, RestoreRejectsWrongGeometryAndVariant) {
                                            .save_context());
 }
 
-TEST(ControllerContext, TryRestoreRejectsBadSnapshotLoopCount) {
+TEST(ControllerContext, RestoreTrapsOnBadSnapshotLoopCount) {
   ZolcController controller(ZolcVariant::kFull);  // 8-loop geometry
-  AccelSnapshot snapshot = controller.snapshot();
-  ASSERT_EQ(snapshot.loop_count, 8u);
-  snapshot.loop_count = 3;  // saved from a different geometry
-  auto restored = controller.try_restore(snapshot);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.error().code, ErrorCode::kBadContext);
-  // The untyped virtual surface turns the same mismatch into a SimError.
-  EXPECT_THROW(controller.restore(snapshot), SimError);
-  // A matching snapshot restores cleanly.
-  EXPECT_TRUE(controller.try_restore(controller.snapshot()).ok());
+  write_loop(controller, 0, 0, 9, 1, 3);
+  write_task(controller, 0, 2, 10, 0);
+  controller.activate(0, 0x1000);
+  const ZolcContext before = controller.save_context();
+  const AccelSnapshot live = controller.snapshot();
+  ASSERT_EQ(live.loop_count, 8u);
+
+  // A snapshot saved from a different geometry traps, and the controller
+  // stays exactly as it was.
+  AccelSnapshot foreign = live;
+  foreign.loop_count = 3;
+  foreign.loop_current[0] = 5;
+  foreign.active = false;
+  EXPECT_THROW(controller.restore(foreign), SimError);
+  EXPECT_EQ(controller.save_context(), before);
+  EXPECT_EQ(controller.trigger_pc(), 0x1000u + 10 * 4);
+
+  // A matching snapshot restores: indices, task position and active flag.
+  AccelSnapshot parked = live;
+  parked.loop_current[0] = 5;
+  parked.active = false;
+  controller.restore(parked);
+  EXPECT_EQ(controller.save_context().loop_current[0], 5);
+  EXPECT_FALSE(controller.active());
+  EXPECT_FALSE(controller.trigger_pc().has_value());
+  controller.restore(live);
+  EXPECT_EQ(controller.save_context(), before);
 }
 
 // ---------------- modeled switch cost ----------------

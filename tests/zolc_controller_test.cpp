@@ -3,6 +3,7 @@
 // capacity enforcement, and snapshot/rollback.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <random>
@@ -452,16 +453,6 @@ TEST_F(LiteTest, TaskEndPastTopOfAddressSpaceWraps) {
   EXPECT_EQ(ev->rf_writes[0].value, 1);
 }
 
-TEST_F(LiteTest, ResetClearsEverything) {
-  write_loop(c, 0, 0, 4, 1, 9);
-  write_task(c, 0, 100, 105, 0, 0, 0, true);
-  c.activate(0, kBase);
-  c.reset();
-  EXPECT_FALSE(c.active());
-  EXPECT_FALSE(c.loop(0).valid);
-  EXPECT_FALSE(c.task(0).valid);
-}
-
 // ---------------- ZOLCfull ----------------
 
 class FullTest : public ::testing::Test {
@@ -592,6 +583,84 @@ TEST_F(FullTest, RecordsPastTopOfAddressSpaceWrap) {
 TEST_F(FullTest, InactiveIgnoresRecords) {
   write_exit(0, 0, 103, 0, 0x1, true);
   EXPECT_FALSE(c.on_taken_control(pc_of(103), pc_of(300)).has_value());
+}
+
+// ---------------- reset ----------------
+
+/// Moves every part of `c`'s state off power-on: programs one loop (uZOLC
+/// registers, or a loop and a task), activates at kBase and takes one
+/// continue event; on ZOLCfull also matches an exit and an entry record.
+void drive_off_power_on(ZolcController& c) {
+  if (c.variant() == ZolcVariant::kMicro) {
+    const std::uint32_t words[] = {0, 4, 1, 0, pc_of(100), pc_of(105),
+                                   pack_micro_ctrl(9, LoopCond::kLt)};
+    for (unsigned reg = 0; reg < std::size(words); ++reg) {
+      c.init_write(Opcode::kZolwU, static_cast<std::uint8_t>(reg), words[reg]);
+    }
+    c.activate(0, kBase);
+    ASSERT_TRUE(c.on_fetch(pc_of(105)).has_value());
+    return;
+  }
+  const ZolcGeometry& g = c.geometry();
+  write_loop(c, 0, 0, 4, 1, 9);
+  TaskEntry t;
+  t.end_pc_ofs = 105;
+  t.is_last = true;
+  t.valid = true;
+  c.init_write(Opcode::kZolwTe, 0, t.pack(g));
+  c.init_write(Opcode::kZolwTs, 0, 100);
+  if (c.variant() == ZolcVariant::kFull) {
+    ExitRecord exit;  // loop 0, slot 0: stays in task 0, reinits loop 0
+    exit.branch_pc_ofs = 103;
+    exit.reinit_mask = 0x1;
+    exit.valid = true;
+    c.init_write(Opcode::kZolwEx0, 0, exit.pack_lo(g));
+    c.init_write(Opcode::kZolwEx1, 0, exit.pack_hi(g));
+    EntryRecord entry;
+    entry.entry_pc_ofs = 102;
+    entry.reinit_mask = 0x1;
+    entry.valid = true;
+    c.init_write(Opcode::kZolwEn0, 0, entry.pack_lo(g));
+    c.init_write(Opcode::kZolwEn1, 0, entry.pack_hi(g));
+  }
+  c.activate(0, kBase);
+  ASSERT_TRUE(c.on_fetch(pc_of(105)).has_value());
+  if (c.variant() == ZolcVariant::kFull) {
+    ASSERT_TRUE(c.on_taken_control(pc_of(103), pc_of(104)).has_value());
+    ASSERT_TRUE(c.on_taken_control(pc_of(50), pc_of(102)).has_value());
+    EXPECT_EQ(c.zolc_stats().exit_matches, 1u);
+    EXPECT_EQ(c.zolc_stats().entry_matches, 1u);
+    // Both matches reinitialized loop 0; step it to index 1 again.
+    ASSERT_TRUE(c.on_fetch(pc_of(105)).has_value());
+  }
+}
+
+TEST(ControllerReset, MatchesAFreshControllerOnEveryVariantAndGeometry) {
+  const ZolcGeometry geometries[] = {ZolcGeometry{},
+                                     ZolcGeometry{32, 16, 4, 4}};
+  for (const ZolcGeometry& g : geometries) {
+    for (const ZolcVariant v :
+         {ZolcVariant::kMicro, ZolcVariant::kLite, ZolcVariant::kFull}) {
+      SCOPED_TRACE(std::string(variant_name(v)) + "/" + g.label());
+      const ZolcContext fresh = ZolcController(v, g).save_context();
+      ZolcController c(v, g);
+      drive_off_power_on(c);
+      const ZolcContext driven = c.save_context();
+      ASSERT_TRUE(driven.active);
+      EXPECT_EQ(driven.loop_current[0], 1);
+      EXPECT_GT(driven.stats.continue_events, 0u);
+      EXPECT_NE(driven.stats.table_writes, 0u);
+      if (v != ZolcVariant::kMicro) {
+        EXPECT_EQ(driven.base, kBase);
+      }
+
+      c.reset();
+      EXPECT_EQ(c.save_context(), fresh);
+      EXPECT_FALSE(c.active());
+      EXPECT_FALSE(c.trigger_pc().has_value());
+      EXPECT_EQ(c.nest_program(), nullptr);
+    }
+  }
 }
 
 // ---------------- armed trigger PC: randomized property ----------------

@@ -33,7 +33,7 @@ TEST(GeometryController, TablesAreSizedByTheGeometry) {
   e.valid = true;
   c.init_write(isa::Opcode::kZolwLp0, 12, e.pack_word0());
   c.init_write(isa::Opcode::kZolwLp1, 12, e.pack_word1());
-  EXPECT_TRUE(c.loop(12).valid);
+  EXPECT_TRUE(c.save_context().loops[12].valid);
   EXPECT_THROW(c.init_write(isa::Opcode::kZolwLp0, 16, 0), SimError);
 
   ZolcController paper(ZolcVariant::kFull);
@@ -103,7 +103,7 @@ TEST(GeometryController, RejectsPackedIdsBeyondTheTables) {
                SimError);
   t.loop_id = 11;
   c.init_write(isa::Opcode::kZolwTe, 0, t.pack(g));  // in range: accepted
-  EXPECT_EQ(c.task(0).loop_id, 11u);
+  EXPECT_EQ(c.save_context().tasks[0].loop_id, 11u);
 
   // Same for task ids in exit records of a non-power-of-two task count.
   const ZolcGeometry g20{20, 8, 4, 4};
