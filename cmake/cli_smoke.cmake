@@ -71,7 +71,11 @@ expect_exit(0 run dotprod --machine=ZOLCfull --mode=iss-fast --tenants=2)
 expect_exit(2 run dotprod --engine=iss)
 expect_exit(2 run dotprod --fast-path)
 expect_exit(2 run dotprod --no-predecode)
-expect_exit(2 run dotprod --mode=iss --preempt-every=97 --preempt-serialize)
+expect_exit(2 run dotprod --mode=iss --preempt-serialize)
+# Preemption is a library-only knob: no run, sweep or client flag sets it.
+expect_exit(2 run dotprod --mode=iss --preempt-every=97)
+expect_exit(2 sweep --kernels=dotprod --modes=iss --preempt-every=97)
+expect_exit(2 client run dotprod --socket=/nonexistent --preempt-every=7)
 
 # The on-disk unit store has no CLI surface: its command, its directory
 # flag on every verb, the zero-compile gate of `bench` and the daemon's
@@ -84,7 +88,7 @@ expect_exit(2 bench --suite-dir=x --expect-zero-compiles)
 expect_exit(2 client store-stat --socket=/nonexistent)
 
 # A suite file defines the whole grid: every grid flag conflicts with it.
-expect_exit(2 sweep --from-file=${SUITE} --preempt-every=97)
+expect_exit(2 sweep --from-file=${SUITE} --max-cycles=97)
 
 # A removed suite member fails loudly: the strict schema rejects the retired
 # cold-start run-path selector as unknown instead of ignoring it (its name

@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/strings.hpp"
 #include "cpu/iss.hpp"
+#include "zolc/controller.hpp"
 
 namespace zolcsim::flow {
 
@@ -102,45 +102,15 @@ void accumulate(cpu::FastPathStats& total, const cpu::FastPathStats& part) {
   }
 }
 
-/// Runs the unit on the functional ISS into `result`. With
-/// plan.preempt_every set, execution is sliced and the controller's full
-/// context is clobbered and restored at every boundary (counted in the
-/// context-switch fields) -- architecturally invisible by the differential
-/// tests.
-void run_iss(const CompiledUnit& unit, Workload& workload,
-             const RunPlan& plan, zolc::ZolcController* controller,
-             ExperimentResult& result) {
-  cpu::Iss iss(workload.memory());
-  load_iss(iss, unit, plan, controller);
-  if (plan.preempt_every == 0) {
-    iss.run(plan.max_cycles);
-  } else {
-    std::uint64_t executed = 0;
-    while (!iss.halted()) {
-      if (executed >= plan.max_cycles) {
-        throw SimError("ISS step limit (" + std::to_string(plan.max_cycles) +
-                       ") exceeded at pc " + hex32(iss.pc()));
-      }
-      executed += iss.run_slice(
-          std::min(plan.preempt_every, plan.max_cycles - executed));
-      if (iss.halted()) break;
-      if (controller != nullptr) {
-        result.context_switch_cycles += preempt_cycle(*controller);
-        ++result.context_switches;
-      }
-    }
-  }
-  add_iss_stats(result.stats, iss.stats());
-  result.fastpath = iss.fastpath_stats();
-}
-
 /// Time-slices `plan.tenants` identical workloads of `unit` over one
-/// controller, one quantum at a time, swapping the full accelerator context
-/// (zolc::ZolcContext) whenever another tenant takes the fabric. Each
-/// tenant keeps its own CPU state and memory image -- only the loop
-/// controller is shared. The switch cost (DESIGN.md section 9) is counted
-/// apart from the summed execution cycles, so tenant cells stay comparable
-/// with single-tenant ones.
+/// controller, one quantum at a time. Before every slice but the first the
+/// resident context (zolc::ZolcContext) is saved, the controller clobbered
+/// with reset(), and the next tenant's context restored; the first slice
+/// loads tenant 0's power-on context. A preempted single run is the
+/// one-tenant schedule. Each tenant keeps its own CPU state and memory
+/// image -- only the loop controller is shared. The switch cost (DESIGN.md
+/// section 9) is counted apart from the summed execution cycles, so tenant
+/// cells stay comparable with single-tenant ones.
 Result<ExperimentResult> run_tenants(const CompiledUnit& unit,
                                      const RunPlan& plan) {
   if (plan.tenants == 0) {
@@ -148,7 +118,7 @@ Result<ExperimentResult> run_tenants(const CompiledUnit& unit,
   }
   if (plan.mode.engine != SimEngine::kIss) {
     return Error{ErrorCode::kBadConfig,
-                 "tenant scheduling requires the ISS engine"};
+                 "tenant scheduling and preemption require the ISS engine"};
   }
   ExperimentResult result = unit_result(unit, plan);
   const std::size_t n = plan.tenants;
@@ -190,7 +160,7 @@ Result<ExperimentResult> run_tenants(const CompiledUnit& unit,
                          " exceeded the step limit (" +
                          std::to_string(plan.max_cycles) + ")");
         }
-        if (controller && resident != i) {
+        if (controller) {
           std::uint64_t cost = 0;
           if (resident != kNone) {
             contexts[resident] = controller->save_context();
@@ -236,15 +206,10 @@ std::string_view mode_name(const ExecMode& mode) {
   return mode.fast_path ? "iss-fast" : "iss";
 }
 
-std::uint64_t preempt_cycle(zolc::ZolcController& controller) {
-  const zolc::ZolcContext context = controller.save_context();
-  controller.reset();  // clobber: restore must rebuild everything
-  restore_or_throw(controller, context);
-  return zolc::context_switch_cost(context).total_cycles();
-}
-
 Result<ExperimentResult> run(const CompiledUnit& unit, const RunPlan& plan) {
-  if (plan.tenants != 1) return run_tenants(unit, plan);
+  if (plan.tenants != 1 || plan.preempt_every != 0) {
+    return run_tenants(unit, plan);
+  }
   // One workload serves every repetition: each rep after the first resets
   // the copy-on-write dirty set instead of re-running Kernel::setup.
   Workload workload = Workload::prepare_warm(unit);
@@ -266,13 +231,10 @@ Result<ExperimentResult> run(const CompiledUnit& unit, const RunPlan& plan) {
 
 Result<ExperimentResult> run(const CompiledUnit& unit, Workload& workload,
                              const RunPlan& plan) {
-  if (plan.tenants != 1) {
+  if (plan.tenants != 1 || plan.preempt_every != 0) {
     return Error{ErrorCode::kBadConfig,
-                 "tenant scheduling requires the fresh-workload run() path"};
-  }
-  if (plan.preempt_every != 0 && plan.mode.engine != SimEngine::kIss) {
-    return Error{ErrorCode::kBadConfig,
-                 "preemption requires the ISS engine"};
+                 "tenant scheduling and preemption require the "
+                 "fresh-workload run() path"};
   }
   ExperimentResult result = unit_result(unit, plan);
   const auto controller = make_controller(unit);
@@ -280,7 +242,11 @@ Result<ExperimentResult> run(const CompiledUnit& unit, Workload& workload,
   const auto started = Clock::now();
   try {
     if (plan.mode.engine == SimEngine::kIss) {
-      run_iss(unit, workload, plan, controller.get(), result);
+      cpu::Iss iss(workload.memory());
+      load_iss(iss, unit, plan, controller.get());
+      iss.run(plan.max_cycles);
+      add_iss_stats(result.stats, iss.stats());
+      result.fastpath = iss.fastpath_stats();
     } else {
       cpu::Pipeline pipe(workload.memory(), plan.config);
       pipe.set_accelerator(controller.get());

@@ -8,9 +8,10 @@
 // multi-tenant run, starts from a copy-on-write view of the unit's cached
 // prepared image (Workload::prepare_warm), and timing reps restore it with an
 // O(dirty-pages) reset. Workload::prepare, the cold build, stays as the
-// reference the tests compare that path against. Tenant scheduling and
-// preemption live here too, so the context-switch accounting -- reported
-// alongside cycles, never folded into them -- sits in one file.
+// reference the tests compare that path against. The tenant scheduler lives
+// here too -- one slicing loop, of which a preempted single run is the
+// one-tenant case -- so the context-switch accounting, reported alongside
+// cycles and never folded into them, sits in one file.
 #ifndef ZOLCSIM_FLOW_RUN_HPP
 #define ZOLCSIM_FLOW_RUN_HPP
 
@@ -23,7 +24,7 @@
 #include "cpu/summary.hpp"
 #include "flow/compiled_unit.hpp"
 #include "flow/workload.hpp"
-#include "zolc/controller.hpp"
+#include "zolc/context.hpp"
 
 namespace zolcsim::flow {
 
@@ -96,13 +97,14 @@ struct RunPlan {
   /// one-shot timing (MIPS thresholds, bench artifacts); ignored by the
   /// caller-prepared-Workload overload.
   std::uint64_t timing_reps = 1;
-  /// ISS-only preemption interval: every `preempt_every` executed
-  /// instructions the controller's full context is saved, the controller is
-  /// clobbered with reset(), and the context restored before execution
-  /// resumes. 0 disables. Architecturally invisible -- the differential
-  /// tests pin bit-identical results -- and rejected (kBadConfig) under the
-  /// pipeline engine. Doubles as the scheduling quantum when `tenants` > 1
-  /// (4096 instructions when left at 0).
+  /// Slice length, in instructions, of the one tenant scheduler: non-zero
+  /// sends even a single-tenant run through it, so the controller's full
+  /// context is saved, clobbered with reset() and restored between every
+  /// two slices. 0 leaves a single run uninterrupted and gives multi-tenant
+  /// runs a 4096-instruction quantum. Architecturally invisible -- the
+  /// differential tests pin bit-identical results -- and set only by the
+  /// library and its tests; no CLI flag, suite member or serve member
+  /// reaches it.
   std::uint64_t preempt_every = 0;
   /// Identical workloads time-sliced round-robin over one controller by
   /// the fresh-Workload run() overload, each verified against the golden
@@ -112,24 +114,21 @@ struct RunPlan {
 };
 
 /// Runs `unit` on a fresh Workload; every engine fetches through the unit's
-/// decoded() image. Failure modes: kSimulation (trap or cycle budget),
+/// decoded() image. A plan with `tenants` != 1 or a non-zero
+/// `preempt_every` runs on the tenant scheduler (ISS only; timing_reps not
+/// applied). Failure modes: kSimulation (trap or cycle budget),
 /// kVerifyMismatch (outputs differ from the golden reference; always a
-/// bug, never a reportable data point) and kBadConfig (tenants or
-/// preemption outside the ISS engine, zero tenants).
+/// bug, never a reportable data point) and kBadConfig (the scheduler under
+/// the pipeline engine, zero tenants).
 [[nodiscard]] Result<ExperimentResult> run(const CompiledUnit& unit,
                                            const RunPlan& plan = {});
 
 /// Same, against a caller-prepared Workload (consumed: the run mutates its
-/// memory, and verify() is called on it afterwards). Single-tenant only.
+/// memory, and verify() is called on it afterwards). One uninterrupted
+/// run: `tenants` != 1 or a non-zero `preempt_every` is kBadConfig.
 [[nodiscard]] Result<ExperimentResult> run(const CompiledUnit& unit,
                                            Workload& workload,
                                            const RunPlan& plan = {});
-
-/// One preemption event on `controller`: saves the full context, clobbers
-/// the controller with reset(), and restores the saved context. Returns the
-/// modeled switch cost in cycles. Throws SimError when the restore
-/// fails (always a bug: the context came from this controller).
-std::uint64_t preempt_cycle(zolc::ZolcController& controller);
 
 }  // namespace zolcsim::flow
 

@@ -292,8 +292,8 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
                    "sweep: invalid ZOLC geometry " + geometry.label()};
     }
   }
-  // Tenant scheduling and preemption are ISS-engine features; reject the
-  // combination with any pipeline mode up front rather than per cell.
+  // Tenant scheduling is an ISS-engine feature; reject the combination
+  // with any pipeline mode up front rather than per cell.
   const bool all_iss = [&] {
     for (const flow::ExecMode& mode : report.modes) {
       if (mode.engine != flow::SimEngine::kIss) return false;
@@ -308,10 +308,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
       return Error{ErrorCode::kBadConfig,
                    "sweep: tenant counts > 1 require ISS execution modes"};
     }
-  }
-  if (spec.preempt_every != 0 && !all_iss) {
-    return Error{ErrorCode::kBadConfig,
-                 "sweep: preemption requires ISS execution modes"};
   }
 
   std::size_t n_cells = 1;
@@ -359,7 +355,6 @@ Result<SweepReport> run_sweep(const SweepSpec& spec,
         plan.max_cycles = spec.max_cycles;
         plan.mode = report.modes[coord.mode];
         plan.timing_reps = spec.timing_reps;
-        plan.preempt_every = spec.preempt_every;
         plan.tenants = report.tenants[coord.tenant];
         auto result =
             unit.ok() ? flow::run(*unit.value(), plan)

@@ -46,12 +46,6 @@ struct SweepSpec {
   /// minimum over this many identical runs. Use >1 for suites whose cells
   /// are too short for stable one-shot MIPS.
   std::uint64_t timing_reps = 1;
-  /// Preempt-anywhere execution knob (RunPlan::preempt_every): every ISS
-  /// cell is preempted at this instruction interval with a full context
-  /// save/clobber/restore. Architecturally invisible -- the differential
-  /// tests pin that a preempted sweep renders byte-identical CSVs -- and
-  /// requires ISS modes when set.
-  std::uint64_t preempt_every = 0;
 };
 
 /// One point of the grid: an index into each of the report's resolved axis

@@ -28,7 +28,7 @@ Result<unsigned> geometry_field(std::string_view seg, char suffix) {
   return static_cast<unsigned>(*n);
 }
 
-/// A strictly positive integer (cycle budget, preemption interval).
+/// A strictly positive integer (cycle budget).
 Result<std::uint64_t> parse_positive(std::string_view s) {
   const auto n = parse_int(s);
   if (!n || *n <= 0) {
@@ -70,8 +70,6 @@ constexpr RunOption kRunOptions[] = {
     {"mode", "mode", true, false, into_plan<&flow::RunPlan::mode, parse_mode>},
     {"max-cycles", "max_cycles", true, true,
      into_plan<&flow::RunPlan::max_cycles, parse_positive>},
-    {"preempt-every", "preempt_every", true, true,
-     into_plan<&flow::RunPlan::preempt_every, parse_positive>},
     {"tenants", "tenants", true, true,
      into_plan<&flow::RunPlan::tenants, parse_tenants>},
 };

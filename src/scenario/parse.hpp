@@ -66,8 +66,7 @@ struct RunOption {
                         flow::RunPlan& plan);
 };
 
-/// The seven options: machine, geometry, config, mode, max-cycles,
-/// preempt-every, tenants.
+/// The six options: machine, geometry, config, mode, max-cycles, tenants.
 [[nodiscard]] std::span<const RunOption> run_options();
 
 }  // namespace zolcsim::scenario

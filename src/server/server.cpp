@@ -133,7 +133,12 @@ Result<void> Server::start() {
 }
 
 void Server::begin_drain() {
-  draining_.store(true, std::memory_order_release);
+  {
+    // Under the queue lock: a worker between its wait predicate and its
+    // block would otherwise miss this wakeup and never exit.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    draining_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
 }
 

@@ -36,6 +36,58 @@ NestLoopDesc nest_loop(const Loop& l) {
   return d;
 }
 
+/// Whether every table id `task` packs names an entry of `geom`. The field
+/// widths are rounded up to whole bits, so non-power-of-two geometries admit
+/// encodings beyond the table sizes: the init-bus write decoder traps them,
+/// and a context restore rejects them.
+bool ids_in_range(const TaskEntry& task, const ZolcGeometry& geom) {
+  return task.loop_id < geom.max_loops &&
+         task.next_task_cont < geom.max_tasks &&
+         task.next_task_done < geom.max_tasks;
+}
+
+/// Same, for an exit or entry record's successor task.
+template <typename Record>
+bool ids_in_range(const Record& record, const ZolcGeometry& geom) {
+  return record.next_task < geom.max_tasks;
+}
+
+/// kBadContext unless `context` can replace `target` (a controller's live
+/// image): the same variant, geometry and table sizes, every packed table
+/// id in range, and on lite/full a current task inside the task table.
+Result<void> validate(const ZolcContext& context, const ZolcContext& target) {
+  const ZolcGeometry& geom = target.geometry;
+  if (context.variant != target.variant || !(context.geometry == geom)) {
+    return Error{ErrorCode::kBadContext,
+                 "context for " + std::string(variant_name(context.variant)) +
+                     "/" + context.geometry.label() + " cannot restore onto " +
+                     std::string(variant_name(target.variant)) + "/" +
+                     geom.label()};
+  }
+  if (context.tasks.size() != target.tasks.size() ||
+      context.task_start.size() != target.task_start.size() ||
+      context.loops.size() != target.loops.size() ||
+      context.loop_current.size() != target.loop_current.size() ||
+      context.exits.size() != target.exits.size() ||
+      context.entries.size() != target.entries.size()) {
+    return Error{ErrorCode::kBadContext,
+                 "context table sizes do not match geometry " + geom.label()};
+  }
+  const auto in_range = [&geom](const auto& entry) {
+    return ids_in_range(entry, geom);
+  };
+  const bool task_ok = context.variant == ZolcVariant::kMicro ||
+                       context.current_task < context.tasks.size();
+  if (!task_ok || !std::ranges::all_of(context.tasks, in_range) ||
+      !std::ranges::all_of(context.exits, in_range) ||
+      !std::ranges::all_of(context.entries, in_range)) {
+    return Error{ErrorCode::kBadContext,
+                 "context names a task or table id outside geometry " +
+                     geom.label()};
+  }
+  return {};
+}
+
 /// The power-on image: every table entry invalid, every index and counter
 /// zero, the vectors sized by the variant-restricted geometry.
 ZolcContext power_on_context(ZolcVariant variant,
@@ -94,13 +146,8 @@ void ZolcController::init_write(Opcode op, std::uint8_t idx,
         throw SimError("zolw.te: no task entry " + std::to_string(idx) +
                        " on " + std::string(variant_name(variant)));
       }
-      // Range-check the packed ids: the field widths are rounded up to
-      // whole bits, so non-power-of-two geometries admit encodings beyond
-      // the table sizes (the hardware write decoder traps them).
       const TaskEntry entry = TaskEntry::unpack(value, geom);
-      if (entry.loop_id >= geom.max_loops ||
-          entry.next_task_cont >= geom.max_tasks ||
-          entry.next_task_done >= geom.max_tasks) {
+      if (!ids_in_range(entry, geom)) {
         throw SimError("zolw.te: packed id out of range for geometry " +
                        geom.label());
       }
@@ -124,31 +171,37 @@ void ZolcController::init_write(Opcode op, std::uint8_t idx,
       else ctx_.loops[idx].unpack_word1(value);
       break;
     case Opcode::kZolwEx0:
-    case Opcode::kZolwEx1:
+    case Opcode::kZolwEx1: {
       if (variant != ZolcVariant::kFull || idx >= ctx_.exits.size()) {
         throw SimError("zolw.ex: no exit record " + std::to_string(idx) +
                        " on " + std::string(variant_name(variant)));
       }
-      if (op == Opcode::kZolwEx0) ctx_.exits[idx].unpack_lo(value, geom);
-      else ctx_.exits[idx].unpack_hi(value, geom);
-      if (ctx_.exits[idx].next_task >= geom.max_tasks) {
+      ExitRecord record = ctx_.exits[idx];  // a trapped write changes nothing
+      if (op == Opcode::kZolwEx0) record.unpack_lo(value, geom);
+      else record.unpack_hi(value, geom);
+      if (!ids_in_range(record, geom)) {
         throw SimError("zolw.ex: packed next_task out of range for geometry " +
                        geom.label());
       }
+      ctx_.exits[idx] = record;
       break;
+    }
     case Opcode::kZolwEn0:
-    case Opcode::kZolwEn1:
+    case Opcode::kZolwEn1: {
       if (variant != ZolcVariant::kFull || idx >= ctx_.entries.size()) {
         throw SimError("zolw.en: no entry record " + std::to_string(idx) +
                        " on " + std::string(variant_name(variant)));
       }
-      if (op == Opcode::kZolwEn0) ctx_.entries[idx].unpack_lo(value, geom);
-      else ctx_.entries[idx].unpack_hi(value, geom);
-      if (ctx_.entries[idx].next_task >= geom.max_tasks) {
+      EntryRecord record = ctx_.entries[idx];
+      if (op == Opcode::kZolwEn0) record.unpack_lo(value, geom);
+      else record.unpack_hi(value, geom);
+      if (!ids_in_range(record, geom)) {
         throw SimError("zolw.en: packed next_task out of range for geometry " +
                        geom.label());
       }
+      ctx_.entries[idx] = record;
       break;
+    }
     case Opcode::kZolwU: {
       if (variant != ZolcVariant::kMicro || idx >= kMicroRegCount) {
         throw SimError("zolw.u: no uZOLC register " + std::to_string(idx) +
@@ -406,6 +459,12 @@ void ZolcController::restore(const AccelSnapshot& snapshot) {
                    " loops, geometry " + ctx_.geometry.label() + " has " +
                    std::to_string(current.size()));
   }
+  if (ctx_.variant != ZolcVariant::kMicro &&
+      snapshot.current_task >= ctx_.tasks.size()) {
+    throw SimError("snapshot current task " +
+                   std::to_string(snapshot.current_task) +
+                   " out of range for geometry " + ctx_.geometry.label());
+  }
   std::copy_n(snapshot.loop_current.begin(), current.size(), current.begin());
   ctx_.current_task = snapshot.current_task;
   ctx_.active = snapshot.active;
@@ -413,23 +472,7 @@ void ZolcController::restore(const AccelSnapshot& snapshot) {
 }
 
 Result<void> ZolcController::restore_context(const ZolcContext& context) {
-  const ZolcGeometry& geom = ctx_.geometry;
-  if (context.variant != ctx_.variant || !(context.geometry == geom)) {
-    return Error{ErrorCode::kBadContext,
-                 "context for " + std::string(variant_name(context.variant)) +
-                     "/" + context.geometry.label() + " cannot restore onto " +
-                     std::string(variant_name(ctx_.variant)) + "/" +
-                     geom.label()};
-  }
-  if (context.tasks.size() != ctx_.tasks.size() ||
-      context.task_start.size() != ctx_.task_start.size() ||
-      context.loops.size() != ctx_.loops.size() ||
-      context.loop_current.size() != ctx_.loop_current.size() ||
-      context.exits.size() != ctx_.exits.size() ||
-      context.entries.size() != ctx_.entries.size()) {
-    return Error{ErrorCode::kBadContext,
-                 "context table sizes do not match geometry " + geom.label()};
-  }
+  if (auto valid = validate(context, ctx_); !valid.ok()) return valid;
   ctx_ = context;      // equal vector sizes: copies in place
   nest_dirty_ = true;  // the export resolves table offsets against the base
   refresh_trigger();

@@ -78,7 +78,10 @@ class ZolcController {
   [[nodiscard]] ZolcContext save_context() const { return ctx_; }
 
   /// Restores a context captured from a controller of the same variant and
-  /// geometry; kBadContext otherwise, with this controller untouched.
+  /// geometry. kBadContext, with this controller untouched, for any other
+  /// context: a foreign variant, geometry or table size, a packed table id
+  /// the init-bus write decoder would trap, or (lite/full) a current task
+  /// outside the task table.
   [[nodiscard]] Result<void> restore_context(const ZolcContext& context);
 
   // ---- the processor hookup (Fig. 1) ----
@@ -138,8 +141,9 @@ class ZolcController {
                                              std::uint32_t target);
 
   [[nodiscard]] AccelSnapshot snapshot() const;
-  /// Restores a snapshot; a loop-count mismatch traps with a SimError, with
-  /// this controller untouched.
+  /// Restores a snapshot; a loop-count mismatch or (lite/full) a current
+  /// task outside the task table traps with a SimError, with this
+  /// controller untouched.
   void restore(const AccelSnapshot& snapshot);
 
   /// Summary-tier hook: the programmed tables in executable form, or

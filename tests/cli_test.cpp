@@ -150,7 +150,6 @@ TEST(CliParse, EveryRunOptionReadsTheSameFromFlagAndMember) {
       {"config", "ID-resolve/gate/nofwd"},
       {"mode", "iss-fast"},
       {"max-cycles", "12345"},
-      {"preempt-every", "7"},
       {"tenants", "3"}};
   // The fields a run option can set.
   const auto fields = [](const flow::CompileSpec& spec,
@@ -158,7 +157,6 @@ TEST(CliParse, EveryRunOptionReadsTheSameFromFlagAndMember) {
     return spec.key() + "|" + harness::config_name(plan.config) + "|" +
            std::string(flow::mode_name(plan.mode)) + "|" +
            std::to_string(plan.max_cycles) + "|" +
-           std::to_string(plan.preempt_every) + "|" +
            std::to_string(plan.tenants);
   };
   ASSERT_EQ(scenario::run_options().size(), samples.size());

@@ -160,7 +160,7 @@ IssOutcome run_iss_tier(const Program& prog, MachineKind machine,
     while (!iss.halted() && executed < 5'000'000) {
       executed += iss.run_slice(tier.quantum);
       if (ctrl != nullptr && !iss.halted()) {
-        flow::preempt_cycle(*ctrl);
+        test::preempt_cycle(*ctrl);
       }
     }
     EXPECT_TRUE(iss.halted()) << "step limit on " << tier.name;

@@ -340,7 +340,7 @@ BailoutRun run_iss_tier(const std::vector<Instruction>& prog,
 
 /// The fast tier preempted every `quantum` instructions: the controller's
 /// full context is saved, the controller clobbered with reset(), and the
-/// context restored before the next slice -- flow::preempt_cycle, DESIGN.md
+/// context restored before the next slice -- test::preempt_cycle, DESIGN.md
 /// section 9.
 BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
                                    ZolcVariant variant,
@@ -360,7 +360,7 @@ BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
   while (!iss.halted()) {
     iss.run_slice(quantum);
     if (iss.halted()) break;
-    flow::preempt_cycle(controller);
+    test::preempt_cycle(controller);
   }
   return BailoutRun{iss.stats(),
                     iss.regs(),
@@ -596,7 +596,7 @@ BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
             while (!iss.halted()) {
               iss.run_slice(13);
               if (iss.halted()) break;
-              flow::preempt_cycle(controller);
+              test::preempt_cycle(controller);
             }
           },
           Fault);

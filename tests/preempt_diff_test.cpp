@@ -2,10 +2,11 @@
 // registered kernel on every machine, execution is preempted at systematic
 // and fuzzed instruction points, the accelerator context saved, the
 // controller clobbered, and the context restored before resuming.
-// Preemption must be architecturally invisible: registers, memory, IssStats, ZolcStats, and
-// the rendered sweep CSVs are pinned bit-identical to uninterrupted runs,
-// and the modeled switch cost is reported alongside -- never folded into --
-// the cycle counts.
+// Preemption must be architecturally invisible: registers, memory, IssStats
+// and ZolcStats are pinned bit-identical to uninterrupted runs, and the
+// modeled switch cost is reported alongside -- never folded into -- the
+// cycle counts. A preempted run is the tenant scheduler's one-tenant case,
+// so the tenant tests below drive the same loop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "flow/workload.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/kernels.hpp"
+#include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 
 namespace zolcsim::flow {
@@ -165,7 +167,7 @@ ManualRun run_manual(const CompiledUnit& unit, Workload& workload,
       iss.run_slice(1 + fuzz->next() % 512);
       if (iss.halted()) break;
       if (controller != nullptr) {
-        preempt_cycle(*controller);
+        test::preempt_cycle(*controller);
         ++out.switches;
       }
     }
@@ -298,27 +300,61 @@ TEST(TenantRun, PipelineEngineIsRejected) {
   EXPECT_EQ(rejected.error().code, ErrorCode::kBadConfig);
 }
 
-// ---------------- sweep-level byte identity ----------------
-
-TEST(SweepPreempt, PreemptedSweepRendersByteIdenticalArtifacts) {
-  harness::SweepSpec spec;
-  spec.kernels = {"dotprod", "fir"};
-  spec.modes = {kIss, kIssFast};
-  const auto base = harness::run_sweep(spec);
-  ASSERT_TRUE(base.ok()) << base.error().to_string();
-
-  harness::SweepSpec preempted = spec;
-  preempted.preempt_every = 199;
-  const auto got = harness::run_sweep(preempted);
-  ASSERT_TRUE(got.ok()) << got.error().to_string();
-
-  // Single-tenant sweeps keep the historical schema (no tenant columns),
-  // and the preempted grid renders byte-for-byte the same CSV and JSON.
-  EXPECT_FALSE(
-      got.value().shown(harness::sweep_axis(harness::Axis::kTenant)));
-  EXPECT_EQ(base.value().to_csv(), got.value().to_csv());
-  EXPECT_EQ(base.value().to_json(), got.value().to_json());
+TEST(TenantRun, CallerPreparedWorkloadRunsUninterruptedOnly) {
+  const auto unit = CompiledUnit::compile(spec_for("fir",
+                                                   MachineKind::kZolcLite));
+  ASSERT_TRUE(unit.ok());
+  for (const bool preempt : {false, true}) {
+    RunPlan plan = iss_plan(preempt ? 64 : 0);
+    plan.tenants = preempt ? 1 : 2;
+    Workload workload = Workload::prepare(unit.value());
+    const auto got = run(unit.value(), workload, plan);
+    ASSERT_FALSE(got.ok()) << "preempt=" << preempt;
+    EXPECT_EQ(got.error().code, ErrorCode::kBadConfig) << "preempt=" << preempt;
+  }
 }
+
+TEST(TenantRun, FastPathTenantsMatchSingleRunsWithPinnedSwitchCost) {
+  // Three iss-fast tenants sliced every 500 instructions: each tenant's
+  // replays are cut at slice ends and re-validated after its restore.
+  const auto unit = CompiledUnit::compile(spec_for("matmul",
+                                                   MachineKind::kZolcFull));
+  ASSERT_TRUE(unit.ok());
+  RunPlan single = iss_plan();
+  single.mode = kIssFast;
+  const auto base = run(unit.value(), single);
+  RunPlan plan = iss_plan(500);
+  plan.mode = kIssFast;
+  plan.tenants = 3;
+  const auto got = run(unit.value(), plan);
+  ASSERT_TRUE(base.ok() && got.ok()) << got.error().to_string();
+  const flow::ExperimentResult& r = got.value();
+  EXPECT_EQ(r.stats.cycles, 3 * base.value().stats.cycles);
+  EXPECT_EQ(r.stats.instructions, 3 * base.value().stats.instructions);
+  EXPECT_EQ(r.stats.zolc_fetch_events,
+            3 * base.value().stats.zolc_fetch_events);
+  EXPECT_EQ(r.zolc_stats.continue_events,
+            3 * base.value().zolc_stats.continue_events);
+  EXPECT_EQ(r.zolc_stats.done_events, 3 * base.value().zolc_stats.done_events);
+  EXPECT_GT(r.fastpath.engagements, 0u);
+  EXPECT_EQ(r.context_switches, 20u);
+  EXPECT_EQ(r.context_switch_cycles, 500u);
+}
+
+TEST(TenantRun, PreemptedRunIsTheOneTenantSchedule) {
+  // One slice per 97 instructions: a switch between every two slices, and
+  // the first slice's load of the power-on context is charged as well.
+  const auto unit = CompiledUnit::compile(spec_for("matmul",
+                                                   MachineKind::kZolcFull));
+  ASSERT_TRUE(unit.ok());
+  const auto got = run(unit.value(), iss_plan(97));
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(got.value().tenants, 1u);
+  EXPECT_EQ(got.value().context_switches, 31u);
+  EXPECT_EQ(got.value().context_switch_cycles, 839u);
+}
+
+// ---------------- the sweep's tenant axis ----------------
 
 TEST(SweepPreempt, TenantAxisAddsColumnsAndScalesCycles) {
   harness::SweepSpec spec;
@@ -349,13 +385,6 @@ TEST(SweepPreempt, PipelineModesAreRejectedUpfront) {
   const auto a = harness::run_sweep(tenants);
   ASSERT_FALSE(a.ok());
   EXPECT_EQ(a.error().code, ErrorCode::kBadConfig);
-
-  harness::SweepSpec preempted;
-  preempted.kernels = {"dotprod"};
-  preempted.preempt_every = 64;
-  const auto b = harness::run_sweep(preempted);
-  ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.error().code, ErrorCode::kBadConfig);
 }
 
 }  // namespace

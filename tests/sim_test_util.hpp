@@ -1,7 +1,7 @@
 // Shared helpers for simulator tests: one representative instruction per
 // opcode, program loading, 32-bit immediate materialization, one-call ISS /
-// pipeline runs, and one-call compile + run of a registry kernel through the
-// staged toolchain.
+// pipeline runs, one controller preemption, and one-call compile + run of a
+// registry kernel through the staged toolchain.
 #ifndef ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 #define ZOLCSIM_TESTS_SIM_TEST_UTIL_HPP
 
@@ -171,6 +171,19 @@ inline IssResult run_iss(std::span<const isa::Instruction> program,
   iss.set_pc(base);
   iss.run(max_steps);
   return IssResult{iss.stats(), iss.regs()};
+}
+
+/// One preemption event on `controller`, as the tenant scheduler performs
+/// between two slices of a single tenant: saves the full context, clobbers
+/// the controller with reset(), and restores the saved context. Throws
+/// SimError when the restore fails (always a bug: the context came from
+/// this controller).
+inline void preempt_cycle(zolc::ZolcController& controller) {
+  const zolc::ZolcContext context = controller.save_context();
+  controller.reset();  // clobber: restore must rebuild everything
+  if (auto restored = controller.restore_context(context); !restored.ok()) {
+    throw SimError("context restore failed: " + restored.error().to_string());
+  }
 }
 
 /// Compiles a registry kernel for `machine` and runs the unit under `plan`

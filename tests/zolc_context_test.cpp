@@ -45,8 +45,9 @@ const std::vector<ZolcGeometry>& test_geometries() {
   return geoms;
 }
 
-/// A randomized context whose every field fits its table field's encoded
-/// width under `g`, sized to the variant-restricted geometry.
+/// A randomized valid context under `g`, sized to the variant-restricted
+/// geometry: every field fits its table field's encoded width, and every
+/// table id and the current task name an entry of their table.
 ZolcContext random_context(ZolcVariant variant, const ZolcGeometry& g,
                            Rng& rng) {
   ZolcContext ctx;
@@ -57,8 +58,8 @@ ZolcContext random_context(ZolcVariant variant, const ZolcGeometry& g,
     TaskEntry t;
     t.end_pc_ofs = static_cast<std::uint16_t>(rng.field(geom.pc_ofs_bits));
     t.loop_id = static_cast<std::uint8_t>(rng.next() % geom.max_loops);
-    t.next_task_cont = static_cast<std::uint8_t>(rng.field(8));
-    t.next_task_done = static_cast<std::uint8_t>(rng.field(8));
+    t.next_task_cont = static_cast<std::uint8_t>(rng.next() % geom.max_tasks);
+    t.next_task_done = static_cast<std::uint8_t>(rng.next() % geom.max_tasks);
     t.is_last = rng.field(1) != 0;
     t.valid = rng.field(1) != 0;
     ctx.tasks.push_back(t);
@@ -79,7 +80,7 @@ ZolcContext random_context(ZolcVariant variant, const ZolcGeometry& g,
   for (unsigned i = 0; i < geom.exit_record_count(); ++i) {
     ExitRecord r;
     r.branch_pc_ofs = static_cast<std::uint16_t>(rng.field(geom.pc_ofs_bits));
-    r.next_task = static_cast<std::uint8_t>(rng.field(8));
+    r.next_task = static_cast<std::uint8_t>(rng.next() % geom.max_tasks);
     r.reinit_mask = rng.field(geom.max_loops);
     r.valid = rng.field(1) != 0;
     r.deactivate = rng.field(1) != 0;
@@ -88,7 +89,7 @@ ZolcContext random_context(ZolcVariant variant, const ZolcGeometry& g,
   for (unsigned i = 0; i < geom.entry_record_count(); ++i) {
     EntryRecord r;
     r.entry_pc_ofs = static_cast<std::uint16_t>(rng.field(geom.pc_ofs_bits));
-    r.next_task = static_cast<std::uint8_t>(rng.field(8));
+    r.next_task = static_cast<std::uint8_t>(rng.next() % geom.max_tasks);
     r.reinit_mask = rng.field(geom.max_loops);
     r.valid = rng.field(1) != 0;
     ctx.entries.push_back(r);
@@ -132,6 +133,53 @@ TEST(ContextRoundTrip, RestoreThenSaveIsIdentityAcrossGeometries) {
         const ZolcContext ctx = random_context(variant, g, rng);
         ASSERT_TRUE(controller.restore_context(ctx).ok()) << label;
         EXPECT_EQ(controller.save_context(), ctx) << label;
+      }
+    }
+  }
+}
+
+TEST(ContextRoundTrip, OutOfRangeIdsAreRejectedAndLeaveTheControllerAlone) {
+  // One field of a valid context pushed past its table: the restore must be
+  // a typed kBadContext and the controller must keep its previous context.
+  for (const ZolcGeometry& g : test_geometries()) {
+    for (const ZolcVariant variant : {ZolcVariant::kLite, ZolcVariant::kFull}) {
+      Rng rng(0xBADC0DEu + g.max_loops * 31 + g.max_tasks +
+              static_cast<std::uint32_t>(variant));
+      const std::string label =
+          g.label() + "/" + std::string(variant_name(variant));
+      ZolcController controller(variant, g);
+      const ZolcGeometry& geom = controller.geometry();
+      // An id in [limit, 255]: encodable in a byte, outside the table.
+      const auto past = [&rng](unsigned limit) {
+        return static_cast<std::uint8_t>(limit + rng.next() % (256 - limit));
+      };
+      for (int i = 0; i < 32; ++i) {
+        ASSERT_TRUE(
+            controller.restore_context(random_context(variant, g, rng)).ok())
+            << label;
+        const ZolcContext before = controller.save_context();
+        ZolcContext bad = before;
+        const std::size_t task = rng.next() % bad.tasks.size();
+        const unsigned kinds =
+            bad.exits.empty() || bad.entries.empty() ? 4 : 6;
+        switch (rng.next() % kinds) {
+          case 0: bad.tasks[task].loop_id = past(geom.max_loops); break;
+          case 1: bad.tasks[task].next_task_cont = past(geom.max_tasks); break;
+          case 2: bad.tasks[task].next_task_done = past(geom.max_tasks); break;
+          case 3: bad.current_task = past(geom.max_tasks); break;
+          case 4:
+            bad.exits[rng.next() % bad.exits.size()].next_task =
+                past(geom.max_tasks);
+            break;
+          default:
+            bad.entries[rng.next() % bad.entries.size()].next_task =
+                past(geom.max_tasks);
+            break;
+        }
+        const auto restored = controller.restore_context(bad);
+        ASSERT_FALSE(restored.ok()) << label;
+        EXPECT_EQ(restored.error().code, ErrorCode::kBadContext) << label;
+        EXPECT_EQ(controller.save_context(), before) << label;
       }
     }
   }
@@ -228,6 +276,14 @@ TEST(ControllerContext, RestoreTrapsOnBadSnapshotLoopCount) {
   foreign.loop_current[0] = 5;
   foreign.active = false;
   EXPECT_THROW(controller.restore(foreign), SimError);
+  EXPECT_EQ(controller.save_context(), before);
+  EXPECT_EQ(controller.trigger_pc(), 0x1000u + 10 * 4);
+
+  // So does a snapshot naming a task beyond the task table.
+  AccelSnapshot stray = live;
+  stray.current_task = 200;
+  stray.loop_current[0] = 5;
+  EXPECT_THROW(controller.restore(stray), SimError);
   EXPECT_EQ(controller.save_context(), before);
   EXPECT_EQ(controller.trigger_pc(), 0x1000u + 10 * 4);
 

@@ -62,8 +62,6 @@ commands:
       --mode=NAME           pipeline (cycle-accurate, default), iss, or
                             iss-fast (ISS with the loop-summary fast path)
       --max-cycles=N        cycle budget          (default 200000000)
-      --preempt-every=N     ISS only: save/clobber/restore the full ZOLC
-                            context every N instructions (differential knob)
       --tenants=N           time-slice N copies of the workload over one
                             controller (ISS only; reports switch cost)
   sweep                     grid over kernel/machine/config/geometry/mode/tenants
@@ -73,7 +71,6 @@ commands:
       --geometries=a,b,...  default: the paper prototype geometry
       --modes=a,b,...       pipeline|iss|iss-fast (default pipeline)
       --tenants=a,b,...     tenant-count axis     (default 1; ISS modes only)
-      --preempt-every=N
       --baseline=NAME       reduction baseline    (default XRdefault)
       --max-cycles=N --threads=N
       --format=csv|json     default csv
@@ -102,8 +99,7 @@ commands:
                             no other flags
       compile <kernel>      --machine --geometry, as for compile
       run <kernel>          --machine --geometry --config --mode
-                            --max-cycles --preempt-every --tenants, as
-                            for run
+                            --max-cycles --tenants, as for run
       sweep                 --from-file=SUITE --format=csv|json --out=FILE
                             --expect-zero-compiles
                             (output is byte-identical to local
@@ -372,7 +368,7 @@ int cmd_run(const cli::Args& args) {
         static_cast<unsigned long long>(r.fastpath.replayed_instructions),
         static_cast<unsigned long long>(r.fastpath.total_bailouts()));
   }
-  if (plan.tenants != 1 || plan.preempt_every != 0) {
+  if (plan.tenants != 1) {
     std::printf(
         "  tenants           %u\n  ctx switches      %llu\n"
         "  ctx switch cost   %llu cycle(s)\n",
@@ -405,8 +401,7 @@ int emit_sweep_report(const harness::SweepReport& report, bool json_format,
 int cmd_sweep(const cli::Args& args) {
   // The grid flags -- every axis flag plus these -- shape the experiment;
   // the rest select execution and output.
-  std::vector<std::string_view> grid = {"preempt-every", "baseline",
-                                        "max-cycles"};
+  std::vector<std::string_view> grid = {"baseline", "max-cycles"};
   for (const harness::SweepAxis& axis : harness::sweep_axes()) {
     grid.push_back(axis.flag);
   }
@@ -452,9 +447,6 @@ int cmd_sweep(const cli::Args& args) {
       auto added = scenario::append_axis_value(spec, axis.id, item);
       if (!added.ok()) return bad_flag_value(added.error());
     }
-  }
-  if (const auto every = positive_int_flag(args, "preempt-every", rc)) {
-    spec.preempt_every = *every;
   }
   if (const auto baseline = nonempty_value(args, "baseline", rc)) {
     auto parsed = scenario::parse_machine(*baseline);
