@@ -26,9 +26,8 @@ struct AluInputs {
 };
 
 /// Evaluates the ALU/DSP result of `op`. Precondition: `op` decodes to an
-/// ALU kind (DecodedOp::kAlu .. kAddi). Inline with its helpers: it sits on
-/// the pipeline's EX stage and, for the generic kinds, under
-/// alu_kind_eval.
+/// ALU kind (DecodedOp::kAlu .. kAddi). Inline with its helpers: it sits
+/// under alu_kind_eval for the generic kinds.
 [[nodiscard]] inline std::int32_t alu_eval(isa::Opcode op,
                                            const AluInputs& in) {
   using O = isa::Opcode;
@@ -99,9 +98,10 @@ struct AluInputs {
 /// The result of the ALU-kind record `op` (kAlu .. kAddi), reading source
 /// registers through `read(reg)` only for the operands its kind uses. The
 /// hot kinds evaluate in place; only the generic kAlu and kAluImm dispatch
-/// again on the opcode, through alu_eval. The ISS step and the summary
-/// tier's replay both evaluate ALU records here, with one case label per
-/// kind: always inlined, the helper's switch then folds into the caller's.
+/// again on the opcode, through alu_eval. The ISS step, the pipeline's EX
+/// stage and the summary tier's replay all evaluate ALU records here, with
+/// one case label per kind: always inlined, the helper's switch then folds
+/// into the caller's.
 template <typename ReadReg>
 [[nodiscard, gnu::always_inline]] inline std::int32_t alu_kind_eval(
     const DecodedOp& op, const ReadReg& read) {
@@ -173,7 +173,8 @@ struct ControlOutcome {
 };
 
 /// Resolves the branch or jump `op` fetched at `pc` given its rs and rt
-/// operand values; any other kind is not taken.
+/// operand values; any other kind is not taken. A branch's target is only
+/// computed when it is taken.
 [[nodiscard]] inline ControlOutcome resolve_control(const DecodedOp& op,
                                                     std::uint32_t pc,
                                                     std::int32_t rs,
@@ -183,7 +184,8 @@ struct ControlOutcome {
     case DecodedOp::Kind::kBranch: {
       const std::int32_t lhs =
           instr.op == isa::Opcode::kDbne ? wrap_sub(rs, 1) : rs;
-      return {branch_taken(instr.op, lhs, rt), isa::branch_target(instr, pc)};
+      if (!branch_taken(instr.op, lhs, rt)) return {};
+      return {true, isa::branch_target(instr, pc)};
     }
     case DecodedOp::Kind::kJump:
       return {true, isa::jump_target(instr, pc)};

@@ -147,7 +147,8 @@ void Iss::step_control(const DecodedOp& op, bool fetch_triggers) {
   // still resolves, from a snapshot restored after, so that its fault
   // raises and the controller counts it.
   if (fetch_triggers) {
-    const zolc::AccelSnapshot before = accel_->snapshot();
+    zolc::AccelSnapshot before;
+    accel_->snapshot_into(before);
     accel_->fetch_event(pc_, [](std::uint8_t, std::int32_t) {});
     accel_->restore(before);
     ++stats_.zolc_fetch_events;

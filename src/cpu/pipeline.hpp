@@ -11,6 +11,10 @@
 //     snapshot when the older taken branch resolves (kRollback policy), or
 //     avoided entirely by stalling fetch while control flow is unresolved
 //     (kGate policy, costs cycles; used for the ablation study).
+// The controller builds each fetch event, and the pipeline takes its
+// snapshot, in place in a small ring of event slots; the latches point at
+// the instruction's decoded record rather than copying it. The cycle loop
+// is compiled once per PipelineConfig, and run() picks the one to use.
 #ifndef ZOLCSIM_CPU_PIPELINE_HPP
 #define ZOLCSIM_CPU_PIPELINE_HPP
 
@@ -71,7 +75,7 @@ class Pipeline {
   }
 
   /// Attaches a decoded code image (non-owning; must outlive the
-  /// pipeline). Fetches inside the image copy its records into IF/ID;
+  /// pipeline). Fetches inside the image point the latches at its records;
   /// fetches outside it decode from memory.
   void set_code_image(const DecodedImage& image) noexcept { image_ = &image; }
 
@@ -89,11 +93,9 @@ class Pipeline {
     return config_;
   }
 
-  /// Advances one clock cycle. No-op when halted.
-  void cycle();
-
   /// Runs until HALT retires or `max_cycles` elapse. Returns total cycles
-  /// consumed by this call. Throws SimError if the limit is hit.
+  /// consumed by this call. Throws SimError if the limit is hit. The cycle
+  /// loop is compiled once per configuration; run() picks config()'s.
   std::uint64_t run(std::uint64_t max_cycles);
 
  private:
@@ -109,18 +111,27 @@ class Pipeline {
   static constexpr std::size_t kEventSlots = 3;
   static constexpr std::int8_t kNoEvent = -1;
 
+  /// Fetches outside the code image decode into a ring of records. Every
+  /// instruction still in flight when IF fetches came from one of the three
+  /// fetches before it (a stage advance takes at most one fetch, and a stall
+  /// holds IF/ID without fetching), so eight slots never overwrite a live
+  /// record.
+  static constexpr std::size_t kDecodedSlots = 8;
+
+  // The latches point at the instruction's record (in the code image or the
+  // decode ring) instead of copying it from stage to stage.
   struct IfId {
     bool valid = false;
     std::int8_t event = kNoEvent;  ///< fetch-event slot
     std::uint32_t pc = 0;
-    DecodedOp op;
+    const DecodedOp* op = nullptr;
   };
 
   struct IdEx {
     bool valid = false;
     std::int8_t event = kNoEvent;  ///< fetch-event slot
     std::uint32_t pc = 0;
-    DecodedOp op;
+    const DecodedOp* op = nullptr;
     std::int32_t rs_val = 0;
     std::int32_t rt_val = 0;
     std::int32_t rd_val = 0;
@@ -130,20 +141,18 @@ class Pipeline {
     bool valid = false;
     bool is_load = false;
     bool is_store = false;
-    bool is_zolc = false;
     std::uint8_t dest = 0;  ///< 0: no register write
     std::uint32_t pc = 0;
-    isa::Instruction instr;
+    const DecodedOp* op = nullptr;
     std::int32_t alu = 0;
     std::int32_t store_val = 0;
   };
 
   struct MemWb {
     bool valid = false;
-    bool is_zolc = false;
     std::uint8_t dest = 0;  ///< 0: no register write
     std::uint32_t pc = 0;
-    isa::Instruction instr;
+    const DecodedOp* op = nullptr;
     std::int32_t value = 0;
   };
 
@@ -158,15 +167,25 @@ class Pipeline {
     return events_[static_cast<std::size_t>(slot)];
   }
 
+  /// run() for configuration `C`, the one config_ holds.
+  template <PipelineConfig C>
+  std::uint64_t run_as(std::uint64_t max_cycles);
+  /// Advances one clock cycle.
+  template <PipelineConfig C>
+  void cycle();
+
   // Stage helpers (operate on the previous-cycle latches `cur`).
+  template <PipelineConfig C>
   [[nodiscard]] std::int32_t forward_to_ex(const Latches& cur, std::uint8_t reg,
                                            std::int32_t id_value) const;
+  template <PipelineConfig C>
   [[nodiscard]] std::int32_t read_in_id(const Latches& cur,
                                         std::uint8_t reg) const;
+  template <PipelineConfig C>
   [[nodiscard]] bool control_in_flight(const Latches& cur) const;
   /// Fills `ifi` with the instruction at pc_ and fires its fetch-time ZOLC
-  /// event, if any. Returns the next fetch PC.
-  std::uint32_t fetch(const Latches& cur, IfId& ifi);
+  /// event, if any, into the next ring slot. Returns the next fetch PC.
+  inline std::uint32_t fetch(const Latches& cur, IfId& ifi);
 
   mem::Memory& mem_;
   PipelineConfig config_;
@@ -180,6 +199,8 @@ class Pipeline {
   std::uint8_t cur_ = 0;
   std::array<FetchInfo, kEventSlots> events_;
   std::uint8_t next_event_ = 0;  ///< ring slot the next fetch event takes
+  std::array<DecodedOp, kDecodedSlots> decoded_;
+  std::uint8_t next_decoded_ = 0;  ///< ring slot the next off-image fetch takes
   std::uint32_t pc_ = 0;
   bool halted_ = false;
   PipelineStats stats_;

@@ -27,9 +27,10 @@ class RegFile {
     if (reg != 0) regs_[reg] = value;
   }
 
-  // Unchecked accessors for the ISS summary tier's replay loop: its
-  // decoded records and exported loop descriptors carry 5-bit register
-  // fields, so the precondition holds by construction.
+  // Unchecked accessors for the ISS summary tier's replay loop and the
+  // pipeline's ID and WB stages: decoded records and exported loop
+  // descriptors carry 5-bit register fields, so the precondition holds by
+  // construction.
 
   [[nodiscard]] std::int32_t read_raw(unsigned reg) const noexcept {
     return regs_[reg];

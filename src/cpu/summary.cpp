@@ -306,7 +306,8 @@ LoopSummarizer::Replay LoopSummarizer::try_engage(
   out.resume_pc = pc;
   const zolc::NestProgram* const np = accel.nest_program();
   if (np == nullptr) return out;  // inactive
-  zolc::AccelSnapshot snap = accel.snapshot();
+  zolc::AccelSnapshot snap;
+  accel.snapshot_into(snap);
   if (snap.current_task >= np->tasks.size()) return out;
   const zolc::NestTaskDesc* const tasks = np->tasks.data();
   const zolc::NestLoopDesc* const loops = np->loops.data();

@@ -28,10 +28,11 @@ struct RfWrite {
 };
 
 /// Small-vector of RfWrites for the events whose writes wait: the
-/// pipeline's fetch events (applied at resolution) and resolution-time
-/// events. They almost always carry one or two writes (a continue event's
-/// index update, a done event's reinit), so the common case stays inline
-/// and allocation-free; deep cascade reinits spill to the heap.
+/// pipeline's fetch events (applied at resolution, and built again in the
+/// same ring slot by later fetches) and resolution-time events. They almost
+/// always carry one or two writes (a continue event's index update, a done
+/// event's reinit), so the common case stays inline and allocation-free;
+/// deep cascade reinits spill to the heap.
 class RfWriteList {
  public:
   void push_back(const RfWrite& w) {
@@ -44,6 +45,13 @@ class RfWriteList {
       n_ = 0;  // invariant: a non-empty spill owns all elements
     }
     spill_.push_back(w);
+  }
+
+  /// Empties the list for reuse. A spilled list goes back to its inline
+  /// storage; the spill keeps its capacity for the next deep cascade.
+  void clear() noexcept {
+    n_ = 0;
+    spill_.clear();
   }
 
   [[nodiscard]] const RfWrite* begin() const noexcept {

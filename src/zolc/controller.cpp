@@ -288,11 +288,9 @@ void ZolcController::raise_walk_fault(WalkFault fault, std::uint8_t task,
   throw SimError("ZOLC cascade exceeded hardware depth at " + hex32(pc));
 }
 
-std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
-  // Every path returns `out`, so the event is built in the caller's slot.
-  std::optional<AccelEvent> out;
-  if (!will_trigger(pc)) return out;
-  AccelEvent& ev = out.emplace();
+void ZolcController::on_fetch(std::uint32_t pc, AccelEvent& ev) {
+  ZS_EXPECTS(will_trigger(pc));
+  ev.rf_writes.clear();
   const WalkOutcome walk =
       walk_event(pc, [&ev](std::uint8_t reg, std::int32_t value) {
         ev.rf_writes.push_back(RfWrite{reg, value});
@@ -300,7 +298,6 @@ std::optional<AccelEvent> ZolcController::on_fetch(std::uint32_t pc) {
   ev.redirect = walk.redirect;
   ev.fault = walk.fault;
   ev.fault_task = ctx_.current_task;
-  return out;
 }
 
 void ZolcController::apply_reinit_mask(std::uint32_t mask, AccelEvent& ev) {
@@ -357,16 +354,6 @@ std::optional<AccelEvent> ZolcController::on_taken_control(
   if (!matched) return std::nullopt;
   refresh_trigger();
   return ev;
-}
-
-AccelSnapshot ZolcController::snapshot() const {
-  const std::vector<std::int32_t>& current = ctx_.loop_current;
-  AccelSnapshot s;
-  s.loop_count = static_cast<std::uint8_t>(current.size());
-  std::copy(current.begin(), current.end(), s.loop_current.begin());
-  s.current_task = ctx_.current_task;
-  s.active = ctx_.active;
-  return s;
 }
 
 const NestProgram* ZolcController::nest_program() const {

@@ -122,11 +122,13 @@ class ZolcController {
   template <typename Sink>
   std::optional<std::uint32_t> fetch_event(std::uint32_t pc, const Sink& sink);
 
-  /// fetch_event with the write-backs collected into an AccelEvent, for the
-  /// pipeline, which applies them at resolution; nullopt when `pc` raises
-  /// no event. A WalkFault does not raise here: it rides in the event, as
-  /// the pipeline may be fetching `pc` on a wrong path.
-  std::optional<AccelEvent> on_fetch(std::uint32_t pc);
+  /// fetch_event with the write-backs collected into `ev`, for the
+  /// pipeline, which applies them at resolution. The event is built in
+  /// place: `ev` is the pipeline's event-ring slot, and whatever an older
+  /// event left there is overwritten. Precondition: will_trigger(pc). A
+  /// WalkFault does not raise here: it rides in the event, as the pipeline
+  /// may be fetching `pc` on a wrong path.
+  void on_fetch(std::uint32_t pc, AccelEvent& ev);
 
   /// Raises `fault`, which the walk hit at `pc` and stopped at `task`, as a
   /// SimError.
@@ -140,7 +142,17 @@ class ZolcController {
   std::optional<AccelEvent> on_taken_control(std::uint32_t pc,
                                              std::uint32_t target);
 
-  [[nodiscard]] AccelSnapshot snapshot() const;
+  /// Captures the state a speculative fetch event changes into `out`, in
+  /// place: the pipeline takes one into its event-ring slot at every
+  /// task-end fetch, so it is inline and copies the live loops only once.
+  void snapshot_into(AccelSnapshot& out) const noexcept {
+    out.loop_count = static_cast<std::uint8_t>(ctx_.loop_current.size());
+    std::copy(ctx_.loop_current.begin(), ctx_.loop_current.end(),
+              out.loop_current.begin());
+    out.current_task = ctx_.current_task;
+    out.active = ctx_.active;
+  }
+
   /// Restores a snapshot; a loop-count mismatch or (lite/full) a current
   /// task outside the task table traps with a SimError, with this
   /// controller untouched.

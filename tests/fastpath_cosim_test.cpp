@@ -75,7 +75,7 @@ TierRun run_tier(const flow::CompiledUnit& unit, bool fast, bool warm) {
   out.regs = iss.regs();
   if (controller) {
     out.zolc_stats = controller->zolc_stats();
-    out.snapshot = controller->snapshot();
+    out.snapshot = test::snapshot_of(*controller);
   }
   return out;
 }
@@ -334,7 +334,7 @@ BailoutRun run_iss_tier(const std::vector<Instruction>& prog,
                     iss.regs(),
                     iss.fastpath_stats(),
                     controller.zolc_stats(),
-                    controller.snapshot(),
+                    test::snapshot_of(controller),
                     controller.active()};
 }
 
@@ -366,7 +366,7 @@ BailoutRun run_fast_tier_preempted(const std::vector<Instruction>& prog,
                     iss.regs(),
                     iss.fastpath_stats(),
                     controller.zolc_stats(),
-                    controller.snapshot(),
+                    test::snapshot_of(controller),
                     controller.active()};
 }
 
@@ -607,7 +607,7 @@ BailoutRun expect_fault_cosim(const std::vector<Instruction>& prog,
                       iss.regs(),
                       iss.fastpath_stats(),
                       controller.zolc_stats(),
-                      controller.snapshot(),
+                      test::snapshot_of(controller),
                       controller.active()};
   };
   const BailoutRun base = run_to_fault(false, false);

@@ -150,7 +150,7 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
 
         ZolcController ctrl(variant);
         program_loop(ctrl);
-        const AccelSnapshot before = ctrl.snapshot();
+        const AccelSnapshot before = test::snapshot_of(ctrl);
 
         const DecodedImage image(kBase, program);
         Iss iss(memory);
@@ -177,7 +177,7 @@ TEST(IssFetchEvent, KeptExactlyWhenTheTriggerIsNotATakenTransfer) {
         EXPECT_EQ(iss.pc(), expected_pc) << what;
         EXPECT_EQ(iss.halted(), tc.halts) << what;
         EXPECT_TRUE(iss.regs() == expected_regs) << what;
-        EXPECT_TRUE(ctrl.snapshot() == expected_snap) << what;
+        EXPECT_TRUE(test::snapshot_of(ctrl) == expected_snap) << what;
         if (tc.deactivates) {
           EXPECT_EQ(ctrl.trigger_pc(), std::nullopt) << what;
         } else {
@@ -220,7 +220,7 @@ TEST(IssFetchEvent, ZolcInstructionAtTheTriggerResolvesTheEventFirst) {
 
         ZolcController ctrl(variant);
         program_loop(ctrl);
-        AccelSnapshot expected_snap = ctrl.snapshot();
+        AccelSnapshot expected_snap = test::snapshot_of(ctrl);
         expected_snap.loop_current[0] = 1;
 
         const DecodedImage image(kBase, program);
@@ -235,7 +235,7 @@ TEST(IssFetchEvent, ZolcInstructionAtTheTriggerResolvesTheEventFirst) {
 
         EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
         EXPECT_TRUE(iss.regs() == expected_regs) << what;
-        EXPECT_TRUE(ctrl.snapshot() == expected_snap) << what;
+        EXPECT_TRUE(test::snapshot_of(ctrl) == expected_snap) << what;
         EXPECT_EQ(iss.stats().instructions, 0u) << what;
         EXPECT_EQ(iss.stats().zolc_fetch_events, 1u) << what;
       }
@@ -264,7 +264,7 @@ TEST(IssFetchEvent, TrappingAccessAtTheTriggerLeavesTheEventUnresolved) {
 
         ZolcController ctrl(variant);
         program_loop(ctrl);
-        const AccelSnapshot before = ctrl.snapshot();
+        const AccelSnapshot before = test::snapshot_of(ctrl);
 
         const DecodedImage image(kBase, program);
         Iss iss(memory);
@@ -277,7 +277,7 @@ TEST(IssFetchEvent, TrappingAccessAtTheTriggerLeavesTheEventUnresolved) {
 
         EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
         EXPECT_TRUE(iss.regs() == regs_before) << what;
-        EXPECT_TRUE(ctrl.snapshot() == before) << what;
+        EXPECT_TRUE(test::snapshot_of(ctrl) == before) << what;
         EXPECT_EQ(ctrl.trigger_pc(), pc_of(kTriggerOfs)) << what;
         EXPECT_EQ(ctrl.zolc_stats().continue_events, 0u) << what;
         EXPECT_TRUE(iss.stats() == IssStats{}) << what;
@@ -328,7 +328,7 @@ TEST(IssFetchEvent, WalkFaultAtTheTriggerRaisesAfterTheWriteBack) {
         test::load_program(memory, kBase, program);
         ZolcController ctrl(variant);
         program_faulting_task(ctrl);
-        const AccelSnapshot before = ctrl.snapshot();
+        const AccelSnapshot before = test::snapshot_of(ctrl);
 
         Iss iss(memory);
         iss.set_accelerator(&ctrl);
@@ -341,7 +341,7 @@ TEST(IssFetchEvent, WalkFaultAtTheTriggerRaisesAfterTheWriteBack) {
 
         EXPECT_EQ(iss.pc(), pc_of(kTriggerOfs)) << what;
         EXPECT_TRUE(iss.regs() == expected_regs) << what;
-        EXPECT_TRUE(ctrl.snapshot() == before) << what;
+        EXPECT_TRUE(test::snapshot_of(ctrl) == before) << what;
         EXPECT_TRUE(iss.stats() == IssStats{}) << what;
       }
       for (const PipelineConfig& config : test::all_pipeline_configs()) {
@@ -394,7 +394,7 @@ TEST(IssFetchEvent, PipelineDropsAWrongPathFetchOfAFaultingTrigger) {
       test::load_program(memory, kBase, program);
       ZolcController ctrl(variant);
       program_faulting_task(ctrl);
-      const AccelSnapshot before = ctrl.snapshot();
+      const AccelSnapshot before = test::snapshot_of(ctrl);
       Pipeline pipe(memory, config);
       pipe.set_accelerator(&ctrl);
       seed_registers(pipe.regs());
@@ -404,7 +404,7 @@ TEST(IssFetchEvent, PipelineDropsAWrongPathFetchOfAFaultingTrigger) {
       // kRollback fetched the trigger once and rolled its event back.
       EXPECT_EQ(pipe.stats().zolc_fetch_events, rollback ? 1u : 0u) << what;
       EXPECT_EQ(pipe.stats().zolc_rollbacks, rollback ? 1u : 0u) << what;
-      EXPECT_TRUE(ctrl.snapshot() == before) << what;
+      EXPECT_TRUE(test::snapshot_of(ctrl) == before) << what;
     }
   }
 }

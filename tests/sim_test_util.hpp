@@ -32,6 +32,13 @@ inline void load_program(mem::Memory& memory, std::uint32_t addr,
   memory.load_words(addr, words);
 }
 
+/// `controller`'s snapshot, by value.
+inline zolc::AccelSnapshot snapshot_of(const zolc::ZolcController& controller) {
+  zolc::AccelSnapshot snapshot;
+  controller.snapshot_into(snapshot);
+  return snapshot;
+}
+
 /// A representative instruction per opcode with distinctive field values,
 /// used by the ISA and decoder property suites.
 inline std::vector<isa::Instruction> representative_instructions() {

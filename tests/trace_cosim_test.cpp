@@ -4,8 +4,9 @@
 // equivalence check available (final-state equality can mask compensating
 // errors) -- and end with the same register file and memory. Every one of
 // the eight pipeline configurations is checked, fetching both through the
-// unit's decoded image and by decoding from memory; the two fetch paths
-// must also agree on every statistic.
+// unit's decoded image and by decoding from memory. A second differential
+// runs the pipeline alone down the two fetch paths, which must agree on
+// every pipeline and controller statistic as well as the final state.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -110,7 +111,6 @@ TEST_P(TraceCoSim, PipelineMatchesTheIssInEveryConfig) {
   }
 
   for (const PipelineConfig& config : test::all_pipeline_configs()) {
-    PipelineStats image_stats;
     for (const bool use_image : {true, false}) {
       SCOPED_TRACE(harness::config_name(config) +
                    (use_image ? " (image fetch)" : " (memory fetch)"));
@@ -119,11 +119,57 @@ TEST_P(TraceCoSim, PipelineMatchesTheIssInEveryConfig) {
       expect_traces_equal(run_traced(pipe, unit, use_image), reference);
       EXPECT_TRUE(pipe.regs() == reference_iss.regs());
       EXPECT_TRUE(wl.memory() == reference_wl.memory());
-      if (use_image) {
-        image_stats = pipe.stats();
-      } else {
-        EXPECT_TRUE(pipe.stats() == image_stats);
-      }
+    }
+  }
+}
+
+/// One pipeline run of `unit` under `config` to completion, kept whole for
+/// comparison: the run's workload, its controller (if the machine has one)
+/// and the pipeline itself.
+struct PipelineRun {
+  flow::Workload workload;
+  std::unique_ptr<zolc::ZolcController> controller;
+  Pipeline pipe;
+
+  PipelineRun(const flow::CompiledUnit& unit, const PipelineConfig& config,
+              bool use_image)
+      : workload(flow::Workload::prepare(unit)),
+        pipe(workload.memory(), config) {
+    if (const auto variant = codegen::machine_zolc_variant(unit.machine())) {
+      controller =
+          std::make_unique<zolc::ZolcController>(*variant, unit.geometry());
+    }
+    pipe.set_accelerator(controller.get());
+    if (use_image) pipe.set_code_image(unit.decoded());
+    pipe.set_pc(unit.program().base);
+    pipe.run(50'000'000);
+  }
+};
+
+TEST_P(TraceCoSim, ImageFetchMatchesMemoryFetch) {
+  // The image path points the latches at the unit's decoded records; the
+  // memory path decodes every fetch into the pipeline's own decode ring.
+  flow::CompileSpec spec;
+  spec.kernel = GetParam().kernel;
+  spec.machine = GetParam().machine;
+  const auto compiled = flow::CompiledUnit::compile(spec);
+  ASSERT_TRUE(compiled.ok()) << compiled.error().to_string();
+  const flow::CompiledUnit& unit = compiled.value();
+
+  for (const PipelineConfig& config : test::all_pipeline_configs()) {
+    SCOPED_TRACE(harness::config_name(config));
+    const PipelineRun image(unit, config, true);
+    const PipelineRun memory(unit, config, false);
+    EXPECT_TRUE(memory.pipe.stats() == image.pipe.stats());
+    EXPECT_TRUE(memory.pipe.regs() == image.pipe.regs());
+    EXPECT_TRUE(memory.workload.memory() == image.workload.memory());
+    ASSERT_EQ(memory.controller == nullptr, image.controller == nullptr);
+    if (image.controller) {
+      EXPECT_TRUE(memory.controller->zolc_stats() ==
+                  image.controller->zolc_stats());
+      // The whole controller state: tables, live indices and counters.
+      EXPECT_TRUE(memory.controller->save_context() ==
+                  image.controller->save_context());
     }
   }
 }

@@ -266,7 +266,8 @@ TEST(ControllerContext, RestoreTrapsOnBadSnapshotLoopCount) {
   write_task(controller, 0, 2, 10, 0);
   controller.activate(0, 0x1000);
   const ZolcContext before = controller.save_context();
-  const AccelSnapshot live = controller.snapshot();
+  AccelSnapshot live;
+  controller.snapshot_into(live);
   ASSERT_EQ(live.loop_count, 8u);
 
   // A snapshot saved from a different geometry traps, and the controller

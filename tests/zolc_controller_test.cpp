@@ -10,6 +10,7 @@
 #include <string>
 
 #include "cpu/exec.hpp"
+#include "sim_test_util.hpp"
 #include "zolc/controller.hpp"
 
 namespace zolcsim::zolc {
@@ -96,6 +97,31 @@ TEST(Tables, CondHolds) {
   EXPECT_FALSE(nest_cond_holds(NestCond::kGe, -1, 0));
 }
 
+TEST(RfWriteList, ClearAfterASpillReturnsToInlineStorage) {
+  // Five writes outgrow the four inline slots and spill to the heap.
+  RfWriteList list;
+  for (std::uint8_t r = 1; r <= 5; ++r) list.push_back(RfWrite{r, r * 10});
+  ASSERT_EQ(list.size(), 5u);
+  EXPECT_EQ(list[4], (RfWrite{5, 50}));
+
+  list.clear();
+  EXPECT_TRUE(list.empty());
+  list.push_back(RfWrite{7, -1});
+  ASSERT_EQ(list.size(), 1u);
+  EXPECT_EQ(list[0], (RfWrite{7, -1}));
+  EXPECT_EQ(std::distance(list.begin(), list.end()), 1);
+  // The one write sits in the list's own storage, not in the old spill.
+  const auto* first = reinterpret_cast<const unsigned char*>(list.begin());
+  const auto* self = reinterpret_cast<const unsigned char*>(&list);
+  EXPECT_TRUE(first >= self && first < self + sizeof(list));
+
+  // A second spill after the clear keeps every write, in order.
+  for (std::uint8_t r = 2; r <= 5; ++r) list.push_back(RfWrite{r, r});
+  ASSERT_EQ(list.size(), 5u);
+  EXPECT_EQ(list[0], (RfWrite{7, -1}));
+  EXPECT_EQ(list[4], (RfWrite{5, 5}));
+}
+
 // ---------------- helpers ----------------
 
 /// Programs a lite/full controller with one loop and `n_tasks` tasks.
@@ -127,6 +153,15 @@ void write_task(ZolcController& c, unsigned id, std::uint16_t start_ofs,
   c.init_write(Opcode::kZolwTs, static_cast<std::uint8_t>(id), start_ofs);
 }
 
+/// The fetch event at `pc` in a fresh AccelEvent, or nullopt when `pc`
+/// raises none (ZolcController::on_fetch requires will_trigger(pc)).
+std::optional<AccelEvent> fetch_at(ZolcController& c, std::uint32_t pc) {
+  if (!c.will_trigger(pc)) return std::nullopt;
+  std::optional<AccelEvent> ev;
+  c.on_fetch(pc, ev.emplace());
+  return ev;
+}
+
 constexpr std::uint32_t kBase = 0x1000;
 constexpr std::uint32_t pc_of(std::uint16_t ofs) { return kBase + ofs * 4; }
 
@@ -134,9 +169,9 @@ constexpr std::uint32_t pc_of(std::uint16_t ofs) { return kBase + ofs * 4; }
 /// not throw. Also checks that on_fetch, which does not raise, records the
 /// same fault in its event, and that raising that reproduces the text.
 std::string fetch_error(ZolcController& c, std::uint32_t pc) {
-  const AccelSnapshot before = c.snapshot();
+  const AccelSnapshot before = test::snapshot_of(c);
   std::string deferred;
-  if (const auto ev = c.on_fetch(pc); ev && ev->fault != WalkFault::kNone) {
+  if (const auto ev = fetch_at(c, pc); ev && ev->fault != WalkFault::kNone) {
     try {
       c.raise_walk_fault(ev->fault, ev->fault_task, pc);
     } catch (const SimError& e) {
@@ -179,7 +214,7 @@ TEST_F(MicroTest, SingleLoopSequence) {
 
   // Iteration 1 boundary: 0 -> 1, continue.
   ASSERT_TRUE(c.will_trigger(pc_of(12)));
-  auto ev = c.on_fetch(pc_of(12));
+  auto ev = fetch_at(c, pc_of(12));
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->redirect.value(), pc_of(10));
   ASSERT_EQ(ev->rf_writes.size(), 1u);
@@ -187,18 +222,18 @@ TEST_F(MicroTest, SingleLoopSequence) {
   EXPECT_EQ(ev->rf_writes[0].value, 1);
 
   // Iteration 2 boundary: 1 -> 2, continue.
-  ev = c.on_fetch(pc_of(12));
+  ev = fetch_at(c, pc_of(12));
   EXPECT_EQ(ev->rf_writes[0].value, 2);
 
   // Iteration 3 boundary: 2 -> 3 == final, done: reinit + fall-through.
-  ev = c.on_fetch(pc_of(12));
+  ev = fetch_at(c, pc_of(12));
   ASSERT_TRUE(ev.has_value());
   EXPECT_FALSE(ev->redirect.has_value());
   EXPECT_EQ(ev->rf_writes[0].value, 0);  // reinit-on-exit
   EXPECT_TRUE(c.active());               // stays armed for re-entry
 
   // Re-entry works without reprogramming.
-  ev = c.on_fetch(pc_of(12));
+  ev = fetch_at(c, pc_of(12));
   EXPECT_EQ(ev->rf_writes[0].value, 1);
   EXPECT_EQ(ev->redirect.value(), pc_of(10));
 }
@@ -207,7 +242,7 @@ TEST_F(MicroTest, NoTriggerOffEndPc) {
   program(0, 3, 1, 7, pc_of(10), pc_of(12));
   c.activate(0, kBase);
   EXPECT_FALSE(c.will_trigger(pc_of(11)));
-  EXPECT_FALSE(c.on_fetch(pc_of(11)).has_value());
+  EXPECT_FALSE(fetch_at(c, pc_of(11)).has_value());
   EXPECT_FALSE(c.will_trigger(pc_of(13)));
 }
 
@@ -224,7 +259,7 @@ TEST_F(MicroTest, NegativeStepCountsDown) {
   c.activate(0, kBase);
   std::vector<std::int32_t> seen;
   for (int i = 0; i < 5; ++i) {
-    auto ev = c.on_fetch(pc_of(22));
+    auto ev = fetch_at(c, pc_of(22));
     ASSERT_TRUE(ev.has_value());
     seen.push_back(ev->rf_writes[0].value);
   }
@@ -240,7 +275,7 @@ TEST_F(MicroTest, IndexUpdateWrapsAtInt32Max) {
   c.activate(0, kBase);
   for (const std::int32_t expected :
        {kMax, std::numeric_limits<std::int32_t>::min()}) {
-    auto ev = c.on_fetch(pc_of(12));
+    auto ev = fetch_at(c, pc_of(12));
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(ev->redirect, pc_of(10));
     ASSERT_EQ(ev->rf_writes.size(), 1u);
@@ -269,12 +304,12 @@ TEST_F(LiteTest, SingleLoopTask) {
   c.activate(0, kBase);
 
   for (int iter = 1; iter < 4; ++iter) {
-    auto ev = c.on_fetch(pc_of(105));
+    auto ev = fetch_at(c, pc_of(105));
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(ev->redirect.value(), pc_of(100));
     EXPECT_EQ(ev->rf_writes[0].value, iter);
   }
-  auto ev = c.on_fetch(pc_of(105));
+  auto ev = fetch_at(c, pc_of(105));
   ASSERT_TRUE(ev.has_value());
   EXPECT_FALSE(ev->redirect.has_value());
   EXPECT_FALSE(c.active());  // is_last deactivates
@@ -293,20 +328,20 @@ TEST_F(LiteTest, SequentialLoops) {
   c.activate(0, kBase);
 
   // Loop 0: one continue, then done -> redirect to task1 start.
-  auto ev = c.on_fetch(pc_of(105));
+  auto ev = fetch_at(c, pc_of(105));
   EXPECT_EQ(ev->redirect.value(), pc_of(100));
-  ev = c.on_fetch(pc_of(105));
+  ev = fetch_at(c, pc_of(105));
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->redirect.value(), pc_of(110));
   EXPECT_EQ(c.current_task(), 1);
   EXPECT_TRUE(c.active());
 
   // Loop 1 runs 3 iterations.
-  ev = c.on_fetch(pc_of(115));
+  ev = fetch_at(c, pc_of(115));
   EXPECT_EQ(ev->rf_writes[0].value, 1);
-  ev = c.on_fetch(pc_of(115));
+  ev = fetch_at(c, pc_of(115));
   EXPECT_EQ(ev->rf_writes[0].value, 2);
-  ev = c.on_fetch(pc_of(115));
+  ev = fetch_at(c, pc_of(115));
   EXPECT_FALSE(ev->redirect.has_value());
   EXPECT_FALSE(c.active());
 }
@@ -320,12 +355,12 @@ TEST_F(LiteTest, PerfectNestCascade) {
   c.activate(0, kBase);
 
   // j: 0->1 continue.
-  auto ev = c.on_fetch(pc_of(205));
+  auto ev = fetch_at(c, pc_of(205));
   EXPECT_EQ(ev->redirect.value(), pc_of(200));
   EXPECT_EQ(c.current_task(), 0);
 
   // j done; cascade to outer: i 0->1 continue; j reinit.
-  ev = c.on_fetch(pc_of(205));
+  ev = fetch_at(c, pc_of(205));
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->redirect.value(), pc_of(200));
   ASSERT_EQ(ev->rf_writes.size(), 2u);
@@ -337,13 +372,50 @@ TEST_F(LiteTest, PerfectNestCascade) {
   EXPECT_EQ(c.zolc_stats().cascade_chains, 1u);
 
   // Second inner pass: continue, then final cascade deactivates.
-  ev = c.on_fetch(pc_of(205));
+  ev = fetch_at(c, pc_of(205));
   EXPECT_EQ(ev->redirect.value(), pc_of(200));
-  ev = c.on_fetch(pc_of(205));
+  ev = fetch_at(c, pc_of(205));
   ASSERT_TRUE(ev.has_value());
   EXPECT_FALSE(ev->redirect.has_value());
   EXPECT_FALSE(c.active());
   EXPECT_EQ(c.zolc_stats().max_cascade_depth, 2u);
+}
+
+TEST_F(LiteTest, OneEventSlotReusedAfterADeepCascade) {
+  // A five-deep perfect nest sharing end offset 305: loop 0 (innermost) runs
+  // two trips, loops 1..3 one trip each, loop 4 three trips. The pipeline
+  // builds every fetch event in place in one ring slot; so does this test.
+  for (unsigned l = 0; l < 5; ++l) {
+    const std::int16_t final = l == 0 ? 2 : l == 4 ? 3 : 1;
+    write_loop(c, l, 0, final, 1, static_cast<std::uint8_t>(10 + l));
+    write_task(c, l, 300, 305, static_cast<std::uint8_t>(l), /*cont=*/0,
+               /*done=*/static_cast<std::uint8_t>(l + 1), /*is_last=*/l == 4);
+  }
+  c.activate(0, kBase);
+  AccelEvent ev;
+
+  // Loop 0 continues: one write.
+  c.on_fetch(pc_of(305), ev);
+  ASSERT_EQ(ev.rf_writes.size(), 1u);
+  EXPECT_EQ(ev.rf_writes[0], (RfWrite{10, 1}));
+
+  // Loops 0..3 are done and loop 4 continues: four reinits and an index
+  // update, one past the inline capacity.
+  c.on_fetch(pc_of(305), ev);
+  ASSERT_EQ(ev.rf_writes.size(), 5u);
+  for (std::uint8_t l = 0; l < 4; ++l) {
+    EXPECT_EQ(ev.rf_writes[l], (RfWrite{static_cast<std::uint8_t>(10 + l), 0}));
+  }
+  EXPECT_EQ(ev.rf_writes[4], (RfWrite{14, 1}));
+  EXPECT_EQ(ev.redirect, pc_of(300));
+  EXPECT_EQ(c.zolc_stats().max_cascade_depth, 5u);
+
+  // A plain continue in the same slot reports exactly its one write.
+  c.on_fetch(pc_of(305), ev);
+  ASSERT_EQ(ev.rf_writes.size(), 1u);
+  EXPECT_EQ(ev.rf_writes[0], (RfWrite{10, 1}));
+  EXPECT_EQ(ev.redirect, pc_of(300));
+  EXPECT_EQ(ev.fault, WalkFault::kNone);
 }
 
 TEST_F(LiteTest, WriteWhileActiveTraps) {
@@ -404,16 +476,16 @@ TEST_F(LiteTest, SnapshotRestoreRoundTrip) {
   write_loop(c, 0, 0, 4, 1, 9);
   write_task(c, 0, 100, 105, 0, 0, 0, true);
   c.activate(0, kBase);
-  const auto snap = c.snapshot();
-  (void)c.on_fetch(pc_of(105));
-  (void)c.on_fetch(pc_of(105));
-  EXPECT_EQ(c.snapshot().loop_current[0], 2);
+  const auto snap = test::snapshot_of(c);
+  (void)fetch_at(c, pc_of(105));
+  (void)fetch_at(c, pc_of(105));
+  EXPECT_EQ(test::snapshot_of(c).loop_current[0], 2);
   c.restore(snap);
-  EXPECT_EQ(c.snapshot().loop_current[0], 0);
+  EXPECT_EQ(test::snapshot_of(c).loop_current[0], 0);
   EXPECT_TRUE(c.active());
   EXPECT_EQ(c.current_task(), 0);
   // Replay after restore produces the original sequence.
-  auto ev = c.on_fetch(pc_of(105));
+  auto ev = fetch_at(c, pc_of(105));
   EXPECT_EQ(ev->rf_writes[0].value, 1);
 }
 
@@ -424,14 +496,14 @@ TEST_F(LiteTest, IndexUpdateWrapsAtInt32Max) {
   write_loop(c, 0, 0, 0, 1, 9, LoopCond::kGe);
   write_task(c, 0, 100, 105, 0, 0, 0, true);
   c.activate(0, kBase);
-  AccelSnapshot snap = c.snapshot();
+  AccelSnapshot snap = test::snapshot_of(c);
   snap.loop_current[0] = std::numeric_limits<std::int32_t>::max() - 1;
   c.restore(snap);
-  auto ev = c.on_fetch(pc_of(105));
+  auto ev = fetch_at(c, pc_of(105));
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->redirect, pc_of(100));
   EXPECT_EQ(ev->rf_writes[0].value, std::numeric_limits<std::int32_t>::max());
-  ev = c.on_fetch(pc_of(105));
+  ev = fetch_at(c, pc_of(105));
   ASSERT_TRUE(ev.has_value());
   EXPECT_FALSE(ev->redirect.has_value());
   EXPECT_EQ(ev->rf_writes[0].value, 0);  // reinit-on-exit
@@ -446,7 +518,7 @@ TEST_F(LiteTest, TaskEndPastTopOfAddressSpaceWraps) {
   write_task(c, 0, /*start=*/0xF0, /*end=*/0x100, 0, 0, 0, true);
   c.activate(0, 0xFFFFFF00u);
   ASSERT_EQ(c.trigger_pc(), 0x300u);
-  auto ev = c.on_fetch(0x300);
+  auto ev = fetch_at(c, 0x300);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->redirect, 0x2C0u);
   ASSERT_EQ(ev->rf_writes.size(), 1u);
@@ -494,7 +566,7 @@ class FullTest : public ::testing::Test {
 TEST_F(FullTest, ExitRecordMatchesAndDeactivates) {
   write_exit(0, 0, /*branch at*/ 103, /*next*/ 0, /*reinit*/ 0x1, true);
   c.activate(0, kBase);
-  (void)c.on_fetch(pc_of(105));  // one iteration: index 1
+  (void)fetch_at(c, pc_of(105));  // one iteration: index 1
 
   auto ev = c.on_taken_control(pc_of(103), pc_of(300));
   ASSERT_TRUE(ev.has_value());
@@ -528,7 +600,7 @@ TEST_F(FullTest, ExitToEnclosingTaskWithoutDeactivation) {
   EXPECT_TRUE(c.active());
   EXPECT_EQ(c.current_task(), 1);
   // Outer boundary still works afterwards.
-  auto ev2 = c.on_fetch(pc_of(110));
+  auto ev2 = fetch_at(c, pc_of(110));
   ASSERT_TRUE(ev2.has_value());
   EXPECT_EQ(ev2->redirect.value(), pc_of(90));
 }
@@ -598,7 +670,7 @@ void drive_off_power_on(ZolcController& c) {
       c.init_write(Opcode::kZolwU, static_cast<std::uint8_t>(reg), words[reg]);
     }
     c.activate(0, kBase);
-    ASSERT_TRUE(c.on_fetch(pc_of(105)).has_value());
+    ASSERT_TRUE(fetch_at(c, pc_of(105)).has_value());
     return;
   }
   const ZolcGeometry& g = c.geometry();
@@ -624,14 +696,14 @@ void drive_off_power_on(ZolcController& c) {
     c.init_write(Opcode::kZolwEn1, 0, entry.pack_hi(g));
   }
   c.activate(0, kBase);
-  ASSERT_TRUE(c.on_fetch(pc_of(105)).has_value());
+  ASSERT_TRUE(fetch_at(c, pc_of(105)).has_value());
   if (c.variant() == ZolcVariant::kFull) {
     ASSERT_TRUE(c.on_taken_control(pc_of(103), pc_of(104)).has_value());
     ASSERT_TRUE(c.on_taken_control(pc_of(50), pc_of(102)).has_value());
     EXPECT_EQ(c.zolc_stats().exit_matches, 1u);
     EXPECT_EQ(c.zolc_stats().entry_matches, 1u);
     // Both matches reinitialized loop 0; step it to index 1 again.
-    ASSERT_TRUE(c.on_fetch(pc_of(105)).has_value());
+    ASSERT_TRUE(fetch_at(c, pc_of(105)).has_value());
   }
 }
 
@@ -781,7 +853,7 @@ class TriggerFuzzer {
         case 5:
         case 6: {
           const auto trig = c_.trigger_pc();
-          c_.on_fetch(trig && pick(0, 3) != 0 ? *trig : pc(pick(0, 7)));
+          fetch_at(c_, trig && pick(0, 3) != 0 ? *trig : pc(pick(0, 7)));
           return "on_fetch";
         }
         case 7:
@@ -789,7 +861,7 @@ class TriggerFuzzer {
           return "on_taken_control";
         case 8:
           if (pick(0, 1) == 0) {
-            snap_ = c_.snapshot();
+            snap_ = test::snapshot_of(c_);
             return "snapshot";
           }
           c_.restore(snap_);
@@ -828,7 +900,7 @@ class TriggerFuzzer {
   ZolcController c_;
   std::mt19937 rng_;
   std::uint32_t base_ = 0x1000;
-  AccelSnapshot snap_ = c_.snapshot();
+  AccelSnapshot snap_ = test::snapshot_of(c_);
   ZolcContext ctx_ = c_.save_context();
   bool coherent_ = true;
 };

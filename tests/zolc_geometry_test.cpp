@@ -71,11 +71,12 @@ TEST(GeometryController, TwelveLoopCascadeRunsAndSnapshots) {
     c.init_write(isa::Opcode::kZolwTs, static_cast<std::uint8_t>(l), 50);
   }
   c.activate(0, kBase);
-  const auto snap = c.snapshot();
+  const auto snap = test::snapshot_of(c);
   std::uint64_t events = 0;
+  zolc::AccelEvent ev;
   while (c.active()) {
     ASSERT_TRUE(c.will_trigger(kBase + 100 * 4));
-    (void)c.on_fetch(kBase + 100 * 4);
+    c.on_fetch(kBase + 100 * 4, ev);
     ++events;
     ASSERT_LT(events, 10'000u);
   }
@@ -85,7 +86,7 @@ TEST(GeometryController, TwelveLoopCascadeRunsAndSnapshots) {
   // Snapshot/restore carries all 12 live indices.
   c.restore(snap);
   EXPECT_TRUE(c.active());
-  const zolc::AccelSnapshot restored = c.snapshot();
+  const zolc::AccelSnapshot restored = test::snapshot_of(c);
   for (unsigned l = 0; l < 12; ++l) EXPECT_EQ(restored.loop_current[l], 0);
 }
 
