@@ -26,10 +26,11 @@ struct AluInputs {
 };
 
 /// Evaluates the ALU/DSP result of `op`. Precondition: `op` decodes to an
-/// ALU kind (DecodedOp::kAlu .. kAddi). Inline with its helpers: it sits
-/// under alu_kind_eval for the generic kinds.
-[[nodiscard]] inline std::int32_t alu_eval(isa::Opcode op,
-                                           const AluInputs& in) {
+/// ALU kind (DecodedOp::kAlu .. kAddi). Always inlined with its helpers: it
+/// sits under alu_kind_eval for the generic kinds, in every cycle and step
+/// loop, however large the unit that holds the loop grows.
+[[nodiscard, gnu::always_inline]] inline std::int32_t alu_eval(
+    isa::Opcode op, const AluInputs& in) {
   using O = isa::Opcode;
   const auto ua = static_cast<std::uint32_t>(in.a);
   const auto ub = static_cast<std::uint32_t>(in.b);

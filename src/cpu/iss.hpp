@@ -91,8 +91,10 @@ class Iss {
   /// whichever comes first, and returns the number executed by this call.
   /// Unlike run(), statistics accumulate across slices and exhausting the
   /// budget is not an error: callers time-slicing execution (preemption,
-  /// tenant scheduling) check halted() and enforce their own global budget.
-  std::uint64_t run_slice(std::uint64_t max_steps);
+  /// tenant scheduling, the pipeline's steady-state skip) check halted()
+  /// and enforce their own global budget. Aligned, so that the step loop
+  /// keeps its cache-line offsets when other code moves.
+  [[gnu::aligned(64)]] std::uint64_t run_slice(std::uint64_t max_steps);
 
  private:
   /// step()'s body. Always inlined (defined in iss.cpp), also into

@@ -15,12 +15,25 @@
 // snapshot, in place in a small ring of event slots; the latches point at
 // the instruction's decoded record rather than copying it. The cycle loop
 // is compiled once per PipelineConfig, and run() picks the one to use.
+//
+// Steady-state skip (DESIGN.md 4.3): with no memory-latency model, timing
+// depends only on the instruction stream and its control outcomes. When a
+// ZOLC-managed loop whose body holds no branch, jump or ZOLC instruction
+// reaches the same pipeline state at two consecutive retirements of its
+// trigger, every further iteration but the last costs the same, so run()
+// charges k times the measured PipelineStats delta in closed form and
+// replays those iterations' architectural effect on a private ISS with the
+// fast path on. A run with a retire hook steps every cycle. The cycle
+// model is in cycle.hpp; pipeline.cpp compiles the loops that step every
+// cycle, steady.cpp the loops that watch for steady states and skip.
 #ifndef ZOLCSIM_CPU_PIPELINE_HPP
 #define ZOLCSIM_CPU_PIPELINE_HPP
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "cpu/decoded.hpp"
 #include "cpu/exec.hpp"
@@ -65,6 +78,16 @@ struct PipelineStats {
   friend bool operator==(const PipelineStats&, const PipelineStats&) = default;
 };
 
+/// What the steady-state skip did over a pipeline's lifetime. Kept apart
+/// from PipelineStats, which a skip leaves exactly as stepping would.
+struct SkipStats {
+  std::uint64_t engagements = 0;  ///< skips taken
+  std::uint64_t iterations = 0;   ///< loop iterations skipped
+  std::uint64_t cycles = 0;       ///< cycles charged in closed form
+
+  friend bool operator==(const SkipStats&, const SkipStats&) = default;
+};
+
 class Pipeline {
  public:
   explicit Pipeline(mem::Memory& memory, PipelineConfig config = {});
@@ -72,23 +95,31 @@ class Pipeline {
   /// Attaches a loop controller (non-owning; may be nullptr).
   void set_accelerator(zolc::ZolcController* accel) noexcept {
     accel_ = accel;
+    for (Moment& m : moments_) m.valid = false;
   }
 
   /// Attaches a decoded code image (non-owning; must outlive the
   /// pipeline). Fetches inside the image point the latches at its records;
-  /// fetches outside it decode from memory.
-  void set_code_image(const DecodedImage& image) noexcept { image_ = &image; }
+  /// fetches outside it decode from memory. Only loops inside the image
+  /// are skipped.
+  void set_code_image(const DecodedImage& image);
 
   /// Observer called at write-back for every retired instruction (program
-  /// order; wrong-path instructions never reach it).
+  /// order; wrong-path instructions never reach it). While one is attached,
+  /// nothing is skipped.
   void set_retire_hook(RetireHook hook) { retire_hook_ = std::move(hook); }
 
   void set_pc(std::uint32_t pc) noexcept { pc_ = pc; }
+  /// The next fetch PC.
+  [[nodiscard]] std::uint32_t pc() const noexcept { return pc_; }
   [[nodiscard]] bool halted() const noexcept { return halted_; }
 
   [[nodiscard]] RegFile& regs() noexcept { return regs_; }
   [[nodiscard]] const RegFile& regs() const noexcept { return regs_; }
   [[nodiscard]] const PipelineStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const SkipStats& skip_stats() const noexcept {
+    return skip_stats_;
+  }
   [[nodiscard]] const PipelineConfig& config() const noexcept {
     return config_;
   }
@@ -167,11 +198,18 @@ class Pipeline {
     return events_[static_cast<std::size_t>(slot)];
   }
 
-  /// run() for configuration `C`, the one config_ holds.
+  /// run() for configuration `C`, the one config_ holds, stepping every
+  /// cycle (pipeline.cpp). The loops are aligned, so that their code keeps
+  /// its cache-line offsets when other code moves.
   template <PipelineConfig C>
-  std::uint64_t run_as(std::uint64_t max_cycles);
-  /// Advances one clock cycle.
+  [[gnu::aligned(64)]] std::uint64_t run_as(std::uint64_t max_cycles);
+  /// run() for a run that can skip (steady.cpp): run_watching for config_.
+  std::uint64_t run_skipping(std::uint64_t max_cycles);
+  /// run_as that also watches ZOLC loop triggers and skips steady states.
   template <PipelineConfig C>
+  [[gnu::aligned(64)]] std::uint64_t run_watching(std::uint64_t max_cycles);
+  /// Advances one clock cycle; kSkip: watching as it goes (cycle.hpp).
+  template <PipelineConfig C, bool kSkip>
   void cycle();
 
   // Stage helpers (operate on the previous-cycle latches `cur`).
@@ -185,7 +223,56 @@ class Pipeline {
   [[nodiscard]] bool control_in_flight(const Latches& cur) const;
   /// Fills `ifi` with the instruction at pc_ and fires its fetch-time ZOLC
   /// event, if any, into the next ring slot. Returns the next fetch PC.
+  template <bool kSkip>
   inline std::uint32_t fetch(const Latches& cur, IfId& ifi);
+
+  // ---- steady-state skip (DESIGN.md 4.3), all off the per-cycle path ----
+
+  /// Where the pipeline stands when a trigger sits in MEM/WB: the latch
+  /// shape (valid bits as null or non-null records), the next fetch PC, the
+  /// counters and the controller's dynamic state.
+  struct Moment {
+    bool valid = false;
+    std::uint32_t trigger = 0;
+    std::uint8_t task = 0;  ///< controller task after the trigger's event
+    std::array<const DecodedOp*, 4> shape{};
+    std::uint32_t pc = 0;
+    PipelineStats stats;
+    zolc::AccelSnapshot accel;
+  };
+
+  /// A trigger on its way to MEM/WB.
+  struct Watch {
+    std::uint32_t trigger = 0;
+    std::uint64_t events = 0;   ///< stats_.zolc_fetch_events after its event
+    std::uint64_t fetched = 0;  ///< stats_.cycles when it was fetched
+  };
+
+  /// A loop body's PC range [start, trigger] scanned once: clean when the
+  /// image covers it and it holds no control, ZOLC, halt or invalid record;
+  /// `dests` has a bit for every register its records write.
+  struct BodyScan {
+    std::uint32_t start = 0;
+    std::uint32_t trigger = 0;
+    bool clean = false;
+    std::uint32_t dests = 0;
+  };
+
+  /// Called by fetch() at a redirecting event: asks the run loop to look at
+  /// `trigger` when it reaches MEM/WB.
+  void watch(std::uint32_t trigger, std::uint32_t target);
+  /// The run loop's out-of-line check, at check_at_.
+  void on_check();
+  /// When to look for `w` in MEM/WB.
+  [[nodiscard]] std::uint64_t arrival(const Watch& w) const;
+  /// Records the moment with `trigger` in MEM/WB and, when it repeats the
+  /// previous one of the same loop, skips.
+  void at_trigger(std::uint32_t trigger);
+  /// Skips the iterations that `now` and `prev` show to be steady; returns
+  /// whether it did.
+  bool try_skip(const Moment& prev, const Moment& now);
+  [[nodiscard]] const BodyScan& scan_body(std::uint32_t start,
+                                          std::uint32_t trigger);
 
   mem::Memory& mem_;
   PipelineConfig config_;
@@ -203,7 +290,34 @@ class Pipeline {
   std::uint8_t next_decoded_ = 0;  ///< ring slot the next off-image fetch takes
   std::uint32_t pc_ = 0;
   bool halted_ = false;
+  /// Tells the run loop to look: HALT retired, or a watch began.
+  bool stop_ = false;
   PipelineStats stats_;
+
+  // The skip's state, after the cycle loop's, so that theirs keep short
+  // offsets.
+  /// Four watches cover every trigger fetched while older ones are still
+  /// in IF/ID, ID/EX or EX/MEM.
+  static constexpr std::size_t kWatches = 4;
+  static constexpr std::size_t kMoments = 4;
+  static constexpr std::size_t kDeclined = 8;
+
+  /// Watched triggers in fetch order, a ring from watch_head_.
+  std::array<Watch, kWatches> watches_;
+  std::uint8_t watch_head_ = 0;
+  std::uint8_t watch_count_ = 0;
+  /// stats_.cycles at which the run loop next leaves the cycle path: the
+  /// cycle limit or, earlier, a watched trigger's arrival in MEM/WB.
+  std::uint64_t check_at_ = 0;
+  std::uint64_t limit_at_ = 0;  ///< stats_.cycles at which the limit traps
+  std::uint8_t next_moment_ = 0;
+  std::array<Moment, kMoments> moments_;
+  std::vector<BodyScan> scans_;
+  /// (trigger << 32 | target) of loops whose body scan failed, so fetch()
+  /// stops watching them.
+  std::array<std::uint64_t, kDeclined> declined_{};
+  std::optional<Iss> iss_;  ///< replays skipped iterations, built on demand
+  SkipStats skip_stats_;
 };
 
 }  // namespace zolcsim::cpu

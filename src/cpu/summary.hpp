@@ -191,13 +191,13 @@ class LoopSummarizer {
   /// land the final value themselves). `*bail` is set on a mid-pass
   /// bailout. When `record` is non-null, store addresses of every pass are
   /// appended to it. Memory goes through mem::Memory::peek_page and
-  /// touch_page, looked up afresh on every access.
-  RunOutcome run_region(const BodyInfo& body, mem::Memory& mem, RegFile& regs,
-                        std::uint64_t passes, std::uint64_t edge_limit,
-                        std::uint8_t idx_reg, std::int32_t idx_step,
-                        std::int32_t* idx_val,
-                        std::vector<StoreRecord>* record,
-                        std::optional<BailoutReason>* bail);
+  /// touch_page, looked up afresh on every access. Aligned, so that the
+  /// replay loop keeps its cache-line offsets when other code moves.
+  [[gnu::aligned(64)]] RunOutcome run_region(
+      const BodyInfo& body, mem::Memory& mem, RegFile& regs,
+      std::uint64_t passes, std::uint64_t edge_limit, std::uint8_t idx_reg,
+      std::int32_t idx_step, std::int32_t* idx_val,
+      std::vector<StoreRecord>* record, std::optional<BailoutReason>* bail);
 
   std::uint64_t min_backedges_ = 2;
   FastPathStats stats_;

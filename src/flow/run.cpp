@@ -254,6 +254,7 @@ Result<ExperimentResult> run(const CompiledUnit& unit, Workload& workload,
       pipe.set_pc(unit.program().base);
       pipe.run(plan.max_cycles);
       result.stats = pipe.stats();
+      result.skip = pipe.skip_stats();
     }
   } catch (const SimError& e) {
     return Error{ErrorCode::kSimulation, e.what()}.with_context(

@@ -56,6 +56,7 @@ struct ExperimentResult {
   cpu::PipelineStats stats;       ///< ISS runs report cycles == instructions
   zolc::ZolcStats zolc_stats;     ///< zeros for non-ZOLC machines
   cpu::FastPathStats fastpath;    ///< all-zero unless mode is iss-fast
+  cpu::SkipStats skip;            ///< the pipeline's steady-state skips
   unsigned init_instructions = 0; ///< ZOLC init prologue length
   unsigned hw_loops = 0;
   unsigned sw_loops = 0;

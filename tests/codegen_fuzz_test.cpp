@@ -1,8 +1,10 @@
 // Randomized structural property test: generate random well-formed kernels
 // (nested counted loops, conditionals, break-outs, random ALU bodies) and
 // check that every machine configuration computes the same architectural
-// result, with ZOLC machines additionally co-simulated against the ISS.
-// This is the widest net over the lowering + controller + pipeline stack.
+// result, with ZOLC machines additionally co-simulated against the ISS and
+// against their own pipeline run with a retire hook, which steps the loop
+// iterations the unhooked run may skip. This is the widest net over the
+// lowering + controller + pipeline stack.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -174,7 +176,9 @@ IssOutcome run_iss_tier(const Program& prog, MachineKind machine,
 /// code image, under the pipeline configuration `seed` selects (the seeds
 /// rotate through all eight), and co-simulates it on all three ISS tiers,
 /// each with an independent controller: registers and memory must match the
-/// pipeline, and IssStats must match across tiers.
+/// pipeline, and IssStats must match across tiers. A ZOLC machine's pipeline
+/// run is also repeated with a retire hook, which must not change a
+/// statistic, a register or a byte of memory.
 MachineOutcome run_machine(const std::vector<KNode>& kernel,
                            MachineKind machine, std::uint32_t seed) {
   MachineOutcome out;
@@ -190,12 +194,34 @@ MachineOutcome run_machine(const std::vector<KNode>& kernel,
     pipe_ctrl = std::make_unique<zolc::ZolcController>(*variant);
   }
   const auto configs = test::all_pipeline_configs();
+  const cpu::PipelineConfig config = configs[seed % configs.size()];
   const cpu::DecodedImage image(prog.value().base, prog.value().code);
-  cpu::Pipeline pipe(memory, configs[seed % configs.size()]);
+  cpu::Pipeline pipe(memory, config);
   pipe.set_accelerator(pipe_ctrl.get());
   pipe.set_code_image(image);
   pipe.set_pc(0x1000);
   pipe.run(5'000'000);
+
+  if (pipe_ctrl != nullptr) {
+    // The same run stepped every cycle: a retire hook turns the pipeline's
+    // steady-state skip off, and the skip must be invisible.
+    mem::Memory stepped_memory;
+    prog.value().load_into(stepped_memory);
+    zolc::ZolcController stepped_ctrl(pipe_ctrl->variant());
+    cpu::Pipeline stepped(stepped_memory, config);
+    stepped.set_accelerator(&stepped_ctrl);
+    stepped.set_code_image(image);
+    stepped.set_retire_hook([](std::uint32_t, const isa::Instruction&) {});
+    stepped.set_pc(0x1000);
+    stepped.run(5'000'000);
+    const std::string what = std::string(machine_name(machine)) +
+                             " seed=" + std::to_string(seed);
+    EXPECT_TRUE(pipe.stats() == stepped.stats()) << "PipelineStats, " << what;
+    EXPECT_TRUE(pipe_ctrl->zolc_stats() == stepped_ctrl.zolc_stats())
+        << "ZolcStats, " << what;
+    EXPECT_TRUE(pipe.regs() == stepped.regs()) << "registers, " << what;
+    EXPECT_TRUE(memory == stepped_memory) << "memory, " << what;
+  }
 
   const std::uint64_t quantum = 1 + seed * 7919u % 61u;
   const IssTier tiers[] = {

@@ -442,6 +442,93 @@ TEST(ZolcPipeline, MicroVariantZeroOverhead) {
   EXPECT_TRUE(r.controller_active);  // uZOLC stays armed
 }
 
+// ---------------- steady-state skip ----------------
+
+/// sum += *table[i] for i in [0, n): each iteration loads a pointer from
+/// the table at 0x4000, then, with `load` (a word or a byte load), what it
+/// points at. 19-instruction prologue, 4-instruction body with no control
+/// flow.
+std::vector<Instruction> pointer_chase_program(std::int16_t n,
+                                               decltype(&b::lw) load) {
+  std::vector<Instruction> prog;
+  prog.push_back(b::addi(2, 0, 0));  // sum
+  li32(prog, 4, 0x4000);             // table cursor
+  prog.push_back(b::addi(1, 0, 0));  // index register
+  emit_loop(prog, 0, 0, n, 1, /*index_rf=*/1);
+  emit_task(prog, 0, /*start=*/19, /*end=*/22, /*loop=*/0, /*cont=*/0,
+            /*done=*/0, /*is_last=*/true);
+  emit_activate(prog, 0);
+  EXPECT_EQ(prog.size(), 19u);
+  prog.push_back(b::lw(3, 0, 4));    // body[0]: p = table[i]
+  prog.push_back(load(5, 0, 3));     // body[1]: *p
+  prog.push_back(b::add(2, 2, 5));   // body[2]: sum += *p
+  prog.push_back(b::addi(4, 4, 4));  // body[3]: task end
+  prog.push_back(b::halt());
+  return prog;
+}
+
+/// One pipeline run of `prog` through its code image, with `table` at
+/// 0x4000 and the words 0..15 at 0x5000; `hooked` attaches a retire hook,
+/// which turns the skip off.
+struct ChaseRun {
+  mem::Memory memory;
+  ZolcController controller{ZolcVariant::kLite};
+  cpu::DecodedImage image;
+  cpu::Pipeline pipe{memory};
+  bool faulted = false;
+
+  ChaseRun(const std::vector<Instruction>& prog,
+           const std::vector<std::uint32_t>& table, bool hooked)
+      : image(kBase, prog) {
+    test::load_program(memory, kBase, prog);
+    memory.load_words(0x4000, table);
+    for (std::uint32_t i = 0; i < 16; ++i) memory.write32(0x5000 + 4 * i, i);
+    pipe.set_accelerator(&controller);
+    pipe.set_code_image(image);
+    if (hooked) {
+      pipe.set_retire_hook([](std::uint32_t, const Instruction&) {});
+    }
+    pipe.set_pc(kBase);
+    try {
+      pipe.run(100'000);
+    } catch (const mem::MemoryFault&) {
+      faulted = true;
+    }
+  }
+};
+
+void expect_chase_runs_equal(const ChaseRun& a, const ChaseRun& b) {
+  EXPECT_EQ(a.faulted, b.faulted);
+  EXPECT_TRUE(a.pipe.stats() == b.pipe.stats());
+  EXPECT_EQ(a.pipe.pc(), b.pipe.pc());
+  EXPECT_TRUE(a.pipe.regs() == b.pipe.regs());
+  EXPECT_TRUE(a.memory == b.memory);
+  EXPECT_TRUE(a.controller.save_context() == b.controller.save_context());
+}
+
+TEST(SteadySkip, DeclinesABodyWhoseAccessesMayMisalign) {
+  // The pointers come from memory, so nothing bounds their alignment, and
+  // the ninth is misaligned. Through byte loads, which need no alignment,
+  // the loop is skipped; through word loads it is stepped, and the ninth
+  // load traps as it traps when every cycle is stepped.
+  constexpr std::int16_t kN = 12;
+  std::vector<std::uint32_t> table;
+  for (std::uint32_t i = 0; i < kN; ++i) table.push_back(0x5000 + 4 * i);
+  table[8] = 0x5002;
+
+  const auto bytes = pointer_chase_program(kN, &b::lbu);
+  const ChaseRun skipped(bytes, table, false);
+  EXPECT_FALSE(skipped.faulted);
+  EXPECT_GT(skipped.pipe.skip_stats().engagements, 0u);
+  expect_chase_runs_equal(skipped, ChaseRun(bytes, table, true));
+
+  const auto words = pointer_chase_program(kN, &b::lw);
+  const ChaseRun stepped(words, table, false);
+  EXPECT_TRUE(stepped.faulted);
+  EXPECT_TRUE(stepped.pipe.skip_stats() == cpu::SkipStats{});
+  expect_chase_runs_equal(stepped, ChaseRun(words, table, true));
+}
+
 // ---------------- all configurations agree ----------------
 
 class ZolcConfigMatrix

@@ -359,6 +359,14 @@ int cmd_run(const cli::Args& args) {
       static_cast<unsigned long long>(r.zolc_stats.continue_events),
       static_cast<unsigned long long>(r.zolc_stats.done_events),
       static_cast<unsigned long long>(r.zolc_stats.table_writes));
+  if (plan.mode.engine == flow::SimEngine::kPipeline) {
+    std::printf(
+        "  steady skip       %llu engagements, %llu iterations, "
+        "%llu cycles charged\n",
+        static_cast<unsigned long long>(r.skip.engagements),
+        static_cast<unsigned long long>(r.skip.iterations),
+        static_cast<unsigned long long>(r.skip.cycles));
+  }
   if (plan.mode.fast_path) {
     std::printf(
         "  fast path         %llu/%llu engagements, %llu replayed instrs, "
